@@ -39,8 +39,6 @@ from .dist import (
     DistElement,
     brackets_invariance_check,
     check_linearized_identity,
-    dist_divide,
-    dist_product,
     dist_su_ops,
     make_similar_product,
     pbw_span_check,
@@ -53,14 +51,11 @@ from .freealg import (
     FreeAlgebra,
     fa_associator,
     fa_commutator,
-    fa_coproduct,
-    fa_counit,
     fa_divide,
     fa_exp,
     fa_exp_inverse,
     fa_log,
     fa_loop_divide,
-    fa_product,
     is_primitive,
     p_operation,
     su_bracket,
@@ -70,6 +65,7 @@ from .freealg import (
 from .maps import (
     FormalLoop,
     FormalMap,
+    InvariantError,
     MemoryCapError,
     Prolongation,
     SimilarityMap,

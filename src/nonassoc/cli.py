@@ -2,9 +2,10 @@
 
 Exit codes: 0 when every requested check passes, 1 on a mathematical
 failure (an identity that does not hold, a table mismatch), 2 on usage or
-configuration errors.  Reports are deterministic given the same
-configuration and seed; JSON reports carry a schema version and the fully
-resolved configuration so a failing run can be replayed.
+configuration errors, 3 when an internal invariant fails (a bug).  Reports
+are deterministic given the same configuration and seed; JSON reports
+carry a schema version and the fully resolved configuration so a failing
+run can be replayed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from . import catalog, dist, maps, trees
 from .freealg import fa_log, su_multioperator_component
-from .maps import MemoryCapError, resolve_memory_cap
+from .maps import InvariantError, MemoryCapError, resolve_memory_cap
 from .scalars import format_rational
 from .words import WordSyntaxError, parse_identity
 
@@ -26,6 +27,7 @@ SCHEMA_VERSION = 1
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INVARIANT = 3
 
 
 class UsageError(Exception):
@@ -426,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

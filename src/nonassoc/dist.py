@@ -19,7 +19,7 @@ from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
 from . import su_ops
-from .maps import FormalLoop, MonoTuple, SimilarityMap
+from .maps import FormalLoop, InvariantError, MonoTuple, SimilarityMap
 from .scalars import Vector, basis_vector, format_rational, vec_is_zero, zero_vector
 from .symalg import (
     Monomial,
@@ -48,8 +48,9 @@ def _accumulate(acc: dict[Monomial, Fraction], elem: SymElement, coeff: Fraction
 class DistBialgebra:
     """k[V] with the convolution product of a loop (or an explicit product).
 
-    Product and division values are memoized per monomial pair; the caches
-    live on the instance, so distinct bialgebras never share entries.
+    Product and division values are memoized per monomial pair, and the
+    primitive operation and associator per monomial triple; the caches live
+    on the instance, so distinct bialgebras never share entries.
     """
 
     def __init__(self, dim: int, max_degree: int, product_fn: ProductFn, loop: FormalLoop | None = None):
@@ -60,6 +61,8 @@ class DistBialgebra:
         self._prod_memo: dict[tuple[Monomial, Monomial], SymElement] = {}
         self._ldiv_memo: dict[tuple[Monomial, Monomial], SymElement] = {}
         self._rdiv_memo: dict[tuple[Monomial, Monomial], SymElement] = {}
+        self._p_memo: dict[tuple[Monomial, Monomial, Monomial], SymElement] = {}
+        self._assoc_memo: dict[tuple[Monomial, Monomial, Monomial], SymElement] = {}
 
     @classmethod
     def from_loop(cls, loop: FormalLoop) -> "DistBialgebra":
@@ -279,28 +282,16 @@ class DistElement:
         return all(monomial_degree(m) == 1 for m in self.value.terms)
 
 
-def dist_product(a: DistElement, b: DistElement) -> DistElement:
-    return a * b
-
-
-def dist_divide(a: DistElement, b: DistElement, side: str) -> DistElement:
-    return a.ldiv(b) if side == "left" else a.rdiv(b)
-
-
 class _DistOps:
     """Adapter exposing a DistBialgebra to the generic primitive-operation engine."""
 
     def __init__(self, bialgebra: DistBialgebra):
         self.B = bialgebra
-
-    def zero(self):
-        return SymElement.zero(self.B.dim)
+        self.p_memo = bialgebra._p_memo
+        self.assoc_memo = bialgebra._assoc_memo
 
     def one(self):
         return self.B.one()
-
-    def add(self, a, b):
-        return a + b
 
     def sub(self, a, b):
         return a - b
@@ -314,16 +305,11 @@ class _DistOps:
     def ldiv(self, a, b):
         return self.B.divide(a, b, "left")
 
-    def counit(self, a):
-        return a.counit()
+    def key_element(self, mono):
+        return SymElement(self.B.dim, {mono: Fraction(1)})
 
-    def coproduct_terms(self, a):
-        for m1, m2, c in a.coproduct_terms():
-            yield (
-                SymElement(self.B.dim, {m1: Fraction(1)}),
-                SymElement(self.B.dim, {m2: Fraction(1)}),
-                c,
-            )
+    def key_coproduct(self, mono):
+        return monomial_splits(mono)
 
     def sum_terms(self, terms):
         acc: dict[Monomial, Fraction] = {}
@@ -367,7 +353,7 @@ class DistSUOps:
         """The bracket as an element of V; raises if it fails to be primitive."""
         value = self.bracket(xs, y, z)
         if not value.is_primitive():
-            raise AssertionError(f"bracket value is not primitive: {value.value!r}")
+            raise InvariantError(f"bracket value is not primitive: {value.value!r}")
         return value.primitive_part()
 
     def multioperator(self, xs: Sequence, ys: Sequence) -> DistElement:
@@ -386,7 +372,7 @@ class DistSUOps:
         ys = [basis_vector(self.bialgebra.dim, i) for i in monomial_letters(my)]
         value = self.multioperator([self._coerce(x) for x in xs], [self._coerce(y) for y in ys])
         if not value.is_primitive():
-            raise AssertionError("multioperator value is not primitive")
+            raise InvariantError("multioperator value is not primitive")
         return value.primitive_part()
 
 

@@ -90,6 +90,8 @@ class FreeAlgebra:
         self._coproduct_memo: dict[FAMonomial, tuple[tuple[FAMonomial, FAMonomial, Fraction], ...]] = {}
         self._ldiv_memo: dict[tuple[FAMonomial, FAMonomial], "FAElement"] = {}
         self._rdiv_memo: dict[tuple[FAMonomial, FAMonomial], "FAElement"] = {}
+        self._p_memo: dict[tuple[FAMonomial, FAMonomial, FAMonomial], "FAElement"] = {}
+        self._assoc_memo: dict[tuple[FAMonomial, FAMonomial, FAMonomial], "FAElement"] = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -487,18 +489,6 @@ class FATensor:
 # -- products, divisions, primitive forms -----------------------------------------
 
 
-def fa_product(x: FAElement, y: FAElement) -> FAElement:
-    return x * y
-
-
-def fa_coproduct(x: FAElement) -> FATensor:
-    return x.coproduct()
-
-
-def fa_counit(x: FAElement) -> Fraction:
-    return x.counit()
-
-
 def fa_divide(u: FAElement, v: FAElement, side: str) -> FAElement:
     """Bilinear division in the free algebra; side is 'left' or 'right'."""
     u._check(v)
@@ -530,15 +520,11 @@ class _FAOps:
 
     def __init__(self, alg: FreeAlgebra):
         self.alg = alg
-
-    def zero(self):
-        return self.alg.zero()
+        self.p_memo = alg._p_memo
+        self.assoc_memo = alg._assoc_memo
 
     def one(self):
         return self.alg.one()
-
-    def add(self, a, b):
-        return a + b
 
     def sub(self, a, b):
         return a - b
@@ -552,12 +538,11 @@ class _FAOps:
     def ldiv(self, a, b):
         return fa_divide(a, b, "left")
 
-    def counit(self, a):
-        return a.counit()
+    def key_element(self, mono):
+        return FAElement(self.alg, {mono: Fraction(1)})
 
-    def coproduct_terms(self, a):
-        for (m1, m2), c in a.coproduct().terms.items():
-            yield FAElement(self.alg, {m1: Fraction(1)}), FAElement(self.alg, {m2: Fraction(1)}), c
+    def key_coproduct(self, mono):
+        return self.alg.mono_coproduct(mono)
 
     def sum_terms(self, terms):
         acc: dict[FAMonomial, Fraction] = {}

@@ -59,6 +59,10 @@ class MemoryCapError(ValueError):
     """Raised when a requested (dimension, degree) table would be too large."""
 
 
+class InvariantError(AssertionError):
+    """Raised when an internal invariant of a computation fails: a bug, not a verdict."""
+
+
 def table_cells(dim: int, max_degree: int) -> int:
     """Rational slots a full two-slot component table could hold."""
     total = 0
@@ -674,7 +678,7 @@ def loop_division(F: FormalLoop, side: str) -> FormalMap:
             break
         changed = min(sum(md) for md in delta.support())
         if changed <= step:
-            raise AssertionError(
+            raise InvariantError(
                 f"division solve changed degree {changed} at pass {step}"
             )
         current = candidate
@@ -794,7 +798,7 @@ def right_alt_modify(F: FormalLoop) -> RightAltModification:
             current = FormalLoop(F.dim, N, comps)
     verdict = check_loop_identity(_right_alt_identity(), current)
     if not verdict.holds:
-        raise AssertionError(f"right alternative modification failed: {verdict}")
+        raise InvariantError(f"right alternative modification failed: {verdict}")
     phi = compose(current.division("left"), [P1, F])
     return RightAltModification(current, SimilarityMap.from_map(phi))
 
@@ -891,7 +895,7 @@ def multioperator_ms(max_degree: int, max_bidegree: tuple[int, int] | None = Non
         if delta.max_degree() >= 1 and min(
             d for d in range(1, max_degree + 1) if not delta.graded_piece(d).is_zero()
         ) <= step:
-            raise AssertionError(f"multioperator solve changed degree <= {step} at pass {step}")
+            raise InvariantError(f"multioperator solve changed degree <= {step} at pass {step}")
         phi = candidate
     ngens = 2
     comps: dict[tuple[int, int], FAElement] = {}
@@ -901,7 +905,7 @@ def multioperator_ms(max_degree: int, max_bidegree: tuple[int, int] | None = Non
         comps[(i, j)] = piece + FAElement(alg, {mono: coeff})
     for (i, j), piece in comps.items():
         if j <= 1 and (i, j) != (0, 1):
-            raise AssertionError(f"unexpected multioperator component at bidegree {(i, j)}")
+            raise InvariantError(f"unexpected multioperator component at bidegree {(i, j)}")
     return MsMultioperator(alg, phi, comps)
 
 

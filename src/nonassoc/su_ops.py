@@ -4,20 +4,27 @@ These are polynomial expressions in a product and its left division, so
 they make sense in any unital bialgebra with divisions.  The functions
 here are generic over an adapter object providing
 
-    zero() one() add(a,b) sub(a,b) scale(a,c) mul(a,b) ldiv(a,b)
-    counit(a) coproduct_terms(a) -> iterable of (a1, a2, coeff)
-    is_primitive(a)
+    one() sub(a,b) scale(a,c) mul(a,b) ldiv(a,b) is_primitive(a)
+    sum_terms(iterable of (a, coeff)) -> the linear combination
+    key_element(k) -> the basis element of the basis key k
+    key_coproduct(k) -> iterable of (k1, k2, coeff), the Sweedler terms of k
+    p_memo, assoc_memo -> dicts owned by the algebra, keyed by basis-key triples
 
-and are shared by the free algebra and by distribution bialgebras.
+Elements expose `terms`, a dict from basis key to coefficient.  The engine
+is shared by the free algebra (keys are words) and by distribution
+bialgebras (keys are monomials).
 
 The defining formula, with u and v left-normed products of the argument
 blocks and all arguments primitive, is
 
     p(x1..xm; y1..yn; z) = sum (u_(1) v_(1)) \\ assoc(u_(2), v_(2), z)
 
-where assoc(a, b, c) = (ab)c - a(bc).  The binary bracket is the negated
-commutator; higher brackets antisymmetrize p in its last two slots, and
-the multioperator symmetrizes p over both blocks.
+where assoc(a, b, c) = (ab)c - a(bc).  It is linear in each of u, v and
+z, so p is evaluated as a combination of its values P on triples of basis
+keys; P and the associators inside it are memoized on the algebra, which
+shares them across every bracket and multioperator entry.  The binary
+bracket is the negated commutator; higher brackets antisymmetrize p in its
+last two slots, and the multioperator symmetrizes p over both blocks.
 """
 
 from __future__ import annotations
@@ -51,15 +58,30 @@ def _require_primitive(ops, elements: Sequence) -> None:
             raise ValueError(f"primitive operations need primitive arguments, got {elem!r}")
 
 
-def _sum_terms(ops, terms):
-    """Sum (element, coefficient) pairs; adapters may provide a fast path."""
-    fast = getattr(ops, "sum_terms", None)
-    if fast is not None:
-        return fast(terms)
-    total = ops.zero()
-    for elem, coeff in terms:
-        total = ops.add(total, ops.scale(elem, coeff))
-    return total
+def _assoc_on_keys(ops, a, b, c):
+    key = (a, b, c)
+    hit = ops.assoc_memo.get(key)
+    if hit is None:
+        hit = associator(ops, ops.key_element(a), ops.key_element(b), ops.key_element(c))
+        ops.assoc_memo[key] = hit
+    return hit
+
+
+def _p_on_keys(ops, mu, nu, zeta):
+    """The defining Sweedler sum with u, v and z the basis elements mu, nu and zeta."""
+    key = (mu, nu, zeta)
+    hit = ops.p_memo.get(key)
+    if hit is None:
+        terms = []
+        for mu1, mu2, cu in ops.key_coproduct(mu):
+            for nu1, nu2, cv in ops.key_coproduct(nu):
+                assoc = _assoc_on_keys(ops, mu2, nu2, zeta)
+                if assoc.terms:
+                    head = ops.mul(ops.key_element(mu1), ops.key_element(nu1))
+                    terms.append((ops.ldiv(head, assoc), cu * cv))
+        hit = ops.sum_terms(terms)
+        ops.p_memo[key] = hit
+    return hit
 
 
 def p_operation(ops, xs: Sequence, ys: Sequence, z) -> object:
@@ -68,11 +90,12 @@ def p_operation(ops, xs: Sequence, ys: Sequence, z) -> object:
     _require_primitive(ops, list(xs) + list(ys) + [z])
     u = left_normed_product(ops, xs)
     v = left_normed_product(ops, ys)
-    terms = []
-    for u1, u2, cu in ops.coproduct_terms(u):
-        for v1, v2, cv in ops.coproduct_terms(v):
-            terms.append((ops.ldiv(ops.mul(u1, v1), associator(ops, u2, v2, z)), cu * cv))
-    return _sum_terms(ops, terms)
+    return ops.sum_terms(
+        (_p_on_keys(ops, mu, nu, zeta), cu * cv * cz)
+        for mu, cu in u.terms.items()
+        for nu, cv in v.terms.items()
+        for zeta, cz in z.terms.items()
+    )
 
 
 def bracket(ops, xs: Sequence, y, z) -> object:
@@ -100,7 +123,7 @@ def multioperator(ops, xs: Sequence, ys: Sequence) -> object:
         for sigma in permutations(range(n)):
             ys_p = [ys[i] for i in sigma]
             terms.append((p_operation(ops, xs_p, ys_p[:-1], ys_p[-1]), weight))
-    return _sum_terms(ops, terms)
+    return ops.sum_terms(terms)
 
 
 def multioperator_component(ops, x, y, i: int, j: int) -> object:

@@ -1,7 +1,8 @@
 import json
 
+from nonassoc import dist
 from nonassoc.catalog import x_squared_y_loop
-from nonassoc.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
+from nonassoc.cli import EXIT_FAIL, EXIT_INVARIANT, EXIT_PASS, EXIT_USAGE, main
 
 ASSOC = "((x1 * x2) * x3) = (x1 * (x2 * x3))"
 MOUFANG = "(x1*(x2*(x1*x3)))=(((x1*x2)*x1)*x3)"
@@ -127,6 +128,20 @@ def test_brackets_su_only_on_associative_loop(capsys):
     assert code == EXIT_PASS
     report = json.loads(out)
     assert all(set(e["value"]) == {"0"} for e in report["result"]["entries"])
+
+
+def test_invariant_failure_has_its_own_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(dist.DistElement, "is_primitive", lambda self: False)
+    code, out, err = run(
+        capsys,
+        "brackets",
+        "--loop", "builtin:dual-numbers-loop",
+        "--method", "su",
+        "--degree", "2",
+    )
+    assert code == EXIT_INVARIANT
+    assert out == ""
+    assert "bracket value is not primitive" in err
 
 
 def test_bernoulli_rows(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 from itertools import product as iter_product
 
 import pytest
@@ -208,6 +209,39 @@ def test_p_values_are_primitive(jordan_bialgebra_4):
         ([vecs[0]], [vecs[1], vecs[2]], vecs[1]),
     ]:
         assert ops.p(xs, ys, z).is_primitive()
+
+
+def p_reference(B, xs, ys, z):
+    """p by its defining Sweedler sum on whole elements, with no memo."""
+    u = reduce(B.product, xs)
+    v = reduce(B.product, ys)
+    total = SymElement.zero(B.dim)
+    for u1, u2, cu in u.coproduct_terms():
+        for v1, v2, cv in v.coproduct_terms():
+            a, b = mono_elem(B.dim, u2), mono_elem(B.dim, v2)
+            assoc = B.product(B.product(a, b), z) - B.product(a, B.product(b, z))
+            head = B.product(mono_elem(B.dim, u1), mono_elem(B.dim, v1))
+            total = total + B.divide(head, assoc, "left").scale(cu * cv)
+    return total
+
+
+@pytest.mark.parametrize("loop_name", ["jordan_loop_4", "nonlinear_loop_5"])
+def test_p_on_rational_combinations_matches_defining_sum(loop_name, request):
+    B = DistBialgebra.from_loop(request.getfixturevalue(loop_name))
+    ops = dist_su_ops(B)
+    rng = random.Random(5)
+
+    def vector():
+        return SymElement.from_vector(
+            tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(B.dim))
+        )
+
+    for m, n in iter_product((1, 2), repeat=2):
+        for _ in range(2):
+            xs = [vector() for _ in range(m)]
+            ys = [vector() for _ in range(n)]
+            z = vector()
+            assert ops.p(xs, ys, z).value == p_reference(B, xs, ys, z)
 
 
 def test_p_requires_primitive_arguments(jordan_bialgebra_4):
