@@ -19,8 +19,9 @@ from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
 from . import su_ops
+from .lincomb import add_into
 from .maps import FormalLoop, InvariantError, MonoTuple, SimilarityMap
-from .scalars import Vector, basis_vector, format_rational, vec_is_zero, zero_vector
+from .scalars import ONE, Vector, basis_vector, format_rational, vec_is_zero, zero_vector
 from .symalg import (
     Monomial,
     SymElement,
@@ -36,13 +37,6 @@ from .symalg import (
 from .words import Identity, LDiv, LoopWord, Mul, RDiv, Unit, Var, word_variables
 
 ProductFn = Callable[[Monomial, Monomial], SymElement]
-
-
-def _accumulate(acc: dict[Monomial, Fraction], elem: SymElement, coeff: Fraction) -> None:
-    if coeff == 0:
-        return
-    for mono, c in elem.terms.items():
-        acc[mono] = acc.get(mono, Fraction(0)) + coeff * c
 
 
 class DistBialgebra:
@@ -96,20 +90,21 @@ class DistBialgebra:
                     front = loop.value((a1, a2))
                     if vec_is_zero(front):
                         continue
-                    tail = self.product_mono(b1, b2)
-                    weight = Fraction(c1 * c2)
-                    for mono, c in tail.terms.items():
-                        deg = monomial_degree(mono) + 1
-                        if deg > N:
-                            continue
-                        factor = weight * c / deg
-                        for j, fj in enumerate(front):
-                            if fj != 0:
-                                key = tuple(
-                                    e + (1 if k == j else 0) for k, e in enumerate(mono)
-                                )
-                                acc[key] = acc.get(key, Fraction(0)) + factor * fj
-            return SymElement(dim, acc)
+                    # a tail term of degree d < N, divided by d + 1, times each e_j
+                    tail = [
+                        (mono, c / (monomial_degree(mono) + 1))
+                        for mono, c in self.product_mono(b1, b2).terms.items()
+                        if monomial_degree(mono) < N
+                    ]
+                    weight = c1 * c2
+                    for j, fj in enumerate(front):
+                        if fj != 0:
+                            add_into(
+                                acc,
+                                {mono[:j] + (mono[j] + 1,) + mono[j + 1 :]: c for mono, c in tail},
+                                weight * fj,
+                            )
+            return SymElement.of_terms(dim, acc)
 
         self._product_fn = product_fn
         return self
@@ -145,27 +140,20 @@ class DistBialgebra:
         hit = self._ldiv_memo.get(key)
         if hit is None:
             if monomial_degree(m1) == 0:
-                hit = SymElement(self.dim, {m2: Fraction(1)})
+                hit = SymElement(self.dim, {m2: ONE})
             else:
                 d1 = monomial_degree(m1)
-                acc: dict[Monomial, Fraction] = {}
-                _accumulate(acc, self.product_mono(m1, m2), Fraction(-1))
+                acc = add_into({}, self.product_mono(m1, m2).terms, -1)
                 for a, b, coeff in monomial_splits(m1):
                     da = monomial_degree(a)
                     if da == 0 or da == d1:
                         continue
                     inner = self.product_mono(b, m2)
                     for mono, c in inner.terms.items():
-                        _accumulate(acc, self.ldiv_mono(a, mono), Fraction(-coeff) * c)
-                hit = SymElement(self.dim, acc)
+                        add_into(acc, self.ldiv_mono(a, mono).terms, -coeff * c)
+                hit = SymElement.of_terms(self.dim, acc)
             self._ldiv_memo[key] = hit
         return hit
-
-    def ldiv_elem_mono(self, m1: Monomial, elem: SymElement) -> SymElement:
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in elem.terms.items():
-            _accumulate(acc, self.ldiv_mono(m1, mono), coeff)
-        return SymElement(self.dim, acc)
 
     def rdiv_mono(self, m1: Monomial, m2: Monomial) -> SymElement:
         """mu / nu on monomials, by induction on the degree of nu."""
@@ -173,19 +161,18 @@ class DistBialgebra:
         hit = self._rdiv_memo.get(key)
         if hit is None:
             if monomial_degree(m2) == 0:
-                hit = SymElement(self.dim, {m1: Fraction(1)})
+                hit = SymElement(self.dim, {m1: ONE})
             else:
                 d2 = monomial_degree(m2)
-                acc: dict[Monomial, Fraction] = {}
-                _accumulate(acc, self.product_mono(m1, m2), Fraction(-1))
+                acc = add_into({}, self.product_mono(m1, m2).terms, -1)
                 for a, b, coeff in monomial_splits(m2):
                     da = monomial_degree(a)
                     if da == 0 or da == d2:
                         continue
                     partial = self.rdiv_mono(m1, a)
                     for mono, c in partial.terms.items():
-                        _accumulate(acc, self.product_mono(mono, b), Fraction(-coeff) * c)
-                hit = SymElement(self.dim, acc)
+                        add_into(acc, self.product_mono(mono, b).terms, -coeff * c)
+                hit = SymElement.of_terms(self.dim, acc)
             self._rdiv_memo[key] = hit
         return hit
 
@@ -200,8 +187,8 @@ class DistBialgebra:
         acc: dict[Monomial, Fraction] = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
-                _accumulate(acc, self.product_mono(m1, m2), c1 * c2)
-        return SymElement(self.dim, acc)
+                add_into(acc, self.product_mono(m1, m2).terms, c1 * c2)
+        return SymElement.of_terms(self.dim, acc)
 
     def divide(self, a: SymElement, b: SymElement, side: str) -> SymElement:
         self._check_elem(a)
@@ -215,8 +202,8 @@ class DistBialgebra:
         acc: dict[Monomial, Fraction] = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
-                _accumulate(acc, fn(m1, m2), c1 * c2)
-        return SymElement(self.dim, acc)
+                add_into(acc, fn(m1, m2).terms, c1 * c2)
+        return SymElement.of_terms(self.dim, acc)
 
     # -- element helpers ----------------------------------------------------------
     def one(self) -> SymElement:
@@ -293,12 +280,6 @@ class _DistOps:
     def one(self):
         return self.B.one()
 
-    def sub(self, a, b):
-        return a - b
-
-    def scale(self, a, c):
-        return a.scale(c)
-
     def mul(self, a, b):
         return self.B.product(a, b)
 
@@ -306,16 +287,10 @@ class _DistOps:
         return self.B.divide(a, b, "left")
 
     def key_element(self, mono):
-        return SymElement(self.B.dim, {mono: Fraction(1)})
+        return SymElement.of_terms(self.B.dim, {mono: ONE})
 
     def key_coproduct(self, mono):
         return monomial_splits(mono)
-
-    def sum_terms(self, terms):
-        acc: dict[Monomial, Fraction] = {}
-        for elem, coeff in terms:
-            _accumulate(acc, elem, Fraction(coeff))
-        return SymElement(self.B.dim, acc)
 
     def is_primitive(self, a):
         return all(monomial_degree(m) == 1 for m in a.terms)
@@ -396,17 +371,6 @@ def su_bracket_table(bialgebra: DistBialgebra, arity: int) -> dict[tuple[int, ..
 # -- linearized identities ------------------------------------------------------------
 
 
-def _tuple_splits(monos: MonoTuple) -> Iterator[tuple[MonoTuple, MonoTuple, Fraction]]:
-    per_slot = [monomial_splits(m) for m in monos]
-    for combo in iter_product(*per_slot):
-        left = tuple(a for a, _, _ in combo)
-        right = tuple(b for _, b, _ in combo)
-        coeff = Fraction(1)
-        for _, _, c in combo:
-            coeff *= c
-        yield left, right, coeff
-
-
 class LinearizedEvaluator:
     """Evaluates word linearizations on tuples of distributions.
 
@@ -441,7 +405,7 @@ class LinearizedEvaluator:
         match word:
             case Var(index):
                 if all(monomial_degree(m) == 0 for k, m in enumerate(monos) if k != index - 1):
-                    out = SymElement(B.dim, {monos[index - 1]: Fraction(1)})
+                    out = SymElement.of_terms(B.dim, {monos[index - 1]: ONE})
                 else:
                     out = SymElement.zero(B.dim)
             case Unit():
@@ -495,8 +459,8 @@ class LinearizedEvaluator:
                 val = B.divide(lv, rv, "left")
             else:
                 val = B.divide(lv, rv, "right")
-            _accumulate(acc, val, Fraction(coeff))
-        return SymElement(B.dim, acc)
+            add_into(acc, val.terms, coeff)
+        return SymElement.of_terms(B.dim, acc)
 
     def on_elements(self, word: LoopWord, args: Sequence[SymElement]) -> SymElement:
         if len(args) != self.nvars:
@@ -504,11 +468,13 @@ class LinearizedEvaluator:
         acc: dict[Monomial, Fraction] = {}
         for combo in iter_product(*(a.terms.items() for a in args)):
             monos = tuple(m for m, _ in combo)
-            coeff = Fraction(1)
+            if sum(map(monomial_degree, monos)) > self.B.N:
+                continue
+            coeff = ONE
             for _, c in combo:
                 coeff *= c
-            _accumulate(acc, self.on_monomials(word, monos), coeff)
-        return SymElement(self.B.dim, acc)
+            add_into(acc, self.on_monomials(word, monos).terms, coeff)
+        return SymElement.of_terms(self.B.dim, acc)
 
 
 def random_distribution(
@@ -519,9 +485,8 @@ def random_distribution(
     terms: dict[Monomial, Fraction] = {}
     for _ in range(rng.randint(1, max_terms)):
         mono = pool[rng.randrange(len(pool))]
-        coeff = rng.choice([-2, -1, 1, 2])
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
-    return SymElement(dim, terms)
+        add_into(terms, {mono: Fraction(rng.choice([-2, -1, 1, 2]))})
+    return SymElement.of_terms(dim, terms)
 
 
 @dataclass
@@ -555,7 +520,9 @@ def check_linearized_identity(
 
     Deterministic sweep over all monomial tuples of total degree up to
     exhaustive_degree (capped by the truncation), then seeded sparse random
-    distributions of degree <= min(3, N - 1); comparisons are exact and the
+    distributions of degree <= min(3, N - 1), evaluated on their monomial
+    tuples of total degree <= N only: above N the truncated product has
+    lost the loop components it would need.  Comparisons are exact and the
     first mismatch is reported with enough data to replay it.
     """
     ev = LinearizedEvaluator(bialgebra, identity.nvars)
@@ -637,10 +604,10 @@ def brackets_invariance_check(
             for mu in monomials(dim, dmu):
                 for nu in monomials(dim, dnu):
                     acc: dict[Monomial, Fraction] = {}
-                    for m1, m2, coeff in SymElement(dim, {mu: Fraction(1)}).coproduct_terms():
+                    for m1, m2, coeff in SymElement(dim, {mu: ONE}).coproduct_terms():
                         inner = prol.at((m2, nu)).truncate(N)
-                        _accumulate(acc, b_times.product(SymElement(dim, {m1: Fraction(1)}), inner), coeff)
-                    lhs = SymElement(dim, acc)
+                        add_into(acc, b_times.product(SymElement(dim, {m1: ONE}), inner).terms, coeff)
+                    lhs = SymElement.of_terms(dim, acc)
                     rhs = b_dot.product_mono(mu, nu)
                     if lhs != rhs:
                         return InvarianceVerdict(
@@ -726,15 +693,14 @@ class _PsiBuilder:
 
     def _phi_on_powers(self, c: Vector, i: int, v: Vector, j: int) -> SymElement:
         """Phi tables at the pair of symmetric powers (c^i, v^j)."""
-        out = SymElement.zero(self.B.dim)
-        if i < 1 or j < 2:
-            return out
-        for mx, cx in self.sym_power(c, i).terms.items():
-            for my, cy in self.sym_power(v, j).terms.items():
-                value = self.phi(mx, my)
-                if value is not None and not vec_is_zero(value):
-                    out = out + SymElement.from_vector(value).scale(cx * cy)
-        return out
+        acc: dict[Monomial, Fraction] = {}
+        if i >= 1 and j >= 2:
+            for mx, cx in self.sym_power(c, i).terms.items():
+                for my, cy in self.sym_power(v, j).terms.items():
+                    value = self.phi(mx, my)
+                    if value is not None and not vec_is_zero(value):
+                        add_into(acc, SymElement.from_vector(value).terms, cx * cy)
+        return SymElement.of_terms(self.B.dim, acc)
 
     # -- the recursion on pairs of powers -------------------------------------
     def psi_pp(self, c: Vector, s: int, v: Vector, m: int) -> SymElement:
@@ -762,7 +728,7 @@ class _PsiBuilder:
                         inner = self.psi_pp(c, k3, v, l)
                         if inner.is_zero():
                             continue
-                        weight = Fraction(
+                        weight = (
                             y_weight
                             * factorial(s)
                             // (factorial(k1) * factorial(k2) * factorial(k3) * factorial(k4))
@@ -777,8 +743,8 @@ class _PsiBuilder:
                         if piece.is_zero():
                             continue
                         value = B.divide(self.dist_power(c, k1), piece, "left")
-                        _accumulate(acc, value, weight)
-        result = SymElement(B.dim, acc).truncate(B.N)
+                        add_into(acc, value.terms, weight)
+        result = SymElement.of_terms(B.dim, acc).truncate(B.N)
         self._pp[key] = result
         return result
 
@@ -798,7 +764,7 @@ class _PsiBuilder:
         letters = monomial_letters(x_mono)
         acc: dict[Monomial, Fraction] = {}
         for size in range(1, s + 1):
-            sign = Fraction((-1) ** (s - size))
+            sign = (-1) ** (s - size)
             for positions in combinations(range(s), size):
                 u = [Fraction(0)] * self.B.dim
                 for pos in positions:
@@ -808,9 +774,9 @@ class _PsiBuilder:
                 top = self.psi_pp(u, s, v, m)
                 tail = self.dist_power(u, s) - self.sym_power(u, s)
                 for mono, coeff in tail.terms.items():
-                    _accumulate(acc, self.psi_mono_pow(mono, v, m), -sign * coeff)
-                _accumulate(acc, top, sign)
-        result = SymElement(self.B.dim, acc).scale(Fraction(1, factorial(s)))
+                    add_into(acc, self.psi_mono_pow(mono, v, m).terms, -sign * coeff)
+                add_into(acc, top.terms, sign)
+        result = SymElement.of_terms(self.B.dim, acc).scale(Fraction(1, factorial(s)))
         self._mono_pow[key] = result
         return result
 
@@ -823,7 +789,7 @@ class _PsiBuilder:
             return SymElement.zero(self.B.dim)
         if dy == 1:
             if monomial_degree(x_mono) == 0:
-                return SymElement(self.B.dim, {y_mono: Fraction(1)})
+                return SymElement.of_terms(self.B.dim, {y_mono: ONE})
             return SymElement.zero(self.B.dim)
         key = (x_mono, y_mono)
         hit = self._psi.get(key)
@@ -833,7 +799,7 @@ class _PsiBuilder:
         m = len(letters)
         acc: dict[Monomial, Fraction] = {}
         for size in range(1, m + 1):
-            sign = Fraction((-1) ** (m - size))
+            sign = (-1) ** (m - size)
             for positions in combinations(range(m), size):
                 v = [Fraction(0)] * self.B.dim
                 for pos in positions:
@@ -842,17 +808,11 @@ class _PsiBuilder:
                 top = self.psi_mono_pow(x_mono, v, m)
                 tail = self.dist_power(v, m) - self.sym_power(v, m)
                 for mono, coeff in tail.terms.items():
-                    _accumulate(acc, self.psi(x_mono, mono), -sign * coeff)
-                _accumulate(acc, top, sign)
-        result = SymElement(self.B.dim, acc).scale(Fraction(1, factorial(m)))
+                    add_into(acc, self.psi(x_mono, mono).terms, -sign * coeff)
+                add_into(acc, top.terms, sign)
+        result = SymElement.of_terms(self.B.dim, acc).scale(Fraction(1, factorial(m)))
         self._psi[key] = result
         return result
-
-    def psi_elem(self, x_mono: Monomial, elem: SymElement) -> SymElement:
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in elem.terms.items():
-            _accumulate(acc, self.psi(x_mono, mono), coeff)
-        return SymElement(self.B.dim, acc)
 
 
 def make_similar_product(bialgebra: DistBialgebra, phi: PhiTables) -> DistBialgebra:
@@ -896,8 +856,8 @@ def make_similar_product(bialgebra: DistBialgebra, phi: PhiTables) -> DistBialge
             inner = builder.psi(b, m2)
             if inner.is_zero():
                 continue
-            _accumulate(acc, bialgebra.product(SymElement(dim, {a: Fraction(1)}), inner), Fraction(coeff))
-        return SymElement(dim, acc).truncate(N)
+            add_into(acc, bialgebra.product(SymElement.of_terms(dim, {a: ONE}), inner).terms, coeff)
+        return SymElement.of_terms(dim, acc).truncate(N)
 
     return DistBialgebra(dim, N, product_fn)
 

@@ -18,8 +18,9 @@ from functools import reduce
 from math import factorial
 from typing import Iterable, Sequence
 
-from .scalars import format_rational, parse_rational, rat
 from . import su_ops
+from .lincomb import LinComb, add_into
+from .scalars import ONE, ZERO, format_rational, parse_rational, rat
 from .trees import PlaneTree, enumerate_trees, tree_stats
 
 # A monomial is None (the unit), an int (generator index), or a pair of
@@ -108,15 +109,15 @@ class FreeAlgebra:
 
     # -- element constructors ------------------------------------------------
     def zero(self) -> "FAElement":
-        return FAElement(self, {})
+        return FAElement.of_terms(self, {})
 
     def one(self) -> "FAElement":
-        return FAElement(self, {None: Fraction(1)})
+        return FAElement.of_terms(self, {None: ONE})
 
     def gen(self, index: int) -> "FAElement":
         if not 0 <= index < len(self.names):
             raise ValueError(f"generator index {index} out of range")
-        return FAElement(self, {index: Fraction(1)})
+        return FAElement.of_terms(self, {index: ONE})
 
     def gens(self) -> tuple["FAElement", ...]:
         return tuple(self.gen(i) for i in range(len(self.names)))
@@ -131,16 +132,19 @@ class FreeAlgebra:
         if cached is not None:
             return cached
         if mono is None:
-            out: tuple = ((None, None, Fraction(1)),)
+            out: tuple = ((None, None, ONE),)
         elif isinstance(mono, int):
-            out = ((mono, None, Fraction(1)), (None, mono, Fraction(1)))
+            out = ((mono, None, ONE), (None, mono, ONE))
         else:
             left, right = mono
+            right_terms = self.mono_coproduct(right)
             acc: dict[tuple[FAMonomial, FAMonomial], Fraction] = {}
             for l1, l2, cl in self.mono_coproduct(left):
-                for r1, r2, cr in self.mono_coproduct(right):
-                    key = (mono_graft(l1, r1), mono_graft(l2, r2))
-                    acc[key] = acc.get(key, Fraction(0)) + cl * cr
+                add_into(
+                    acc,
+                    {(mono_graft(l1, r1), mono_graft(l2, r2)): cr for r1, r2, cr in right_terms},
+                    cl,
+                )
             out = tuple((a, b, c) for (a, b), c in acc.items())
         self._coproduct_memo[mono] = out
         return out
@@ -157,19 +161,20 @@ class FreeAlgebra:
         if cached is not None:
             return cached
         if u is None:
-            result = FAElement(self, {v: Fraction(1)})
+            result = FAElement(self, {v: ONE})
         else:
             du = mono_degree(u)
-            result = self.zero()
+            acc: dict[FAMonomial, Fraction] = {}
             for u1, u2, coeff in self.mono_coproduct(u):
                 if u1 is None:
                     prod = mono_graft(u2, v)
                     if mono_degree(prod) <= self.max_degree:
-                        result = result - FAElement(self, {prod: coeff})
+                        add_into(acc, {prod: coeff}, -1)
                 elif mono_degree(u1) < du:
                     inner = mono_graft(u2, v)
                     if mono_degree(u1) + mono_degree(inner) <= self.max_degree:
-                        result = result - self.mono_ldiv(u1, inner).scale(coeff)
+                        add_into(acc, self.mono_ldiv(u1, inner).terms, -coeff)
+            result = FAElement.of_terms(self, acc)
         self._ldiv_memo[key] = result
         return result
 
@@ -180,26 +185,28 @@ class FreeAlgebra:
         if cached is not None:
             return cached
         if v is None:
-            result = FAElement(self, {u: Fraction(1)})
+            result = FAElement(self, {u: ONE})
         else:
             dv = mono_degree(v)
-            result = self.zero()
+            acc: dict[FAMonomial, Fraction] = {}
             for v1, v2, coeff in self.mono_coproduct(v):
                 if v1 is None:
                     prod = mono_graft(u, v2)
                     if mono_degree(prod) <= self.max_degree:
-                        result = result - FAElement(self, {prod: coeff})
+                        add_into(acc, {prod: coeff}, -1)
                 elif mono_degree(v1) < dv:
                     partial = self.mono_rdiv(u, v1)
-                    result = result - (partial * FAElement(self, {v2: coeff}))
+                    add_into(acc, (partial * FAElement.of_terms(self, {v2: ONE})).terms, -coeff)
+            result = FAElement.of_terms(self, acc)
         self._rdiv_memo[key] = result
         return result
 
 
-class FAElement:
+class FAElement(LinComb):
     """A free non-associative polynomial, truncated by its context."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg",)
+    _space_attr = "alg"
 
     def __init__(self, alg: FreeAlgebra, terms: dict[FAMonomial, Fraction] | None = None):
         self.alg = alg
@@ -209,36 +216,6 @@ class FAElement:
                 clean[mono] = Fraction(coeff)
         self.terms = clean
 
-    def _check(self, other: "FAElement") -> None:
-        if not isinstance(other, FAElement):
-            raise TypeError(f"expected FAElement, got {type(other).__name__}")
-        if self.alg != other.alg:
-            raise ValueError("context mismatch between free-algebra elements")
-
-    # -- linear structure ------------------------------------------------------
-    def __add__(self, other: "FAElement") -> "FAElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return FAElement(self.alg, terms)
-
-    def __sub__(self, other: "FAElement") -> "FAElement":
-        return self + other.scale(Fraction(-1))
-
-    def __neg__(self) -> "FAElement":
-        return self.scale(Fraction(-1))
-
-    def scale(self, c: int | Fraction) -> "FAElement":
-        if c == 0:
-            return self.alg.zero()
-        return FAElement(self.alg, {m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -246,58 +223,29 @@ class FAElement:
         cap = self.alg.max_degree
         terms: dict[FAMonomial, Fraction] = {}
         for m1, c1 in self.terms.items():
-            d1 = mono_degree(m1)
-            for m2, c2 in other.terms.items():
-                if d1 + mono_degree(m2) > cap:
-                    continue
-                key = mono_graft(m1, m2)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return FAElement(self.alg, terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FAElement)
-            and self.alg == other.alg
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.alg, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+            room = cap - mono_degree(m1)
+            add_into(
+                terms,
+                {mono_graft(m1, m2): c2 for m2, c2 in other.terms.items() if mono_degree(m2) <= room},
+                c1,
+            )
+        return self._like(terms)
 
     def max_degree(self) -> int:
         return max((mono_degree(m) for m in self.terms), default=0)
 
     def graded_piece(self, degree: int) -> "FAElement":
-        return FAElement(
-            self.alg, {m: c for m, c in self.terms.items() if mono_degree(m) == degree}
-        )
-
-    def bidegree_piece(self, counts: tuple[int, ...]) -> "FAElement":
-        """The part whose monomials use each generator the prescribed number of times."""
-        ngens = len(self.alg.names)
-        return FAElement(
-            self.alg,
-            {
-                m: c
-                for m, c in self.terms.items()
-                if mono_letter_counts(m, ngens) == counts
-            },
-        )
+        return self._like({m: c for m, c in self.terms.items() if mono_degree(m) == degree})
 
     # -- coalgebra --------------------------------------------------------------
     def counit(self) -> Fraction:
-        return self.terms.get(None, Fraction(0))
+        return self.terms.get(None, ZERO)
 
     def coproduct(self) -> "FATensor":
         terms: dict[tuple[FAMonomial, FAMonomial], Fraction] = {}
         for mono, coeff in self.terms.items():
-            for a, b, w in self.alg.mono_coproduct(mono):
-                key = (a, b)
-                terms[key] = terms.get(key, Fraction(0)) + coeff * w
-        return FATensor(self.alg, terms)
+            add_into(terms, {(a, b): w for a, b, w in self.alg.mono_coproduct(mono)}, coeff)
+        return FATensor.of_terms(self.alg, terms)
 
     def is_primitive(self) -> bool:
         if self.is_zero():
@@ -311,12 +259,7 @@ class FAElement:
         out: dict[tuple[int, ...], Fraction] = {}
         ngens = len(self.alg.names)
         for mono, coeff in self.terms.items():
-            key = mono_letter_counts(mono, ngens)
-            val = out.get(key, Fraction(0)) + coeff
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            add_into(out, {mono_letter_counts(mono, ngens): coeff})
         return out
 
     def sorted_terms(self) -> list[tuple[FAMonomial, Fraction]]:
@@ -364,7 +307,7 @@ class FAElement:
         terms: dict[FAMonomial, Fraction] = {}
         for item in data:
             mono = parse_fa_monomial(item["monomial"], alg.names)
-            terms[mono] = terms.get(mono, Fraction(0)) + parse_rational(item["coeff"])
+            add_into(terms, {mono: parse_rational(item["coeff"])})
         return cls(alg, terms)
 
 
@@ -408,10 +351,11 @@ def parse_fa_monomial(text: str, names: Sequence[str]) -> FAMonomial:
     return mono
 
 
-class FATensor:
+class FATensor(LinComb):
     """A sparse element of the tensor square of a free algebra."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg",)
+    _space_attr = "alg"
 
     def __init__(self, alg: FreeAlgebra, terms: dict[tuple[FAMonomial, FAMonomial], Fraction] | None = None):
         self.alg = alg
@@ -425,28 +369,8 @@ class FATensor:
     @classmethod
     def of(cls, x: FAElement, y: FAElement) -> "FATensor":
         x._check(y)
-        terms: dict[tuple[FAMonomial, FAMonomial], Fraction] = {}
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                terms[(m1, m2)] = terms.get((m1, m2), Fraction(0)) + c1 * c2
-        return cls(x.alg, terms)
-
-    def _check(self, other: "FATensor") -> None:
-        if self.alg != other.alg:
-            raise ValueError("context mismatch between free-algebra tensors")
-
-    def __add__(self, other: "FATensor") -> "FATensor":
-        self._check(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return FATensor(self.alg, terms)
-
-    def __sub__(self, other: "FATensor") -> "FATensor":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c: int | Fraction) -> "FATensor":
-        return FATensor(self.alg, {k: c * v for k, v in self.terms.items()})
+        terms = {(m1, m2): c1 * c2 for m1, c1 in x.terms.items() for m2, c2 in y.terms.items()}
+        return cls.of_terms(x.alg, terms)
 
     def __mul__(self, other: "FATensor") -> "FATensor":
         """Componentwise product (graft each side), truncating per component."""
@@ -454,33 +378,26 @@ class FATensor:
         cap = self.alg.max_degree
         terms: dict[tuple[FAMonomial, FAMonomial], Fraction] = {}
         for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                a = mono_graft(a1, a2)
-                b = mono_graft(b1, b2)
-                if mono_degree(a) > cap or mono_degree(b) > cap:
-                    continue
-                terms[(a, b)] = terms.get((a, b), Fraction(0)) + c1 * c2
-        return FATensor(self.alg, terms)
+            room_a, room_b = cap - mono_degree(a1), cap - mono_degree(b1)
+            add_into(
+                terms,
+                {
+                    (mono_graft(a1, a2), mono_graft(b1, b2)): c2
+                    for (a2, b2), c2 in other.terms.items()
+                    if mono_degree(a2) <= room_a and mono_degree(b2) <= room_b
+                },
+                c1,
+            )
+        return self._like(terms)
 
     def truncate_total(self, max_degree: int) -> "FATensor":
-        return FATensor(
-            self.alg,
+        return self._like(
             {
                 (a, b): c
                 for (a, b), c in self.terms.items()
                 if mono_degree(a) + mono_degree(b) <= max_degree
-            },
+            }
         )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FATensor)
-            and self.alg == other.alg
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __repr__(self) -> str:
         return f"FATensor(nterms={len(self.terms)})"
@@ -492,19 +409,17 @@ class FATensor:
 def fa_divide(u: FAElement, v: FAElement, side: str) -> FAElement:
     """Bilinear division in the free algebra; side is 'left' or 'right'."""
     u._check(v)
-    alg = u.alg
-    out = alg.zero()
     if side == "left":
-        for mu, cu in u.terms.items():
-            for mv, cv in v.terms.items():
-                out = out + alg.mono_ldiv(mu, mv).scale(cu * cv)
+        fn = u.alg.mono_ldiv
     elif side == "right":
-        for mu, cu in u.terms.items():
-            for mv, cv in v.terms.items():
-                out = out + alg.mono_rdiv(mu, mv).scale(cu * cv)
+        fn = u.alg.mono_rdiv
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return out
+    acc: dict[FAMonomial, Fraction] = {}
+    for mu, cu in u.terms.items():
+        for mv, cv in v.terms.items():
+            add_into(acc, fn(mu, mv).terms, cu * cv)
+    return u._like(acc)
 
 
 def fa_associator(x: FAElement, y: FAElement, z: FAElement) -> FAElement:
@@ -526,12 +441,6 @@ class _FAOps:
     def one(self):
         return self.alg.one()
 
-    def sub(self, a, b):
-        return a - b
-
-    def scale(self, a, c):
-        return a.scale(c)
-
     def mul(self, a, b):
         return a * b
 
@@ -539,19 +448,10 @@ class _FAOps:
         return fa_divide(a, b, "left")
 
     def key_element(self, mono):
-        return FAElement(self.alg, {mono: Fraction(1)})
+        return FAElement.of_terms(self.alg, {mono: ONE})
 
     def key_coproduct(self, mono):
         return self.alg.mono_coproduct(mono)
-
-    def sum_terms(self, terms):
-        acc: dict[FAMonomial, Fraction] = {}
-        for elem, coeff in terms:
-            if coeff == 0:
-                continue
-            for mono, c in elem.terms.items():
-                acc[mono] = acc.get(mono, Fraction(0)) + coeff * c
-        return FAElement(self.alg, acc)
 
     def is_primitive(self, a):
         return a.is_primitive()

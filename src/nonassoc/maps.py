@@ -46,6 +46,7 @@ from .symalg import (
     unit_monomial,
 )
 from .freealg import FAElement, FreeAlgebra, fa_exp, fa_loop_divide, mono_letter_counts
+from .lincomb import add_into
 from .words import Identity, LDiv, LoopWord, Mul, RDiv, Unit, Var
 
 MonoTuple = tuple[Monomial, ...]
@@ -95,10 +96,6 @@ def check_memory_cap(dim: int, max_degree: int, cap: int | None = None) -> None:
 
 def multidegree_of(monos: MonoTuple) -> Multidegree:
     return tuple(monomial_degree(m) for m in monos)
-
-
-def unit_tuple(dims: Sequence[int]) -> MonoTuple:
-    return tuple(unit_monomial(d) for d in dims)
 
 
 def tensor_monomials(dims: Sequence[int], multidegree: Multidegree) -> Iterator[MonoTuple]:
@@ -381,11 +378,10 @@ class Prolongation:
         if total == 0:
             out = SymElement.one(target)
         else:
-            out = SymElement.zero(target)
+            acc: dict[Monomial, Fraction] = {}
             for k in range(1, total + 1):
-                tk = self._ordered_parts(monos, k)
-                if not tk.is_zero():
-                    out = out + tk.scale(Fraction(1, factorial(k)))
+                add_into(acc, self._ordered_parts(monos, k).terms, Fraction(1, factorial(k)))
+            out = SymElement.of_terms(target, acc)
         self._cache[monos] = out
         return out
 
@@ -401,7 +397,7 @@ class Prolongation:
             vec = self.fmap.value(monos)
             out = SymElement.from_vector(vec)
         else:
-            out = SymElement.zero(target)
+            acc: dict[Monomial, Fraction] = {}
             for sup in self.support:
                 if sum(sup) > total - (k - 1):
                     continue
@@ -414,7 +410,8 @@ class Prolongation:
                     tail = self._ordered_parts(rest, k - 1)
                     if tail.is_zero():
                         continue
-                    out = out + (SymElement.from_vector(vec) * tail).scale(coeff)
+                    add_into(acc, (SymElement.from_vector(vec) * tail).terms, coeff)
+            out = SymElement.of_terms(target, acc)
         self._parts_cache[key] = out
         return out
 
@@ -898,11 +895,10 @@ def multioperator_ms(max_degree: int, max_bidegree: tuple[int, int] | None = Non
             raise InvariantError(f"multioperator solve changed degree <= {step} at pass {step}")
         phi = candidate
     ngens = 2
-    comps: dict[tuple[int, int], FAElement] = {}
+    comp_terms: dict[tuple[int, int], dict] = {}
     for mono, coeff in phi.terms.items():
-        i, j = mono_letter_counts(mono, ngens)
-        piece = comps.get((i, j), alg.zero())
-        comps[(i, j)] = piece + FAElement(alg, {mono: coeff})
+        comp_terms.setdefault(mono_letter_counts(mono, ngens), {})[mono] = coeff
+    comps = {ij: FAElement.of_terms(alg, terms) for ij, terms in comp_terms.items()}
     for (i, j), piece in comps.items():
         if j <= 1 and (i, j) != (0, 1):
             raise InvariantError(f"unexpected multioperator component at bidegree {(i, j)}")

@@ -61,11 +61,3 @@ def vec_scale(c: Fraction, a: Vector) -> Vector:
 
 def vec_is_zero(a: Vector) -> bool:
     return all(x == 0 for x in a)
-
-
-def format_vector(a: Vector) -> list[str]:
-    return [format_rational(x) for x in a]
-
-
-def parse_vector(items: Iterable[str]) -> Vector:
-    return tuple(parse_rational(s) for s in items)

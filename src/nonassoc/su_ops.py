@@ -4,15 +4,16 @@ These are polynomial expressions in a product and its left division, so
 they make sense in any unital bialgebra with divisions.  The functions
 here are generic over an adapter object providing
 
-    one() sub(a,b) scale(a,c) mul(a,b) ldiv(a,b) is_primitive(a)
-    sum_terms(iterable of (a, coeff)) -> the linear combination
+    one() mul(a,b) ldiv(a,b) is_primitive(a)
     key_element(k) -> the basis element of the basis key k
     key_coproduct(k) -> iterable of (k1, k2, coeff), the Sweedler terms of k
     p_memo, assoc_memo -> dicts owned by the algebra, keyed by basis-key triples
 
-Elements expose `terms`, a dict from basis key to coefficient.  The engine
-is shared by the free algebra (keys are words) and by distribution
-bialgebras (keys are monomials).
+Elements are `lincomb.LinComb` instances: the engine uses their `+`, `-`
+and `scale`, and sums linear combinations of them with `add_into` on
+their `terms`, the dicts from basis key to coefficient.  The engine is
+shared by the free algebra (keys are words) and by distribution bialgebras
+(keys are monomials).
 
 The defining formula, with u and v left-normed products of the argument
 blocks and all arguments primitive, is
@@ -34,6 +35,8 @@ from itertools import permutations
 from math import factorial
 from typing import Sequence
 
+from .lincomb import add_into
+
 
 def left_normed_product(ops, factors: Sequence) -> object:
     if not factors:
@@ -45,11 +48,11 @@ def left_normed_product(ops, factors: Sequence) -> object:
 
 
 def associator(ops, a, b, c):
-    return ops.sub(ops.mul(ops.mul(a, b), c), ops.mul(a, ops.mul(b, c)))
+    return ops.mul(ops.mul(a, b), c) - ops.mul(a, ops.mul(b, c))
 
 
 def commutator(ops, a, b):
-    return ops.sub(ops.mul(a, b), ops.mul(b, a))
+    return ops.mul(a, b) - ops.mul(b, a)
 
 
 def _require_primitive(ops, elements: Sequence) -> None:
@@ -72,14 +75,14 @@ def _p_on_keys(ops, mu, nu, zeta):
     key = (mu, nu, zeta)
     hit = ops.p_memo.get(key)
     if hit is None:
-        terms = []
+        acc: dict = {}
         for mu1, mu2, cu in ops.key_coproduct(mu):
             for nu1, nu2, cv in ops.key_coproduct(nu):
                 assoc = _assoc_on_keys(ops, mu2, nu2, zeta)
                 if assoc.terms:
                     head = ops.mul(ops.key_element(mu1), ops.key_element(nu1))
-                    terms.append((ops.ldiv(head, assoc), cu * cv))
-        hit = ops.sum_terms(terms)
+                    add_into(acc, ops.ldiv(head, assoc).terms, cu * cv)
+        hit = ops.one()._like(acc)
         ops.p_memo[key] = hit
     return hit
 
@@ -90,20 +93,20 @@ def p_operation(ops, xs: Sequence, ys: Sequence, z) -> object:
     _require_primitive(ops, list(xs) + list(ys) + [z])
     u = left_normed_product(ops, xs)
     v = left_normed_product(ops, ys)
-    return ops.sum_terms(
-        (_p_on_keys(ops, mu, nu, zeta), cu * cv * cz)
-        for mu, cu in u.terms.items()
-        for nu, cv in v.terms.items()
-        for zeta, cz in z.terms.items()
-    )
+    acc: dict = {}
+    for mu, cu in u.terms.items():
+        for nu, cv in v.terms.items():
+            for zeta, cz in z.terms.items():
+                add_into(acc, _p_on_keys(ops, mu, nu, zeta).terms, cu * cv * cz)
+    return z._like(acc)
 
 
 def bracket(ops, xs: Sequence, y, z) -> object:
     """The bracket <x1..xm; y, z>; with an empty block it is minus the commutator."""
     _require_primitive(ops, list(xs) + [y, z])
     if not xs:
-        return ops.sub(ops.mul(z, y), ops.mul(y, z))
-    return ops.sub(p_operation(ops, xs, [z], y), p_operation(ops, xs, [y], z))
+        return ops.mul(z, y) - ops.mul(y, z)
+    return p_operation(ops, xs, [z], y) - p_operation(ops, xs, [y], z)
 
 
 def multioperator(ops, xs: Sequence, ys: Sequence) -> object:
@@ -117,13 +120,13 @@ def multioperator(ops, xs: Sequence, ys: Sequence) -> object:
         raise ValueError(f"multioperator needs m >= 1 and n >= 2, got ({m}, {n})")
     _require_primitive(ops, list(xs) + list(ys))
     weight = Fraction(1, factorial(m) * factorial(n))
-    terms = []
+    acc: dict = {}
     for tau in permutations(range(m)):
         xs_p = [xs[i] for i in tau]
         for sigma in permutations(range(n)):
             ys_p = [ys[i] for i in sigma]
-            terms.append((p_operation(ops, xs_p, ys_p[:-1], ys_p[-1]), weight))
-    return ops.sum_terms(terms)
+            add_into(acc, p_operation(ops, xs_p, ys_p[:-1], ys_p[-1]).terms, weight)
+    return ys[0]._like(acc)
 
 
 def multioperator_component(ops, x, y, i: int, j: int) -> object:
@@ -136,4 +139,4 @@ def multioperator_component(ops, x, y, i: int, j: int) -> object:
     if i < 1 or j < 2:
         raise ValueError(f"multioperator components need i >= 1 and j >= 2, got ({i}, {j})")
     value = p_operation(ops, [x] * i, [y] * (j - 1), y)
-    return ops.scale(value, Fraction(1, factorial(i) * factorial(j)))
+    return value.scale(Fraction(1, factorial(i) * factorial(j)))

@@ -18,10 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import comb, factorial
-from typing import Callable, Iterator, Sequence
+from math import comb, factorial, prod
+from typing import Iterator, Sequence
 
-from .scalars import Vector, format_rational, parse_rational, rat
+from .lincomb import LinComb, add_into
+from .scalars import ONE, ZERO, Vector, format_rational, parse_rational, rat
 
 Monomial = tuple[int, ...]
 
@@ -110,10 +111,11 @@ def monomial_splits(mono: Monomial) -> tuple[tuple[Monomial, Monomial, int], ...
     return tuple(out)
 
 
-class SymElement:
+class SymElement(LinComb):
     """A sparse element of k[V]; immutable by convention."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim",)
+    _space_attr = "dim"
 
     def __init__(self, dim: int, terms: dict[Monomial, Fraction] | None = None):
         self.dim = dim
@@ -128,15 +130,15 @@ class SymElement:
     # -- constructors ----------------------------------------------------
     @classmethod
     def zero(cls, dim: int) -> "SymElement":
-        return cls(dim, {})
+        return cls.of_terms(dim, {})
 
     @classmethod
     def one(cls, dim: int) -> "SymElement":
-        return cls(dim, {unit_monomial(dim): Fraction(1)})
+        return cls.of_terms(dim, {unit_monomial(dim): ONE})
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "SymElement":
-        return cls(dim, {basis_monomial(dim, index): Fraction(1)})
+        return cls.of_terms(dim, {basis_monomial(dim, index): ONE})
 
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff: int | str | Fraction = 1) -> "SymElement":
@@ -147,36 +149,6 @@ class SymElement:
         dim = len(vec)
         return cls(dim, {basis_monomial(dim, i): c for i, c in enumerate(vec) if c != 0})
 
-    # -- linear structure -------------------------------------------------
-    def _check(self, other: "SymElement") -> None:
-        if not isinstance(other, SymElement):
-            raise TypeError(f"expected SymElement, got {type(other).__name__}")
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "SymElement") -> "SymElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return SymElement(self.dim, terms)
-
-    def __sub__(self, other: "SymElement") -> "SymElement":
-        return self + (-other)
-
-    def __neg__(self) -> "SymElement":
-        return self.scale(Fraction(-1))
-
-    def scale(self, c: int | Fraction) -> "SymElement":
-        if c == 0:
-            return SymElement.zero(self.dim)
-        return SymElement(self.dim, {m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
     def __mul__(self, other):
         """Symmetric-algebra product (exponent addition); also scalar scaling."""
         if isinstance(other, (int, Fraction)):
@@ -184,30 +156,15 @@ class SymElement:
         self._check(other)
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = monomial_mul(m1, m2)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return SymElement(self.dim, terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymElement)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+            add_into(terms, {monomial_mul(m1, m2): c2 for m2, c2 in other.terms.items()}, c1)
+        return self._like(terms)
 
     # -- coalgebra structure ----------------------------------------------
     def counit(self) -> Fraction:
-        return self.terms.get(unit_monomial(self.dim), Fraction(0))
+        return self.terms.get(unit_monomial(self.dim), ZERO)
 
     def primitive_part(self) -> Vector:
-        out = [Fraction(0)] * self.dim
+        out = [ZERO] * self.dim
         for mono, coeff in self.terms.items():
             if monomial_degree(mono) == 1:
                 out[mono.index(1)] = coeff
@@ -216,10 +173,8 @@ class SymElement:
     def coproduct(self) -> "SymTensor":
         terms: dict[tuple[Monomial, ...], Fraction] = {}
         for mono, coeff in self.terms.items():
-            for left, right, weight in monomial_splits(mono):
-                key = (left, right)
-                terms[key] = terms.get(key, Fraction(0)) + coeff * weight
-        return SymTensor((self.dim, self.dim), terms)
+            add_into(terms, {(left, right): w for left, right, w in monomial_splits(mono)}, coeff)
+        return SymTensor.of_terms((self.dim, self.dim), terms)
 
     def coproduct_terms(self) -> Iterator[tuple[Monomial, Monomial, Fraction]]:
         """Stream the Sweedler terms of the coproduct without building a tensor."""
@@ -232,19 +187,12 @@ class SymElement:
         return max((monomial_degree(m) for m in self.terms), default=0)
 
     def graded_piece(self, degree: int) -> "SymElement":
-        return SymElement(
-            self.dim,
-            {m: c for m, c in self.terms.items() if monomial_degree(m) == degree},
-        )
+        return self._like({m: c for m, c in self.terms.items() if monomial_degree(m) == degree})
 
     def truncate(self, max_degree: int) -> "SymElement":
-        return SymElement(
-            self.dim,
-            {m: c for m, c in self.terms.items() if monomial_degree(m) <= max_degree},
+        return self._like(
+            {m: c for m, c in self.terms.items() if monomial_degree(m) <= max_degree}
         )
-
-    def map_coefficients(self, fn: Callable[[Fraction], Fraction]) -> "SymElement":
-        return SymElement(self.dim, {m: fn(c) for m, c in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda mc: (monomial_degree(mc[0]), mc[0]))
@@ -280,10 +228,11 @@ class SymElement:
         return cls(data["dim"], terms)
 
 
-class SymTensor:
+class SymTensor(LinComb):
     """A sparse element of k[V1] (x) ... (x) k[Vn]."""
 
-    __slots__ = ("dims", "terms")
+    __slots__ = ("dims",)
+    _space_attr = "dims"
 
     def __init__(
         self,
@@ -303,71 +252,38 @@ class SymTensor:
 
     @classmethod
     def of(cls, *factors: SymElement) -> "SymTensor":
-        dims = tuple(f.dim for f in factors)
-        terms: dict[tuple[Monomial, ...], Fraction] = {}
-        for combo in iter_product(*(f.terms.items() for f in factors)):
-            key = tuple(mono for mono, _ in combo)
-            coeff = Fraction(1)
-            for _, c in combo:
-                coeff *= c
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return cls(dims, terms)
-
-    def _check(self, other: "SymTensor") -> None:
-        if self.dims != other.dims:
-            raise ValueError(f"tensor dims mismatch: {self.dims} vs {other.dims}")
-
-    def __add__(self, other: "SymTensor") -> "SymTensor":
-        self._check(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return SymTensor(self.dims, terms)
-
-    def __sub__(self, other: "SymTensor") -> "SymTensor":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c: int | Fraction) -> "SymTensor":
-        return SymTensor(self.dims, {k: c * v for k, v in self.terms.items()})
+        terms = {
+            tuple(mono for mono, _ in combo): prod((c for _, c in combo), start=ONE)
+            for combo in iter_product(*(f.terms.items() for f in factors))
+        }
+        return cls.of_terms(tuple(f.dim for f in factors), terms)
 
     def __mul__(self, other: "SymTensor") -> "SymTensor":
         """Slotwise symmetric product (the algebra structure of the tensor square)."""
         self._check(other)
         terms: dict[tuple[Monomial, ...], Fraction] = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(monomial_mul(a, b) for a, b in zip(k1, k2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return SymTensor(self.dims, terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymTensor)
-            and self.dims == other.dims
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.dims, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+            add_into(
+                terms,
+                {tuple(map(monomial_mul, k1, k2)): c2 for k2, c2 in other.terms.items()},
+                c1,
+            )
+        return self._like(terms)
 
     def counit(self) -> Fraction:
         unit = tuple(unit_monomial(d) for d in self.dims)
-        return self.terms.get(unit, Fraction(0))
+        return self.terms.get(unit, ZERO)
 
     def slot(self, index: int) -> int:
         return self.dims[index]
 
     def truncate(self, max_degree: int) -> "SymTensor":
-        return SymTensor(
-            self.dims,
+        return self._like(
             {
                 k: c
                 for k, c in self.terms.items()
                 if sum(monomial_degree(m) for m in k) <= max_degree
-            },
+            }
         )
 
     def __repr__(self) -> str:
@@ -401,9 +317,8 @@ def merge_slots(tensor: SymTensor, grouping: Sequence[Sequence[int]]) -> SymTens
             for s in group:
                 merged = monomial_mul(merged, key[s])
             out_key.append(merged)
-        out = tuple(out_key)
-        terms[out] = terms.get(out, Fraction(0)) + coeff
-    return SymTensor(dims_out, terms)
+        add_into(terms, {tuple(out_key): coeff})
+    return SymTensor.of_terms(tuple(dims_out), terms)
 
 
 def split_slot(tensor: SymTensor, slot: int, count: int) -> SymTensor:
@@ -425,10 +340,9 @@ def split_slot(tensor: SymTensor, slot: int, count: int) -> SymTensor:
 
     terms: dict[tuple[Monomial, ...], Fraction] = {}
     for key, coeff in tensor.terms.items():
-        for parts, weight in splits(key[slot], count):
-            out = key[:slot] + parts + key[slot + 1 :]
-            terms[out] = terms.get(out, Fraction(0)) + coeff * weight
-    return SymTensor(dims_out, terms)
+        head, tail = key[:slot], key[slot + 1 :]
+        add_into(terms, {head + parts + tail: w for parts, w in splits(key[slot], count)}, coeff)
+    return SymTensor.of_terms(dims_out, terms)
 
 
 def iterated_coproduct(element: SymElement, slots: int) -> SymTensor:

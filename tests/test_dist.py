@@ -22,7 +22,13 @@ from nonassoc.dist import (
     su_bracket_table,
     su_multioperator_tables,
 )
-from nonassoc.maps import right_alt_modify, similarity_between
+from nonassoc.maps import (
+    FormalLoop,
+    FormalMap,
+    check_loop_identity,
+    right_alt_modify,
+    similarity_between,
+)
 from nonassoc.scalars import basis_vector
 from nonassoc.symalg import (
     SymElement,
@@ -294,6 +300,23 @@ def test_linearized_associativity_fails_with_witness():
     assert not verdict.holds
     assert verdict.witness is not None
     assert verdict.to_json()["witness"]["kind"] in ("monomials", "random")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_linearized_sampling_stays_within_the_truncation(seed):
+    # F = (x+y)/(1+xy) is associative but not polynomial: sampled tuples above
+    # total degree N would read loop components that truncation dropped.
+    N = 4
+    series = {}
+    for k in range(N):
+        series[((k + 1,), (k,))] = (F((-1) ** k),)
+        series[((k,), (k + 1,))] = (F((-1) ** k),)
+    loop = FormalLoop.from_map(FormalMap.from_series((1, 1), 1, N, series))
+    assert check_loop_identity(parse_identity(ASSOC, 3), loop).holds
+    verdict = check_linearized_identity(
+        parse_identity(ASSOC, 3), DistBialgebra.from_loop(loop), samples=25, seed=seed
+    )
+    assert verdict.holds, verdict.witness
 
 
 def test_linearized_moufang_on_associative_loop(dual_loop_4):

@@ -340,6 +340,12 @@ def test_context_mismatch_errors():
     a2 = FreeAlgebra(("x",), 4)
     with pytest.raises(ValueError):
         a1.gen(0) * a2.gen(0)
+    with pytest.raises(ValueError):
+        a1.gen(0) + a2.gen(0)
+    with pytest.raises(ValueError):
+        a1.gen(0).coproduct() - a2.gen(0).coproduct()
+    with pytest.raises(ValueError):
+        a1.gen(0).coproduct() * a2.gen(0).coproduct()
 
 
 def test_monomial_encoding_round_trip(alg):

@@ -159,6 +159,12 @@ def test_dimension_mismatch_errors():
         SymElement.basis(2, 0) * SymElement.basis(3, 0)
     with pytest.raises(ValueError):
         SymElement.basis(2, 0) + SymElement.basis(3, 0)
+    with pytest.raises(ValueError):
+        SymElement.basis(2, 0) - SymElement.basis(3, 0)
+    with pytest.raises(ValueError):
+        SymElement.basis(2, 0).coproduct() + SymElement.basis(3, 0).coproduct()
+    with pytest.raises(ValueError):
+        SymElement.basis(2, 0).coproduct() * SymElement.basis(3, 0).coproduct()
 
 
 def test_json_round_trip():
