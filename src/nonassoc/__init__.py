@@ -25,7 +25,6 @@ from .connection import (
     FormalFunction,
     FormalVectorField,
     adapted_field,
-    connection_backslash_star,
     connection_from_loop,
     covariant_derivative,
     field_applied_to_function,

@@ -8,6 +8,13 @@ table (monomial, tangent vector) -> vector restricting to the identity on
 
 Covariant differentiation consumes one degree of the bound per
 application, which is why an n-fold bracket needs n + 2 <= N.
+
+Internally every field value and transport is a sparse vector, a dict
+{basis index: Fraction} that never stores a zero, accumulated with
+`lincomb.add_into`.  The public API stays dense: `at`, `star`, `inv_star`,
+`star_vec`, `inv_star_vec`, `table`, `inverse_table` and `ms_brackets`
+return length-`dim` Fraction tuples, and the public constructors take
+functions returning them; `_sparse` and `_dense` convert at that edge.
 """
 
 from __future__ import annotations
@@ -15,24 +22,43 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
+from .lincomb import add_into
 from .maps import FormalLoop
-from .scalars import (
-    Vector,
-    basis_vector,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    zero_vector,
-)
+from .scalars import ONE, ZERO, Vector
 from .symalg import (
     Monomial,
-    SymElement,
     basis_monomial,
     monomial_degree,
     monomial_splits,
     monomials_up_to,
     unit_monomial,
 )
+
+SparseVector = dict[int, Fraction]
+
+
+def _sparse(dim: int, v: Vector) -> SparseVector:
+    """The nonzero entries of a dense vector, which must have length `dim`."""
+    if len(v) != dim:
+        raise ValueError(f"vector of length {len(v)} in dimension {dim}")
+    return {i: c for i, c in enumerate(map(Fraction, v)) if c}
+
+
+def _dense(dim: int, v: SparseVector) -> Vector:
+    return tuple(v.get(i, ZERO) for i in range(dim))
+
+
+def _times_basis(mono: Monomial, i: int) -> Monomial:
+    """The monomial mono * e_i of k[V]."""
+    return mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+
+
+def _on_vector(transport: Callable, mono: Monomial, v: SparseVector) -> SparseVector:
+    """sum_j v_j transport(mono, e_j): a transport extended linearly in the vector."""
+    out: SparseVector = {}
+    for j, c in v.items():
+        add_into(out, transport(mono, j), c)
+    return out
 
 
 class FormalVectorField:
@@ -48,8 +74,15 @@ class FormalVectorField:
             raise ValueError("vector field degree bound must be >= 0")
         self.dim = dim
         self.max_degree = max_degree
-        self._fn = fn
-        self._cache: dict[Monomial, Vector] = {}
+        self._fn = lambda mono: _sparse(dim, fn(mono))
+        self._cache: dict[Monomial, SparseVector] = {}
+
+    @classmethod
+    def _of_sparse(cls, dim: int, max_degree: int, fn: Callable) -> "FormalVectorField":
+        """Trusted constructor: `fn` returns fresh sparse vectors."""
+        field = cls(dim, max_degree, fn)
+        field._fn = fn
+        return field
 
     @classmethod
     def from_table(cls, dim: int, max_degree: int, table: dict[Monomial, Vector]) -> "FormalVectorField":
@@ -57,26 +90,21 @@ class FormalVectorField:
         for mono in monomials_up_to(dim, max_degree):
             if mono not in data:
                 raise ValueError(f"partial table: no value at monomial {mono}")
-        field = cls(dim, max_degree, lambda mono: data[mono])
-        return field
+        return cls(dim, max_degree, lambda mono: data[mono])
 
     def at(self, mono: Monomial) -> Vector:
-        mono = tuple(mono)
-        if monomial_degree(mono) > self.max_degree:
-            raise ValueError(
-                f"monomial of degree {monomial_degree(mono)} beyond the field bound {self.max_degree}"
-            )
+        return _dense(self.dim, self._at(tuple(mono)))
+
+    def _at(self, mono: Monomial) -> SparseVector:
         hit = self._cache.get(mono)
         if hit is None:
+            if monomial_degree(mono) > self.max_degree:
+                raise ValueError(
+                    f"monomial of degree {monomial_degree(mono)} beyond the field bound {self.max_degree}"
+                )
             hit = self._fn(mono)
             self._cache[mono] = hit
         return hit
-
-    def on_elem(self, elem: SymElement) -> Vector:
-        out = zero_vector(self.dim)
-        for mono, coeff in elem.terms.items():
-            out = vec_add(out, vec_scale(coeff, self.at(mono)))
-        return out
 
     def table(self, max_degree: int | None = None) -> dict[Monomial, Vector]:
         cap = self.max_degree if max_degree is None else max_degree
@@ -85,15 +113,15 @@ class FormalVectorField:
     def __add__(self, other: "FormalVectorField") -> "FormalVectorField":
         self._compatible(other)
         bound = min(self.max_degree, other.max_degree)
-        return FormalVectorField(self.dim, bound, lambda m: vec_add(self.at(m), other.at(m)))
+        return self._of_sparse(self.dim, bound, lambda m: add_into(dict(self._at(m)), other._at(m)))
 
     def __sub__(self, other: "FormalVectorField") -> "FormalVectorField":
         self._compatible(other)
         bound = min(self.max_degree, other.max_degree)
-        return FormalVectorField(self.dim, bound, lambda m: vec_sub(self.at(m), other.at(m)))
+        return self._of_sparse(self.dim, bound, lambda m: add_into(dict(self._at(m)), other._at(m), -1))
 
     def scale(self, c: Fraction) -> "FormalVectorField":
-        return FormalVectorField(self.dim, self.max_degree, lambda m: vec_scale(c, self.at(m)))
+        return self._of_sparse(self.dim, self.max_degree, lambda m: add_into({}, self._at(m), c))
 
     def _compatible(self, other: "FormalVectorField") -> None:
         if self.dim != other.dim:
@@ -113,9 +141,6 @@ class FormalFunction:
     def at(self, mono: Monomial) -> Fraction:
         return self.table.get(tuple(mono), Fraction(0))
 
-    def on_elem(self, elem: SymElement) -> Fraction:
-        return sum((c * self.at(m) for m, c in elem.terms.items()), Fraction(0))
-
 
 class FlatConnection:
     """A linear map k[V] (x) V -> V whose restriction to 1 (x) V is the identity."""
@@ -124,10 +149,10 @@ class FlatConnection:
         self.dim = dim
         self.max_degree = max_degree  # bound on the k[V] argument
         self._fn = star_fn
-        self._star_cache: dict[tuple[Monomial, int], Vector] = {}
-        self._inv_cache: dict[tuple[Monomial, int], Vector] = {}
+        self._star_cache: dict[tuple[Monomial, int], SparseVector] = {}
+        self._inv_cache: dict[tuple[Monomial, int], SparseVector] = {}
         for j in range(dim):
-            if self.star(unit_monomial(dim), j) != basis_vector(dim, j):
+            if self._star(unit_monomial(dim), j) != {j: ONE}:
                 raise ValueError("a flat connection restricts to the identity on 1 (x) V")
 
     @classmethod
@@ -140,58 +165,47 @@ class FlatConnection:
         return cls(dim, max_degree, lambda mono, j: data[(mono, j)])
 
     def star(self, mono: Monomial, j: int) -> Vector:
-        mono = tuple(mono)
-        if monomial_degree(mono) > self.max_degree:
-            raise ValueError(
-                f"monomial of degree {monomial_degree(mono)} beyond the connection bound "
-                f"{self.max_degree}"
-            )
+        return _dense(self.dim, self._star(tuple(mono), j))
+
+    def _star(self, mono: Monomial, j: int) -> SparseVector:
         key = (mono, j)
         hit = self._star_cache.get(key)
         if hit is None:
-            hit = self._fn(mono, j)
+            if monomial_degree(mono) > self.max_degree:
+                raise ValueError(
+                    f"monomial of degree {monomial_degree(mono)} beyond the connection bound {self.max_degree}"
+                )
+            hit = _sparse(self.dim, self._fn(mono, j))
             self._star_cache[key] = hit
         return hit
 
     def star_vec(self, mono: Monomial, v: Vector) -> Vector:
-        out = zero_vector(self.dim)
-        for j, c in enumerate(v):
-            if c != 0:
-                out = vec_add(out, vec_scale(c, self.star(mono, j)))
-        return out
-
-    def star_elem(self, elem: SymElement, v: Vector) -> Vector:
-        out = zero_vector(self.dim)
-        for mono, coeff in elem.terms.items():
-            out = vec_add(out, vec_scale(coeff, self.star_vec(mono, v)))
-        return out
+        return _dense(self.dim, _on_vector(self._star, tuple(mono), _sparse(self.dim, v)))
 
     def inv_star(self, mono: Monomial, j: int) -> Vector:
         r"""The inverse transport mu \* v, solved by induction on deg mu."""
-        mono = tuple(mono)
+        return _dense(self.dim, self._inv_star(tuple(mono), j))
+
+    def _inv_star(self, mono: Monomial, j: int) -> SparseVector:
         key = (mono, j)
         hit = self._inv_cache.get(key)
         if hit is None:
-            if monomial_degree(mono) == 0:
-                hit = basis_vector(self.dim, j)
+            degree = monomial_degree(mono)
+            if degree == 0:
+                hit = {j: ONE}
             else:
-                degree = monomial_degree(mono)
-                acc = zero_vector(self.dim)
+                # sum over splits of mu of mu_(1) \* (mu_(2) * v) vanishes off degree 0
+                hit = {}
                 for a, b, coeff in monomial_splits(mono):
                     if monomial_degree(a) == degree:
                         continue
-                    transported = self.star(b, j)
-                    acc = vec_add(acc, vec_scale(Fraction(coeff), self.inv_star_vec(a, transported)))
-                hit = vec_scale(Fraction(-1), acc)
+                    for i, c in self._star(b, j).items():
+                        add_into(hit, self._inv_star(a, i), -coeff * c)
             self._inv_cache[key] = hit
         return hit
 
     def inv_star_vec(self, mono: Monomial, v: Vector) -> Vector:
-        out = zero_vector(self.dim)
-        for j, c in enumerate(v):
-            if c != 0:
-                out = vec_add(out, vec_scale(c, self.inv_star(mono, j)))
-        return out
+        return _dense(self.dim, _on_vector(self._inv_star, tuple(mono), _sparse(self.dim, v)))
 
     def inverse_table(self, max_degree: int | None = None) -> dict[tuple[Monomial, int], Vector]:
         cap = self.max_degree if max_degree is None else max_degree
@@ -220,63 +234,56 @@ def connection_from_loop(loop: FormalLoop) -> FlatConnection:
     return conn
 
 
-def connection_backslash_star(conn: FlatConnection) -> dict[tuple[Monomial, int], Vector]:
-    """The full inverse-transport table of a connection."""
-    return conn.inverse_table()
-
-
 def adapted_field(conn: FlatConnection, v: Vector) -> FormalVectorField:
     """The field adapted to a tangent vector: mu -> mu * v."""
-    v = tuple(Fraction(c) for c in v)
-    return FormalVectorField(conn.dim, conn.max_degree, lambda mono: conn.star_vec(mono, v))
+    v = _sparse(conn.dim, v)
+    return FormalVectorField._of_sparse(
+        conn.dim, conn.max_degree, lambda mono: _on_vector(conn._star, mono, v)
+    )
 
 
-def _elem_times_vector(dim: int, mono: Monomial, v: Vector) -> SymElement:
-    """The symmetric-algebra product of a monomial with a vector."""
-    return SymElement(dim, {mono: Fraction(1)}) * SymElement.from_vector(v)
+def _b_after_a(a: FormalVectorField, b: FormalVectorField, mono: Monomial) -> SparseVector:
+    """sum B(mu_(1) A(mu_(2))) at mu = mono, with mu_(1) e_i for each entry i of A(mu_(2))."""
+    out: SparseVector = {}
+    for m1, m2, coeff in monomial_splits(mono):
+        for i, c in a._at(m2).items():
+            add_into(out, b._at(_times_basis(m1, i)), coeff * c)
+    return out
 
 
 def vf_bracket(a: FormalVectorField, b: FormalVectorField) -> FormalVectorField:
     """[A, B](mu) = sum B(mu_(1) A(mu_(2))) - A(mu_(1) B(mu_(2)))."""
     a._compatible(b)
-    dim = a.dim
     bound = min(a.max_degree, b.max_degree) - 1
-
-    def fn(mono: Monomial) -> Vector:
-        out = zero_vector(dim)
-        for m1, m2, coeff in monomial_splits(mono):
-            first = b.on_elem(_elem_times_vector(dim, m1, a.at(m2)))
-            second = a.on_elem(_elem_times_vector(dim, m1, b.at(m2)))
-            out = vec_add(out, vec_scale(Fraction(coeff), vec_sub(first, second)))
-        return out
-
-    return FormalVectorField(dim, bound, fn)
+    return FormalVectorField._of_sparse(
+        a.dim, bound, lambda mono: add_into(_b_after_a(a, b, mono), _b_after_a(b, a, mono), -1)
+    )
 
 
 def function_times_field(f: FormalFunction, a: FormalVectorField) -> FormalVectorField:
     """(fA)(mu) = sum f(mu_(1)) A(mu_(2)); the module structure on fields."""
 
-    def fn(mono: Monomial) -> Vector:
-        out = zero_vector(a.dim)
+    def fn(mono: Monomial) -> SparseVector:
+        out: SparseVector = {}
         for m1, m2, coeff in monomial_splits(mono):
             weight = f.at(m1)
-            if weight != 0:
-                out = vec_add(out, vec_scale(Fraction(coeff) * weight, a.at(m2)))
+            if weight:
+                add_into(out, a._at(m2), coeff * weight)
         return out
 
-    return FormalVectorField(a.dim, a.max_degree, fn)
+    return FormalVectorField._of_sparse(a.dim, a.max_degree, fn)
 
 
 def field_applied_to_function(a: FormalVectorField, f: FormalFunction) -> FormalFunction:
     """A(f)(mu) = sum f(mu_(1) A(mu_(2))); the derivation action on functions."""
-    dim = a.dim
     table: dict[Monomial, Fraction] = {}
-    for mono in monomials_up_to(dim, a.max_degree):
-        value = Fraction(0)
+    for mono in monomials_up_to(a.dim, a.max_degree):
+        value = ZERO
         for m1, m2, coeff in monomial_splits(mono):
-            value += coeff * f.on_elem(_elem_times_vector(dim, m1, a.at(m2)))
+            for i, c in a._at(m2).items():
+                value += coeff * c * f.at(_times_basis(m1, i))
         table[mono] = value
-    return FormalFunction(dim, table)
+    return FormalFunction(a.dim, table)
 
 
 def _four_splits(mono: Monomial) -> Iterator[tuple[Monomial, Monomial, Monomial, Monomial, int]]:
@@ -293,25 +300,20 @@ def covariant_derivative(
     - (mu_(1) A(mu_(2))) * (mu_(3) \\* B(mu_(4)))."""
     if conn.dim != a.dim or conn.dim != b.dim:
         raise ValueError("connection and fields live on different spaces")
-    dim = conn.dim
     bound = min(conn.max_degree, a.max_degree, b.max_degree) - 1
 
-    def fn(mono: Monomial) -> Vector:
-        out = zero_vector(dim)
-        for m1, m2, coeff in monomial_splits(mono):
-            out = vec_add(
-                out,
-                vec_scale(Fraction(coeff), b.on_elem(_elem_times_vector(dim, m1, a.at(m2)))),
-            )
+    def fn(mono: Monomial) -> SparseVector:
+        out = _b_after_a(a, b, mono)
         for m1, m2, m3, m4, coeff in _four_splits(mono):
-            moved = _elem_times_vector(dim, m1, a.at(m2))
-            if moved.is_zero():
+            moved = a._at(m2)
+            if not moved:
                 continue
-            pulled = conn.inv_star_vec(m3, b.at(m4))
-            out = vec_sub(out, vec_scale(Fraction(coeff), conn.star_elem(moved, pulled)))
+            pulled = _on_vector(conn._inv_star, m3, b._at(m4))
+            for i, c in moved.items():
+                add_into(out, _on_vector(conn._star, _times_basis(m1, i), pulled), -coeff * c)
         return out
 
-    return FormalVectorField(dim, bound, fn)
+    return FormalVectorField._of_sparse(a.dim, bound, fn)
 
 
 def torsion(conn: FlatConnection, a: FormalVectorField, b: FormalVectorField) -> FormalVectorField:
@@ -326,9 +328,15 @@ def ms_brackets(
 
     Covariant derivatives are applied innermost first (the x_n one hits the
     torsion field first) and the result is evaluated at 1.  Each derivative
-    consumes a degree, so n + 2 must not exceed the truncation.  Torsion
-    and derivative fields are cached on the loop keyed by their argument
-    chain, so sweeping over basis tuples shares all intermediate tables.
+    consumes a degree, so n + 2 must not exceed the truncation.  A vector
+    whose length is not `loop.dim` never matches a cached key, so it
+    reaches `adapted_field`, which raises ValueError.
+
+    Torsion and derivative fields are cached on the loop, in
+    `_ms_field_cache`, keyed by their argument chain (y, z, x_n, ..., x_1)
+    as dense Fraction tuples, so sweeping over basis tuples shares all
+    intermediate tables.  The cache stays an attribute of the loop because
+    the benchmark tracer (`perfbench/tracer.py`) counts its entries there.
     """
     if len(xs) + 2 > loop.N:
         raise ValueError(

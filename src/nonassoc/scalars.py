@@ -8,7 +8,6 @@ Serialized scalars are decimal-free strings like ``-2/3`` or ``5``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 Vector = tuple[Fraction, ...]
 
@@ -43,16 +42,8 @@ def basis_vector(dim: int, index: int) -> Vector:
     return tuple(ONE if i == index else ZERO for i in range(dim))
 
 
-def vector(values: Iterable[int | str | Fraction]) -> Vector:
-    return tuple(rat(v) for v in values)
-
-
 def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vec_scale(c: Fraction, a: Vector) -> Vector:

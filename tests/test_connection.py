@@ -3,14 +3,15 @@ from fractions import Fraction as F
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonassoc.catalog import AlgebraTable, builtin_algebra, loop_from_algebra
+from nonassoc.catalog import AlgebraTable, builtin_algebra, builtin_loop, loop_from_algebra
 from nonassoc.connection import (
     FlatConnection,
     FormalFunction,
     FormalVectorField,
     adapted_field,
-    connection_backslash_star,
     connection_from_loop,
     covariant_derivative,
     field_applied_to_function,
@@ -167,7 +168,7 @@ def test_inverse_transport(jordan_setting):
 
 def test_backslash_star_table_export(jordan_setting):
     _, conn, _ = jordan_setting
-    table = connection_backslash_star(conn)
+    table = conn.inverse_table()
     assert table[(unit_monomial(3), 0)] == basis_vector(3, 0)
     assert len(table) == sum(1 for _ in monomials_up_to(3, conn.max_degree)) * 3
 
@@ -265,8 +266,6 @@ def test_ms_equals_su_small(jordan_setting):
 
 
 def test_ms_equals_su_rest_of_catalog(xsqy_loop_6, spin_loop_6):
-    from nonassoc.catalog import builtin_loop
-
     upper = builtin_loop("assoc-2x2-uppertriangular-loop", 5)
     for loop in (xsqy_loop_6, spin_loop_6, upper):
         B = DistBialgebra.from_loop(loop)
@@ -304,3 +303,108 @@ def test_ms_brackets_degree_overflow(jordan_setting):
     xs = [basis_vector(3, 0)] * 4
     with pytest.raises(ValueError):
         ms_brackets(loop, xs, basis_vector(3, 1), basis_vector(3, 2))
+
+
+def test_vector_arguments_must_have_the_space_dimension():
+    loop = builtin_loop("split-octonion-loop", 3)
+    conn = connection_from_loop(loop)
+    e1, e2 = basis_vector(8, 1), basis_vector(8, 2)
+    ms_brackets(loop, [], e1, e2)  # a wrong length must not slip through a cache hit
+    short = (e1[:7], e2[:7])
+    padded = (e1 + (F(0),), e2 + (F(0),))
+    for y, z in (short, padded):
+        for args in (([], y, z), ([], y, e2), ([], e1, z), ([y], e1, e2)):
+            with pytest.raises(ValueError):
+                ms_brackets(loop, *args)
+        with pytest.raises(ValueError):
+            adapted_field(conn, y)
+        with pytest.raises(ValueError):
+            conn.star_vec(unit_monomial(8), y)
+        with pytest.raises(ValueError):
+            conn.inv_star_vec(unit_monomial(8), y)
+
+
+def _assert_sparse(value, dim):
+    assert type(value) is dict
+    for i, c in value.items():
+        assert i in range(dim) and type(c) is F and c != 0, value
+
+
+def _assert_dense(value, dim):
+    assert type(value) is tuple and len(value) == dim
+    assert all(type(c) is F for c in value), value
+
+
+def test_sparse_values_inside_dense_values_outside():
+    loop = builtin_loop("jordan-k3-loop", 5)
+    conn = connection_from_loop(loop)
+    for idx in iter_product(range(3), repeat=3):
+        ms_brackets(loop, [basis_vector(3, idx[0])], basis_vector(3, idx[1]), basis_vector(3, idx[2]))
+    fields = list(loop._ms_field_cache.values())
+    assert len(fields) == 9 + 27
+    cached = [*conn._star_cache.values(), *conn._inv_cache.values()]
+    for field in fields:
+        cached.extend(field._cache.values())
+    assert len(cached) > len(fields)
+    for value in cached:
+        _assert_sparse(value, 3)
+
+    v = (F(1), F(0), F(-2))
+    field = adapted_field(conn, v)
+    high = (2, 0, 0)
+    assert conn.star(high, 1) == zero_vector(3)
+    assert field.at(high) == zero_vector(3)
+    dense = [
+        ms_brackets(loop, [], v, v),
+        field.at(unit_monomial(3)),
+        field.at(high),
+        conn.star(high, 1),
+        conn.inv_star((1, 0, 0), 2),
+        conn.star_vec(high, v),
+        conn.inv_star_vec((0, 1, 0), v),
+        *field.table(2).values(),
+        *conn.inverse_table(2).values(),
+    ]
+    for value in dense:
+        _assert_dense(value, 3)
+
+
+def _rational_vectors(rng, dim, count):
+    """Rational vectors with zero and negative entries, none of them a basis vector."""
+    out = []
+    while len(out) < count:
+        v = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+        if sorted(v) != [0] * (dim - 1) + [1]:
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, degree, count", [("jordan-k3-loop", 5, 6), ("split-octonion-loop", 4, 3)]
+)
+def test_ms_equals_su_off_the_basis(name, degree, count):
+    loop = builtin_loop(name, degree)
+    ops = dist_su_ops(DistBialgebra.from_loop(loop))
+    rng = random.Random(17)
+    for arity in (0, 1):
+        for _ in range(count):
+            *xs, y, z = _rational_vectors(rng, loop.dim, arity + 2)
+            assert ms_brackets(loop, xs, y, z) == ops.bracket_vector(xs, y, z), (xs, y, z)
+
+
+_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+_plane = st.tuples(_rationals, _rationals)
+_off_basis = _plane.filter(lambda v: sorted(v) != [0, 1])
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(
+    constants=st.tuples(st.tuples(_plane, _plane), st.tuples(_plane, _plane)),
+    xs=st.lists(_off_basis, max_size=2),
+    y=_off_basis,
+    z=_off_basis,
+)
+def test_ms_equals_su_on_random_structure_constants(constants, xs, y, z):
+    loop = loop_from_algebra(AlgebraTable(2, constants), 4)
+    ops = dist_su_ops(DistBialgebra.from_loop(loop))
+    assert ms_brackets(loop, xs, y, z) == ops.bracket_vector(xs, y, z)
