@@ -7,6 +7,9 @@ polynomial identities through their full polarizations, which is enough in
 characteristic zero).  Each algebra seeds the loop x + y + x*y, and two
 rational-function loops and the quotient map between them are generated
 from closed-form geometric series.
+
+Products and flag checks run on sparse rows of the structure constants
+(`scalars`); the constants and every vector crossing the API are dense.
 """
 
 from __future__ import annotations
@@ -16,15 +19,18 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product as iter_product
 
+from .lincomb import add_into
 from .maps import FormalLoop, FormalMap, MonoTuple, compose
 from .scalars import (
+    ONE,
+    ZERO,
+    SparseVector,
     Vector,
     basis_vector,
     format_rational,
     parse_rational,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
+    to_dense,
+    to_sparse,
     zero_vector,
 )
 from .symalg import SymElement, basis_monomial
@@ -50,19 +56,26 @@ BUILTIN_LOOPS = (
 
 @dataclass(frozen=True)
 class AlgebraTable:
-    """Structure constants of a bilinear product, with verified flags."""
+    """Structure constants of a bilinear product, with verified flags.
+
+    `constants` and `distinguished` are kept as given; products are computed
+    on the sparse rows `_rows[i][j]` = e_i * e_j built from them.
+    """
 
     dim: int
     constants: tuple[tuple[Vector, ...], ...]  # constants[i][j] = e_i * e_j
     flags: dict[str, bool] = dataclass_field(default_factory=dict)
     distinguished: dict[str, Vector] = dataclass_field(default_factory=dict)
+    _rows: tuple[tuple[SparseVector, ...], ...] = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.constants) != self.dim or any(
-            len(row) != self.dim or any(len(v) != self.dim for v in row)
-            for row in self.constants
-        ):
+        if len(self.constants) != self.dim or any(len(row) != self.dim for row in self.constants):
             raise ValueError("structure constants do not form a dim x dim x dim table")
+        rows = tuple(tuple(to_sparse(self.dim, v) for v in row) for row in self.constants)
+        object.__setattr__(self, "_rows", rows)
+        for name, v in self.distinguished.items():
+            if len(v) != self.dim:
+                raise ValueError(f"distinguished vector {name!r} does not have dimension {self.dim}")
         for name, expected in self.flags.items():
             actual = _check_flag(self, name)
             if actual != expected:
@@ -71,15 +84,10 @@ class AlgebraTable:
                 )
 
     def multiply(self, x: Vector, y: Vector) -> Vector:
-        out = zero_vector(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                out = vec_add(out, vec_scale(xi * yj, self.constants[i][j]))
-        return out
+        return to_dense(self.dim, self._mul(to_sparse(self.dim, x), to_sparse(self.dim, y)))
+
+    def _mul(self, x: SparseVector, y: SparseVector) -> SparseVector:
+        return _combine(x, {i: _combine(y, self._rows[i]) for i in x})
 
     def basis_product(self, i: int, j: int) -> Vector:
         return self.constants[i][j]
@@ -109,6 +117,14 @@ class AlgebraTable:
         return cls(data["dim"], constants, dict(data.get("flags", {})), distinguished)
 
 
+def _combine(coeffs: SparseVector, vectors) -> SparseVector:
+    """sum_k coeffs[k] * vectors[k], for sparse vectors indexed like the coefficients."""
+    out: SparseVector = {}
+    for k, c in coeffs.items():
+        add_into(out, vectors[k], c)
+    return out
+
+
 def _check_flag(table: AlgebraTable, name: str) -> bool:
     checks = {
         "associative": _is_associative,
@@ -121,14 +137,15 @@ def _check_flag(table: AlgebraTable, name: str) -> bool:
     return checks[name](table)
 
 
-def _basis(table: AlgebraTable) -> list[Vector]:
-    return [basis_vector(table.dim, i) for i in range(table.dim)]
+def _basis(table: AlgebraTable) -> list[SparseVector]:
+    return [{i: ONE} for i in range(table.dim)]
 
 
 def _is_associative(table: AlgebraTable) -> bool:
     basis = _basis(table)
+    mul = table._mul
     for a, b, c in iter_product(basis, repeat=3):
-        if table.multiply(table.multiply(a, b), c) != table.multiply(a, table.multiply(b, c)):
+        if mul(mul(a, b), c) != mul(a, mul(b, c)):
             return False
     return True
 
@@ -136,7 +153,7 @@ def _is_associative(table: AlgebraTable) -> bool:
 def _is_commutative(table: AlgebraTable) -> bool:
     basis = _basis(table)
     for a, b in iter_product(basis, repeat=2):
-        if table.multiply(a, b) != table.multiply(b, a):
+        if table._mul(a, b) != table._mul(b, a):
             return False
     return True
 
@@ -145,15 +162,12 @@ def _is_alternative(table: AlgebraTable) -> bool:
     # Both alternator identities are quadratic in the repeated slot; the
     # polarized forms below on basis triples are equivalent in char 0.
     basis = _basis(table)
-    mul = table.multiply
+    mul = table._mul
     for a, b, y in iter_product(basis, repeat=3):
-        left = vec_add(mul(a, mul(b, y)), mul(b, mul(a, y)))
-        right = mul(vec_add(mul(a, b), mul(b, a)), y)
-        if left != right:
+        sym = add_into(mul(a, b), mul(b, a))
+        if add_into(mul(a, mul(b, y)), mul(b, mul(a, y))) != mul(sym, y):
             return False
-        left = vec_add(mul(mul(y, a), b), mul(mul(y, b), a))
-        right = mul(y, vec_add(mul(a, b), mul(b, a)))
-        if left != right:
+        if add_into(mul(mul(y, a), b), mul(mul(y, b), a)) != mul(y, sym):
             return False
     return True
 
@@ -164,20 +178,15 @@ def _is_jordan(table: AlgebraTable) -> bool:
     if not _is_commutative(table):
         return False
     basis = _basis(table)
-    mul = table.multiply
-
-    def jordan_multilinear(x1: Vector, x2: Vector, x3: Vector, y: Vector) -> Vector:
-        return tuple(
-            l - r
-            for l, r in zip(mul(mul(x1, y), mul(x2, x3)), mul(x1, mul(y, mul(x2, x3))))
-        )
-
+    mul = table._mul
     for y in basis:
         for x1, x2, x3 in iter_product(basis, repeat=3):
-            total = zero_vector(table.dim)
+            total: SparseVector = {}
             for p1, p2, p3 in permutations((x1, x2, x3)):
-                total = vec_add(total, jordan_multilinear(p1, p2, p3, y))
-            if not vec_is_zero(total):
+                p23 = mul(p2, p3)
+                add_into(total, mul(mul(p1, y), p23))
+                add_into(total, mul(p1, mul(y, p23)), -1)
+            if total:
                 return False
     return True
 
@@ -186,48 +195,21 @@ def _is_jordan(table: AlgebraTable) -> bool:
 
 
 def _jordan_k3_constants() -> tuple[tuple[Vector, ...], ...]:
-    # x * y = (x1 y1 + x2 y3 + x3 y2, x1 y2 + x2 y1, x1 y3 + x3 y1)
-    def prod(i: int, j: int) -> Vector:
-        x = [Fraction(0)] * 3
-        y = [Fraction(0)] * 3
-        x[i] = Fraction(1)
-        y[j] = Fraction(1)
-        return (
-            x[0] * y[0] + x[1] * y[2] + x[2] * y[1],
-            x[0] * y[1] + x[1] * y[0],
-            x[0] * y[2] + x[2] * y[0],
-        )
-
-    return tuple(tuple(prod(i, j) for j in range(3)) for i in range(3))
+    # x * y = (x1 y1 + x2 y3 + x3 y2, x1 y2 + x2 y1, x1 y3 + x3 y1): e_i * e_j = e_k
+    k_of = {(0, 0): 0, (1, 2): 0, (2, 1): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2}
+    return tuple(
+        tuple(to_dense(3, {k_of[i, j]: ONE} if (i, j) in k_of else {}) for j in range(3))
+        for i in range(3)
+    )
 
 
 def _cayley_dickson(constants, conj, gamma: Fraction):
-    """One doubling step: pairs (a, b) with the product
+    """One doubling step on sparse tables: pairs (a, b) with the product
     (a, b)(c, d) = (a c + gamma conj(d) b, d a + b conj(c))."""
     d = len(conj)
 
-    def emb(v: Vector, slot: int) -> Vector:
-        out = [Fraction(0)] * (2 * d)
-        for k, c in enumerate(v):
-            out[slot * d + k] = c
-        return tuple(out)
-
-    def mul_small(i: int, j: int) -> Vector:
-        return constants[i][j]
-
-    def conj_vec(v: Vector) -> Vector:
-        out = [Fraction(0)] * d
-        for k, c in enumerate(v):
-            if c != 0:
-                out = [a + c * b for a, b in zip(out, conj[k])]
-        return tuple(out)
-
-    def lincomb(vec: Vector, table) -> Vector:
-        out = [Fraction(0)] * d
-        for k, c in enumerate(vec):
-            if c != 0:
-                out = [a + c * b for a, b in zip(out, table[k])]
-        return tuple(out)
+    def emb(v: SparseVector, slot: int) -> SparseVector:
+        return {slot * d + k: c for k, c in v.items()}
 
     new_constants = []
     for i in range(2 * d):
@@ -236,39 +218,28 @@ def _cayley_dickson(constants, conj, gamma: Fraction):
         for j in range(2 * d):
             sj, bj = divmod(j, d)
             if si == 0 and sj == 0:
-                row.append(emb(mul_small(bi, bj), 0))
+                row.append(emb(constants[bi][bj], 0))
             elif si == 0 and sj == 1:
                 # (a,0)(0,d) = (0, d a)
-                row.append(emb(mul_small(bj, bi), 1))
+                row.append(emb(constants[bj][bi], 1))
             elif si == 1 and sj == 0:
                 # (0,b)(c,0) = (0, b conj(c))
-                cc = conj_vec(basis_vector(d, bj))
-                row.append(emb(lincomb(cc, constants[bi]), 1))
+                row.append(emb(_combine(conj[bj], constants[bi]), 1))
             else:
                 # (0,b)(0,d) = (gamma conj(d) b, 0)
-                cd = conj_vec(basis_vector(d, bj))
-                prod = [Fraction(0)] * d
-                for k, c in enumerate(cd):
-                    if c != 0:
-                        prod = [a + c * b for a, b in zip(prod, mul_small(k, bi))]
-                row.append(emb(vec_scale(gamma, tuple(prod)), 0))
+                column = [constants[k][bi] for k in range(d)]
+                row.append(emb(add_into({}, _combine(conj[bj], column), gamma), 0))
         new_constants.append(tuple(row))
-    new_conj = []
-    for i in range(2 * d):
-        si, bi = divmod(i, d)
-        if si == 0:
-            new_conj.append(emb(conj[bi], 0))
-        else:
-            new_conj.append(vec_scale(Fraction(-1), emb(basis_vector(d, bi), 1)))
+    new_conj = [emb(conj[bi], 0) for bi in range(d)] + [{d + bi: -ONE} for bi in range(d)]
     return tuple(new_constants), tuple(new_conj)
 
 
 def _split_octonion_constants() -> tuple[tuple[Vector, ...], ...]:
-    constants = ((basis_vector(1, 0),),)
-    conj = (basis_vector(1, 0),)
+    constants = (({0: ONE},),)
+    conj = ({0: ONE},)
     for _ in range(3):
         constants, conj = _cayley_dickson(constants, conj, Fraction(1))
-    return constants
+    return tuple(tuple(to_dense(8, v) for v in row) for row in constants)
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +260,7 @@ def builtin_algebra(name: str) -> AlgebraTable:
             {
                 "unit": basis_vector(3, 0),
                 "a": basis_vector(3, 1),
-                "b": vec_scale(Fraction(2), basis_vector(3, 2)),
+                "b": (ZERO, ZERO, Fraction(2)),
             },
         )
     if name == "split-octonion":
@@ -325,14 +296,11 @@ def loop_from_algebra(table: AlgebraTable, max_degree: int, memory_cap: int | No
     """The loop x y = x + y + x*y of a bilinear product."""
     d = table.dim
     comps = FormalLoop.unital_components(d)
-    bilinear: dict[MonoTuple, Vector] = {}
-    for i in range(d):
-        for j in range(d):
-            value = table.basis_product(i, j)
-            if not vec_is_zero(value):
-                bilinear[(basis_monomial(d, i), basis_monomial(d, j))] = value
-    if bilinear:
-        comps[(1, 1)] = bilinear
+    comps[(1, 1)] = {
+        (basis_monomial(d, i), basis_monomial(d, j)): table.basis_product(i, j)
+        for i in range(d)
+        for j in range(d)
+    }
     return FormalLoop(d, max_degree, comps, memory_cap)
 
 
@@ -354,13 +322,10 @@ def nonlinear_loop_F(max_degree: int) -> FormalLoop:
         inverse = inverse + power
     comp1 = ((x2 + y2) * inverse).truncate(N)
     comp2 = ((x3 + y3) * inverse).truncate(N)
-    series: dict[MonoTuple, Vector] = {}
-    for k, comp in enumerate((comp1, comp2)):
-        for mono, coeff in comp.terms.items():
-            key = ((mono[0], mono[1]), (mono[2], mono[3]))
-            vec = list(series.get(key, zero_vector(2)))
-            vec[k] = coeff
-            series[key] = tuple(vec)
+    series = {
+        ((m[0], m[1]), (m[2], m[3])): (comp1.terms.get(m, ZERO), comp2.terms.get(m, ZERO))
+        for m in {**comp1.terms, **comp2.terms}
+    }
     return FormalLoop.from_map(FormalMap.from_series((2, 2), 2, N, series))
 
 
@@ -441,6 +406,7 @@ def loop_from_spec(spec: dict, max_degree: int, memory_cap: int | None = None) -
     if kind == "components":
         fmap = FormalMap.from_json(spec)
         if fmap.N != max_degree:
-            fmap = FormalMap(fmap.dims, fmap.target_dim, max_degree, fmap.components)
+            kept = {md: tab for md, tab in fmap.components.items() if sum(md) <= max_degree}
+            fmap = FormalMap._of_sparse(fmap.dims, fmap.target_dim, max_degree, kept)
         return FormalLoop.from_map(fmap, memory_cap)
     raise ValueError(f"unknown loop spec type {kind!r}")

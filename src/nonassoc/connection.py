@@ -9,12 +9,12 @@ table (monomial, tangent vector) -> vector restricting to the identity on
 Covariant differentiation consumes one degree of the bound per
 application, which is why an n-fold bracket needs n + 2 <= N.
 
-Internally every field value and transport is a sparse vector, a dict
-{basis index: Fraction} that never stores a zero, accumulated with
-`lincomb.add_into`.  The public API stays dense: `at`, `star`, `inv_star`,
-`star_vec`, `inv_star_vec`, `table`, `inverse_table` and `ms_brackets`
-return length-`dim` Fraction tuples, and the public constructors take
-functions returning them; `_sparse` and `_dense` convert at that edge.
+Internally every field value and transport is a sparse vector (`scalars`),
+accumulated with `lincomb.add_into`; the canonical connection reads the
+loop's stored sparse values.  The public API stays dense: `at`, `star`,
+`inv_star`, `star_vec`, `inv_star_vec`, `table`, `inverse_table` and
+`ms_brackets` return length-`dim` Fraction tuples, and the public
+constructors take functions returning them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 from .lincomb import add_into
 from .maps import FormalLoop
-from .scalars import ONE, ZERO, Vector
+from .scalars import ONE, ZERO, SparseVector, Vector, to_dense, to_sparse
 from .symalg import (
     Monomial,
     basis_monomial,
@@ -33,20 +33,6 @@ from .symalg import (
     monomials_up_to,
     unit_monomial,
 )
-
-SparseVector = dict[int, Fraction]
-
-
-def _sparse(dim: int, v: Vector) -> SparseVector:
-    """The nonzero entries of a dense vector, which must have length `dim`."""
-    if len(v) != dim:
-        raise ValueError(f"vector of length {len(v)} in dimension {dim}")
-    return {i: c for i, c in enumerate(map(Fraction, v)) if c}
-
-
-def _dense(dim: int, v: SparseVector) -> Vector:
-    return tuple(v.get(i, ZERO) for i in range(dim))
-
 
 def _times_basis(mono: Monomial, i: int) -> Monomial:
     """The monomial mono * e_i of k[V]."""
@@ -74,7 +60,7 @@ class FormalVectorField:
             raise ValueError("vector field degree bound must be >= 0")
         self.dim = dim
         self.max_degree = max_degree
-        self._fn = lambda mono: _sparse(dim, fn(mono))
+        self._fn = lambda mono: to_sparse(dim, fn(mono))
         self._cache: dict[Monomial, SparseVector] = {}
 
     @classmethod
@@ -93,7 +79,7 @@ class FormalVectorField:
         return cls(dim, max_degree, lambda mono: data[mono])
 
     def at(self, mono: Monomial) -> Vector:
-        return _dense(self.dim, self._at(tuple(mono)))
+        return to_dense(self.dim, self._at(tuple(mono)))
 
     def _at(self, mono: Monomial) -> SparseVector:
         hit = self._cache.get(mono)
@@ -148,12 +134,19 @@ class FlatConnection:
     def __init__(self, dim: int, max_degree: int, star_fn: Callable[[Monomial, int], Vector]):
         self.dim = dim
         self.max_degree = max_degree  # bound on the k[V] argument
-        self._fn = star_fn
+        self._fn = lambda mono, j: to_sparse(dim, star_fn(mono, j))
         self._star_cache: dict[tuple[Monomial, int], SparseVector] = {}
         self._inv_cache: dict[tuple[Monomial, int], SparseVector] = {}
         for j in range(dim):
             if self._star(unit_monomial(dim), j) != {j: ONE}:
                 raise ValueError("a flat connection restricts to the identity on 1 (x) V")
+
+    @classmethod
+    def _of_sparse(cls, dim: int, max_degree: int, fn: Callable) -> "FlatConnection":
+        """Trusted constructor: `fn` returns sparse vectors that are never mutated."""
+        conn = cls(dim, max_degree, lambda mono, j: to_dense(dim, fn(mono, j)))
+        conn._fn = fn
+        return conn
 
     @classmethod
     def from_table(cls, dim: int, max_degree: int, table: dict[tuple[Monomial, int], Vector]) -> "FlatConnection":
@@ -165,7 +158,7 @@ class FlatConnection:
         return cls(dim, max_degree, lambda mono, j: data[(mono, j)])
 
     def star(self, mono: Monomial, j: int) -> Vector:
-        return _dense(self.dim, self._star(tuple(mono), j))
+        return to_dense(self.dim, self._star(tuple(mono), j))
 
     def _star(self, mono: Monomial, j: int) -> SparseVector:
         key = (mono, j)
@@ -175,16 +168,16 @@ class FlatConnection:
                 raise ValueError(
                     f"monomial of degree {monomial_degree(mono)} beyond the connection bound {self.max_degree}"
                 )
-            hit = _sparse(self.dim, self._fn(mono, j))
+            hit = self._fn(mono, j)
             self._star_cache[key] = hit
         return hit
 
     def star_vec(self, mono: Monomial, v: Vector) -> Vector:
-        return _dense(self.dim, _on_vector(self._star, tuple(mono), _sparse(self.dim, v)))
+        return to_dense(self.dim, _on_vector(self._star, tuple(mono), to_sparse(self.dim, v)))
 
     def inv_star(self, mono: Monomial, j: int) -> Vector:
         r"""The inverse transport mu \* v, solved by induction on deg mu."""
-        return _dense(self.dim, self._inv_star(tuple(mono), j))
+        return to_dense(self.dim, self._inv_star(tuple(mono), j))
 
     def _inv_star(self, mono: Monomial, j: int) -> SparseVector:
         key = (mono, j)
@@ -205,7 +198,7 @@ class FlatConnection:
         return hit
 
     def inv_star_vec(self, mono: Monomial, v: Vector) -> Vector:
-        return _dense(self.dim, _on_vector(self._inv_star, tuple(mono), _sparse(self.dim, v)))
+        return to_dense(self.dim, _on_vector(self._inv_star, tuple(mono), to_sparse(self.dim, v)))
 
     def inverse_table(self, max_degree: int | None = None) -> dict[tuple[Monomial, int], Vector]:
         cap = self.max_degree if max_degree is None else max_degree
@@ -226,17 +219,17 @@ def connection_from_loop(loop: FormalLoop) -> FlatConnection:
     if cached is not None:
         return cached
 
-    def star_fn(mono: Monomial, j: int) -> Vector:
-        return loop.value((mono, basis_monomial(loop.dim, j)))
+    def star_fn(mono: Monomial, j: int) -> SparseVector:
+        return loop._value((mono, basis_monomial(loop.dim, j)))
 
-    conn = FlatConnection(loop.dim, loop.N - 1, star_fn)
+    conn = FlatConnection._of_sparse(loop.dim, loop.N - 1, star_fn)
     loop._canonical_connection = conn
     return conn
 
 
 def adapted_field(conn: FlatConnection, v: Vector) -> FormalVectorField:
     """The field adapted to a tangent vector: mu -> mu * v."""
-    v = _sparse(conn.dim, v)
+    v = to_sparse(conn.dim, v)
     return FormalVectorField._of_sparse(
         conn.dim, conn.max_degree, lambda mono: _on_vector(conn._star, mono, v)
     )

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 from . import su_ops
 from .lincomb import add_into
 from .maps import FormalLoop, InvariantError, MonoTuple, SimilarityMap
-from .scalars import ONE, Vector, basis_vector, format_rational, vec_is_zero, zero_vector
+from .scalars import ONE, SparseVector, Vector, basis_vector, format_rational, to_sparse
 from .symalg import (
     Monomial,
     SymElement,
@@ -76,19 +76,15 @@ class DistBialgebra:
             total = monomial_degree(m1) + monomial_degree(m2)
             if total == 0:
                 return self.one()
-            acc: dict[Monomial, Fraction] = {}
-            head = loop.value((m1, m2))
-            for j, c in enumerate(head):
-                if c != 0:
-                    acc[basis_monomial(dim, j)] = c
+            acc = {basis_monomial(dim, j): c for j, c in loop._value((m1, m2)).items()}
             for a1, b1, c1 in monomial_splits(m1):
                 for a2, b2, c2 in monomial_splits(m2):
                     if monomial_degree(a1) + monomial_degree(a2) == 0:
                         continue
                     if monomial_degree(b1) + monomial_degree(b2) == 0:
                         continue
-                    front = loop.value((a1, a2))
-                    if vec_is_zero(front):
+                    front = loop._value((a1, a2))
+                    if not front:
                         continue
                     # a tail term of degree d < N, divided by d + 1, times each e_j
                     tail = [
@@ -97,13 +93,12 @@ class DistBialgebra:
                         if monomial_degree(mono) < N
                     ]
                     weight = c1 * c2
-                    for j, fj in enumerate(front):
-                        if fj != 0:
-                            add_into(
-                                acc,
-                                {mono[:j] + (mono[j] + 1,) + mono[j + 1 :]: c for mono, c in tail},
-                                weight * fj,
-                            )
+                    for j, fj in front.items():
+                        add_into(
+                            acc,
+                            {mono[:j] + (mono[j] + 1,) + mono[j + 1 :]: c for mono, c in tail},
+                            weight * fj,
+                        )
             return SymElement.of_terms(dim, acc)
 
         self._product_fn = product_fn
@@ -211,9 +206,6 @@ class DistBialgebra:
 
     def basis(self, index: int) -> SymElement:
         return SymElement.basis(self.dim, index)
-
-    def from_vector(self, vec: Vector) -> SymElement:
-        return SymElement.from_vector(vec)
 
     def element(self, value: SymElement) -> "DistElement":
         return DistElement(self, value)
@@ -660,7 +652,7 @@ class _PsiBuilder:
     lower degree that is peeled off by induction.
     """
 
-    def __init__(self, bialgebra: DistBialgebra, phi: Callable[[Monomial, Monomial], Vector]):
+    def __init__(self, bialgebra: DistBialgebra, phi: Callable[[Monomial, Monomial], SparseVector | None]):
         self.B = bialgebra
         self.phi = phi
         self._psi: dict[tuple[Monomial, Monomial], SymElement] = {}
@@ -693,14 +685,14 @@ class _PsiBuilder:
 
     def _phi_on_powers(self, c: Vector, i: int, v: Vector, j: int) -> SymElement:
         """Phi tables at the pair of symmetric powers (c^i, v^j)."""
-        acc: dict[Monomial, Fraction] = {}
+        acc: SparseVector = {}
         if i >= 1 and j >= 2:
             for mx, cx in self.sym_power(c, i).terms.items():
                 for my, cy in self.sym_power(v, j).terms.items():
                     value = self.phi(mx, my)
-                    if value is not None and not vec_is_zero(value):
-                        add_into(acc, SymElement.from_vector(value).terms, cx * cy)
-        return SymElement.of_terms(self.B.dim, acc)
+                    if value:
+                        add_into(acc, value, cx * cy)
+        return SymElement.from_sparse(self.B.dim, acc)
 
     # -- the recursion on pairs of powers -------------------------------------
     def psi_pp(self, c: Vector, s: int, v: Vector, m: int) -> SymElement:
@@ -828,9 +820,10 @@ def make_similar_product(bialgebra: DistBialgebra, phi: PhiTables) -> DistBialge
     dim, N = bialgebra.dim, bialgebra.N
 
     if callable(phi):
-        phi_fn = phi
+        def phi_fn(mx: Monomial, my: Monomial) -> SparseVector:
+            return to_sparse(dim, phi(mx, my))
     else:
-        tables: dict[tuple[Monomial, Monomial], Vector] = {}
+        tables: dict[tuple[Monomial, Monomial], SparseVector] = {}
         for (mx, my), value in phi.items():
             mx, my = tuple(mx), tuple(my)
             if len(mx) != dim or len(my) != dim:
@@ -841,12 +834,10 @@ def make_similar_product(bialgebra: DistBialgebra, phi: PhiTables) -> DistBialge
                 )
             if monomial_degree(mx) + monomial_degree(my) > N:
                 raise ValueError(f"multioperator key {(mx, my)} beyond the truncation {N}")
-            if len(value) != dim:
-                raise ValueError(f"multioperator value {value} has wrong dimension")
-            tables[(mx, my)] = tuple(Fraction(c) for c in value)
+            tables[(mx, my)] = to_sparse(dim, value)
 
-        def phi_fn(mx: Monomial, my: Monomial) -> Vector:
-            return tables.get((mx, my), zero_vector(dim))
+        def phi_fn(mx: Monomial, my: Monomial) -> SparseVector | None:
+            return tables.get((mx, my))
 
     builder = _PsiBuilder(bialgebra, phi_fn)
 
@@ -872,7 +863,7 @@ def su_multioperator_tables(bialgebra: DistBialgebra, max_degree: int | None = N
             for mx in monomials(bialgebra.dim, i):
                 for my in monomials(bialgebra.dim, j):
                     value = ops.multioperator_mono(mx, my)
-                    if not vec_is_zero(value):
+                    if any(value):
                         out[(mx, my)] = value
     return out
 

@@ -221,14 +221,11 @@ class FAElement(LinComb):
             return self.scale(other)
         self._check(other)
         cap = self.alg.max_degree
+        right = [(m2, mono_degree(m2), c2) for m2, c2 in other.terms.items()]
         terms: dict[FAMonomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             room = cap - mono_degree(m1)
-            add_into(
-                terms,
-                {mono_graft(m1, m2): c2 for m2, c2 in other.terms.items() if mono_degree(m2) <= room},
-                c1,
-            )
+            add_into(terms, {mono_graft(m1, m2): c2 for m2, d2, c2 in right if d2 <= room}, c1)
         return self._like(terms)
 
     def max_degree(self) -> int:
@@ -376,6 +373,9 @@ class FATensor(LinComb):
         """Componentwise product (graft each side), truncating per component."""
         self._check(other)
         cap = self.alg.max_degree
+        right = [
+            (a2, b2, mono_degree(a2), mono_degree(b2), c2) for (a2, b2), c2 in other.terms.items()
+        ]
         terms: dict[tuple[FAMonomial, FAMonomial], Fraction] = {}
         for (a1, b1), c1 in self.terms.items():
             room_a, room_b = cap - mono_degree(a1), cap - mono_degree(b1)
@@ -383,8 +383,8 @@ class FATensor(LinComb):
                 terms,
                 {
                     (mono_graft(a1, a2), mono_graft(b1, b2)): c2
-                    for (a2, b2), c2 in other.terms.items()
-                    if mono_degree(a2) <= room_a and mono_degree(b2) <= room_b
+                    for a2, b2, da, db, c2 in right
+                    if da <= room_a and db <= room_b
                 },
                 c1,
             )

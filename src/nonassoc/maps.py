@@ -9,6 +9,11 @@ the value of the map on the corresponding product of derivative operators.
 The series view (coefficients of the associated power series) differs by
 the product of the exponent factorials, and a codec for it is provided.
 
+Stored values are sparse vectors (`scalars`), shared between maps and never
+mutated; a table holds no zero vector and no table is empty.  Constructor
+inputs, `value`, `series_value`, `sorted_entries`, `to_json` and verdict
+witnesses are dense.  `_of_sparse` is the trusted constructor.
+
 Maps prolong to coalgebra morphisms between symmetric coalgebras, compose
 through regrouped coproducts (shared variables are duplicated by the
 coproduct), and a unital two-slot map is a formal loop with two-sided
@@ -21,18 +26,18 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .scalars import (
+    ONE,
+    SparseVector,
     Vector,
     basis_vector,
     format_rational,
     parse_rational,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    zero_vector,
+    to_dense,
+    to_sparse,
 )
 from .symalg import (
     Monomial,
@@ -51,6 +56,7 @@ from .words import Identity, LDiv, LoopWord, Mul, RDiv, Unit, Var
 
 MonoTuple = tuple[Monomial, ...]
 Multidegree = tuple[int, ...]
+Tables = dict[Multidegree, dict[MonoTuple, SparseVector]]
 
 DEFAULT_MEMORY_CAP = 100_000
 MEMORY_CAP_ENV = "NONASSOC_MEMORY_CAP"
@@ -98,6 +104,11 @@ def multidegree_of(monos: MonoTuple) -> Multidegree:
     return tuple(monomial_degree(m) for m in monos)
 
 
+def _series_weight(monos: MonoTuple) -> int:
+    """The factor between the distribution and the series view at a monomial tuple."""
+    return prod(map(monomial_factorial, monos))
+
+
 def tensor_monomials(dims: Sequence[int], multidegree: Multidegree) -> Iterator[MonoTuple]:
     yield from iter_product(*(monomials(d, k) for d, k in zip(dims, multidegree)))
 
@@ -106,16 +117,13 @@ def tuple_submonomials(
     monos: MonoTuple, multidegree: Multidegree
 ) -> Iterator[tuple[MonoTuple, MonoTuple, int]]:
     """All sub-tuples of the given multidegree with remainder and binomial weight."""
-    per_slot = [list(submonomials(m, k)) for m, k in zip(monos, multidegree)]
+    per_slot = [submonomials(m, k) for m, k in zip(monos, multidegree)]
     for combo in iter_product(*per_slot):
-        part = tuple(sub for sub, _ in combo)
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        rest = tuple(
-            tuple(a - b for a, b in zip(m, p)) for m, p in zip(monos, part)
+        yield (
+            tuple(split[0] for split in combo),
+            tuple(split[1] for split in combo),
+            prod(split[2] for split in combo),
         )
-        yield part, rest, coeff
 
 
 class FormalMap:
@@ -128,46 +136,56 @@ class FormalMap:
         max_degree: int,
         components: dict[Multidegree, dict[MonoTuple, Vector]] | None = None,
     ):
-        self.dims = tuple(dims)
-        self.target_dim = target_dim
-        self.N = max_degree
-        clean: dict[Multidegree, dict[MonoTuple, Vector]] = {}
+        dims = tuple(dims)
+        clean: Tables = {}
         for md, table in (components or {}).items():
             md = tuple(md)
-            if len(md) != len(self.dims):
-                raise ValueError(f"multidegree {md} does not match {len(self.dims)} slots")
+            if len(md) != len(dims):
+                raise ValueError(f"multidegree {md} does not match {len(dims)} slots")
             total = sum(md)
             if total == 0:
                 raise ValueError("a formal map vanishes on 1; no degree-0 component allowed")
             if total > max_degree:
                 continue
-            entries: dict[MonoTuple, Vector] = {}
+            entries: dict[MonoTuple, SparseVector] = {}
             for monos, value in table.items():
                 monos = tuple(monos)
                 if multidegree_of(monos) != md:
                     raise ValueError(f"monomials {monos} do not have multidegree {md}")
-                if len(value) != target_dim:
-                    raise ValueError(f"value {value} does not have dimension {target_dim}")
-                value = tuple(Fraction(v) for v in value)
-                if not vec_is_zero(value):
+                value = to_sparse(target_dim, value)
+                if value:
                     entries[monos] = value
             if entries:
                 clean[md] = entries
-        self.components = clean
+        self._setup(dims, target_dim, max_degree, clean)
+
+    def _setup(self, dims: tuple[int, ...], target_dim: int, max_degree: int, components: Tables):
+        self.dims = dims
+        self.target_dim = target_dim
+        self.N = max_degree
+        self.components = components
         self._prolongation: "Prolongation | None" = None
+
+    @classmethod
+    def _of_sparse(cls, dims: Sequence[int], target_dim: int, max_degree: int, components: Tables):
+        """Trusted constructor: keeps `components` (nonempty sparse tables, degrees 1..N)."""
+        out = object.__new__(cls)
+        out._setup(tuple(dims), target_dim, max_degree, components)
+        return out
+
+    def _like(self, components: Tables) -> "FormalMap":
+        return FormalMap._of_sparse(self.dims, self.target_dim, self.N, components)
 
     # -- basic access -----------------------------------------------------------
     def value(self, monos: MonoTuple) -> Vector:
-        table = self.components.get(multidegree_of(monos))
-        if table is None:
-            return zero_vector(self.target_dim)
-        return table.get(tuple(monos), zero_vector(self.target_dim))
+        return to_dense(self.target_dim, self._value(tuple(monos)))
+
+    def _value(self, monos: MonoTuple) -> SparseVector:
+        return self.components.get(multidegree_of(monos), {}).get(monos) or {}
 
     def series_value(self, monos: MonoTuple) -> Vector:
-        weight = 1
-        for m in monos:
-            weight *= monomial_factorial(m)
-        return vec_scale(Fraction(1, weight), self.value(monos))
+        weight = _series_weight(monos)
+        return tuple(c / weight for c in self.value(monos))
 
     def support(self) -> set[Multidegree]:
         return set(self.components.keys())
@@ -175,17 +193,22 @@ class FormalMap:
     def is_zero(self) -> bool:
         return not self.components
 
-    def on_elements(self, elems: Sequence[SymElement]) -> Vector:
-        """Apply to a pure tensor of coalgebra elements (linear extension)."""
+    def on_elements(self, elems: Sequence[SymElement]) -> SparseVector:
+        """Apply to a pure tensor of coalgebra elements (linear extension).
+
+        The value is a fresh sparse vector.
+        """
         if len(elems) != len(self.dims):
             raise ValueError("slot count mismatch")
         graded: list[dict[int, list[tuple[Monomial, Fraction]]]] = []
-        for e in elems:
+        for e, d in zip(elems, self.dims):
+            if e.dim != d:
+                raise ValueError(f"element of dimension {e.dim} in a slot of dimension {d}")
             by_deg: dict[int, list[tuple[Monomial, Fraction]]] = {}
             for mono, coeff in e.terms.items():
                 by_deg.setdefault(monomial_degree(mono), []).append((mono, coeff))
             graded.append(by_deg)
-        out = zero_vector(self.target_dim)
+        out: SparseVector = {}
         for md, table in self.components.items():
             slots = []
             ok = True
@@ -202,10 +225,10 @@ class FormalMap:
                 val = table.get(key)
                 if val is None:
                     continue
-                coeff = Fraction(1)
+                coeff = ONE
                 for _, c in combo:
                     coeff *= c
-                out = vec_add(out, vec_scale(coeff, val))
+                add_into(out, val, coeff)
         return out
 
     # -- linear structure ---------------------------------------------------------
@@ -213,30 +236,41 @@ class FormalMap:
         if (self.dims, self.target_dim, self.N) != (other.dims, other.target_dim, other.N):
             raise ValueError("formal map signatures differ")
 
-    def __add__(self, other: "FormalMap") -> "FormalMap":
+    def _plus(self, other: "FormalMap", coeff: int) -> "FormalMap":
+        """self + coeff * other; entries of self that other leaves alone are shared."""
         self._check(other)
-        comps: dict[Multidegree, dict[MonoTuple, Vector]] = {
-            md: dict(tab) for md, tab in self.components.items()
-        }
+        comps = {md: dict(tab) for md, tab in self.components.items()}
         for md, table in other.components.items():
             dst = comps.setdefault(md, {})
             for monos, value in table.items():
-                dst[monos] = vec_add(dst.get(monos, zero_vector(self.target_dim)), value)
-        return FormalMap(self.dims, self.target_dim, self.N, comps)
+                total = add_into(dict(dst.get(monos, {})), value, coeff)
+                if total:
+                    dst[monos] = total
+                else:
+                    del dst[monos]
+            if not dst:
+                del comps[md]
+        return self._like(comps)
+
+    def __add__(self, other: "FormalMap") -> "FormalMap":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "FormalMap") -> "FormalMap":
-        return self + other.scale(Fraction(-1))
+        return self._plus(other, -1)
 
     def scale(self, c: int | Fraction) -> "FormalMap":
-        comps = {
-            md: {monos: vec_scale(Fraction(c), v) for monos, v in tab.items()}
-            for md, tab in self.components.items()
-        }
-        return FormalMap(self.dims, self.target_dim, self.N, comps)
+        if c == 0:
+            return self._like({})
+        c = Fraction(c)
+        return self._like(
+            {
+                md: {monos: {i: c * x for i, x in v.items()} for monos, v in tab.items()}
+                for md, tab in self.components.items()
+            }
+        )
 
     def filter_components(self, keep: Callable[[Multidegree], bool]) -> "FormalMap":
-        comps = {md: tab for md, tab in self.components.items() if keep(md)}
-        return FormalMap(self.dims, self.target_dim, self.N, comps)
+        return self._like({md: dict(tab) for md, tab in self.components.items() if keep(md)})
 
     def __eq__(self, other) -> bool:
         return (
@@ -251,7 +285,7 @@ class FormalMap:
         for md in sorted(self.components, key=lambda m: (sum(m), m)):
             table = self.components[md]
             for monos in sorted(table):
-                yield md, monos, table[monos]
+                yield md, monos, to_dense(self.target_dim, table[monos])
 
     def __repr__(self) -> str:
         return (
@@ -301,10 +335,8 @@ class FormalMap:
             md = multidegree_of(monos)
             if sum(md) > max_degree:
                 continue
-            weight = 1
-            for m in monos:
-                weight *= monomial_factorial(m)
-            comps.setdefault(md, {})[monos] = vec_scale(Fraction(weight), tuple(Fraction(c) for c in coeffs))
+            weight = _series_weight(monos)
+            comps.setdefault(md, {})[monos] = tuple(weight * Fraction(c) for c in coeffs)
         return cls(dims, target_dim, max_degree, comps)
 
     # -- serialization ---------------------------------------------------------------------
@@ -316,7 +348,7 @@ class FormalMap:
             table = self.components[md]
             entries = []
             for monos in sorted(table):
-                value = table[monos] if view == "distribution" else self.series_value(monos)
+                value = self.value(monos) if view == "distribution" else self.series_value(monos)
                 entries.append(
                     {
                         "monomials": [list(m) for m in monos],
@@ -344,10 +376,8 @@ class FormalMap:
                 monos = tuple(tuple(m) for m in entry["monomials"])
                 value = tuple(parse_rational(v) for v in entry["value"])
                 if view == "series":
-                    weight = 1
-                    for m in monos:
-                        weight *= monomial_factorial(m)
-                    value = vec_scale(Fraction(weight), value)
+                    weight = _series_weight(monos)
+                    value = tuple(weight * c for c in value)
                 table[monos] = value
             comps[md] = table
         return cls(dims, data["target_dim"], data["N"], comps)
@@ -394,8 +424,7 @@ class Prolongation:
         md = multidegree_of(monos)
         total = sum(md)
         if k == 1:
-            vec = self.fmap.value(monos)
-            out = SymElement.from_vector(vec)
+            out = SymElement.from_sparse(target, self.fmap._value(monos))
         else:
             acc: dict[Monomial, Fraction] = {}
             for sup in self.support:
@@ -404,13 +433,13 @@ class Prolongation:
                 if any(s > m for s, m in zip(sup, md)):
                     continue
                 for part, rest, coeff in tuple_submonomials(monos, sup):
-                    vec = self.fmap.value(part)
-                    if vec_is_zero(vec):
+                    vec = self.fmap._value(part)
+                    if not vec:
                         continue
                     tail = self._ordered_parts(rest, k - 1)
                     if tail.is_zero():
                         continue
-                    add_into(acc, (SymElement.from_vector(vec) * tail).terms, coeff)
+                    add_into(acc, (SymElement.from_sparse(target, vec) * tail).terms, coeff)
             out = SymElement.of_terms(target, acc)
         self._parts_cache[key] = out
         return out
@@ -521,11 +550,11 @@ def compose(G: FormalMap, thetas: Sequence[FormalMap]) -> FormalMap:
             if 1 <= sum(total) <= N:
                 result_support.add(total)
     prols = [theta.prolongation() for theta in thetas]
-    comps: dict[Multidegree, dict[MonoTuple, Vector]] = {}
+    comps: Tables = {}
     for I in sorted(result_support, key=lambda md: (sum(md), md)):
-        table: dict[MonoTuple, Vector] = {}
+        table: dict[MonoTuple, SparseVector] = {}
         for monos in tensor_monomials(dims, I):
-            total = zero_vector(G.target_dim)
+            total: SparseVector = {}
             for parts, coeff in _iter_allowed_splits(monos, allowed):
                 elems = []
                 dead = False
@@ -537,14 +566,12 @@ def compose(G: FormalMap, thetas: Sequence[FormalMap]) -> FormalMap:
                     elems.append(e)
                 if dead:
                     continue
-                val = G.on_elements(elems)
-                if not vec_is_zero(val):
-                    total = vec_add(total, vec_scale(Fraction(coeff), val))
-            if not vec_is_zero(total):
+                add_into(total, G.on_elements(elems), coeff)
+            if total:
                 table[monos] = total
         if table:
             comps[I] = table
-    return FormalMap(dims, G.target_dim, N, comps)
+    return FormalMap._of_sparse(dims, G.target_dim, N, comps)
 
 
 # -- loops ----------------------------------------------------------------------------
@@ -562,7 +589,10 @@ class FormalLoop(FormalMap):
     ):
         check_memory_cap(dim, max_degree, memory_cap)
         super().__init__((dim, dim), dim, max_degree, components)
-        self.dim = dim
+
+    def _setup(self, dims, target_dim, max_degree, components):
+        super()._setup(dims, target_dim, max_degree, components)
+        self.dim = target_dim
         self._validate_unital()
         self._divisions: dict[str, FormalMap] = {}
 
@@ -577,7 +607,7 @@ class FormalLoop(FormalMap):
                     if slot == 0
                     else (unit_monomial(d), basis_monomial(d, j))
                 )
-                if table.get(monos) != basis_vector(d, j):
+                if table.get(monos) != {j: ONE}:
                     raise ValueError(
                         f"not unital: component {md1} must restrict to the identity"
                     )
@@ -590,7 +620,8 @@ class FormalLoop(FormalMap):
     def from_map(cls, fmap: FormalMap, memory_cap: int | None = None) -> "FormalLoop":
         if len(fmap.dims) != 2 or fmap.dims[0] != fmap.dims[1] or fmap.target_dim != fmap.dims[0]:
             raise ValueError("a formal loop is a two-slot map on a single space")
-        return cls(fmap.dims[0], fmap.N, fmap.components, memory_cap)
+        check_memory_cap(fmap.target_dim, fmap.N, memory_cap)
+        return cls._of_sparse(fmap.dims, fmap.target_dim, fmap.N, fmap.components)
 
     @classmethod
     def unital_components(cls, dim: int) -> dict[Multidegree, dict[MonoTuple, Vector]]:
@@ -627,11 +658,14 @@ class SimilarityMap(FormalMap):
         components: dict[Multidegree, dict[MonoTuple, Vector]],
     ):
         super().__init__((dim, dim), dim, max_degree, components)
-        self.dim = dim
+
+    def _setup(self, dims, target_dim, max_degree, components):
+        super()._setup(dims, target_dim, max_degree, components)
+        dim = self.dim = target_dim
         table = self.components.get((0, 1), {})
         for j in range(dim):
             monos = (unit_monomial(dim), basis_monomial(dim, j))
-            if table.get(monos) != basis_vector(dim, j):
+            if table.get(monos) != {j: ONE}:
                 raise ValueError("a similarity restricts to the identity on 1 (x) k[V]")
         for md in self.components:
             if md == (0, 1):
@@ -643,7 +677,7 @@ class SimilarityMap(FormalMap):
     def from_map(cls, fmap: FormalMap) -> "SimilarityMap":
         if len(fmap.dims) != 2 or fmap.dims[0] != fmap.dims[1] or fmap.target_dim != fmap.dims[0]:
             raise ValueError("a similarity is a two-slot map on a single space")
-        return cls(fmap.dims[0], fmap.N, fmap.components)
+        return cls._of_sparse(fmap.dims, fmap.target_dim, fmap.N, fmap.components)
 
     @classmethod
     def identity(cls, dim: int, max_degree: int) -> "SimilarityMap":
@@ -743,16 +777,13 @@ def check_loop_identity(identity: Identity, F: FormalLoop) -> IdentityVerdict:
     md, monos, value = min(
         diff.sorted_entries(), key=lambda e: (sum(e[0]), e[0], e[1])
     )
-    weight = 1
-    for m in monos:
-        weight *= monomial_factorial(m)
     return IdentityVerdict(
         holds=False,
         max_degree=F.N,
         multidegree=md,
         monomials=monos,
         difference=value,
-        series_difference=vec_scale(Fraction(1, weight), value),
+        series_difference=diff.series_value(monos),
     )
 
 
@@ -779,7 +810,7 @@ def right_alt_modify(F: FormalLoop) -> RightAltModification:
     P1 = FormalMap.slot_projection(dims, 0, N)
     P2 = FormalMap.slot_projection(dims, 1, N)
     comps = {md: dict(tab) for md, tab in F.components.items() if md[1] <= 1}
-    current = FormalLoop(F.dim, N, comps)
+    current = FormalLoop.from_map(FormalMap._of_sparse(dims, F.dim, N, dict(comps)))
     for n in range(2, N):
         lhs = compose(current, [current, P2])
         rhs = compose(current, [P1, compose(current, [P2, P2])])
@@ -789,10 +820,10 @@ def right_alt_modify(F: FormalLoop) -> RightAltModification:
         for md, table in residue.components.items():
             if md[1] != n:
                 continue
-            comps[md] = {monos: vec_scale(ratio, v) for monos, v in table.items()}
+            comps[md] = {monos: {i: ratio * c for i, c in v.items()} for monos, v in table.items()}
             added = True
         if added:
-            current = FormalLoop(F.dim, N, comps)
+            current = FormalLoop.from_map(FormalMap._of_sparse(dims, F.dim, N, dict(comps)))
     verdict = check_loop_identity(_right_alt_identity(), current)
     if not verdict.holds:
         raise InvariantError(f"right alternative modification failed: {verdict}")

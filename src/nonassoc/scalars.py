@@ -1,8 +1,14 @@
-"""Exact scalars and small vector helpers shared across the package.
+"""Exact scalars and the two vector formats of the package.
 
 Every coefficient in this package is a ``fractions.Fraction`` (always in
-lowest terms by construction).  Vectors are plain tuples of Fractions.
-Serialized scalars are decimal-free strings like ``-2/3`` or ``5``.
+lowest terms by construction).  Serialized scalars are decimal-free
+strings like ``-2/3`` or ``5``.
+
+Inside the package a vector is sparse: a dict {basis index: Fraction}
+that never stores a zero, combined with `lincomb.add_into`.  A stored
+sparse vector is shared between tables and never mutated.  Where a vector
+crosses the public API it is dense: a length-`dim` tuple of Fractions.
+`to_sparse` and `to_dense` convert at that edge.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 Vector = tuple[Fraction, ...]
+SparseVector = dict[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -30,6 +37,17 @@ def format_rational(value: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     return Fraction(text)
+
+
+def to_sparse(dim: int, v: Vector) -> SparseVector:
+    """The nonzero entries of a dense vector, which must have length `dim`."""
+    if len(v) != dim:
+        raise ValueError(f"vector of length {len(v)} in dimension {dim}")
+    return {i: c for i, c in enumerate(map(Fraction, v)) if c}
+
+
+def to_dense(dim: int, v: SparseVector) -> Vector:
+    return tuple(v.get(i, ZERO) for i in range(dim))
 
 
 def zero_vector(dim: int) -> Vector:

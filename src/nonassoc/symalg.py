@@ -22,7 +22,7 @@ from math import comb, factorial, prod
 from typing import Iterator, Sequence
 
 from .lincomb import LinComb, add_into
-from .scalars import ONE, ZERO, Vector, format_rational, parse_rational, rat
+from .scalars import ONE, ZERO, SparseVector, Vector, format_rational, parse_rational, rat
 
 Monomial = tuple[int, ...]
 
@@ -84,31 +84,23 @@ def sym_dim(dim: int, degree: int) -> int:
     return comb(degree + dim - 1, dim - 1)
 
 
-def submonomials(mono: Monomial, degree: int) -> Iterator[tuple[Monomial, int]]:
-    """All b <= mono with |b| = degree, paired with prod(binom(a_i, b_i))."""
-
-    def rec(i: int, left: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if i == len(mono):
-            if left == 0:
-                yield (), 1
-            return
-        for take in range(min(mono[i], left) + 1):
-            c = comb(mono[i], take)
-            for rest, cr in rec(i + 1, left - take):
-                yield (take,) + rest, c * cr
-
-    yield from rec(0, degree)
-
-
 @lru_cache(maxsize=None)
 def monomial_splits(mono: Monomial) -> tuple[tuple[Monomial, Monomial, int], ...]:
-    """Coproduct support of a monomial: (b, mono - b, binomial weight)."""
-    out = []
-    for deg in range(monomial_degree(mono) + 1):
-        for sub, coeff in submonomials(mono, deg):
-            rest = tuple(a - b for a, b in zip(mono, sub))
-            out.append((sub, rest, coeff))
-    return tuple(out)
+    """Coproduct support of a monomial: (b, mono - b, prod(binom(a_i, b_i))).
+
+    The splits are ordered by the degree of b, and lexicographically in b
+    within one degree.
+    """
+    subs = sorted(iter_product(*(range(a + 1) for a in mono)), key=sum)
+    return tuple(
+        (sub, tuple(a - b for a, b in zip(mono, sub)), prod(map(comb, mono, sub)))
+        for sub in subs
+    )
+
+
+def submonomials(mono: Monomial, degree: int) -> list[tuple[Monomial, Monomial, int]]:
+    """The splits (b, mono - b, weight) of `monomial_splits(mono)` with |b| = degree."""
+    return [split for split in monomial_splits(mono) if sum(split[0]) == degree]
 
 
 class SymElement(LinComb):
@@ -148,6 +140,11 @@ class SymElement(LinComb):
     def from_vector(cls, vec: Vector) -> "SymElement":
         dim = len(vec)
         return cls(dim, {basis_monomial(dim, i): c for i, c in enumerate(vec) if c != 0})
+
+    @classmethod
+    def from_sparse(cls, dim: int, vec: SparseVector) -> "SymElement":
+        """The primitive element sum_i vec[i] e_i of a sparse vector."""
+        return cls.of_terms(dim, {basis_monomial(dim, i): c for i, c in vec.items()})
 
     def __mul__(self, other):
         """Symmetric-algebra product (exponent addition); also scalar scaling."""

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 from itertools import product as iter_product
 
 import pytest
 
 from nonassoc.catalog import (
+    BUILTIN_ALGEBRAS,
     AlgebraTable,
     builtin_algebra,
     builtin_loop,
@@ -74,6 +76,71 @@ def test_flag_verification_rejects_wrong_declarations():
         AlgebraTable(3, constants, {"associative": True})
     with pytest.raises(ValueError):
         AlgebraTable(3, constants, {"jordan": False})
+    for name in BUILTIN_ALGEBRAS:
+        table = builtin_algebra(name)
+        assert table.flags
+        for flag, declared in table.flags.items():
+            with pytest.raises(ValueError, match=flag):
+                AlgebraTable(table.dim, table.constants, {flag: not declared}, table.distinguished)
+
+
+def test_multiply_rejects_vectors_of_the_wrong_length():
+    table = builtin_algebra("jordan-k3")
+    e = basis_vector(3, 0)
+    for bad in [(F(1),), (F(1), F(0), F(0), F(0)), ()]:
+        with pytest.raises(ValueError):
+            table.multiply(bad, bad)
+        with pytest.raises(ValueError):
+            table.multiply(e, bad)
+        with pytest.raises(ValueError):
+            table.multiply(bad, e)
+
+
+def test_from_json_rejects_distinguished_vectors_of_the_wrong_length():
+    data = builtin_algebra("jordan-spin-normalized").to_json()
+    for bad in [["1", "0"], ["1", "0", "0", "0"]]:
+        broken = {**data, "distinguished": {**data["distinguished"], "a": bad}}
+        with pytest.raises(ValueError):
+            AlgebraTable.from_json(broken)
+
+
+def _rational_vector(rng, dim):
+    return tuple(F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(dim))
+
+
+def test_multiply_is_the_bilinear_expansion():
+    rng = random.Random(11)
+    drawn = []
+    for name in BUILTIN_ALGEBRAS:
+        table = builtin_algebra(name)
+        d = table.dim
+        for _ in range(12):
+            x, y = _rational_vector(rng, d), _rational_vector(rng, d)
+            drawn.extend(x + y)
+            expected = [F(0)] * d
+            for i in range(d):
+                for j in range(d):
+                    for k in range(d):
+                        expected[k] += x[i] * y[j] * F(table.constants[i][j][k])
+            assert table.multiply(x, y) == tuple(expected), name
+    assert 0 in drawn and min(drawn) < 0
+
+
+def test_sparse_rows_inside_dense_values_outside():
+    for name in BUILTIN_ALGEBRAS:
+        table = builtin_algebra(name)
+        d = table.dim
+        assert len(table._rows) == d
+        for i, row in enumerate(table._rows):
+            assert len(row) == d
+            for j, value in enumerate(row):
+                assert type(value) is dict
+                assert all(k in range(d) and type(c) is F and c != 0 for k, c in value.items())
+                dense = table.basis_product(i, j)
+                assert type(dense) is tuple and len(dense) == d and all(type(c) is F for c in dense)
+                assert dense == tuple(value.get(k, 0) for k in range(d))
+        product = table.multiply(basis_vector(d, d - 1), tuple(F(k) for k in range(d)))
+        assert type(product) is tuple and len(product) == d and all(type(c) is F for c in product)
 
 
 def test_unknown_names_rejected():
@@ -141,7 +208,7 @@ def test_phi_is_homomorphism_and_perturbation_fails():
     target = nonlinear_loop_F(degree)
     phi = phi_G_to_F(degree)
     assert check_homomorphism(phi, source, target).holds
-    perturbed = {md: dict(tab) for md, tab in phi.components.items()}
+    perturbed = {md: {monos: phi.value(monos) for monos in tab} for md, tab in phi.components.items()}
     perturbed[(1,)][((1, 0, 0),)] = (F(1), F(0))
     bad = FormalMap((3,), 2, degree, perturbed)
     verdict = check_homomorphism(bad, source, target)

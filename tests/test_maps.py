@@ -1,10 +1,11 @@
+import copy
 import json
 import os
 from fractions import Fraction as F
 
 import pytest
 
-from nonassoc.catalog import x_squared_y_loop
+from nonassoc.catalog import builtin_loop, x_squared_y_loop
 from nonassoc.dist import DistBialgebra, LinearizedEvaluator
 from nonassoc.freealg import (
     fa_associator,
@@ -419,3 +420,62 @@ def test_division_solve_degree_assertion(fxy):
     first = loop_division(fxy, "left")
     second = loop_division(fxy, "left")
     assert first == second
+
+
+# -- sparse values inside, dense values outside ---------------------------------------------
+
+
+def test_on_elements_rejects_elements_of_the_wrong_dimension():
+    with pytest.raises(ValueError):
+        FormalMap.slot_projection((3,), 0, 3).on_elements([SymElement.basis(2, 0)])
+    two = FormalMap.slot_projection((3, 2), 1, 3)
+    with pytest.raises(ValueError):
+        two.on_elements([SymElement.basis(3, 0), SymElement.basis(3, 1)])
+    assert two.on_elements([SymElement.one(3), SymElement.basis(2, 1)]) == {1: F(1)}
+
+
+def _assert_sparse_tables(fmap):
+    for md, table in fmap.components.items():
+        assert table and 1 <= sum(md) <= fmap.N
+        for monos, value in table.items():
+            assert type(value) is dict and value, (md, monos)
+            for i, c in value.items():
+                assert i in range(fmap.target_dim) and type(c) is F and c != 0, value
+
+
+def _assert_dense(value, dim):
+    assert type(value) is tuple and len(value) == dim
+    assert all(type(c) is F for c in value), value
+
+
+def test_sparse_values_inside_dense_values_outside(fxy):
+    loop = FormalLoop.from_map(FormalMap.from_json(builtin_loop("jordan-k3-loop", 4).to_json()))
+    stored = copy.deepcopy(loop.components)
+    p1 = FormalMap.slot_projection(loop.dims, 0, loop.N)
+    modification = right_alt_modify(loop)
+    maps = [
+        loop,
+        loop.division("left"),
+        loop.division("right"),
+        compose(loop, [p1, loop]),
+        loop - loop.interaction_part(),
+        loop + loop,
+        loop.scale(F(-2, 3)),
+        modification.modified,
+        modification.similarity,
+        FormalMap.from_json(loop.to_json(view="series")),
+        fxy.division("left"),
+    ]
+    for fmap in maps:
+        assert not fmap.is_zero()
+        _assert_sparse_tables(fmap)
+        for md, monos, value in fmap.sorted_entries():
+            _assert_dense(value, fmap.target_dim)
+            assert fmap.value(monos) == value
+            _assert_dense(fmap.series_value(monos), fmap.target_dim)
+        for comp in fmap.to_json(view="series")["components"]:
+            assert all(len(e["value"]) == fmap.target_dim for e in comp["entries"])
+    absent = ((0, 0, 0), (4, 0, 0))
+    assert loop.value(absent) == (F(0),) * 3 and loop.series_value(absent) == (F(0),) * 3
+    assert (loop - loop).components == {} and loop.scale(0).components == {}
+    assert loop.components == stored
