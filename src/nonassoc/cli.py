@@ -11,16 +11,18 @@ run can be replayed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
 from fractions import Fraction
 
 from . import catalog, dist, maps, trees
-from .freealg import fa_log, su_multioperator_component
-from .maps import InvariantError, MemoryCapError, resolve_memory_cap
-from .scalars import format_rational
-from .words import WordSyntaxError, parse_identity
+from .connection import ms_brackets
+from .freealg import FreeAlgebra, fa_exp, fa_log, su_multioperator_component
+from .maps import InvariantError, resolve_memory_cap
+from .scalars import basis_vector, format_rational
+from .words import parse_identity
 
 SCHEMA_VERSION = 1
 
@@ -47,13 +49,7 @@ def _load_config(path: str) -> dict:
 
 def _resolve_loop(spec: str, degree: int, memory_cap: int | None):
     if spec.startswith("builtin:"):
-        name = spec[len("builtin:") :]
-        try:
-            return catalog.builtin_loop(name, degree, memory_cap)
-        except MemoryCapError:
-            raise
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return catalog.builtin_loop(spec[len("builtin:") :], degree, memory_cap)
     if spec.startswith("file:"):
         path = spec[len("file:") :]
         try:
@@ -70,8 +66,15 @@ def _infer_nvars(text: str) -> int:
     return max(indices, default=0)
 
 
-def _emit(report: dict, fmt: str, lines: list[str]) -> None:
-    if fmt == "json":
+def _emit(command: str, config: dict, result: dict, lines: list[str]) -> None:
+    """Print the report: the JSON envelope around `result`, or the text `lines`."""
+    if config["format"] == "json":
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": command,
+            "config": config,
+            "result": result,
+        }
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in lines:
@@ -126,13 +129,7 @@ def cmd_verify_identity(args: argparse.Namespace) -> int:
         lines.append(f"holds: {'yes' if holds else 'no'}")
         if not holds:
             lines.append(f"witness: {json.dumps(verdict.witness, sort_keys=True)}")
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify-identity",
-        "config": _config_dict(args),
-        "result": result,
-    }
-    _emit(report, args.format, lines)
+    _emit("verify-identity", _config_dict(args), result, lines)
     return EXIT_PASS if holds else EXIT_FAIL
 
 
@@ -142,11 +139,6 @@ def cmd_brackets(args: argparse.Namespace) -> int:
         raise UsageError(
             f"arity {args.arity} needs degree {args.arity + 2} <= {args.degree}"
         )
-    import itertools
-
-    from .connection import ms_brackets
-    from .scalars import basis_vector
-
     dim = loop.dim
     su_table = ms_table = None
     if args.method in ("su", "both"):
@@ -178,46 +170,39 @@ def cmd_brackets(args: argparse.Namespace) -> int:
         lines.append(f"  <{','.join(map(str, entry['args']))}> = ({', '.join(value)})")
     if args.method == "both":
         lines.append(f"equal: {'true' if equal else 'false'}")
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "brackets",
-        "config": _config_dict(args),
-        "result": result,
-    }
-    _emit(report, args.format, lines)
+    _emit("brackets", _config_dict(args), result, lines)
     return EXIT_PASS if equal else EXIT_FAIL
 
 
-def cmd_bernoulli(args: argparse.Namespace) -> int:
+def _bernoulli_sums(max_degree: int) -> list[dict]:
+    """Per degree n, the tree sum of B_t / t! against its closed form (-1)^(n+1) / n."""
     rows = []
-    all_pass = True
-    for n in range(1, args.max_degree + 1):
+    for n in range(1, max_degree + 1):
         value = trees.bernoulli_tree_sum(n)
         expected = Fraction((-1) ** (n + 1), n)
-        ok = value == expected
-        all_pass = all_pass and ok
         rows.append(
             {
                 "degree": n,
-                "trees": len(trees.enumerate_trees(n)),
                 "sum": format_rational(value),
                 "expected": format_rational(expected),
-                "pass": ok,
+                "pass": value == expected,
             }
         )
+    return rows
+
+
+def cmd_bernoulli(args: argparse.Namespace) -> int:
+    rows = _bernoulli_sums(args.max_degree)
+    all_pass = all(row["pass"] for row in rows)
     lines = ["degree  trees  sum           expected      pass"]
     for row in rows:
+        row["trees"] = len(trees.enumerate_trees(row["degree"]))
         lines.append(
             f"{row['degree']:>6}  {row['trees']:>5}  {row['sum']:<12}  "
             f"{row['expected']:<12}  {'yes' if row['pass'] else 'NO'}"
         )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bernoulli",
-        "config": {"max_degree": args.max_degree, "format": args.format},
-        "result": {"rows": rows, "all_pass": all_pass},
-    }
-    _emit(report, args.format, lines)
+    config = {"max_degree": args.max_degree, "format": args.format}
+    _emit("bernoulli", config, {"rows": rows, "all_pass": all_pass}, lines)
     return EXIT_PASS if all_pass else EXIT_FAIL
 
 
@@ -234,26 +219,13 @@ def cmd_explog(args: argparse.Namespace) -> int:
                     "coeff": format_rational(bern / fact),
                 }
             )
-    sums = []
-    for degree in range(1, args.degree + 1):
-        value = trees.bernoulli_tree_sum(degree)
-        expected = Fraction((-1) ** (degree + 1), degree)
-        sums.append(
-            {
-                "degree": degree,
-                "sum": format_rational(value),
-                "expected": format_rational(expected),
-                "pass": value == expected,
-            }
-        )
+    sums = _bernoulli_sums(args.degree)
     result: dict = {"degree": args.degree, "coefficients": coefficients, "per_degree_sums": sums}
     lines = [f"log(1+x) coefficients to degree {args.degree}:"]
     for item in coefficients:
         lines.append(f"  {item['tree']:<20} {item['coeff']}")
     ok = all(row["pass"] for row in sums)
     if args.check:
-        from .freealg import FreeAlgebra, fa_exp
-
         alg = log_series.alg
         recomposed = fa_exp(log_series)
         target = alg.one() + alg.gen(0)
@@ -266,13 +238,8 @@ def cmd_explog(args: argparse.Namespace) -> int:
             f"tree and inversion coefficients agree: {'OK' if inversion_ok else 'FAILED'}"
         )
         ok = ok and check_ok and inversion_ok
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "explog",
-        "config": {"degree": args.degree, "check": args.check, "format": args.format},
-        "result": result,
-    }
-    _emit(report, args.format, lines)
+    config = {"degree": args.degree, "check": args.check, "format": args.format}
+    _emit("explog", config, result, lines)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -290,17 +257,12 @@ def cmd_raltify(args: argparse.Namespace) -> int:
             f"  q component at multidegree {md}, monomials {[list(m) for m in monos]}: "
             f"series {[format_rational(v) for v in series]}"
         )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "raltify",
-        "config": _config_dict(args),
-        "result": {
-            "modified_loop": modified.to_json(),
-            "similarity": modification.similarity.to_json(),
-            "changed": not added.is_zero(),
-        },
+    result = {
+        "modified_loop": modified.to_json(),
+        "similarity": modification.similarity.to_json(),
+        "changed": not added.is_zero(),
     }
-    _emit(report, args.format, lines)
+    _emit("raltify", _config_dict(args), result, lines)
     return EXIT_PASS
 
 
@@ -319,8 +281,6 @@ def cmd_multioperator(args: argparse.Namespace) -> int:
         result["ms"] = {"terms": ms_component.to_json(), "pretty": ms_component.pretty()}
         lines.append(f"  geodesic recursion: {ms_component.pretty()}")
     if args.method in ("su", "both"):
-        from .freealg import FreeAlgebra
-
         alg = FreeAlgebra(("a", "b"), args.degree)
         su_component = su_multioperator_component(alg.gen(0), alg.gen(1), i, j)
         result["su"] = {"terms": su_component.to_json(), "pretty": su_component.pretty()}
@@ -333,18 +293,8 @@ def cmd_multioperator(args: argparse.Namespace) -> int:
         lines.append(f"  components equal: {'yes' if equal else 'no'}")
         if not equal:
             lines.append(f"  difference: {diff.pretty()}")
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "multioperator",
-        "config": {
-            "degree": args.degree,
-            "bidegree": [i, j],
-            "method": args.method,
-            "format": args.format,
-        },
-        "result": result,
-    }
-    _emit(report, args.format, lines)
+    config = {"degree": args.degree, "bidegree": [i, j], "method": args.method, "format": args.format}
+    _emit("multioperator", config, result, lines)
     return EXIT_PASS
 
 
@@ -404,28 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args, _ = parser.parse_known_args(argv)
-    if getattr(args, "config", None):
-        try:
-            defaults = _load_config(args.config)
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        # subcommands parse into a fresh namespace, so the configured
-        # defaults must reach every subparser, not just the root
-        for sub_parser in parser.all_parsers:
-            sub_parser.set_defaults(**defaults)
-        args = parser.parse_args(argv)
-    else:
-        args = parser.parse_args(argv)
     try:
+        config = getattr(parser.parse_known_args(argv)[0], "config", None)
+        if config:
+            # subcommands parse into a fresh namespace, so the configured
+            # defaults must reach every subparser, not just the root
+            defaults = _load_config(config)
+            for sub_parser in parser.all_parsers:
+                sub_parser.set_defaults(**defaults)
+        args = parser.parse_args(argv)
         if args.degree < 1:
             raise UsageError("the truncation degree must be >= 1")
         return args.func(args)
-    except (UsageError, WordSyntaxError, MemoryCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
+        # MemoryCapError and WordSyntaxError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantError as exc:

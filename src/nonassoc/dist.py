@@ -2,11 +2,11 @@
 
 The coalgebra k[V] acquires a product by prolonging a loop F: on monomial
 pairs the product is F'(mu (x) nu), extended bilinearly and truncated at
-the loop's degree.  Left and right divisions are defined by the counit
-recursions (the non-associative stand-in for an antipode), the primitive
-operations and brackets are evaluated with these, and a prescribed
-multioperator can be installed on the same coalgebra by the similarity
-recursion without disturbing the brackets.
+the loop's degree.  Left and right divisions are the counit recursions
+of `su_ops` on monomials, the primitive operations and brackets are
+evaluated with these, and a prescribed multioperator can be installed on
+the same coalgebra by the similarity recursion without disturbing the
+brackets.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
 from . import su_ops
-from .lincomb import add_into
+from .lincomb import add_into, bilinear
 from .maps import FormalLoop, InvariantError, MonoTuple, SimilarityMap
 from .scalars import ONE, SparseVector, Vector, basis_vector, format_rational, to_sparse
 from .symalg import (
@@ -57,6 +57,7 @@ class DistBialgebra:
         self._rdiv_memo: dict[tuple[Monomial, Monomial], SymElement] = {}
         self._p_memo: dict[tuple[Monomial, Monomial, Monomial], SymElement] = {}
         self._assoc_memo: dict[tuple[Monomial, Monomial, Monomial], SymElement] = {}
+        self._ops = _DistOps(self)
 
     @classmethod
     def from_loop(cls, loop: FormalLoop) -> "DistBialgebra":
@@ -130,46 +131,12 @@ class DistBialgebra:
         return hit
 
     def ldiv_mono(self, m1: Monomial, m2: Monomial) -> SymElement:
-        r"""mu \ nu on monomials, by induction on the degree of mu."""
-        key = (m1, m2)
-        hit = self._ldiv_memo.get(key)
-        if hit is None:
-            if monomial_degree(m1) == 0:
-                hit = SymElement(self.dim, {m2: ONE})
-            else:
-                d1 = monomial_degree(m1)
-                acc = add_into({}, self.product_mono(m1, m2).terms, -1)
-                for a, b, coeff in monomial_splits(m1):
-                    da = monomial_degree(a)
-                    if da == 0 or da == d1:
-                        continue
-                    inner = self.product_mono(b, m2)
-                    for mono, c in inner.terms.items():
-                        add_into(acc, self.ldiv_mono(a, mono).terms, -coeff * c)
-                hit = SymElement.of_terms(self.dim, acc)
-            self._ldiv_memo[key] = hit
-        return hit
+        r"""mu \ nu on monomials (`su_ops.ldiv_on_keys`)."""
+        return su_ops.ldiv_on_keys(self._ops, m1, m2)
 
     def rdiv_mono(self, m1: Monomial, m2: Monomial) -> SymElement:
-        """mu / nu on monomials, by induction on the degree of nu."""
-        key = (m1, m2)
-        hit = self._rdiv_memo.get(key)
-        if hit is None:
-            if monomial_degree(m2) == 0:
-                hit = SymElement(self.dim, {m1: ONE})
-            else:
-                d2 = monomial_degree(m2)
-                acc = add_into({}, self.product_mono(m1, m2).terms, -1)
-                for a, b, coeff in monomial_splits(m2):
-                    da = monomial_degree(a)
-                    if da == 0 or da == d2:
-                        continue
-                    partial = self.rdiv_mono(m1, a)
-                    for mono, c in partial.terms.items():
-                        add_into(acc, self.product_mono(mono, b).terms, -coeff * c)
-                hit = SymElement.of_terms(self.dim, acc)
-            self._rdiv_memo[key] = hit
-        return hit
+        """mu / nu on monomials (`su_ops.rdiv_on_keys`)."""
+        return su_ops.rdiv_on_keys(self._ops, m1, m2)
 
     # -- bilinear extensions ------------------------------------------------------
     def _check_elem(self, a: SymElement) -> None:
@@ -179,26 +146,12 @@ class DistBialgebra:
     def product(self, a: SymElement, b: SymElement) -> SymElement:
         self._check_elem(a)
         self._check_elem(b)
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                add_into(acc, self.product_mono(m1, m2).terms, c1 * c2)
-        return SymElement.of_terms(self.dim, acc)
+        return bilinear(self.product_mono, a, b)
 
     def divide(self, a: SymElement, b: SymElement, side: str) -> SymElement:
         self._check_elem(a)
         self._check_elem(b)
-        if side == "left":
-            fn = self.ldiv_mono
-        elif side == "right":
-            fn = self.rdiv_mono
-        else:
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                add_into(acc, fn(m1, m2).terms, c1 * c2)
-        return SymElement.of_terms(self.dim, acc)
+        return su_ops.divide(self._ops, a, b, side)
 
     # -- element helpers ----------------------------------------------------------
     def one(self) -> SymElement:
@@ -262,12 +215,16 @@ class DistElement:
 
 
 class _DistOps:
-    """Adapter exposing a DistBialgebra to the generic primitive-operation engine."""
+    """Adapter exposing a DistBialgebra to the generic engine of `su_ops`."""
+
+    key_degree = staticmethod(monomial_degree)
 
     def __init__(self, bialgebra: DistBialgebra):
         self.B = bialgebra
         self.p_memo = bialgebra._p_memo
         self.assoc_memo = bialgebra._assoc_memo
+        self.ldiv_memo = bialgebra._ldiv_memo
+        self.rdiv_memo = bialgebra._rdiv_memo
 
     def one(self):
         return self.B.one()
@@ -275,14 +232,20 @@ class _DistOps:
     def mul(self, a, b):
         return self.B.product(a, b)
 
-    def ldiv(self, a, b):
-        return self.B.divide(a, b, "left")
-
     def key_element(self, mono):
         return SymElement.of_terms(self.B.dim, {mono: ONE})
 
     def key_coproduct(self, mono):
         return monomial_splits(mono)
+
+    def key_product(self, m1, m2):
+        return self.B.product_mono(m1, m2).terms
+
+    def key_ldiv(self, m1, m2):
+        return self.B.ldiv_mono(m1, m2)
+
+    def key_rdiv(self, m1, m2):
+        return self.B.rdiv_mono(m1, m2)
 
     def is_primitive(self, a):
         return all(monomial_degree(m) == 1 for m in a.terms)
@@ -293,7 +256,7 @@ class DistSUOps:
 
     def __init__(self, bialgebra: DistBialgebra):
         self.bialgebra = bialgebra
-        self._ops = _DistOps(bialgebra)
+        self._ops = bialgebra._ops
 
     def _coerce(self, x) -> SymElement:
         if isinstance(x, DistElement):

@@ -6,9 +6,10 @@ context fixes the generator names and the truncation degree: every product
 silently discards monomials above the truncation, which realizes the
 completed algebra of non-associative power series at finite precision.
 
-The coalgebra structure makes the generators primitive, divisions are
-defined by the counit recursions (there is no antipode here), and the
-exponential and logarithm live in the coset 1 + (augmentation ideal).
+The coalgebra structure makes the generators primitive, the divisions
+are the counit recursions of `su_ops` on monomials (there is no antipode
+here), and the exponential and logarithm live in the coset
+1 + (augmentation ideal).
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ class FreeAlgebra:
         self._rdiv_memo: dict[tuple[FAMonomial, FAMonomial], "FAElement"] = {}
         self._p_memo: dict[tuple[FAMonomial, FAMonomial, FAMonomial], "FAElement"] = {}
         self._assoc_memo: dict[tuple[FAMonomial, FAMonomial, FAMonomial], "FAElement"] = {}
+        self._ops = _FAOps(self)
 
     def __eq__(self, other) -> bool:
         return (
@@ -150,56 +152,16 @@ class FreeAlgebra:
         return out
 
     def mono_ldiv(self, u: FAMonomial, v: FAMonomial) -> "FAElement":
-        r"""Left division u \ v on monomials, by induction on the degree of u.
-
-        Defined so that sum u_(1) \ (u_(2) v) equals counit(u) v; the term
-        with u_(1) = u is isolated and everything else has a strictly
-        smaller first argument.
-        """
-        key = (u, v)
-        cached = self._ldiv_memo.get(key)
-        if cached is not None:
-            return cached
-        if u is None:
-            result = FAElement(self, {v: ONE})
-        else:
-            du = mono_degree(u)
-            acc: dict[FAMonomial, Fraction] = {}
-            for u1, u2, coeff in self.mono_coproduct(u):
-                if u1 is None:
-                    prod = mono_graft(u2, v)
-                    if mono_degree(prod) <= self.max_degree:
-                        add_into(acc, {prod: coeff}, -1)
-                elif mono_degree(u1) < du:
-                    inner = mono_graft(u2, v)
-                    if mono_degree(u1) + mono_degree(inner) <= self.max_degree:
-                        add_into(acc, self.mono_ldiv(u1, inner).terms, -coeff)
-            result = FAElement.of_terms(self, acc)
-        self._ldiv_memo[key] = result
-        return result
+        r"""Left division u \ v on monomials (`su_ops.ldiv_on_keys`); zero above the truncation."""
+        if mono_degree(u) + mono_degree(v) > self.max_degree:
+            return self.zero()
+        return su_ops.ldiv_on_keys(self._ops, u, v)
 
     def mono_rdiv(self, u: FAMonomial, v: FAMonomial) -> "FAElement":
-        """Right division u / v on monomials, by induction on the degree of v."""
-        key = (u, v)
-        cached = self._rdiv_memo.get(key)
-        if cached is not None:
-            return cached
-        if v is None:
-            result = FAElement(self, {u: ONE})
-        else:
-            dv = mono_degree(v)
-            acc: dict[FAMonomial, Fraction] = {}
-            for v1, v2, coeff in self.mono_coproduct(v):
-                if v1 is None:
-                    prod = mono_graft(u, v2)
-                    if mono_degree(prod) <= self.max_degree:
-                        add_into(acc, {prod: coeff}, -1)
-                elif mono_degree(v1) < dv:
-                    partial = self.mono_rdiv(u, v1)
-                    add_into(acc, (partial * FAElement.of_terms(self, {v2: ONE})).terms, -coeff)
-            result = FAElement.of_terms(self, acc)
-        self._rdiv_memo[key] = result
-        return result
+        """Right division u / v on monomials (`su_ops.rdiv_on_keys`); zero above the truncation."""
+        if mono_degree(u) + mono_degree(v) > self.max_degree:
+            return self.zero()
+        return su_ops.rdiv_on_keys(self._ops, u, v)
 
 
 class FAElement(LinComb):
@@ -390,15 +352,6 @@ class FATensor(LinComb):
             )
         return self._like(terms)
 
-    def truncate_total(self, max_degree: int) -> "FATensor":
-        return self._like(
-            {
-                (a, b): c
-                for (a, b), c in self.terms.items()
-                if mono_degree(a) + mono_degree(b) <= max_degree
-            }
-        )
-
     def __repr__(self) -> str:
         return f"FATensor(nterms={len(self.terms)})"
 
@@ -409,17 +362,7 @@ class FATensor(LinComb):
 def fa_divide(u: FAElement, v: FAElement, side: str) -> FAElement:
     """Bilinear division in the free algebra; side is 'left' or 'right'."""
     u._check(v)
-    if side == "left":
-        fn = u.alg.mono_ldiv
-    elif side == "right":
-        fn = u.alg.mono_rdiv
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    acc: dict[FAMonomial, Fraction] = {}
-    for mu, cu in u.terms.items():
-        for mv, cv in v.terms.items():
-            add_into(acc, fn(mu, mv).terms, cu * cv)
-    return u._like(acc)
+    return su_ops.divide(u.alg._ops, u, v, side)
 
 
 def fa_associator(x: FAElement, y: FAElement, z: FAElement) -> FAElement:
@@ -431,12 +374,16 @@ def fa_commutator(x: FAElement, y: FAElement) -> FAElement:
 
 
 class _FAOps:
-    """Adapter exposing a FreeAlgebra to the generic primitive-operation engine."""
+    """Adapter exposing a FreeAlgebra to the generic engine of `su_ops`."""
+
+    key_degree = staticmethod(mono_degree)
 
     def __init__(self, alg: FreeAlgebra):
         self.alg = alg
         self.p_memo = alg._p_memo
         self.assoc_memo = alg._assoc_memo
+        self.ldiv_memo = alg._ldiv_memo
+        self.rdiv_memo = alg._rdiv_memo
 
     def one(self):
         return self.alg.one()
@@ -444,14 +391,22 @@ class _FAOps:
     def mul(self, a, b):
         return a * b
 
-    def ldiv(self, a, b):
-        return fa_divide(a, b, "left")
-
     def key_element(self, mono):
         return FAElement.of_terms(self.alg, {mono: ONE})
 
     def key_coproduct(self, mono):
         return self.alg.mono_coproduct(mono)
+
+    def key_product(self, a, b):
+        if mono_degree(a) + mono_degree(b) > self.alg.max_degree:
+            return {}
+        return {mono_graft(a, b): ONE}
+
+    def key_ldiv(self, a, b):
+        return self.alg.mono_ldiv(a, b)
+
+    def key_rdiv(self, a, b):
+        return self.alg.mono_rdiv(a, b)
 
     def is_primitive(self, a):
         return a.is_primitive()
@@ -459,21 +414,20 @@ class _FAOps:
 
 def p_operation(xs: Sequence[FAElement], ys: Sequence[FAElement], z: FAElement) -> FAElement:
     """The primitive operation p(x1..xm; y1..yn; z) in the free algebra."""
-    alg = z.alg
-    return su_ops.p_operation(_FAOps(alg), xs, ys, z)
+    return su_ops.p_operation(z.alg._ops, xs, ys, z)
 
 
 def su_bracket(xs: Sequence[FAElement], y: FAElement, z: FAElement) -> FAElement:
-    return su_ops.bracket(_FAOps(y.alg), xs, y, z)
+    return su_ops.bracket(y.alg._ops, xs, y, z)
 
 
 def su_multioperator(xs: Sequence[FAElement], ys: Sequence[FAElement]) -> FAElement:
-    return su_ops.multioperator(_FAOps(ys[0].alg), xs, ys)
+    return su_ops.multioperator(ys[0].alg._ops, xs, ys)
 
 
 def su_multioperator_component(x: FAElement, y: FAElement, i: int, j: int) -> FAElement:
     """The bidegree-(i, j) polynomial component of the block-symmetric multioperator."""
-    return su_ops.multioperator_component(_FAOps(x.alg), x, y, i, j)
+    return su_ops.multioperator_component(x.alg._ops, x, y, i, j)
 
 
 # -- exponential and logarithm ---------------------------------------------------

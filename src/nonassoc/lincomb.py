@@ -4,7 +4,8 @@ Elements of k[V], of the truncated free algebra and of their tensor
 squares are all finite sums of basis keys with rational coefficients,
 stored as a dict from key to ``Fraction``.  This module holds their shared
 arithmetic: `add_into` accumulates one combination into another in place,
-and `LinComb` gives every element class its vector-space structure.
+`bilinear` extends a map on pairs of basis keys, and `LinComb` gives every
+element class its vector-space structure.
 
 Invariant: no stored coefficient is zero.  `add_into` deletes the keys
 that cancel.  `LinComb.of_terms` keeps the dict it is given without
@@ -38,6 +39,15 @@ def add_into(acc: dict, terms: dict, coeff: int | Fraction = 1) -> dict:
             else:
                 del acc[key]
     return acc
+
+
+def bilinear(fn, a, b):
+    """The bilinear extension of `fn`, a map from pairs of basis keys to elements, at (a, b)."""
+    acc: dict = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            add_into(acc, fn(k1, k2).terms, c1 * c2)
+    return a._like(acc)
 
 
 class LinComb:

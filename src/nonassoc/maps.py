@@ -150,6 +150,9 @@ class FormalMap:
             entries: dict[MonoTuple, SparseVector] = {}
             for monos, value in table.items():
                 monos = tuple(monos)
+                for mono, dim in zip(monos, dims):
+                    if len(mono) != dim or not all(isinstance(e, int) and e >= 0 for e in mono):
+                        raise ValueError(f"{mono} is not a monomial of a {dim}-dimensional slot")
                 if multidegree_of(monos) != md:
                     raise ValueError(f"monomials {monos} do not have multidegree {md}")
                 value = to_sparse(target_dim, value)

@@ -58,15 +58,3 @@ def basis_vector(dim: int, index: int) -> Vector:
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
     return tuple(ONE if i == index else ZERO for i in range(dim))
-
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
-def vec_is_zero(a: Vector) -> bool:
-    return all(x == 0 for x in a)

@@ -1,13 +1,19 @@
-"""Primitive operations, brackets and the block-symmetric multioperator.
+"""Primitive operations, brackets, the block-symmetric multioperator and the divisions.
 
 These are polynomial expressions in a product and its left division, so
 they make sense in any unital bialgebra with divisions.  The functions
 here are generic over an adapter object providing
 
-    one() mul(a,b) ldiv(a,b) is_primitive(a)
+    one() mul(a,b) is_primitive(a)
     key_element(k) -> the basis element of the basis key k
     key_coproduct(k) -> iterable of (k1, k2, coeff), the Sweedler terms of k
-    p_memo, assoc_memo -> dicts owned by the algebra, keyed by basis-key triples
+    key_degree(k) -> the degree of k
+    key_product(k1, k2) -> the terms dict of k1 k2, truncated by the algebra
+    key_ldiv(k1, k2), key_rdiv(k1, k2) -> the algebra's memoized entries for
+        k1 \\ k2 and k1 / k2 on basis keys, which call `ldiv_on_keys` and
+        `rdiv_on_keys` here
+    p_memo, assoc_memo, ldiv_memo, rdiv_memo -> dicts owned by the algebra,
+        keyed by basis-key triples and pairs
 
 Elements are `lincomb.LinComb` instances: the engine uses their `+`, `-`
 and `scale`, and sums linear combinations of them with `add_into` on
@@ -15,8 +21,19 @@ their `terms`, the dicts from basis key to coefficient.  The engine is
 shared by the free algebra (keys are words) and by distribution bialgebras
 (keys are monomials).
 
-The defining formula, with u and v left-normed products of the argument
-blocks and all arguments primitive, is
+Left and right division are defined by the counit recursions, the
+non-associative stand-in for an antipode:
+
+    sum u_(1) \\ (u_(2) v) = counit(u) v,    sum (u / v_(1)) v_(2) = counit(v) u.
+
+On basis keys the split u_(1) = u, u_(2) = 1 of the first is u \\ v itself
+and every other split has a first factor of smaller degree, so u \\ v is
+solved by induction on the degree of u (1 \\ v = v); likewise u / v by
+induction on the degree of v.  Both extend bilinearly (`divide`).
+
+The defining formula of the primitive operations, with u and v
+left-normed products of the argument blocks and all arguments primitive,
+is
 
     p(x1..xm; y1..yn; z) = sum (u_(1) v_(1)) \\ assoc(u_(2), v_(2), z)
 
@@ -35,7 +52,8 @@ from itertools import permutations
 from math import factorial
 from typing import Sequence
 
-from .lincomb import add_into
+from .lincomb import add_into, bilinear
+from .scalars import ONE
 
 
 def left_normed_product(ops, factors: Sequence) -> object:
@@ -61,6 +79,64 @@ def _require_primitive(ops, elements: Sequence) -> None:
             raise ValueError(f"primitive operations need primitive arguments, got {elem!r}")
 
 
+def ldiv_on_keys(ops, u, v):
+    r"""u \ v on basis keys, by the left counit recursion; memoized in ops.ldiv_memo."""
+    key = (u, v)
+    hit = ops.ldiv_memo.get(key)
+    if hit is None:
+        du = ops.key_degree(u)
+        if du == 0:
+            acc = {v: ONE}
+        else:
+            acc = {}
+            for u1, u2, c in ops.key_coproduct(u):
+                d1 = ops.key_degree(u1)
+                if d1 == du:
+                    continue
+                prod = ops.key_product(u2, v)
+                if d1 == 0:
+                    add_into(acc, prod, -c)
+                else:
+                    for w, cw in prod.items():
+                        add_into(acc, ops.key_ldiv(u1, w).terms, -c * cw)
+        hit = ops.one()._like(acc)
+        ops.ldiv_memo[key] = hit
+    return hit
+
+
+def rdiv_on_keys(ops, u, v):
+    """u / v on basis keys, by the right counit recursion; memoized in ops.rdiv_memo."""
+    key = (u, v)
+    hit = ops.rdiv_memo.get(key)
+    if hit is None:
+        dv = ops.key_degree(v)
+        if dv == 0:
+            acc = {u: ONE}
+        else:
+            acc = {}
+            for v1, v2, c in ops.key_coproduct(v):
+                d1 = ops.key_degree(v1)
+                if d1 == dv:
+                    continue
+                if d1 == 0:
+                    add_into(acc, ops.key_product(u, v2), -c)
+                else:
+                    for w, cw in ops.key_rdiv(u, v1).terms.items():
+                        add_into(acc, ops.key_product(w, v2), -c * cw)
+        hit = ops.one()._like(acc)
+        ops.rdiv_memo[key] = hit
+    return hit
+
+
+def divide(ops, a, b, side: str):
+    """The bilinear extension of the division on basis keys; side is 'left' or 'right'."""
+    if side == "left":
+        return bilinear(ops.key_ldiv, a, b)
+    if side == "right":
+        return bilinear(ops.key_rdiv, a, b)
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
 def _assoc_on_keys(ops, a, b, c):
     key = (a, b, c)
     hit = ops.assoc_memo.get(key)
@@ -81,7 +157,7 @@ def _p_on_keys(ops, mu, nu, zeta):
                 assoc = _assoc_on_keys(ops, mu2, nu2, zeta)
                 if assoc.terms:
                     head = ops.mul(ops.key_element(mu1), ops.key_element(nu1))
-                    add_into(acc, ops.ldiv(head, assoc).terms, cu * cv)
+                    add_into(acc, divide(ops, head, assoc, "left").terms, cu * cv)
         hit = ops.one()._like(acc)
         ops.p_memo[key] = hit
     return hit

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction as F
 from itertools import product as iter_product
 
+from conftest import vec_is_zero
 from nonassoc.catalog import builtin_algebra, loop_from_algebra, nonlinear_loop_F, phi_G_to_F
 from nonassoc.connection import (
     adapted_field,
@@ -45,7 +46,7 @@ from nonassoc.maps import (
     similarity_between,
 )
 from nonassoc.catalog import check_homomorphism
-from nonassoc.scalars import basis_vector, vec_is_zero
+from nonassoc.scalars import basis_vector
 from nonassoc.symalg import (
     SymElement,
     SymTensor,

@@ -4,6 +4,7 @@ from itertools import product as iter_product
 
 import pytest
 
+from conftest import vec_add, vec_scale
 from nonassoc.catalog import (
     BUILTIN_ALGEBRAS,
     AlgebraTable,
@@ -19,7 +20,7 @@ from nonassoc.catalog import (
 from nonassoc.dist import dist_su_ops
 from nonassoc.freealg import FreeAlgebra
 from nonassoc.maps import FormalMap, check_loop_identity
-from nonassoc.scalars import basis_vector, vec_add, vec_scale, zero_vector
+from nonassoc.scalars import basis_vector, zero_vector
 from nonassoc.words import parse_identity
 
 ASSOC = "((x1 * x2) * x3) = (x1 * (x2 * x3))"

@@ -243,3 +243,17 @@ def test_json_reports_carry_config(capsys):
     assert report["config"]["degree"] == 3
     assert report["config"]["loop"] == "builtin:dual-numbers-loop"
     assert "memory_cap" in report["config"]
+
+
+def test_malformed_loop_file_is_usage_error(capsys, tmp_path):
+    data = x_squared_y_loop(3).to_json()
+    assert data["components"][-1]["entries"][0]["monomials"] == [[2], [1]]
+    data["components"][-1]["entries"][0]["monomials"][0] = [2, 0]  # two exponents in a 1-dimensional slot
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"type": "components", **data}))
+    code, out, err = run(
+        capsys, "verify-identity", "--loop", f"file:{path}", "--identity", ASSOC, "--degree", "3"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and "is not a monomial of a 1-dimensional slot" in err

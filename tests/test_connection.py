@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import plane, plane_structure_constants, vec_is_zero, vec_scale
 from nonassoc.catalog import AlgebraTable, builtin_algebra, builtin_loop, loop_from_algebra
 from nonassoc.connection import (
     FlatConnection,
@@ -21,7 +22,7 @@ from nonassoc.connection import (
     vf_bracket,
 )
 from nonassoc.dist import DistBialgebra, dist_su_ops
-from nonassoc.scalars import basis_vector, vec_is_zero, vec_scale, zero_vector
+from nonassoc.scalars import basis_vector, zero_vector
 from nonassoc.symalg import SymElement, monomials_up_to, unit_monomial
 
 
@@ -392,14 +393,12 @@ def test_ms_equals_su_off_the_basis(name, degree, count):
             assert ms_brackets(loop, xs, y, z) == ops.bracket_vector(xs, y, z), (xs, y, z)
 
 
-_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-_plane = st.tuples(_rationals, _rationals)
-_off_basis = _plane.filter(lambda v: sorted(v) != [0, 1])
+_off_basis = plane.filter(lambda v: sorted(v) != [0, 1])
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(
-    constants=st.tuples(st.tuples(_plane, _plane), st.tuples(_plane, _plane)),
+    constants=plane_structure_constants,
     xs=st.lists(_off_basis, max_size=2),
     y=_off_basis,
     z=_off_basis,

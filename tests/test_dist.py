@@ -4,7 +4,10 @@ from functools import reduce
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import plane_structure_constants, rationals
 from nonassoc.catalog import (
     AlgebraTable,
     builtin_algebra,
@@ -33,6 +36,7 @@ from nonassoc.scalars import basis_vector
 from nonassoc.symalg import (
     SymElement,
     SymTensor,
+    monomial_degree,
     monomial_splits,
     monomials_up_to,
 )
@@ -118,29 +122,65 @@ def test_division_base_cases(affine_1d):
     assert B.divide(nu, B.one(), "right") == nu
 
 
+def assert_division_laws(B, mu, nu):
+    r"""The four counit identities of the divisions, at the distributions mu and nu.
+
+    sum mu_(1) \ (mu_(2) nu) = sum mu_(1) (mu_(2) \ nu) = counit(mu) nu, and
+    sum (mu nu_(1)) / nu_(2) = sum (mu / nu_(1)) nu_(2) = counit(nu) mu.
+    """
+    dim = B.dim
+    laws = [SymElement.zero(dim) for _ in range(4)]
+    for m1, m2, coeff in mu.coproduct_terms():
+        a = mono_elem(dim, m1)
+        b = mono_elem(dim, m2)
+        laws[0] = laws[0] + B.divide(a, B.product(b, nu), "left").scale(coeff)
+        laws[1] = laws[1] + B.product(a, B.divide(b, nu, "left")).scale(coeff)
+    for m1, m2, coeff in nu.coproduct_terms():
+        a = mono_elem(dim, m1)
+        b = mono_elem(dim, m2)
+        laws[2] = laws[2] + B.divide(B.product(mu, a), b, "right").scale(coeff)
+        laws[3] = laws[3] + B.product(B.divide(mu, a, "right"), b).scale(coeff)
+    assert laws[0] == nu.scale(mu.counit())
+    assert laws[1] == nu.scale(mu.counit())
+    assert laws[2] == mu.scale(nu.counit())
+    assert laws[3] == mu.scale(nu.counit())
+
+
 def test_division_laws_to_truncation(jordan_bialgebra_4):
-    B = jordan_bialgebra_4
     rng = random.Random(2)
     for _ in range(4):
         mu = random_distribution(rng, 3, 2)
         nu = random_distribution(rng, 3, 2)
-        e_mu = mu.counit()
-        e_nu = nu.counit()
-        laws = [SymElement.zero(3) for _ in range(4)]
-        for m1, m2, coeff in mu.coproduct_terms():
-            a = mono_elem(3, m1)
-            b = mono_elem(3, m2)
-            laws[0] = laws[0] + B.divide(a, B.product(b, nu), "left").scale(coeff)
-            laws[1] = laws[1] + B.product(a, B.divide(b, nu, "left")).scale(coeff)
-        for m1, m2, coeff in nu.coproduct_terms():
-            a = mono_elem(3, m1)
-            b = mono_elem(3, m2)
-            laws[2] = laws[2] + B.divide(B.product(mu, a), b, "right").scale(coeff)
-            laws[3] = laws[3] + B.product(B.divide(mu, a, "right"), b).scale(coeff)
-        assert laws[0] == nu.scale(e_mu)
-        assert laws[1] == nu.scale(e_mu)
-        assert laws[2] == mu.scale(e_nu)
-        assert laws[3] == mu.scale(e_nu)
+        assert_division_laws(jordan_bialgebra_4, mu, nu)
+
+
+# distributions on the plane of degree at most 2, so that products stay within N = 4
+_plane_distributions = st.dictionaries(
+    st.sampled_from(list(monomials_up_to(2, 2))), rationals.filter(bool), min_size=1, max_size=4
+).map(lambda terms: SymElement(2, terms))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(constants=plane_structure_constants, mu=_plane_distributions, nu=_plane_distributions)
+def test_division_laws_on_random_structure_constants(constants, mu, nu):
+    B = DistBialgebra.from_loop(loop_from_algebra(AlgebraTable(2, constants), 4))
+    assert_division_laws(B, mu, nu)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(constants=plane_structure_constants)
+def test_divisions_are_the_prolonged_division_maps_on_random_structure_constants(constants):
+    loop = loop_from_algebra(AlgebraTable(2, constants), 4)
+    B = DistBialgebra.from_loop(loop)
+    pairs = [
+        (m1, m2)
+        for m1 in monomials_up_to(2, 4)
+        for m2 in monomials_up_to(2, 4 - monomial_degree(m1))
+    ]
+    for side, entry in (("left", B.ldiv_mono), ("right", B.rdiv_mono)):
+        prolonged = loop.division(side).prolongation()
+        for m1, m2 in pairs:
+            assert entry(m1, m2) == prolonged.at((m1, m2)).truncate(4), (side, m1, m2)
 
 
 def test_division_matches_prolonged_division_map(octonion_loop_4, octonion_bialgebra_4):

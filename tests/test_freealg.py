@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import rationals
 from nonassoc.freealg import (
     FAElement,
     FATensor,
@@ -16,6 +19,7 @@ from nonassoc.freealg import (
     fa_loop_divide,
     is_primitive,
     left_normed,
+    mono_degree,
     mono_encode,
     p_operation,
     parse_fa_monomial,
@@ -102,30 +106,68 @@ def test_division_base_cases(alg):
     assert lhs == x * (y * y) + y * (x * y) - (x * y) * y
 
 
+def assert_fa_division_laws(u, v):
+    r"""sum u_(1) \ (u_(2) v) = sum u_(1) (u_(2) \ v) = counit(u) v, and the right analogues."""
+    alg = u.alg
+    laws = [alg.zero() for _ in range(4)]
+    for (a, b), coeff in u.coproduct().terms.items():
+        ea = FAElement(alg, {a: F(1)})
+        eb = FAElement(alg, {b: F(1)})
+        laws[0] = laws[0] + fa_divide(ea, eb * v, "left").scale(coeff)
+        laws[1] = laws[1] + (ea * fa_divide(eb, v, "left")).scale(coeff)
+    for (a, b), coeff in v.coproduct().terms.items():
+        ea = FAElement(alg, {a: F(1)})
+        eb = FAElement(alg, {b: F(1)})
+        laws[2] = laws[2] + fa_divide(u * ea, eb, "right").scale(coeff)
+        laws[3] = laws[3] + (fa_divide(u, ea, "right") * eb).scale(coeff)
+    assert laws[0] == v.scale(u.counit())
+    assert laws[1] == v.scale(u.counit())
+    assert laws[2] == u.scale(v.counit())
+    assert laws[3] == u.scale(v.counit())
+
+
 def test_division_laws_random(alg):
     rng = random.Random(23)
     for _ in range(4):
         u = random_element(rng, alg, 2, nterms=2)
         v = random_element(rng, alg, 2, nterms=2)
-        eu, ev = u.counit(), v.counit()
-        l1 = alg.zero()
-        l2 = alg.zero()
-        r1 = alg.zero()
-        r2 = alg.zero()
-        for (a, b), coeff in u.coproduct().terms.items():
-            ea = FAElement(alg, {a: F(1)})
-            eb = FAElement(alg, {b: F(1)})
-            l1 = l1 + fa_divide(ea, eb * v, "left").scale(coeff)
-            l2 = l2 + (ea * fa_divide(eb, v, "left")).scale(coeff)
-        for (a, b), coeff in v.coproduct().terms.items():
-            ea = FAElement(alg, {a: F(1)})
-            eb = FAElement(alg, {b: F(1)})
-            r1 = r1 + fa_divide(u * ea, eb, "right").scale(coeff)
-            r2 = r2 + (fa_divide(u, ea, "right") * eb).scale(coeff)
-        assert l1 == v.scale(eu)
-        assert l2 == v.scale(eu)
-        assert r1 == u.scale(ev)
-        assert r2 == u.scale(ev)
+        assert_fa_division_laws(u, v)
+
+
+def fa_monomials(degree: int, ngens: int = 2) -> list:
+    """Every monomial (tree) of the given degree in the first `ngens` generators."""
+    if degree == 0:
+        return [None]
+    if degree == 1:
+        return list(range(ngens))
+    return [
+        (a, b)
+        for k in range(1, degree)
+        for a in fa_monomials(k, ngens)
+        for b in fa_monomials(degree - k, ngens)
+    ]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data(), max_degree=st.integers(2, 4), excess=st.integers(0, 1))
+def test_division_of_terms_at_the_truncation(data, max_degree, excess):
+    """Term pairs whose degrees add up to max_degree (kept) or max_degree + 1 (zero)."""
+    alg = FreeAlgebra(("x", "y"), max_degree)
+    total = max_degree + excess
+    du = data.draw(st.integers(excess, max_degree), label="deg u")
+    u = FAElement(alg, {data.draw(st.sampled_from(fa_monomials(du))): data.draw(rationals.filter(bool))})
+    v = FAElement(
+        alg, {data.draw(st.sampled_from(fa_monomials(total - du))): data.draw(rationals.filter(bool))}
+    )
+    assert_fa_division_laws(u, v)
+    for side in ("left", "right"):
+        quotient = fa_divide(u, v, side)
+        assert quotient == quotient.graded_piece(max_degree)
+        if excess:
+            assert quotient.is_zero()
+    # a pair above the truncation is answered by the early exit, never stored
+    for a, b in [*alg._ldiv_memo, *alg._rdiv_memo]:
+        assert mono_degree(a) + mono_degree(b) <= max_degree
 
 
 def test_associator_and_commutator(alg):
@@ -313,6 +355,11 @@ def test_primitivity_checks(alg):
     assert not is_primitive(alg.one())
 
 
+def truncate_total(t: FATensor, max_degree: int) -> dict:
+    """The terms of a tensor whose two degrees add up to at most max_degree."""
+    return {(a, b): c for (a, b), c in t.terms.items() if mono_degree(a) + mono_degree(b) <= max_degree}
+
+
 def test_exp_of_primitive_is_group_like():
     alg = FreeAlgebra(("x", "y"), 4)
     x, y = alg.gens()
@@ -320,7 +367,7 @@ def test_exp_of_primitive_is_group_like():
     g = fa_exp(X)
     lhs = g.coproduct()
     rhs = FATensor.of(g, g)
-    assert lhs.truncate_total(4) == rhs.truncate_total(4)
+    assert truncate_total(lhs, 4) == truncate_total(rhs, 4)
     # conversely, the log of a group-like element is primitive to the truncation
     L = fa_exp_inverse(g)
     assert L == X

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nonassoc.catalog import builtin_loop, x_squared_y_loop
+from nonassoc.catalog import builtin_loop, loop_from_spec, x_squared_y_loop
 from nonassoc.dist import DistBialgebra, LinearizedEvaluator
 from nonassoc.freealg import (
     fa_associator,
@@ -479,3 +479,36 @@ def test_sparse_values_inside_dense_values_outside(fxy):
     assert loop.value(absent) == (F(0),) * 3 and loop.series_value(absent) == (F(0),) * 3
     assert (loop - loop).components == {} and loop.scale(0).components == {}
     assert loop.components == stored
+
+
+def _loop_json_with_interaction_monomial(mono):
+    """The jordan-k3 loop at N=3 as JSON, with `mono` as the x-monomial of its first xy entry."""
+    data = builtin_loop("jordan-k3-loop", 3).to_json()
+    interaction = data["components"][-1]
+    assert interaction["multidegree"] == [1, 1]
+    interaction["entries"][0]["monomials"][0] = list(mono)
+    return data
+
+
+# (slot dimension, stored monomial, malformed monomial of the same degree)
+MALFORMED_MONOMIALS = [(3, (1, 0, 0), (1, 0)), (3, (1, 0, 0), (2, -1, 0)), (3, (1, 0, 0), (1, 0, 0, 0))]
+
+
+@pytest.mark.parametrize("dim, good, bad", MALFORMED_MONOMIALS)
+def test_formal_map_rejects_malformed_monomials(dim, good, bad):
+    assert FormalMap((dim,), 2, 3, {(1,): {(good,): (1, 0)}}).value((good,)) == (1, 0)
+    with pytest.raises(ValueError, match="not a monomial of a 3-dimensional slot"):
+        FormalMap((dim,), 2, 3, {(1,): {(bad,): (1, 0)}})
+    with pytest.raises(ValueError):
+        FormalMap.from_series((dim,), 2, 3, {(bad,): (1, 0)})
+    assert loop_from_spec({"type": "components", **_loop_json_with_interaction_monomial(good)}, 3)
+    data = _loop_json_with_interaction_monomial(bad)
+    with pytest.raises(ValueError, match="not a monomial of a 3-dimensional slot"):
+        FormalMap.from_json(data)
+    with pytest.raises(ValueError, match="not a monomial of a 3-dimensional slot"):
+        loop_from_spec({"type": "components", **data}, 3)
+
+
+def test_formal_map_rejects_non_integer_exponents():
+    with pytest.raises(ValueError, match="not a monomial of a 2-dimensional slot"):
+        FormalMap((2,), 2, 3, {(1,): {((1.0, 0),): (1, 0)}})
