@@ -145,8 +145,6 @@ class FormalMap:
             total = sum(md)
             if total == 0:
                 raise ValueError("a formal map vanishes on 1; no degree-0 component allowed")
-            if total > max_degree:
-                continue
             entries: dict[MonoTuple, SparseVector] = {}
             for monos, value in table.items():
                 monos = tuple(monos)
@@ -158,7 +156,7 @@ class FormalMap:
                 value = to_sparse(target_dim, value)
                 if value:
                     entries[monos] = value
-            if entries:
+            if entries and total <= max_degree:
                 clean[md] = entries
         self._setup(dims, target_dim, max_degree, clean)
 
@@ -336,8 +334,6 @@ class FormalMap:
         for monos, coeffs in series_terms.items():
             monos = tuple(monos)
             md = multidegree_of(monos)
-            if sum(md) > max_degree:
-                continue
             weight = _series_weight(monos)
             comps.setdefault(md, {})[monos] = tuple(weight * Fraction(c) for c in coeffs)
         return cls(dims, target_dim, max_degree, comps)
@@ -391,34 +387,44 @@ class Prolongation:
 
     theta'(mu) = sum over n >= 0 of (1/n!) sum over ordered splits of mu
     into n parts of positive degree of the product theta(part_1) ... theta(part_n)
-    in the target symmetric algebra.  Splits are pruned to the multidegree
-    support of theta.
+    in the target symmetric algebra; the n-th term is the piece of target
+    degree n.  Splits are pruned to the multidegree support of theta.
+    `_image(mu, degrees)` sums only the pieces of the given target degrees,
+    which is what `compose` reads; `at(mu)` is the full image, the case of
+    all degrees.  Images are memoized per tuple and per degrees that can be
+    nonzero, so a restricted image equal to the full one is stored once.
     """
 
     def __init__(self, fmap: FormalMap):
         self.fmap = fmap
         self.support = sorted(fmap.components.keys())
-        self._cache: dict[MonoTuple, SymElement] = {}
+        self._cache: dict[tuple[MonoTuple, tuple[int, ...]], SymElement] = {}
         self._parts_cache: dict[tuple[MonoTuple, int], SymElement] = {}
 
     def at(self, monos: MonoTuple) -> SymElement:
         monos = tuple(monos)
-        hit = self._cache.get(monos)
+        return self._image(monos, range(sum(multidegree_of(monos)) + 1))
+
+    def _image(self, monos: MonoTuple, degrees: Iterable[int]) -> SymElement:
+        """The pieces of theta'(monos) of the given target degrees, in ascending order."""
+        total = sum(map(sum, monos))
+        live = tuple(k for k in degrees if 0 < k <= total or k == total == 0)
+        key = (monos, live)
+        hit = self._cache.get(key)
         if hit is not None:
             return hit
-        target = self.fmap.target_dim
-        total = sum(multidegree_of(monos))
-        if total == 0:
-            out = SymElement.one(target)
-        else:
-            acc: dict[Monomial, Fraction] = {}
-            for k in range(1, total + 1):
-                add_into(acc, self._ordered_parts(monos, k).terms, Fraction(1, factorial(k)))
-            out = SymElement.of_terms(target, acc)
-        self._cache[monos] = out
+        acc: dict[Monomial, Fraction] = {}
+        for k in live:
+            add_into(acc, self._ordered_parts(monos, k).terms, Fraction(1, factorial(k)))
+        out = SymElement.of_terms(self.fmap.target_dim, acc)
+        self._cache[key] = out
         return out
 
     def _ordered_parts(self, monos: MonoTuple, k: int) -> SymElement:
+        """Sum over ordered splits of monos into k parts of positive degree.
+
+        k = 0 is asked only of the unit tuple, whose one split has no parts.
+        """
         key = (monos, k)
         hit = self._parts_cache.get(key)
         if hit is not None:
@@ -426,7 +432,9 @@ class Prolongation:
         target = self.fmap.target_dim
         md = multidegree_of(monos)
         total = sum(md)
-        if k == 1:
+        if k == 0:
+            out = SymElement.one(target)
+        elif k == 1:
             out = SymElement.from_sparse(target, self.fmap._value(monos))
         else:
             acc: dict[Monomial, Fraction] = {}
@@ -515,13 +523,20 @@ def _iter_allowed_splits(
     yield from rec(0, monos)
 
 
-def compose(G: FormalMap, thetas: Sequence[FormalMap]) -> FormalMap:
+def compose(G: FormalMap, thetas: Sequence[FormalMap], *, _degree: int | None = None) -> FormalMap:
     """G(theta_1, ..., theta_m) over the thetas' shared argument list.
 
     All thetas must share one argument signature; slots shared between
     them are duplicated by the regrouped coproduct, which is what the
     ordered-split sum below computes.  The result cannot have components
     below the minimum degree of any contributing input.
+
+    G reads slot i only in the degrees reads[i] = {J[i] for J in G's
+    support}, so each part's prolonged image is summed over those target
+    degrees only, and a split is kept only when every part is a sum of
+    exactly k support elements of its theta for some read k: any other
+    part has zero image in every read degree.  `_degree` limits the result
+    to one total degree; it is for the graded solve in `loop_division`.
     """
     m = len(G.dims)
     if len(thetas) != m:
@@ -542,7 +557,9 @@ def compose(G: FormalMap, thetas: Sequence[FormalMap]) -> FormalMap:
             )
     nslots = len(dims)
     sums = [_exact_sums(theta.support(), nslots, N) for theta in thetas]
-    allowed = [set().union(*table.values()) for table in sums]
+    reads = [sorted({J[i] for J in G.support()}) for i in range(m)]
+    allowed = [set().union(*(sums[i].get(k, ()) for k in reads[i])) for i in range(m)]
+    degrees = range(1, N + 1) if _degree is None else (_degree,)
     result_support: set[Multidegree] = set()
     for J in G.support():
         choices = [sums[i].get(J[i], set()) for i in range(m)]
@@ -550,7 +567,7 @@ def compose(G: FormalMap, thetas: Sequence[FormalMap]) -> FormalMap:
             continue
         for combo in iter_product(*choices):
             total = tuple(sum(vals) for vals in zip(*combo))
-            if 1 <= sum(total) <= N:
+            if sum(total) in degrees:
                 result_support.add(total)
     prols = [theta.prolongation() for theta in thetas]
     comps: Tables = {}
@@ -560,16 +577,13 @@ def compose(G: FormalMap, thetas: Sequence[FormalMap]) -> FormalMap:
             total: SparseVector = {}
             for parts, coeff in _iter_allowed_splits(monos, allowed):
                 elems = []
-                dead = False
-                for prol, part in zip(prols, parts):
-                    e = prol.at(part)
+                for prol, part, read in zip(prols, parts, reads):
+                    e = prol._image(part, read)
                     if e.is_zero():
-                        dead = True
                         break
                     elems.append(e)
-                if dead:
-                    continue
-                add_into(total, G.on_elements(elems), coeff)
+                else:
+                    add_into(total, G.on_elements(elems), coeff)
             if total:
                 table[monos] = total
         if table:
@@ -693,9 +707,11 @@ def loop_division(F: FormalLoop, side: str) -> FormalMap:
 
     For 'left' the result D satisfies F(x, D(x, y)) = y and is the unique
     fixed point of D = y - x - F_int(x, D); for 'right' it satisfies
-    F(D(x, y), y) = x.  The correction only produces terms of strictly
-    higher degree, so the iteration stabilizes one degree per pass; a
-    pass that changes anything at or below its index is a bug and raises.
+    F(D(x, y), y) = x.  F_int has bidegree at least (1, 1), so the degree-n
+    part of F_int(x, D) reads only the parts of D below degree n: D is
+    solved one degree at a time, n = 2..N, each from a composition limited
+    to target degree n.  One full composition then checks the fixed point;
+    a mismatch is a bug and raises.
     """
     dims = F.dims
     N = F.N
@@ -703,19 +719,17 @@ def loop_division(F: FormalLoop, side: str) -> FormalMap:
     P2 = FormalMap.slot_projection(dims, 1, N)
     interaction = F.interaction_part()
     base = P2 - P1 if side == "left" else P1 - P2
+
+    def correction(D: FormalMap, degree: int | None = None) -> FormalMap:
+        return compose(interaction, [P1, D] if side == "left" else [D, P2], _degree=degree)
+
     current = base
-    for step in range(1, N + 1):
-        inner = [P1, current] if side == "left" else [current, P2]
-        candidate = base - compose(interaction, inner)
-        delta = candidate - current
-        if delta.is_zero():
-            break
-        changed = min(sum(md) for md in delta.support())
-        if changed <= step:
-            raise InvariantError(
-                f"division solve changed degree {changed} at pass {step}"
-            )
-        current = candidate
+    for n in range(2, N + 1):
+        current = current - correction(current, n)
+    residue = base - correction(current) - current
+    if not residue.is_zero():
+        wrong = min(sum(md) for md in residue.support())
+        raise InvariantError(f"{side} division is not a fixed point at degree {wrong}")
     return current
 
 

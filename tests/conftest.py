@@ -1,12 +1,19 @@
 """Shared fixtures, dense-vector helpers and hypothesis strategies of the test suite."""
 
 from fractions import Fraction
+from itertools import product as iter_product
+from math import prod
 
 import pytest
+from hypothesis import Phase
 from hypothesis import strategies as st
 
 from nonassoc.catalog import builtin_loop
 from nonassoc.dist import DistBialgebra
+from nonassoc.lincomb import add_into
+from nonassoc.maps import FormalMap, multidegree_of
+from nonassoc.scalars import to_dense
+from nonassoc.symalg import monomial_splits, monomials_up_to
 
 # dense vectors (length-dim tuples of Fractions), as the public API returns them
 
@@ -28,6 +35,42 @@ def vec_is_zero(a) -> bool:
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 plane = st.tuples(rationals, rationals)
 plane_structure_constants = st.tuples(st.tuples(plane, plane), st.tuples(plane, plane))
+
+# every phase but shrinking, for properties whose examples are slow: a failure
+# is reported as first found, in seconds rather than minutes
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
+# the full-image composition: every ordered split of every monomial tuple,
+# each part through the full prolongation `Prolongation.at`, nothing pruned
+
+
+def _ordered_splits(monos, parts):
+    """Ordered splits of a monomial tuple into `parts` sub-tuples, with binomial weights."""
+    if parts == 1:
+        yield (monos,), 1
+        return
+    for combo in iter_product(*(monomial_splits(mono) for mono in monos)):
+        head = tuple(split[0] for split in combo)
+        rest = tuple(split[1] for split in combo)
+        for tail, weight in _ordered_splits(rest, parts - 1):
+            yield (head,) + tail, prod(split[2] for split in combo) * weight
+
+
+def reference_compose(G, thetas):
+    """G(theta_1, ..., theta_m), to compare with `maps.compose`."""
+    dims, N = thetas[0].dims, G.N
+    prols = [theta.prolongation() for theta in thetas]
+    comps = {}
+    for monos in iter_product(*(list(monomials_up_to(d, N)) for d in dims)):
+        if not 1 <= sum(multidegree_of(monos)) <= N:
+            continue
+        value = {}
+        for parts, weight in _ordered_splits(monos, len(thetas)):
+            add_into(value, G.on_elements([p.at(part) for p, part in zip(prols, parts)]), weight)
+        if value:
+            comps.setdefault(multidegree_of(monos), {})[monos] = to_dense(G.target_dim, value)
+    return FormalMap(dims, G.target_dim, N, comps)
 
 
 @pytest.fixture(scope="session")

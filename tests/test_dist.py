@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import plane_structure_constants, rationals
+from conftest import NO_SHRINK, plane_structure_constants, rationals
 from nonassoc.catalog import (
     AlgebraTable,
     builtin_algebra,
@@ -160,14 +160,14 @@ _plane_distributions = st.dictionaries(
 ).map(lambda terms: SymElement(2, terms))
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=25, derandomize=True, deadline=None, phases=NO_SHRINK)
 @given(constants=plane_structure_constants, mu=_plane_distributions, nu=_plane_distributions)
 def test_division_laws_on_random_structure_constants(constants, mu, nu):
     B = DistBialgebra.from_loop(loop_from_algebra(AlgebraTable(2, constants), 4))
     assert_division_laws(B, mu, nu)
 
 
-@settings(max_examples=12, derandomize=True, deadline=None)
+@settings(max_examples=12, derandomize=True, deadline=None, phases=NO_SHRINK)
 @given(constants=plane_structure_constants)
 def test_divisions_are_the_prolonged_division_maps_on_random_structure_constants(constants):
     loop = loop_from_algebra(AlgebraTable(2, constants), 4)

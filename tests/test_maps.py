@@ -4,8 +4,17 @@ import os
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
-from nonassoc.catalog import builtin_loop, loop_from_spec, x_squared_y_loop
+from conftest import NO_SHRINK, plane_structure_constants, reference_compose
+from nonassoc import maps
+from nonassoc.catalog import (
+    AlgebraTable,
+    builtin_loop,
+    loop_from_algebra,
+    loop_from_spec,
+    x_squared_y_loop,
+)
 from nonassoc.dist import DistBialgebra, LinearizedEvaluator
 from nonassoc.freealg import (
     fa_associator,
@@ -17,6 +26,7 @@ from nonassoc.maps import (
     RIGHT_ALTERNATIVE,
     FormalLoop,
     FormalMap,
+    InvariantError,
     MemoryCapError,
     SimilarityMap,
     check_loop_identity,
@@ -37,7 +47,7 @@ from nonassoc.symalg import (
     split_slot,
     SymTensor,
 )
-from nonassoc.words import parse_identity, parse_word
+from nonassoc.words import Mul, Var, parse_identity, parse_word
 
 
 def loop_1d(series, degree):
@@ -123,6 +133,29 @@ def test_associativity_word_series(fxy):
     # (1+x)(1+y)(1+z) - 1 has all multilinear coefficients 1
     for monos in [((1,), (1,), (0,)), ((1,), (0,), (1,)), ((1,), (1,), (1,))]:
         assert lhs.series_value(monos) == (F(1),)
+
+
+MOUFANG = parse_identity("(x1 * (x2 * (x1 * x3))) = (((x1 * x2) * x1) * x3)", 3)
+
+
+def _reference_eval(word, loop, nvars):
+    """`eval_word` on products of variables, with every composition by `reference_compose`."""
+    if isinstance(word, Var):
+        return FormalMap.slot_projection((loop.dim,) * nvars, word.index - 1, loop.N)
+    assert isinstance(word, Mul)
+    inner = [_reference_eval(part, loop, nvars) for part in (word.left, word.right)]
+    return reference_compose(loop, inner)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(constants=plane_structure_constants)
+def test_compose_matches_the_full_image_reference_on_random_structure_constants(constants):
+    loop = loop_from_algebra(AlgebraTable(2, constants), 4)
+    P1 = FormalMap.slot_projection(loop.dims, 0, 4)
+    for outer in (loop, loop.division("left")):
+        assert compose(outer, [P1, loop]) == reference_compose(outer, [P1, loop])
+    for side in (MOUFANG.lhs, MOUFANG.rhs):
+        assert eval_word(side, loop, 3) == _reference_eval(side, loop, 3)
 
 
 def test_compose_signature_errors(fxy):
@@ -422,6 +455,26 @@ def test_division_solve_degree_assertion(fxy):
     assert first == second
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_division_solve_raises_when_a_degree_slice_is_wrong(fxy, monkeypatch, side):
+    # drop one entry of the degree-3 slice; the final full composition must see it
+    real = maps.compose
+    dropped = []
+
+    def dropping(G, thetas, *, _degree=None):
+        out = real(G, thetas, _degree=_degree)
+        if _degree == 3:
+            md, monos, value = next(out.sorted_entries())
+            dropped.append(monos)
+            out = out - FormalMap(out.dims, out.target_dim, out.N, {md: {monos: value}})
+        return out
+
+    monkeypatch.setattr(maps, "compose", dropping)
+    with pytest.raises(InvariantError, match="not a fixed point at degree 3"):
+        loop_division(fxy, side)
+    assert dropped
+
+
 # -- sparse values inside, dense values outside ---------------------------------------------
 
 
@@ -512,3 +565,32 @@ def test_formal_map_rejects_malformed_monomials(dim, good, bad):
 def test_formal_map_rejects_non_integer_exponents():
     with pytest.raises(ValueError, match="not a monomial of a 2-dimensional slot"):
         FormalMap((2,), 2, 3, {(1,): {((1.0, 0),): (1, 0)}})
+
+
+# (components, what is wrong) at multidegree (2,) of a map k^3 -> k^2 truncated at N = 1
+ABOVE_THE_TRUNCATION = [
+    ({(2,): {((5, -9, 0, 1),): (1, 0, 7)}}, "everything"),
+    ({(2,): {((2, 0),): (1, 0)}}, "monomial length"),
+    ({(2,): {((2, 0.0, 0),): (1, 0)}}, "exponent type"),
+    ({(2,): {((1, 0, 0),): (1, 0)}}, "multidegree"),
+    ({(2,): {((2, 0, 0),): (1, 0, 7)}}, "value length"),
+]
+
+
+@pytest.mark.parametrize("components, wrong", ABOVE_THE_TRUNCATION)
+def test_components_above_the_truncation_are_checked_before_they_are_dropped(components, wrong):
+    with pytest.raises(ValueError):
+        FormalMap((3,), 2, 1, components)
+    assert FormalMap((3,), 2, 1, {(2,): {((2, 0, 0),): (1, 0)}}).is_zero()
+
+
+def test_from_json_checks_components_above_its_truncation():
+    data = _loop_json_with_interaction_monomial((1, 0))
+    data["N"] = 1
+    with pytest.raises(ValueError, match="not a monomial of a 3-dimensional slot"):
+        FormalMap.from_json(data)
+    with pytest.raises(ValueError):
+        FormalMap.from_series((3,), 2, 1, {((2, 0),): (1, 0)})
+    good = _loop_json_with_interaction_monomial((1, 0, 0))
+    good["N"] = 1
+    assert FormalMap.from_json(good).support() == {(1, 0), (0, 1)}
