@@ -304,7 +304,7 @@ def loop_from_algebra(table: AlgebraTable, max_degree: int, memory_cap: int | No
     return FormalLoop(d, max_degree, comps, memory_cap)
 
 
-def nonlinear_loop_F(max_degree: int) -> FormalLoop:
+def nonlinear_loop_F(max_degree: int, memory_cap: int | None = None) -> FormalLoop:
     """The two-dimensional loop (x2+y2, x3+y3) / (1 + x2 y3 + x3 y2).
 
     The geometric series of the denominator is expanded exactly through the
@@ -326,7 +326,7 @@ def nonlinear_loop_F(max_degree: int) -> FormalLoop:
         ((m[0], m[1]), (m[2], m[3])): (comp1.terms.get(m, ZERO), comp2.terms.get(m, ZERO))
         for m in {**comp1.terms, **comp2.terms}
     }
-    return FormalLoop.from_map(FormalMap.from_series((2, 2), 2, N, series))
+    return FormalLoop.from_map(FormalMap.from_series((2, 2), 2, N, series), memory_cap)
 
 
 def phi_G_to_F(max_degree: int) -> FormalMap:
@@ -365,25 +365,25 @@ def check_homomorphism(theta: FormalMap, source: FormalLoop, target: FormalLoop)
     diff = lhs - rhs
     if diff.is_zero():
         return HomomorphismVerdict(holds=True)
-    md, monos, value = min(diff.sorted_entries(), key=lambda e: (sum(e[0]), e[0], e[1]))
+    md, monos, value = next(diff.sorted_entries())
     return HomomorphismVerdict(holds=False, multidegree=md, monomials=monos, difference=value)
 
 
-def x_squared_y_loop(max_degree: int) -> FormalLoop:
+def x_squared_y_loop(max_degree: int, memory_cap: int | None = None) -> FormalLoop:
     """The one-dimensional loop x + y + x^2 y (not right alternative)."""
     series = {
         ((1,), (0,)): (Fraction(1),),
         ((0,), (1,)): (Fraction(1),),
         ((2,), (1,)): (Fraction(1),),
     }
-    return FormalLoop.from_map(FormalMap.from_series((1, 1), 1, max_degree, series))
+    return FormalLoop.from_map(FormalMap.from_series((1, 1), 1, max_degree, series), memory_cap)
 
 
 def builtin_loop(name: str, max_degree: int, memory_cap: int | None = None) -> FormalLoop:
     if name == "nonlinear-f-loop":
-        return nonlinear_loop_F(max_degree)
+        return nonlinear_loop_F(max_degree, memory_cap)
     if name == "x-squared-y-loop":
-        return x_squared_y_loop(max_degree)
+        return x_squared_y_loop(max_degree, memory_cap)
     algebra_names = {
         "jordan-k3-loop": "jordan-k3",
         "jordan-spin-loop": "jordan-spin-normalized",
@@ -397,7 +397,11 @@ def builtin_loop(name: str, max_degree: int, memory_cap: int | None = None) -> F
 
 
 def loop_from_spec(spec: dict, max_degree: int, memory_cap: int | None = None) -> FormalLoop:
-    """Build a loop from its JSON description (builtin, from-algebra or components)."""
+    """Build a loop from its JSON description (builtin, from-algebra or components).
+
+    A components spec is trimmed to `max_degree`; one whose `N` is below it
+    raises ValueError, since its components above `N` are unknown.
+    """
     kind = spec.get("type")
     if kind == "builtin":
         return builtin_loop(spec["name"], max_degree, memory_cap)
@@ -405,7 +409,11 @@ def loop_from_spec(spec: dict, max_degree: int, memory_cap: int | None = None) -
         return loop_from_algebra(AlgebraTable.from_json(spec["table"]), max_degree, memory_cap)
     if kind == "components":
         fmap = FormalMap.from_json(spec)
-        if fmap.N != max_degree:
+        if fmap.N < max_degree:
+            raise ValueError(
+                f"components spec has degree N={fmap.N}, below the requested degree {max_degree}"
+            )
+        if fmap.N > max_degree:
             kept = {md: tab for md, tab in fmap.components.items() if sum(md) <= max_degree}
             fmap = FormalMap._of_sparse(fmap.dims, fmap.target_dim, max_degree, kept)
         return FormalLoop.from_map(fmap, memory_cap)

@@ -99,6 +99,8 @@ def _config_dict(args: argparse.Namespace, extra: dict | None = None) -> dict:
 
 
 def cmd_verify_identity(args: argparse.Namespace) -> int:
+    if args.samples < 0:
+        raise UsageError(f"--samples must be >= 0, got {args.samples}")
     loop = _resolve_loop(args.loop, args.degree, args.memory_cap)
     nvars = args.nvars if args.nvars is not None else _infer_nvars(args.identity)
     if nvars < 1:
@@ -134,6 +136,8 @@ def cmd_verify_identity(args: argparse.Namespace) -> int:
 
 
 def cmd_brackets(args: argparse.Namespace) -> int:
+    if args.arity < 0:
+        raise UsageError(f"--arity must be >= 0, got {args.arity}")
     loop = _resolve_loop(args.loop, args.degree, args.memory_cap)
     if args.arity + 2 > args.degree:
         raise UsageError(
@@ -192,6 +196,8 @@ def _bernoulli_sums(max_degree: int) -> list[dict]:
 
 
 def cmd_bernoulli(args: argparse.Namespace) -> int:
+    if args.max_degree < 1:
+        raise UsageError(f"--max-degree must be >= 1, got {args.max_degree}")
     rows = _bernoulli_sums(args.max_degree)
     all_pass = all(row["pass"] for row in rows)
     lines = ["degree  trees  sum           expected      pass"]

@@ -212,19 +212,16 @@ class FlatConnection:
 def connection_from_loop(loop: FormalLoop) -> FlatConnection:
     """The canonical connection: the loop restricted to k[V] (x) V.
 
-    Cached on the loop so repeated bracket evaluations share the transport
-    tables.
+    Cached in the loop's `_canonical_connection`, so repeated bracket
+    evaluations share the transport tables.
     """
-    cached = getattr(loop, "_canonical_connection", None)
-    if cached is not None:
-        return cached
+    if loop._canonical_connection is None:
 
-    def star_fn(mono: Monomial, j: int) -> SparseVector:
-        return loop._value((mono, basis_monomial(loop.dim, j)))
+        def star_fn(mono: Monomial, j: int) -> SparseVector:
+            return loop._value((mono, basis_monomial(loop.dim, j)))
 
-    conn = FlatConnection._of_sparse(loop.dim, loop.N - 1, star_fn)
-    loop._canonical_connection = conn
-    return conn
+        loop._canonical_connection = FlatConnection._of_sparse(loop.dim, loop.N - 1, star_fn)
+    return loop._canonical_connection
 
 
 def adapted_field(conn: FlatConnection, v: Vector) -> FormalVectorField:
@@ -325,21 +322,18 @@ def ms_brackets(
     whose length is not `loop.dim` never matches a cached key, so it
     reaches `adapted_field`, which raises ValueError.
 
-    Torsion and derivative fields are cached on the loop, in
-    `_ms_field_cache`, keyed by their argument chain (y, z, x_n, ..., x_1)
-    as dense Fraction tuples, so sweeping over basis tuples shares all
-    intermediate tables.  The cache stays an attribute of the loop because
-    the benchmark tracer (`perfbench/tracer.py`) counts its entries there.
+    Torsion and derivative fields are cached in the loop's
+    `_ms_field_cache`, which the loop creates empty, keyed by their argument
+    chain (y, z, x_n, ..., x_1) as dense Fraction tuples, so sweeping over
+    basis tuples shares all intermediate tables.  The benchmark tracer
+    (`perfbench/tracer.py`) counts its entries under that name.
     """
     if len(xs) + 2 > loop.N:
         raise ValueError(
             f"bracket of arity {len(xs)} needs degree {len(xs) + 2} <= {loop.N}"
         )
     conn = connection_from_loop(loop)
-    cache: dict = getattr(loop, "_ms_field_cache", None)
-    if cache is None:
-        cache = {}
-        loop._ms_field_cache = cache
+    cache = loop._ms_field_cache
     y = tuple(Fraction(c) for c in y)
     z = tuple(Fraction(c) for c in z)
     key: tuple = (y, z)

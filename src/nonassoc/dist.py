@@ -2,11 +2,12 @@
 
 The coalgebra k[V] acquires a product by prolonging a loop F: on monomial
 pairs the product is F'(mu (x) nu), extended bilinearly and truncated at
-the loop's degree.  Left and right divisions are the counit recursions
-of `su_ops` on monomials, the primitive operations and brackets are
-evaluated with these, and a prescribed multioperator can be installed on
-the same coalgebra by the similarity recursion without disturbing the
-brackets.
+the loop's degree.  `DistBialgebra` implements the `su_ops` contract on
+monomials and owns every memo the engine fills: left and right divisions
+are the counit recursions of `su_ops`, the primitive operations and
+brackets are evaluated with these, and a prescribed multioperator can be
+installed on the same coalgebra by the similarity recursion without
+disturbing the brackets.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class DistBialgebra:
         self._rdiv_memo: dict[tuple[Monomial, Monomial], SymElement] = {}
         self._p_memo: dict[tuple[Monomial, Monomial, Monomial], SymElement] = {}
         self._assoc_memo: dict[tuple[Monomial, Monomial, Monomial], SymElement] = {}
-        self._ops = _DistOps(self)
 
     @classmethod
     def from_loop(cls, loop: FormalLoop) -> "DistBialgebra":
@@ -132,11 +132,11 @@ class DistBialgebra:
 
     def ldiv_mono(self, m1: Monomial, m2: Monomial) -> SymElement:
         r"""mu \ nu on monomials (`su_ops.ldiv_on_keys`)."""
-        return su_ops.ldiv_on_keys(self._ops, m1, m2)
+        return su_ops.ldiv_on_keys(self, m1, m2)
 
     def rdiv_mono(self, m1: Monomial, m2: Monomial) -> SymElement:
         """mu / nu on monomials (`su_ops.rdiv_on_keys`)."""
-        return su_ops.rdiv_on_keys(self._ops, m1, m2)
+        return su_ops.rdiv_on_keys(self, m1, m2)
 
     # -- bilinear extensions ------------------------------------------------------
     def _check_elem(self, a: SymElement) -> None:
@@ -151,7 +151,7 @@ class DistBialgebra:
     def divide(self, a: SymElement, b: SymElement, side: str) -> SymElement:
         self._check_elem(a)
         self._check_elem(b)
-        return su_ops.divide(self._ops, a, b, side)
+        return su_ops.divide(self, a, b, side)
 
     # -- element helpers ----------------------------------------------------------
     def one(self) -> SymElement:
@@ -163,11 +163,32 @@ class DistBialgebra:
     def element(self, value: SymElement) -> "DistElement":
         return DistElement(self, value)
 
-    def left_normed(self, factors: Sequence[SymElement]) -> SymElement:
-        out = self.one()
-        for f in factors:
-            out = self.product(out, f)
-        return out
+    # -- the su_ops contract ------------------------------------------------------
+    key_degree = staticmethod(monomial_degree)
+
+    # The methods below look up product, product_mono, ldiv_mono, rdiv_mono
+    # and monomial_splits at call time, so a wrapper installed on those names
+    # (perfbench/tracer.py) sees every call; a class-level alias would not.
+    def mul(self, a: SymElement, b: SymElement) -> SymElement:
+        return self.product(a, b)
+
+    def is_primitive(self, a: SymElement) -> bool:
+        return all(monomial_degree(m) == 1 for m in a.terms)
+
+    def key_element(self, mono: Monomial) -> SymElement:
+        return SymElement.of_terms(self.dim, {mono: ONE})
+
+    def key_coproduct(self, mono: Monomial):
+        return monomial_splits(mono)
+
+    def key_product(self, m1: Monomial, m2: Monomial):
+        return self.product_mono(m1, m2).terms
+
+    def key_ldiv(self, m1: Monomial, m2: Monomial) -> SymElement:
+        return self.ldiv_mono(m1, m2)
+
+    def key_rdiv(self, m1: Monomial, m2: Monomial) -> SymElement:
+        return self.rdiv_mono(m1, m2)
 
 
 @dataclass(frozen=True)
@@ -211,44 +232,7 @@ class DistElement:
         return self.value.primitive_part()
 
     def is_primitive(self) -> bool:
-        return all(monomial_degree(m) == 1 for m in self.value.terms)
-
-
-class _DistOps:
-    """Adapter exposing a DistBialgebra to the generic engine of `su_ops`."""
-
-    key_degree = staticmethod(monomial_degree)
-
-    def __init__(self, bialgebra: DistBialgebra):
-        self.B = bialgebra
-        self.p_memo = bialgebra._p_memo
-        self.assoc_memo = bialgebra._assoc_memo
-        self.ldiv_memo = bialgebra._ldiv_memo
-        self.rdiv_memo = bialgebra._rdiv_memo
-
-    def one(self):
-        return self.B.one()
-
-    def mul(self, a, b):
-        return self.B.product(a, b)
-
-    def key_element(self, mono):
-        return SymElement.of_terms(self.B.dim, {mono: ONE})
-
-    def key_coproduct(self, mono):
-        return monomial_splits(mono)
-
-    def key_product(self, m1, m2):
-        return self.B.product_mono(m1, m2).terms
-
-    def key_ldiv(self, m1, m2):
-        return self.B.ldiv_mono(m1, m2)
-
-    def key_rdiv(self, m1, m2):
-        return self.B.rdiv_mono(m1, m2)
-
-    def is_primitive(self, a):
-        return all(monomial_degree(m) == 1 for m in a.terms)
+        return self.bialgebra.is_primitive(self.value)
 
 
 class DistSUOps:
@@ -256,7 +240,6 @@ class DistSUOps:
 
     def __init__(self, bialgebra: DistBialgebra):
         self.bialgebra = bialgebra
-        self._ops = bialgebra._ops
 
     def _coerce(self, x) -> SymElement:
         if isinstance(x, DistElement):
@@ -269,13 +252,13 @@ class DistSUOps:
 
     def p(self, xs: Sequence, ys: Sequence, z) -> DistElement:
         value = su_ops.p_operation(
-            self._ops, [self._coerce(x) for x in xs], [self._coerce(y) for y in ys], self._coerce(z)
+            self.bialgebra, [self._coerce(x) for x in xs], [self._coerce(y) for y in ys], self._coerce(z)
         )
         return DistElement(self.bialgebra, value)
 
     def bracket(self, xs: Sequence, y, z) -> DistElement:
         value = su_ops.bracket(
-            self._ops, [self._coerce(x) for x in xs], self._coerce(y), self._coerce(z)
+            self.bialgebra, [self._coerce(x) for x in xs], self._coerce(y), self._coerce(z)
         )
         return DistElement(self.bialgebra, value)
 
@@ -288,7 +271,7 @@ class DistSUOps:
 
     def multioperator(self, xs: Sequence, ys: Sequence) -> DistElement:
         value = su_ops.multioperator(
-            self._ops, [self._coerce(x) for x in xs], [self._coerce(y) for y in ys]
+            self.bialgebra, [self._coerce(x) for x in xs], [self._coerce(y) for y in ys]
         )
         return DistElement(self.bialgebra, value)
 
@@ -312,6 +295,8 @@ def dist_su_ops(bialgebra: DistBialgebra) -> DistSUOps:
 
 def su_bracket_table(bialgebra: DistBialgebra, arity: int) -> dict[tuple[int, ...], Vector]:
     """All brackets <e_{i_1} .. e_{i_m}; e_j, e_k> on basis tuples."""
+    if arity < 0:
+        raise ValueError(f"bracket arity must be >= 0, got {arity}")
     if arity + 2 > bialgebra.N:
         raise ValueError(f"bracket arity {arity} needs degree {arity + 2} <= {bialgebra.N}")
     ops = dist_su_ops(bialgebra)

@@ -283,6 +283,11 @@ class FormalMap:
         )
 
     def sorted_entries(self) -> Iterator[tuple[Multidegree, MonoTuple, Vector]]:
+        """Every entry, ordered by total degree, multidegree, then monomials.
+
+        The first entry is the witness the identity, similarity and
+        homomorphism checks report for a nonzero difference.
+        """
         for md in sorted(self.components, key=lambda m: (sum(m), m)):
             table = self.components[md]
             for monos in sorted(table):
@@ -612,6 +617,10 @@ class FormalLoop(FormalMap):
         self.dim = target_dim
         self._validate_unital()
         self._divisions: dict[str, FormalMap] = {}
+        # the canonical connection and its torsion and derivative fields,
+        # filled by `connection.connection_from_loop` and `connection.ms_brackets`
+        self._canonical_connection = None
+        self._ms_field_cache: dict = {}
 
     def _validate_unital(self) -> None:
         d, N = self.dim, self.N
@@ -791,9 +800,7 @@ def check_loop_identity(identity: Identity, F: FormalLoop) -> IdentityVerdict:
     diff = lhs - rhs
     if diff.is_zero():
         return IdentityVerdict(holds=True, max_degree=F.N)
-    md, monos, value = min(
-        diff.sorted_entries(), key=lambda e: (sum(e[0]), e[0], e[1])
-    )
+    md, monos, value = next(diff.sorted_entries())
     return IdentityVerdict(
         holds=False,
         max_degree=F.N,
@@ -878,7 +885,7 @@ def similarity_between(F1: FormalLoop, F2: FormalLoop) -> SimilarityResult:
     low2 = F2.filter_components(lambda md: md[1] <= 1)
     diff = low1 - low2
     if not diff.is_zero():
-        md, monos, _ = min(diff.sorted_entries(), key=lambda e: (sum(e[0]), e[0], e[1]))
+        md, monos, _ = next(diff.sorted_entries())
         return SimilarityResult(
             similar=False,
             multidegree=md,

@@ -2,7 +2,9 @@
 
 These are polynomial expressions in a product and its left division, so
 they make sense in any unital bialgebra with divisions.  The functions
-here are generic over an adapter object providing
+here take the algebra itself as their first argument; `DistBialgebra`
+(keys are monomials) and `FreeAlgebra` (keys are words) implement the
+contract
 
     one() mul(a,b) is_primitive(a)
     key_element(k) -> the basis element of the basis key k
@@ -12,14 +14,14 @@ here are generic over an adapter object providing
     key_ldiv(k1, k2), key_rdiv(k1, k2) -> the algebra's memoized entries for
         k1 \\ k2 and k1 / k2 on basis keys, which call `ldiv_on_keys` and
         `rdiv_on_keys` here
-    p_memo, assoc_memo, ldiv_memo, rdiv_memo -> dicts owned by the algebra,
-        keyed by basis-key triples and pairs
+
+and own the four memo dicts this module reads and fills, one set per
+algebra instance: `_ldiv_memo` and `_rdiv_memo`, keyed by basis-key pairs,
+and `_p_memo` and `_assoc_memo`, keyed by basis-key triples.
 
 Elements are `lincomb.LinComb` instances: the engine uses their `+`, `-`
 and `scale`, and sums linear combinations of them with `add_into` on
-their `terms`, the dicts from basis key to coefficient.  The engine is
-shared by the free algebra (keys are words) and by distribution bialgebras
-(keys are monomials).
+their `terms`, the dicts from basis key to coefficient.
 
 Left and right division are defined by the counit recursions, the
 non-associative stand-in for an antipode:
@@ -56,136 +58,136 @@ from .lincomb import add_into, bilinear
 from .scalars import ONE
 
 
-def left_normed_product(ops, factors: Sequence) -> object:
+def left_normed_product(alg, factors: Sequence) -> object:
     if not factors:
-        return ops.one()
+        return alg.one()
     out = factors[0]
     for factor in factors[1:]:
-        out = ops.mul(out, factor)
+        out = alg.mul(out, factor)
     return out
 
 
-def associator(ops, a, b, c):
-    return ops.mul(ops.mul(a, b), c) - ops.mul(a, ops.mul(b, c))
+def associator(alg, a, b, c):
+    return alg.mul(alg.mul(a, b), c) - alg.mul(a, alg.mul(b, c))
 
 
-def commutator(ops, a, b):
-    return ops.mul(a, b) - ops.mul(b, a)
+def commutator(alg, a, b):
+    return alg.mul(a, b) - alg.mul(b, a)
 
 
-def _require_primitive(ops, elements: Sequence) -> None:
+def _require_primitive(alg, elements: Sequence) -> None:
     for elem in elements:
-        if not ops.is_primitive(elem):
+        if not alg.is_primitive(elem):
             raise ValueError(f"primitive operations need primitive arguments, got {elem!r}")
 
 
-def ldiv_on_keys(ops, u, v):
-    r"""u \ v on basis keys, by the left counit recursion; memoized in ops.ldiv_memo."""
+def ldiv_on_keys(alg, u, v):
+    r"""u \ v on basis keys, by the left counit recursion; memoized in alg._ldiv_memo."""
     key = (u, v)
-    hit = ops.ldiv_memo.get(key)
+    hit = alg._ldiv_memo.get(key)
     if hit is None:
-        du = ops.key_degree(u)
+        du = alg.key_degree(u)
         if du == 0:
             acc = {v: ONE}
         else:
             acc = {}
-            for u1, u2, c in ops.key_coproduct(u):
-                d1 = ops.key_degree(u1)
+            for u1, u2, c in alg.key_coproduct(u):
+                d1 = alg.key_degree(u1)
                 if d1 == du:
                     continue
-                prod = ops.key_product(u2, v)
+                prod = alg.key_product(u2, v)
                 if d1 == 0:
                     add_into(acc, prod, -c)
                 else:
                     for w, cw in prod.items():
-                        add_into(acc, ops.key_ldiv(u1, w).terms, -c * cw)
-        hit = ops.one()._like(acc)
-        ops.ldiv_memo[key] = hit
+                        add_into(acc, alg.key_ldiv(u1, w).terms, -c * cw)
+        hit = alg.one()._like(acc)
+        alg._ldiv_memo[key] = hit
     return hit
 
 
-def rdiv_on_keys(ops, u, v):
-    """u / v on basis keys, by the right counit recursion; memoized in ops.rdiv_memo."""
+def rdiv_on_keys(alg, u, v):
+    """u / v on basis keys, by the right counit recursion; memoized in alg._rdiv_memo."""
     key = (u, v)
-    hit = ops.rdiv_memo.get(key)
+    hit = alg._rdiv_memo.get(key)
     if hit is None:
-        dv = ops.key_degree(v)
+        dv = alg.key_degree(v)
         if dv == 0:
             acc = {u: ONE}
         else:
             acc = {}
-            for v1, v2, c in ops.key_coproduct(v):
-                d1 = ops.key_degree(v1)
+            for v1, v2, c in alg.key_coproduct(v):
+                d1 = alg.key_degree(v1)
                 if d1 == dv:
                     continue
                 if d1 == 0:
-                    add_into(acc, ops.key_product(u, v2), -c)
+                    add_into(acc, alg.key_product(u, v2), -c)
                 else:
-                    for w, cw in ops.key_rdiv(u, v1).terms.items():
-                        add_into(acc, ops.key_product(w, v2), -c * cw)
-        hit = ops.one()._like(acc)
-        ops.rdiv_memo[key] = hit
+                    for w, cw in alg.key_rdiv(u, v1).terms.items():
+                        add_into(acc, alg.key_product(w, v2), -c * cw)
+        hit = alg.one()._like(acc)
+        alg._rdiv_memo[key] = hit
     return hit
 
 
-def divide(ops, a, b, side: str):
+def divide(alg, a, b, side: str):
     """The bilinear extension of the division on basis keys; side is 'left' or 'right'."""
     if side == "left":
-        return bilinear(ops.key_ldiv, a, b)
+        return bilinear(alg.key_ldiv, a, b)
     if side == "right":
-        return bilinear(ops.key_rdiv, a, b)
+        return bilinear(alg.key_rdiv, a, b)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _assoc_on_keys(ops, a, b, c):
+def _assoc_on_keys(alg, a, b, c):
     key = (a, b, c)
-    hit = ops.assoc_memo.get(key)
+    hit = alg._assoc_memo.get(key)
     if hit is None:
-        hit = associator(ops, ops.key_element(a), ops.key_element(b), ops.key_element(c))
-        ops.assoc_memo[key] = hit
+        hit = associator(alg, alg.key_element(a), alg.key_element(b), alg.key_element(c))
+        alg._assoc_memo[key] = hit
     return hit
 
 
-def _p_on_keys(ops, mu, nu, zeta):
+def _p_on_keys(alg, mu, nu, zeta):
     """The defining Sweedler sum with u, v and z the basis elements mu, nu and zeta."""
     key = (mu, nu, zeta)
-    hit = ops.p_memo.get(key)
+    hit = alg._p_memo.get(key)
     if hit is None:
         acc: dict = {}
-        for mu1, mu2, cu in ops.key_coproduct(mu):
-            for nu1, nu2, cv in ops.key_coproduct(nu):
-                assoc = _assoc_on_keys(ops, mu2, nu2, zeta)
+        for mu1, mu2, cu in alg.key_coproduct(mu):
+            for nu1, nu2, cv in alg.key_coproduct(nu):
+                assoc = _assoc_on_keys(alg, mu2, nu2, zeta)
                 if assoc.terms:
-                    head = ops.mul(ops.key_element(mu1), ops.key_element(nu1))
-                    add_into(acc, divide(ops, head, assoc, "left").terms, cu * cv)
-        hit = ops.one()._like(acc)
-        ops.p_memo[key] = hit
+                    head = alg.mul(alg.key_element(mu1), alg.key_element(nu1))
+                    add_into(acc, divide(alg, head, assoc, "left").terms, cu * cv)
+        hit = alg.one()._like(acc)
+        alg._p_memo[key] = hit
     return hit
 
 
-def p_operation(ops, xs: Sequence, ys: Sequence, z) -> object:
+def p_operation(alg, xs: Sequence, ys: Sequence, z) -> object:
     if not xs or not ys:
         raise ValueError("p needs non-empty argument blocks")
-    _require_primitive(ops, list(xs) + list(ys) + [z])
-    u = left_normed_product(ops, xs)
-    v = left_normed_product(ops, ys)
+    _require_primitive(alg, list(xs) + list(ys) + [z])
+    u = left_normed_product(alg, xs)
+    v = left_normed_product(alg, ys)
     acc: dict = {}
     for mu, cu in u.terms.items():
         for nu, cv in v.terms.items():
             for zeta, cz in z.terms.items():
-                add_into(acc, _p_on_keys(ops, mu, nu, zeta).terms, cu * cv * cz)
+                add_into(acc, _p_on_keys(alg, mu, nu, zeta).terms, cu * cv * cz)
     return z._like(acc)
 
 
-def bracket(ops, xs: Sequence, y, z) -> object:
+def bracket(alg, xs: Sequence, y, z) -> object:
     """The bracket <x1..xm; y, z>; with an empty block it is minus the commutator."""
-    _require_primitive(ops, list(xs) + [y, z])
+    _require_primitive(alg, list(xs) + [y, z])
     if not xs:
-        return ops.mul(z, y) - ops.mul(y, z)
-    return p_operation(ops, xs, [z], y) - p_operation(ops, xs, [y], z)
+        return alg.mul(z, y) - alg.mul(y, z)
+    return p_operation(alg, xs, [z], y) - p_operation(alg, xs, [y], z)
 
 
-def multioperator(ops, xs: Sequence, ys: Sequence) -> object:
+def multioperator(alg, xs: Sequence, ys: Sequence) -> object:
     """The multilinear multioperator, symmetrized over both blocks.
 
     (1/m! n!) sum over permutations of p(x_t(1)..x_t(m); y_s(1)..y_s(n-1); y_s(n)),
@@ -194,18 +196,18 @@ def multioperator(ops, xs: Sequence, ys: Sequence) -> object:
     m, n = len(xs), len(ys)
     if m < 1 or n < 2:
         raise ValueError(f"multioperator needs m >= 1 and n >= 2, got ({m}, {n})")
-    _require_primitive(ops, list(xs) + list(ys))
+    _require_primitive(alg, list(xs) + list(ys))
     weight = Fraction(1, factorial(m) * factorial(n))
     acc: dict = {}
     for tau in permutations(range(m)):
         xs_p = [xs[i] for i in tau]
         for sigma in permutations(range(n)):
             ys_p = [ys[i] for i in sigma]
-            add_into(acc, p_operation(ops, xs_p, ys_p[:-1], ys_p[-1]).terms, weight)
+            add_into(acc, p_operation(alg, xs_p, ys_p[:-1], ys_p[-1]).terms, weight)
     return ys[0]._like(acc)
 
 
-def multioperator_component(ops, x, y, i: int, j: int) -> object:
+def multioperator_component(alg, x, y, i: int, j: int) -> object:
     """Bidegree-(i, j) polynomial component of the multioperator at (x, y).
 
     Equals multioperator on i copies of x and j copies of y divided by
@@ -214,5 +216,5 @@ def multioperator_component(ops, x, y, i: int, j: int) -> object:
     """
     if i < 1 or j < 2:
         raise ValueError(f"multioperator components need i >= 1 and j >= 2, got ({i}, {j})")
-    value = p_operation(ops, [x] * i, [y] * (j - 1), y)
+    value = p_operation(alg, [x] * i, [y] * (j - 1), y)
     return value.scale(Fraction(1, factorial(i) * factorial(j)))

@@ -19,7 +19,7 @@ from nonassoc.catalog import (
 )
 from nonassoc.dist import dist_su_ops
 from nonassoc.freealg import FreeAlgebra
-from nonassoc.maps import FormalMap, check_loop_identity
+from nonassoc.maps import FormalMap, MemoryCapError, check_loop_identity
 from nonassoc.scalars import basis_vector, zero_vector
 from nonassoc.words import parse_identity
 
@@ -271,6 +271,21 @@ def test_loop_spec_round_trips(tmp_path):
     assert by_components == by_builtin
     with pytest.raises(ValueError):
         loop_from_spec({"type": "mystery"}, 4)
+
+
+def test_components_spec_below_the_requested_degree_is_rejected():
+    spec = {"type": "components", **nonlinear_loop_F(5).to_json()}
+    assert loop_from_spec(spec, 3) == nonlinear_loop_F(3)  # trimming from above stays
+    short = {"type": "components", **nonlinear_loop_F(3).to_json()}
+    with pytest.raises(ValueError, match="N=3, below the requested degree 5"):
+        loop_from_spec(short, 5)
+
+
+@pytest.mark.parametrize("name, degree", [("nonlinear-f-loop", 5), ("x-squared-y-loop", 6)])
+def test_series_builtin_loops_honour_the_memory_cap(name, degree):
+    with pytest.raises(MemoryCapError):
+        builtin_loop(name, degree, memory_cap=10)
+    assert builtin_loop(name, degree, memory_cap=10**6) == builtin_loop(name, degree)
 
 
 def test_algebra_table_json_round_trip():

@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from nonassoc import dist
-from nonassoc.catalog import x_squared_y_loop
+from nonassoc.catalog import nonlinear_loop_F, x_squared_y_loop
 from nonassoc.cli import EXIT_FAIL, EXIT_INVARIANT, EXIT_PASS, EXIT_USAGE, main
 
 ASSOC = "((x1 * x2) * x3) = (x1 * (x2 * x3))"
@@ -257,3 +259,34 @@ def test_malformed_loop_file_is_usage_error(capsys, tmp_path):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and "is not a monomial of a 1-dimensional slot" in err
+
+
+def test_loop_file_below_the_requested_degree_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"type": "components", **nonlinear_loop_F(3).to_json()}))
+    code, out, err = run(
+        capsys, "verify-identity", "--loop", f"file:{path}", "--identity", ASSOC, "--degree", "5"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "N=3, below the requested degree 5" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["brackets", "--loop", "builtin:nonlinear-f-loop", "--degree", "5", "--memory-cap", "10"],
+         "over the cap of 10"),
+        (["brackets", "--loop", "builtin:x-squared-y-loop", "--degree", "6", "--memory-cap", "10"],
+         "over the cap of 10"),
+        (["brackets", "--loop", "builtin:jordan-k3-loop", "--arity", "-1"], "--arity must be >= 0"),
+        (["verify-identity", "--loop", "builtin:dual-numbers-loop", "--identity", ASSOC,
+          "--mode", "bialgebra", "--samples", "-3"], "--samples must be >= 0"),
+        (["bernoulli", "--max-degree", "0"], "--max-degree must be >= 1"),
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and message in err

@@ -45,6 +45,8 @@ from nonassoc.words import parse_identity
 MOUFANG = "(x1 * (x2 * (x1 * x3))) = (((x1 * x2) * x1) * x3)"
 ASSOC = "((x1 * x2) * x3) = (x1 * (x2 * x3))"
 RIGHT_ALT = "(x1 * (x2 * x2)) = ((x1 * x2) * x2)"
+LEFT_DIVISION = "(x1 \\ (x1 * x2)) = x2"
+RIGHT_DIVISION = "((x2 / x1) * x1) = x2"
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +214,11 @@ def test_abelian_divisions_are_translations():
 # -- primitive operations ---------------------------------------------------------------
 
 
+def test_su_bracket_table_rejects_a_negative_arity(jordan_bialgebra_4):
+    with pytest.raises(ValueError, match="arity must be >= 0"):
+        su_bracket_table(jordan_bialgebra_4, -1)
+
+
 def test_binary_bracket_is_negative_commutator(jordan_bialgebra_4):
     table = builtin_algebra("jordan-k3")
     ops = dist_su_ops(jordan_bialgebra_4)
@@ -357,6 +364,21 @@ def test_linearized_sampling_stays_within_the_truncation(seed):
         parse_identity(ASSOC, 3), DistBialgebra.from_loop(loop), samples=25, seed=seed
     )
     assert verdict.holds, verdict.witness
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(constants=plane_structure_constants)
+def test_loop_mode_agrees_with_bialgebra_mode_on_random_structure_constants(constants):
+    # at N = 4 the bialgebra sweep covers every monomial tuple up to N, so the
+    # two verdicts agree exactly, not only with high probability
+    loop = loop_from_algebra(AlgebraTable(2, constants), 4)
+    B = DistBialgebra.from_loop(loop)
+    for text, nvars in ((LEFT_DIVISION, 2), (RIGHT_DIVISION, 2), (ASSOC, 3)):
+        identity = parse_identity(text, nvars)
+        in_loop = check_loop_identity(identity, loop).holds
+        in_bialgebra = check_linearized_identity(identity, B, samples=3, seed=0).holds
+        assert in_loop == in_bialgebra, text
+        assert in_loop or text == ASSOC, text
 
 
 def test_linearized_moufang_on_associative_loop(dual_loop_4):
