@@ -400,12 +400,20 @@ def loop_from_spec(spec: dict, max_degree: int, memory_cap: int | None = None) -
     """Build a loop from its JSON description (builtin, from-algebra or components).
 
     A components spec is trimmed to `max_degree`; one whose `N` is below it
-    raises ValueError, since its components above `N` are unknown.
+    raises ValueError, since its components above `N` are unknown.  So does
+    a spec that is not a JSON object, or a builtin (from-algebra) spec that
+    lacks its `name` (`table`).
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"a loop spec must be a JSON object, got {type(spec).__name__}")
     kind = spec.get("type")
     if kind == "builtin":
+        if "name" not in spec:
+            raise ValueError("a builtin loop spec needs a 'name' field")
         return builtin_loop(spec["name"], max_degree, memory_cap)
     if kind == "from-algebra":
+        if "table" not in spec:
+            raise ValueError("a from-algebra loop spec needs a 'table' field")
         return loop_from_algebra(AlgebraTable.from_json(spec["table"]), max_degree, memory_cap)
     if kind == "components":
         fmap = FormalMap.from_json(spec)

@@ -101,6 +101,8 @@ def _config_dict(args: argparse.Namespace, extra: dict | None = None) -> dict:
 def cmd_verify_identity(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise UsageError(f"--samples must be >= 0, got {args.samples}")
+    if args.nvars is not None and args.nvars < 1:
+        raise UsageError(f"--nvars must be >= 1, got {args.nvars}")
     loop = _resolve_loop(args.loop, args.degree, args.memory_cap)
     nvars = args.nvars if args.nvars is not None else _infer_nvars(args.identity)
     if nvars < 1:

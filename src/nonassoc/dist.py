@@ -316,7 +316,9 @@ class LinearizedEvaluator:
 
     The recursion mirrors the word structure: each binary node splits the
     argument slots by the coproduct, routes the halves to its children and
-    combines with the bialgebra product or division.  A subword kills any
+    combines with the bialgebra product or division on monomials
+    (`product_mono`, `ldiv_mono`, `rdiv_mono`), summing each weighted
+    monomial value once, straight into the node's value.  A subword kills any
     content in slots whose variable it does not use (its formal map does
     not depend on them), so only slots shared by both children are split
     in earnest; the rest are routed whole or force the term to vanish.
@@ -380,6 +382,13 @@ class LinearizedEvaluator:
                 options.append([(unit, unit, 1)])
             else:
                 return SymElement.zero(B.dim)
+        # looked up on B at call time, so a wrapper on the class sees every call
+        if isinstance(word, Mul):
+            fn = B.product_mono
+        elif isinstance(word, LDiv):
+            fn = B.ldiv_mono
+        else:
+            fn = B.rdiv_mono
         acc: dict[Monomial, Fraction] = {}
         for combo in iter_product(*options):
             left = tuple(x for x, _, _ in combo)
@@ -393,13 +402,12 @@ class LinearizedEvaluator:
             rv = self.on_monomials(b, right)
             if rv.is_zero():
                 continue
-            if isinstance(word, Mul):
-                val = B.product(lv, rv)
-            elif isinstance(word, LDiv):
-                val = B.divide(lv, rv, "left")
-            else:
-                val = B.divide(lv, rv, "right")
-            add_into(acc, val.terms, coeff)
+            # coeff * c1 * c2 * fn(k1, k2), summed straight into acc; a factor 1 is not multiplied
+            for k1, c1 in lv.terms.items():
+                if coeff != 1:
+                    c1 = coeff * c1
+                for k2, c2 in rv.terms.items():
+                    add_into(acc, fn(k1, k2).terms, c1 if c2 == 1 else c1 * c2)
         return SymElement.of_terms(B.dim, acc)
 
     def on_elements(self, word: LoopWord, args: Sequence[SymElement]) -> SymElement:

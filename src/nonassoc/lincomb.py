@@ -7,10 +7,12 @@ arithmetic: `add_into` accumulates one combination into another in place,
 `bilinear` extends a map on pairs of basis keys, and `LinComb` gives every
 element class its vector-space structure.
 
-Invariant: no stored coefficient is zero.  `add_into` deletes the keys
-that cancel.  `LinComb.of_terms` keeps the dict it is given without
-copying or checking it, so it is for results computed inside the package;
-the public constructors of the element classes validate outside input.
+Invariant: every stored coefficient is a nonzero ``Fraction``.  `add_into`
+deletes the keys that cancel, and at a coefficient of 1 or -1 stores the
+term's own ``Fraction`` or its negation, with no multiplication.
+`LinComb.of_terms` keeps the dict it is given without copying or checking
+it, so it is for results computed inside the package; the public
+constructors of the element classes validate outside input.
 """
 
 from __future__ import annotations
@@ -21,14 +23,21 @@ from fractions import Fraction
 def add_into(acc: dict, terms: dict, coeff: int | Fraction = 1) -> dict:
     """acc += coeff * terms, in place; keys whose coefficient cancels are deleted.
 
-    The values of `terms` are nonzero Fractions, or coeff is a Fraction, so
-    every stored coefficient is a nonzero Fraction.
+    The values of `terms` are nonzero Fractions and coeff is an int or a
+    Fraction, so every stored coefficient is a nonzero Fraction.  A unit
+    coefficient builds no product: at 1 the term's own Fraction is stored
+    or added (Fractions are immutable), at -1 its negation.
     """
     if coeff == 0:
         return acc
+    if coeff == 1:
+        items = terms.items()
+    elif coeff == -1:
+        items = ((key, -c) for key, c in terms.items())
+    else:
+        items = ((key, coeff * c) for key, c in terms.items())
     get = acc.get
-    for key, c in terms.items():
-        c = coeff * c
+    for key, c in items:
         old = get(key)
         if old is None:
             acc[key] = c

@@ -170,7 +170,7 @@ class SymElement(LinComb):
     def coproduct(self) -> "SymTensor":
         terms: dict[tuple[Monomial, ...], Fraction] = {}
         for mono, coeff in self.terms.items():
-            add_into(terms, {(left, right): w for left, right, w in monomial_splits(mono)}, coeff)
+            add_into(terms, {(left, right): coeff * w for left, right, w in monomial_splits(mono)})
         return SymTensor.of_terms((self.dim, self.dim), terms)
 
     def coproduct_terms(self) -> Iterator[tuple[Monomial, Monomial, Fraction]]:
@@ -338,7 +338,7 @@ def split_slot(tensor: SymTensor, slot: int, count: int) -> SymTensor:
     terms: dict[tuple[Monomial, ...], Fraction] = {}
     for key, coeff in tensor.terms.items():
         head, tail = key[:slot], key[slot + 1 :]
-        add_into(terms, {head + parts + tail: w for parts, w in splits(key[slot], count)}, coeff)
+        add_into(terms, {head + parts + tail: coeff * w for parts, w in splits(key[slot], count)})
     return SymTensor.of_terms(dims_out, terms)
 
 

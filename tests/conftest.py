@@ -12,8 +12,9 @@ from nonassoc.catalog import builtin_loop
 from nonassoc.dist import DistBialgebra
 from nonassoc.lincomb import add_into
 from nonassoc.maps import FormalMap, multidegree_of
-from nonassoc.scalars import to_dense
-from nonassoc.symalg import monomial_splits, monomials_up_to
+from nonassoc.scalars import ONE, to_dense
+from nonassoc.symalg import SymElement, monomial_degree, monomial_splits, monomials_up_to
+from nonassoc.words import LDiv, Mul, RDiv, Unit, Var
 
 # dense vectors (length-dim tuples of Fractions), as the public API returns them
 
@@ -71,6 +72,41 @@ def reference_compose(G, thetas):
         if value:
             comps.setdefault(multidegree_of(monos), {})[monos] = to_dense(G.target_dim, value)
     return FormalMap(dims, G.target_dim, N, comps)
+
+
+# the linearized evaluator without its shortcuts: every slot is split by the
+# coproduct at every node, and the children's values are combined with the
+# bilinear `B.product` / `B.divide`
+
+
+def reference_linearized(B, word, monos, memo=None):
+    """The value of `word`'s linearization on a monomial tuple, to compare with
+    `LinearizedEvaluator.on_monomials`."""
+    memo = {} if memo is None else memo
+    key = (word, monos)
+    if key in memo:
+        return memo[key]
+    match word:
+        case Var(index):
+            rest = [m for k, m in enumerate(monos) if k != index - 1]
+            out = SymElement.zero(B.dim)
+            if all(monomial_degree(m) == 0 for m in rest):
+                out = SymElement(B.dim, {monos[index - 1]: ONE})
+        case Unit():
+            out = B.one() if all(monomial_degree(m) == 0 for m in monos) else SymElement.zero(B.dim)
+        case Mul(a, b) | LDiv(a, b) | RDiv(a, b):
+            out = SymElement.zero(B.dim)
+            for combo in iter_product(*(monomial_splits(m) for m in monos)):
+                lv = reference_linearized(B, a, tuple(x for x, _, _ in combo), memo)
+                rv = reference_linearized(B, b, tuple(x for _, x, _ in combo), memo)
+                if isinstance(word, Mul):
+                    value = B.product(lv, rv)
+                else:
+                    value = B.divide(lv, rv, "left" if isinstance(word, LDiv) else "right")
+                out = out + value.scale(prod(w for _, _, w in combo))
+    out = out.truncate(B.N)
+    memo[key] = out
+    return out
 
 
 @pytest.fixture(scope="session")

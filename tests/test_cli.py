@@ -283,10 +283,33 @@ def test_loop_file_below_the_requested_degree_is_usage_error(capsys, tmp_path):
         (["verify-identity", "--loop", "builtin:dual-numbers-loop", "--identity", ASSOC,
           "--mode", "bialgebra", "--samples", "-3"], "--samples must be >= 0"),
         (["bernoulli", "--max-degree", "0"], "--max-degree must be >= 1"),
+        (["verify-identity", "--loop", "builtin:dual-numbers-loop", "--identity", ASSOC,
+          "--nvars", "-2"], "--nvars must be >= 1, got -2"),
+        (["verify-identity", "--loop", "builtin:dual-numbers-loop", "--identity", "1=1"],
+         "the identity uses no variables; pass --nvars explicitly"),
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"type": "builtin"}, "needs a 'name' field"),
+        ({"type": "from-algebra"}, "needs a 'table' field"),
+        ([1, 2], "must be a JSON object, got list"),
+    ],
+)
+def test_loop_spec_without_its_fields_is_usage_error(capsys, tmp_path, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(
+        capsys, "verify-identity", "--loop", f"file:{path}", "--identity", ASSOC, "--degree", "3"
+    )
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and message in err

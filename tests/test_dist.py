@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NO_SHRINK, plane_structure_constants, rationals
+from conftest import NO_SHRINK, plane_structure_constants, rationals, reference_linearized
 from nonassoc.catalog import (
     AlgebraTable,
     builtin_algebra,
@@ -16,6 +16,7 @@ from nonassoc.catalog import (
 )
 from nonassoc.dist import (
     DistBialgebra,
+    LinearizedEvaluator,
     brackets_invariance_check,
     check_linearized_identity,
     dist_su_ops,
@@ -379,6 +380,23 @@ def test_loop_mode_agrees_with_bialgebra_mode_on_random_structure_constants(cons
         in_bialgebra = check_linearized_identity(identity, B, samples=3, seed=0).holds
         assert in_loop == in_bialgebra, text
         assert in_loop or text == ASSOC, text
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(constants=plane_structure_constants)
+def test_linearized_evaluator_matches_the_bilinear_reference(constants):
+    # rational, non-unit structure constants reach add_into's general case too
+    B = DistBialgebra.from_loop(loop_from_algebra(AlgebraTable(2, constants), 4))
+    for text, nvars in ((RIGHT_DIVISION, 2), (LEFT_DIVISION, 2), (MOUFANG, 3)):
+        identity = parse_identity(text, nvars)
+        ev, memo = LinearizedEvaluator(B, nvars), {}
+        for monos in iter_product(*[list(monomials_up_to(2, 4))] * nvars):
+            if sum(map(monomial_degree, monos)) > 4:
+                continue
+            for word in (identity.lhs, identity.rhs):
+                assert ev.on_monomials(word, monos) == reference_linearized(B, word, monos, memo), (
+                    text, monos
+                )
 
 
 def test_linearized_moufang_on_associative_loop(dual_loop_4):

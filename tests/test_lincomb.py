@@ -114,3 +114,21 @@ def test_add_into_deletes_cancelled_keys():
     assert add_into(acc, {"a": F(1, 2), "c": F(3)}, -2) == {"b": F(2), "c": F(-6)}
     assert add_into(acc, {"b": F(5)}, 0) == {"b": F(2), "c": F(-6)}
     assert all(isinstance(c, F) for c in add_into({}, {"d": F(1)}, 7).values())
+
+
+@pytest.mark.parametrize("coeff", [1, -1, F(1), F(-1), 2, F(-3, 2)])
+def test_add_into_matches_a_naive_sum(coeff):
+    rng = random.Random(7)
+    for _ in range(20):
+        acc = {k: F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])) for k in rng.sample(range(8), 5)}
+        terms = {k: F(rng.choice([-2, -1, 1, 3]), rng.choice([1, 3])) for k in rng.sample(range(8), 5)}
+        # make one key cancel exactly
+        key = next(iter(terms))
+        acc[key] = -coeff * terms[key]
+        expected = {k: acc.get(k, 0) + coeff * terms.get(k, 0) for k in acc.keys() | terms.keys()}
+        expected = {k: c for k, c in expected.items() if c != 0}
+        before = dict(terms)
+        out = add_into(acc, terms, coeff)
+        assert out is acc and acc == expected and key not in acc
+        assert all(type(c) is F and c != 0 for c in acc.values()), acc
+        assert terms == before

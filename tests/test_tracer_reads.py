@@ -28,6 +28,12 @@ LIVE_COUNTS = {
         "connection.field_cache.entries",
     ],
     ("solve", "moufang-octonion-loop-3"): ["maps.compose.calls", "maps.prolong_cache.entries"],
+    ("linearized", "left-division-jordan-5"): [
+        "dist.product_mono.calls",
+        "dist.ldiv_mono.calls",
+        "dist.ldiv_memo.entries",
+        "dist.linearized.memo_entries",
+    ],
 }
 
 
