@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Iterator, Sequence
 
 from . import su_ops
@@ -32,6 +32,7 @@ from .symalg import (
     monomial_splits,
     monomials,
     monomials_up_to,
+    splits_by_degree,
     sym_dim,
     unit_monomial,
 )
@@ -69,37 +70,45 @@ class DistBialgebra:
         part of mu_(2) . nu_(2), summed over the splits where both halves
         have positive degree (the degree-1 part is F itself).  This agrees
         with the prolongation of F, which the test suite pins.
+
+        The recursion is driven by the loop's support: only the splits whose
+        front (mu_(1), nu_(1)) has a multidegree where F has a component are
+        visited, and their tails are summed per output letter e_j, unscaled;
+        each letter's sum is then shifted by e_j and divided by degree + 1
+        once, not once per split.
         """
         self = cls(loop.dim, loop.N, None, loop)  # type: ignore[arg-type]
         dim, N = loop.dim, loop.N
+        components = loop.components
 
         def product_fn(m1: Monomial, m2: Monomial) -> SymElement:
-            total = monomial_degree(m1) + monomial_degree(m2)
-            if total == 0:
+            d1, d2 = monomial_degree(m1), monomial_degree(m2)
+            if d1 + d2 == 0:
                 return self.one()
-            acc = {basis_monomial(dim, j): c for j, c in loop._value((m1, m2)).items()}
-            for a1, b1, c1 in monomial_splits(m1):
-                for a2, b2, c2 in monomial_splits(m2):
-                    if monomial_degree(a1) + monomial_degree(a2) == 0:
-                        continue
-                    if monomial_degree(b1) + monomial_degree(b2) == 0:
-                        continue
-                    front = loop._value((a1, a2))
-                    if not front:
-                        continue
-                    # a tail term of degree d < N, divided by d + 1, times each e_j
-                    tail = [
-                        (mono, c / (monomial_degree(mono) + 1))
-                        for mono, c in self.product_mono(b1, b2).terms.items()
-                        if monomial_degree(mono) < N
-                    ]
-                    weight = c1 * c2
-                    for j, fj in front.items():
-                        add_into(
-                            acc,
-                            {mono[:j] + (mono[j] + 1,) + mono[j + 1 :]: c for mono, c in tail},
-                            weight * fj,
-                        )
+            top = components.get((d1, d2), {}).get((m1, m2), {})
+            acc = {basis_monomial(dim, j): c for j, c in top.items()}
+            groups1, groups2 = splits_by_degree(m1), splits_by_degree(m2)
+            # letter j -> sum of the weighted tails mu_(2) . nu_(2), before the shift by e_j
+            tails: dict[int, dict[Monomial, Fraction]] = {}
+            for (e1, e2), comp in components.items():
+                if e1 > d1 or e2 > d2 or (e1 == d1 and e2 == d2):
+                    continue
+                for a1, b1, c1 in groups1[e1]:
+                    for a2, b2, c2 in groups2[e2]:
+                        front = comp.get((a1, a2))
+                        if front is None:
+                            continue
+                        tail = self.product_mono(b1, b2).terms
+                        weight = c1 * c2
+                        for j, fj in front.items():
+                            add_into(tails.setdefault(j, {}), tail, fj if weight == 1 else weight * fj)
+            # a tail term of degree d < N, times e_j and divided by d + 1
+            for j, tail in tails.items():
+                add_into(acc, {
+                    mono[:j] + (mono[j] + 1,) + mono[j + 1 :]: c / (d + 1)
+                    for mono, c in tail.items()
+                    if (d := monomial_degree(mono)) < N
+                })
             return SymElement.of_terms(dim, acc)
 
         self._product_fn = product_fn
@@ -311,6 +320,28 @@ def su_bracket_table(bialgebra: DistBialgebra, arity: int) -> dict[tuple[int, ..
 # -- linearized identities ------------------------------------------------------------
 
 
+# how a binary node routes one argument slot to its children
+_SPLIT, _LEFT, _RIGHT, _NEITHER = range(4)
+_METHODS = {Mul: "product_mono", LDiv: "ldiv_mono", RDiv: "rdiv_mono"}
+
+
+@dataclass(frozen=True, eq=False)
+class _Node:
+    """A distinct subword, compiled once per evaluator.
+
+    Leaves keep their word; a binary node names the `DistBialgebra` method
+    that combines its children and, per argument slot, whether the slot is
+    split between both children, routed whole to one, or used by neither.
+    """
+
+    id: int
+    word: LoopWord
+    method: str | None = None
+    left: "_Node | None" = None
+    right: "_Node | None" = None
+    route: tuple[int, ...] = ()
+
+
 class LinearizedEvaluator:
     """Evaluates word linearizations on tuples of distributions.
 
@@ -322,97 +353,120 @@ class LinearizedEvaluator:
     content in slots whose variable it does not use (its formal map does
     not depend on them), so only slots shared by both children are split
     in earnest; the rest are routed whole or force the term to vanish.
-    Values on monomial tuples are memoized per evaluator.
+
+    Each distinct subword is compiled once into a `_Node`, which fixes its
+    method and slot routing; equal subwords share one node.  Values are
+    memoized per evaluator in `_memo`, keyed by (node id, monomial tuple).
+    A leaf's value is truncated at N; a binary node's value is a sum of
+    memoized product and division entries, which are truncated already,
+    so it is stored without a copy.  Every vanishing value is the
+    evaluator's one zero element.
     """
 
     def __init__(self, bialgebra: DistBialgebra, nvars: int):
+        if nvars < 1:
+            raise ValueError(f"a linearized word needs at least one variable slot, got {nvars}")
         self.B = bialgebra
         self.nvars = nvars
-        self._memo: dict[tuple[LoopWord, MonoTuple], SymElement] = {}
-        self._vars: dict[LoopWord, set[int]] = {}
+        self._unit = unit_monomial(bialgebra.dim)
+        self._zero = SymElement.zero(bialgebra.dim)
+        self._memo: dict[tuple[int, MonoTuple], SymElement] = {}
+        self._nodes: dict[LoopWord, _Node] = {}
 
-    def _used_vars(self, word: LoopWord) -> set[int]:
-        hit = self._vars.get(word)
-        if hit is None:
-            hit = word_variables(word)
-            self._vars[word] = hit
-        return hit
+    def _node(self, word: LoopWord) -> _Node:
+        node = self._nodes.get(word)
+        if node is not None:
+            return node
+        match word:
+            case Var(index):
+                if not 1 <= index <= self.nvars:
+                    raise ValueError(f"variable x{index} outside the {self.nvars} slots")
+                node = _Node(len(self._nodes), word)
+            case Unit():
+                node = _Node(len(self._nodes), word)
+            case Mul(a, b) | LDiv(a, b) | RDiv(a, b):
+                left, right = self._node(a), self._node(b)
+                vars_a, vars_b = word_variables(a), word_variables(b)
+                route = tuple(
+                    (_SPLIT if var in vars_b else _LEFT) if var in vars_a
+                    else (_RIGHT if var in vars_b else _NEITHER)
+                    for var in range(1, self.nvars + 1)
+                )
+                node = _Node(len(self._nodes), word, _METHODS[type(word)], left, right, route)
+            case _:
+                raise TypeError(f"not a loop word: {word!r}")
+        self._nodes[word] = node
+        return node
 
     def on_monomials(self, word: LoopWord, monos: MonoTuple) -> SymElement:
-        key = (word, monos)
+        """The linearization of `word` at one monomial per variable slot, of total degree <= N."""
+        if len(monos) != self.nvars:
+            raise ValueError(f"{self.nvars} monomials expected, got {len(monos)}")
+        total = sum(map(monomial_degree, monos))
+        if total > self.B.N:
+            raise ValueError(f"total degree {total} exceeds the truncation degree {self.B.N}")
+        return self._eval(self._node(word), monos)
+
+    def _eval(self, node: _Node, monos: MonoTuple) -> SymElement:
+        key = (node.id, monos)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         B = self.B
-        match word:
-            case Var(index):
-                if all(monomial_degree(m) == 0 for k, m in enumerate(monos) if k != index - 1):
-                    out = SymElement.of_terms(B.dim, {monos[index - 1]: ONE})
-                else:
-                    out = SymElement.zero(B.dim)
-            case Unit():
-                if all(monomial_degree(m) == 0 for m in monos):
-                    out = B.one()
-                else:
-                    out = SymElement.zero(B.dim)
-            case Mul(a, b) | LDiv(a, b) | RDiv(a, b):
-                out = self._binary(word, a, b, monos)
-            case _:
-                raise TypeError(f"not a loop word: {word!r}")
-        out = out.truncate(B.N)
+        if node.method is not None:
+            out = self._binary(node, monos)
+        elif isinstance(node.word, Var):
+            index = node.word.index
+            if all(monomial_degree(m) == 0 for k, m in enumerate(monos) if k != index - 1):
+                out = SymElement.of_terms(B.dim, {monos[index - 1]: ONE}).truncate(B.N)
+            else:
+                out = self._zero
+        elif all(monomial_degree(m) == 0 for m in monos):
+            out = B.one()
+        else:
+            out = self._zero
         self._memo[key] = out
         return out
 
-    def _binary(self, word: LoopWord, a: LoopWord, b: LoopWord, monos: MonoTuple) -> SymElement:
+    def _binary(self, node: _Node, monos: MonoTuple) -> SymElement:
         B = self.B
-        unit = unit_monomial(B.dim)
-        vars_a = self._used_vars(a)
-        vars_b = self._used_vars(b)
-        options: list[list[tuple[Monomial, Monomial, int]]] = []
-        for k, mono in enumerate(monos):
-            var = k + 1
-            in_a, in_b = var in vars_a, var in vars_b
-            if in_a and in_b:
+        unit = self._unit
+        options: list[Sequence[tuple[Monomial, Monomial, int]]] = []
+        for how, mono in zip(node.route, monos):
+            if how == _SPLIT:
                 options.append(monomial_splits(mono))
-            elif in_a:
-                options.append([(mono, unit, 1)])
-            elif in_b:
-                options.append([(unit, mono, 1)])
+            elif how == _LEFT:
+                options.append(((mono, unit, 1),))
+            elif how == _RIGHT:
+                options.append(((unit, mono, 1),))
             elif monomial_degree(mono) == 0:
-                options.append([(unit, unit, 1)])
+                options.append(((unit, unit, 1),))
             else:
-                return SymElement.zero(B.dim)
+                return self._zero
         # looked up on B at call time, so a wrapper on the class sees every call
-        if isinstance(word, Mul):
-            fn = B.product_mono
-        elif isinstance(word, LDiv):
-            fn = B.ldiv_mono
-        else:
-            fn = B.rdiv_mono
+        fn = getattr(B, node.method)
         acc: dict[Monomial, Fraction] = {}
         for combo in iter_product(*options):
-            left = tuple(x for x, _, _ in combo)
-            right = tuple(x for _, x, _ in combo)
-            coeff = 1
-            for _, _, c in combo:
-                coeff *= c
-            lv = self.on_monomials(a, left)
+            left, right, weights = zip(*combo)
+            lv = self._eval(node.left, left)
             if lv.is_zero():
                 continue
-            rv = self.on_monomials(b, right)
+            rv = self._eval(node.right, right)
             if rv.is_zero():
                 continue
+            coeff = prod(weights)
             # coeff * c1 * c2 * fn(k1, k2), summed straight into acc; a factor 1 is not multiplied
             for k1, c1 in lv.terms.items():
                 if coeff != 1:
                     c1 = coeff * c1
                 for k2, c2 in rv.terms.items():
                     add_into(acc, fn(k1, k2).terms, c1 if c2 == 1 else c1 * c2)
-        return SymElement.of_terms(B.dim, acc)
+        return SymElement.of_terms(B.dim, acc) if acc else self._zero
 
     def on_elements(self, word: LoopWord, args: Sequence[SymElement]) -> SymElement:
         if len(args) != self.nvars:
             raise ValueError(f"{self.nvars} arguments expected, got {len(args)}")
+        node = self._node(word)
         acc: dict[Monomial, Fraction] = {}
         for combo in iter_product(*(a.terms.items() for a in args)):
             monos = tuple(m for m, _ in combo)
@@ -421,7 +475,7 @@ class LinearizedEvaluator:
             coeff = ONE
             for _, c in combo:
                 coeff *= c
-            add_into(acc, self.on_monomials(word, monos).terms, coeff)
+            add_into(acc, self._eval(node, monos).terms, coeff)
         return SymElement.of_terms(self.B.dim, acc)
 
 
@@ -476,22 +530,20 @@ def check_linearized_identity(
     ev = LinearizedEvaluator(bialgebra, identity.nvars)
     dim, N = bialgebra.dim, bialgebra.N
     sweep_cap = min(exhaustive_degree, N)
-    unit = unit_monomial(dim)
 
-    def tuples_of_total(total: int) -> Iterator[MonoTuple]:
-        def rec(slots: int, budget: int) -> Iterator[MonoTuple]:
-            if slots == 1:
-                for mono in monomials_up_to(dim, budget):
-                    yield (mono,)
-                return
-            for head in monomials_up_to(dim, budget):
-                used = monomial_degree(head)
-                for rest in rec(slots - 1, budget - used):
-                    yield (head,) + rest
+    # budget -> the monomials of degree <= budget, in `monomials_up_to` order
+    pools = [list(monomials_up_to(dim, budget)) for budget in range(sweep_cap + 1)]
 
-        yield from rec(identity.nvars, total)
+    def tuples_of_total(slots: int, budget: int) -> Iterator[MonoTuple]:
+        if slots == 1:
+            for mono in pools[budget]:
+                yield (mono,)
+            return
+        for head in pools[budget]:
+            for rest in tuples_of_total(slots - 1, budget - monomial_degree(head)):
+                yield (head,) + rest
 
-    for monos in tuples_of_total(sweep_cap):
+    for monos in tuples_of_total(identity.nvars, sweep_cap):
         lhs = ev.on_monomials(identity.lhs, monos)
         rhs = ev.on_monomials(identity.rhs, monos)
         if lhs != rhs:

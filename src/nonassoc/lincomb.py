@@ -55,7 +55,7 @@ def bilinear(fn, a, b):
     acc: dict = {}
     for k1, c1 in a.terms.items():
         for k2, c2 in b.terms.items():
-            add_into(acc, fn(k1, k2).terms, c1 * c2)
+            add_into(acc, fn(k1, k2).terms, c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2)
     return a._like(acc)
 
 

@@ -100,7 +100,7 @@ def ldiv_on_keys(alg, u, v):
                     add_into(acc, prod, -c)
                 else:
                     for w, cw in prod.items():
-                        add_into(acc, alg.key_ldiv(u1, w).terms, -c * cw)
+                        add_into(acc, alg.key_ldiv(u1, w).terms, -cw if c == 1 else -c * cw)
         hit = alg.one()._like(acc)
         alg._ldiv_memo[key] = hit
     return hit
@@ -124,7 +124,7 @@ def rdiv_on_keys(alg, u, v):
                     add_into(acc, alg.key_product(u, v2), -c)
                 else:
                     for w, cw in alg.key_rdiv(u, v1).terms.items():
-                        add_into(acc, alg.key_product(w, v2), -c * cw)
+                        add_into(acc, alg.key_product(w, v2), -cw if c == 1 else -c * cw)
         hit = alg.one()._like(acc)
         alg._rdiv_memo[key] = hit
     return hit

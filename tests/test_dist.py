@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NO_SHRINK, plane_structure_constants, rationals, reference_linearized
+from conftest import NO_SHRINK, plane, plane_structure_constants, rationals, reference_linearized
 from nonassoc.catalog import (
     AlgebraTable,
     builtin_algebra,
@@ -32,6 +32,7 @@ from nonassoc.maps import (
     check_loop_identity,
     right_alt_modify,
     similarity_between,
+    tensor_monomials,
 )
 from nonassoc.scalars import basis_vector
 from nonassoc.symalg import (
@@ -41,7 +42,7 @@ from nonassoc.symalg import (
     monomial_splits,
     monomials_up_to,
 )
-from nonassoc.words import parse_identity
+from nonassoc.words import parse_identity, parse_word
 
 MOUFANG = "(x1 * (x2 * (x1 * x3))) = (((x1 * x2) * x1) * x3)"
 ASSOC = "((x1 * x2) * x3) = (x1 * (x2 * x3))"
@@ -91,6 +92,45 @@ def test_product_matches_prolongation_route(jordan_loop_4):
     for m1 in monomials_up_to(3, 2):
         for m2 in monomials_up_to(3, 2):
             assert fast.product_mono(m1, m2) == slow.product_mono(m1, m2)
+
+
+@pytest.mark.parametrize("loop_name", ["nonlinear_loop_5", "xsqy_loop_6"])
+def test_product_matches_prolongation_route_on_wider_support(loop_name, request):
+    # components above (1, 1): nonlinear-f at (2, 1), (1, 2), (2, 3), (3, 2); x^2 y at (2, 1)
+    loop = request.getfixturevalue(loop_name)
+    fast = DistBialgebra.from_loop(loop)
+    slow = DistBialgebra.from_loop_prolonged(loop)
+    for m1 in monomials_up_to(loop.dim, loop.N):
+        for m2 in monomials_up_to(loop.dim, loop.N - sum(m1)):
+            assert fast.product_mono(m1, m2) == slow.product_mono(m1, m2), (m1, m2)
+
+
+# series coefficients of a plane loop at (1, 1), (2, 1), (1, 2) and (2, 2),
+# on top of the unital components
+_PLANE_UNIT = {
+    ((1, 0), (0, 0)): (1, 0),
+    ((0, 1), (0, 0)): (0, 1),
+    ((0, 0), (1, 0)): (1, 0),
+    ((0, 0), (0, 1)): (0, 1),
+}
+_PLANE_WIDE = [
+    monos for md in ((1, 1), (2, 1), (1, 2), (2, 2)) for monos in tensor_monomials((2, 2), md)
+]
+wide_plane_loops = st.lists(plane, min_size=len(_PLANE_WIDE), max_size=len(_PLANE_WIDE)).map(
+    lambda values: FormalLoop.from_map(
+        FormalMap.from_series((2, 2), 2, 4, {**_PLANE_UNIT, **dict(zip(_PLANE_WIDE, values))})
+    )
+)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(loop=wide_plane_loops)
+def test_product_matches_prolongation_route_on_random_plane_loops(loop):
+    fast = DistBialgebra.from_loop(loop)
+    slow = DistBialgebra.from_loop_prolonged(loop)
+    for m1 in monomials_up_to(2, 4):
+        for m2 in monomials_up_to(2, 4 - sum(m1)):
+            assert fast.product_mono(m1, m2) == slow.product_mono(m1, m2), (m1, m2)
 
 
 def test_product_is_coalgebra_morphism(jordan_bialgebra_4):
@@ -397,6 +437,41 @@ def test_linearized_evaluator_matches_the_bilinear_reference(constants):
                 assert ev.on_monomials(word, monos) == reference_linearized(B, word, monos, memo), (
                     text, monos
                 )
+
+
+def test_evaluator_shares_nodes_between_equal_words(jordan_bialgebra_4):
+    # equal subwords share one node, so an equal word parsed again reads the memo
+    first, second = parse_word("((x1 * x2) * x3)", 3), parse_word("((x1 * x2) * x3)", 3)
+    assert first == second and first is not second
+    ev = LinearizedEvaluator(jordan_bialgebra_4, 3)
+    monos = ((1, 0, 0), (0, 1, 0), (1, 0, 1))
+    value = ev.on_monomials(first, monos)
+    entries = len(ev._memo)
+    assert ev.on_monomials(second, monos) == value
+    assert len(ev._memo) == entries
+
+
+@pytest.mark.parametrize(
+    "monos",
+    [
+        ((1, 0, 0), (0, 1, 0)),  # too few slots
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)),  # too many slots
+        ((2, 0, 0), (2, 0, 0), (1, 0, 0)),  # total degree 5 > N = 4
+    ],
+)
+def test_evaluator_rejects_tuples_it_cannot_evaluate(jordan_bialgebra_4, monos):
+    ev = LinearizedEvaluator(jordan_bialgebra_4, 3)
+    with pytest.raises(ValueError):
+        ev.on_monomials(parse_word("((x1 * x2) * x3)", 3), monos)
+
+
+def test_evaluator_rejects_words_outside_its_slots(jordan_bialgebra_4):
+    # a variable beyond the slots, and an identity with no slot at all
+    ev = LinearizedEvaluator(jordan_bialgebra_4, 3)
+    with pytest.raises(ValueError):
+        ev.on_monomials(parse_word("(x1 * x4)", 4), ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
+    with pytest.raises(ValueError):
+        check_linearized_identity(parse_identity("e = e", 0), jordan_bialgebra_4)
 
 
 def test_linearized_moufang_on_associative_loop(dual_loop_4):

@@ -13,6 +13,7 @@ from nonassoc.symalg import (
     monomials,
     monomials_up_to,
     split_slot,
+    submonomials,
     sym_dim,
     unit_monomial,
 )
@@ -179,3 +180,10 @@ def test_monomial_splits_weights():
     assert splits[((1, 0), (1, 1))] == 2
     assert splits[((0, 0), (2, 1))] == 1
     assert sum(splits.values()) == 8  # product over coordinates of 2^(a_i)
+
+
+def test_submonomials_are_the_splits_of_one_degree():
+    for mono in monomials_up_to(3, 4):
+        for degree in range(-1, sum(mono) + 2):
+            expected = tuple(split for split in monomial_splits(mono) if sum(split[0]) == degree)
+            assert submonomials(mono, degree) == expected, (mono, degree)
