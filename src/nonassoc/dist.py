@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product as iter_product
 from math import comb, factorial, prod
 from typing import Callable, Iterator, Sequence
@@ -74,8 +75,8 @@ class DistBialgebra:
         The recursion is driven by the loop's support: only the splits whose
         front (mu_(1), nu_(1)) has a multidegree where F has a component are
         visited, and their tails are summed per output letter e_j, unscaled;
-        each letter's sum is then shifted by e_j and divided by degree + 1
-        once, not once per split.
+        the letters' sums are then shifted by e_j and added, and each output
+        term is divided by its degree once, not once per split or letter.
         """
         self = cls(loop.dim, loop.N, None, loop)  # type: ignore[arg-type]
         dim, N = loop.dim, loop.N
@@ -102,13 +103,17 @@ class DistBialgebra:
                         weight = c1 * c2
                         for j, fj in front.items():
                             add_into(tails.setdefault(j, {}), tail, fj if weight == 1 else weight * fj)
-            # a tail term of degree d < N, times e_j and divided by d + 1
+            # a tail term of degree < N, times e_j
+            shifted: dict[Monomial, Fraction] = {}
             for j, tail in tails.items():
-                add_into(acc, {
-                    mono[:j] + (mono[j] + 1,) + mono[j + 1 :]: c / (d + 1)
+                add_into(shifted, {
+                    mono[:j] + (mono[j] + 1,) + mono[j + 1 :]: c
                     for mono, c in tail.items()
-                    if (d := monomial_degree(mono)) < N
+                    if monomial_degree(mono) < N
                 })
+            # tails have no degree-0 term, so these degrees are >= 2 and miss `top`
+            for mono, c in shifted.items():
+                acc[mono] = c / monomial_degree(mono)
             return SymElement.of_terms(dim, acc)
 
         self._product_fn = product_fn
@@ -479,11 +484,16 @@ class LinearizedEvaluator:
         return SymElement.of_terms(self.B.dim, acc)
 
 
+@lru_cache(maxsize=None)
+def _monomial_pool(dim: int, max_degree: int) -> tuple[Monomial, ...]:
+    return tuple(monomials_up_to(dim, max_degree))
+
+
 def random_distribution(
     rng: random.Random, dim: int, max_degree: int, max_terms: int = 4
 ) -> SymElement:
     """A sparse distribution with small integer coefficients, for sampling."""
-    pool = list(monomials_up_to(dim, max_degree))
+    pool = _monomial_pool(dim, max_degree)
     terms: dict[Monomial, Fraction] = {}
     for _ in range(rng.randint(1, max_terms)):
         mono = pool[rng.randrange(len(pool))]
@@ -516,23 +526,26 @@ def check_linearized_identity(
     bialgebra: DistBialgebra,
     samples: int = 25,
     seed: int = 0,
-    exhaustive_degree: int = 4,
+    exhaustive_degree: int | None = None,
 ) -> LinearizedVerdict:
     """Compare the two word linearizations in a distribution bialgebra.
 
     Deterministic sweep over all monomial tuples of total degree up to
-    exhaustive_degree (capped by the truncation), then seeded sparse random
-    distributions of degree <= min(3, N - 1), evaluated on their monomial
-    tuples of total degree <= N only: above N the truncated product has
-    lost the loop components it would need.  Comparisons are exact and the
-    first mismatch is reported with enough data to replay it.
+    exhaustive_degree (the truncation N by default, and capped by it), then
+    seeded sparse random distributions of degree <= min(3, N - 1), evaluated
+    on their monomial tuples of total degree <= N only: above N the
+    truncated product has lost the loop components it would need.  Both
+    sides are linear in each argument, so a sweep up to N decides the
+    identity within the truncation and no sample can then fail.
+    Comparisons are exact and the first mismatch is reported with enough
+    data to replay it.
     """
     ev = LinearizedEvaluator(bialgebra, identity.nvars)
     dim, N = bialgebra.dim, bialgebra.N
-    sweep_cap = min(exhaustive_degree, N)
+    sweep_cap = N if exhaustive_degree is None else min(exhaustive_degree, N)
 
     # budget -> the monomials of degree <= budget, in `monomials_up_to` order
-    pools = [list(monomials_up_to(dim, budget)) for budget in range(sweep_cap + 1)]
+    pools = [_monomial_pool(dim, budget) for budget in range(sweep_cap + 1)]
 
     def tuples_of_total(slots: int, budget: int) -> Iterator[MonoTuple]:
         if slots == 1:

@@ -14,10 +14,10 @@ mutated; a table holds no zero vector and no table is empty.  Constructor
 inputs, `value`, `series_value`, `sorted_entries`, `to_json` and verdict
 witnesses are dense.  `_of_sparse` is the trusted constructor.
 
-Maps prolong to coalgebra morphisms between symmetric coalgebras, compose
-through regrouped coproducts (shared variables are duplicated by the
-coproduct), and a unital two-slot map is a formal loop with two-sided
-divisions obtained as degree-graded fixed points.
+Maps prolong to coalgebra morphisms between symmetric coalgebras and
+compose by substituting the inner maps' power series into the outer map's
+(shared variables are shared by the series).  A unital two-slot map is a
+formal loop with two-sided divisions obtained as degree-graded fixed points.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import accumulate, product as iter_product
 from math import factorial, prod
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import add
+from typing import Callable, Iterator, Sequence
 
 from .scalars import (
     ONE,
@@ -57,6 +58,9 @@ from .words import Identity, LDiv, LoopWord, Mul, RDiv, Unit, Var
 MonoTuple = tuple[Monomial, ...]
 Multidegree = tuple[int, ...]
 Tables = dict[Multidegree, dict[MonoTuple, SparseVector]]
+# a scalar power series in the arguments of a map: total degree -> {exponents: coefficient},
+# the exponent vector being the concatenation of the slots' monomials
+Series = dict[int, dict[tuple[int, ...], Fraction]]
 
 DEFAULT_MEMORY_CAP = 100_000
 MEMORY_CAP_ENV = "NONASSOC_MEMORY_CAP"
@@ -388,42 +392,43 @@ class FormalMap:
 
 
 class Prolongation:
-    """The coalgebra morphism induced by a formal map, cached per monomial tuple.
+    """The coalgebra morphism induced by a formal map, and the powers of its series.
 
-    theta'(mu) = sum over n >= 0 of (1/n!) sum over ordered splits of mu
-    into n parts of positive degree of the product theta(part_1) ... theta(part_n)
-    in the target symmetric algebra; the n-th term is the piece of target
-    degree n.  Splits are pruned to the multidegree support of theta.
-    `_image(mu, degrees)` sums only the pieces of the given target degrees,
-    which is what `compose` reads; `at(mu)` is the full image, the case of
-    all degrees.  Images are memoized per tuple and per degrees that can be
-    nonzero, so a restricted image equal to the full one is stored once.
+    Each route has its own cache.  `at(mu)` is the image
+
+        theta'(mu) = sum over n >= 0 of (1/n!) times the sum over ordered
+        splits of mu into n parts of positive degree of the product
+        theta(part_1) ... theta(part_n) in the target symmetric algebra,
+
+    whose n-th term is the piece of target degree n; `_parts_cache` holds
+    each (tuple, n) sum, and splits are pruned to the multidegree support of
+    theta.  `_power(b, cap)` is the scalar series theta^b = prod_k theta_k^b_k
+    of theta's coordinate series (its series view), without the terms above
+    total degree `cap`, which is what `compose` substitutes; `_cache` holds
+    each power by (b, cap), built as one truncated product of the power at
+    b - e_k with theta_k.
     """
 
     def __init__(self, fmap: FormalMap):
         self.fmap = fmap
         self.support = sorted(fmap.components.keys())
-        self._cache: dict[tuple[MonoTuple, tuple[int, ...]], SymElement] = {}
+        self._cache: dict[tuple[Monomial, int], Series] = {}
         self._parts_cache: dict[tuple[MonoTuple, int], SymElement] = {}
+        self._coords: list[Series] = [{} for _ in range(fmap.target_dim)]
+        for md, table in fmap.components.items():
+            for monos, vec in table.items():
+                exps = sum(monos, ())
+                weight = _series_weight(monos)
+                for k, c in vec.items():
+                    self._coords[k].setdefault(sum(md), {})[exps] = c / weight
 
     def at(self, monos: MonoTuple) -> SymElement:
         monos = tuple(monos)
-        return self._image(monos, range(sum(multidegree_of(monos)) + 1))
-
-    def _image(self, monos: MonoTuple, degrees: Iterable[int]) -> SymElement:
-        """The pieces of theta'(monos) of the given target degrees, in ascending order."""
         total = sum(map(sum, monos))
-        live = tuple(k for k in degrees if 0 < k <= total or k == total == 0)
-        key = (monos, live)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         acc: dict[Monomial, Fraction] = {}
-        for k in live:
+        for k in range(1 if total else 0, total + 1):
             add_into(acc, self._ordered_parts(monos, k).terms, Fraction(1, factorial(k)))
-        out = SymElement.of_terms(self.fmap.target_dim, acc)
-        self._cache[key] = out
-        return out
+        return SymElement.of_terms(self.fmap.target_dim, acc)
 
     def _ordered_parts(self, monos: MonoTuple, k: int) -> SymElement:
         """Sum over ordered splits of monos into k parts of positive degree.
@@ -460,6 +465,19 @@ class Prolongation:
         self._parts_cache[key] = out
         return out
 
+    def _power(self, b: Monomial, cap: int) -> Series:
+        key = (b, cap)
+        hit = self._cache.get(key)
+        if hit is None:
+            if not any(b):
+                hit = {0: {(0,) * sum(self.fmap.dims): ONE}}
+            else:
+                k = next(i for i, e in enumerate(b) if e)
+                lower = b[:k] + (b[k] - 1,) + b[k + 1 :]
+                hit = _truncated_product(self._power(lower, cap), self._coords[k], cap)
+            self._cache[key] = hit
+        return hit
+
     def table(self, max_degree: int | None = None) -> dict[MonoTuple, SymElement]:
         cap = self.fmap.N if max_degree is None else max_degree
         if cap > self.fmap.N:
@@ -470,6 +488,19 @@ class Prolongation:
                 for monos in tensor_monomials(self.fmap.dims, md):
                     out[monos] = self.at(monos)
         return out
+
+
+def _truncated_product(a: Series, b: Series, cap: int) -> Series:
+    """The product of two series without the terms above total degree `cap`."""
+    out: Series = {}
+    for da, ta in a.items():
+        for db, tb in b.items():
+            if da + db > cap:
+                continue
+            acc = out.setdefault(da + db, {})
+            for ka, ca in ta.items():
+                add_into(acc, {tuple(map(add, ka, kb)): cb for kb, cb in tb.items()}, ca)
+    return {d: terms for d, terms in out.items() if terms}
 
 
 def _multidegrees(nslots: int, total: int) -> Iterator[Multidegree]:
@@ -486,62 +517,20 @@ def prolong(fmap: FormalMap) -> Prolongation:
     return fmap.prolongation()
 
 
-def _exact_sums(support: Iterable[Multidegree], nslots: int, max_total: int) -> dict[int, set[Multidegree]]:
-    """Multidegrees reachable as sums of exactly k support elements."""
-    zero = (0,) * nslots
-    table: dict[int, set[Multidegree]] = {0: {zero}}
-    sup = sorted(set(support))
-    k = 0
-    while True:
-        prev = table[k]
-        cur: set[Multidegree] = set()
-        for md in prev:
-            for s in sup:
-                cand = tuple(a + b for a, b in zip(md, s))
-                if sum(cand) <= max_total:
-                    cur.add(cand)
-        k += 1
-        table[k] = cur
-        if not cur or k >= max_total:
-            break
-    return table
-
-
-def _iter_allowed_splits(
-    monos: MonoTuple, allowed: Sequence[set[Multidegree]]
-) -> Iterator[tuple[tuple[MonoTuple, ...], int]]:
-    """Ordered splits of a monomial tuple with each part's multidegree allowed."""
-
-    def rec(i: int, remaining: MonoTuple) -> Iterator[tuple[tuple[MonoTuple, ...], int]]:
-        if i == len(allowed) - 1:
-            if multidegree_of(remaining) in allowed[i]:
-                yield (remaining,), 1
-            return
-        rmd = multidegree_of(remaining)
-        for md in allowed[i]:
-            if any(a > b for a, b in zip(md, rmd)):
-                continue
-            for part, rest, coeff in tuple_submonomials(remaining, md):
-                for tail, c2 in rec(i + 1, rest):
-                    yield (part,) + tail, coeff * c2
-
-    yield from rec(0, monos)
-
-
 def compose(G: FormalMap, thetas: Sequence[FormalMap], *, _degree: int | None = None) -> FormalMap:
     """G(theta_1, ..., theta_m) over the thetas' shared argument list.
 
-    All thetas must share one argument signature; slots shared between
-    them are duplicated by the regrouped coproduct, which is what the
-    ordered-split sum below computes.  The result cannot have components
-    below the minimum degree of any contributing input.
+    All thetas must share one argument signature.  In the series view the
+    composite is the substitution
 
-    G reads slot i only in the degrees reads[i] = {J[i] for J in G's
-    support}, so each part's prolonged image is summed over those target
-    degrees only, and a split is kept only when every part is a sum of
-    exactly k support elements of its theta for some read k: any other
-    part has zero image in every read degree.  `_degree` limits the result
-    to one total degree; it is for the graded solve in `loop_division`.
+        G(theta) = sum over entries M of G of (G(M) / prod_i M_i!) prod_i theta_i^M_i,
+
+    M_i being the monomial of slot i and theta_i^M_i a power cached on
+    theta_i's `Prolongation`; a variable shared between the thetas is
+    simply shared by their series.  Every product drops the terms above the
+    cap N, and the sum goes back to the distribution view once.  `_degree`
+    sets the cap to one total degree and keeps only that degree of the
+    result; it is for the graded solve in `loop_division`.
     """
     m = len(G.dims)
     if len(thetas) != m:
@@ -560,39 +549,31 @@ def compose(G: FormalMap, thetas: Sequence[FormalMap], *, _degree: int | None = 
                 f"slot {i}: inner target dimension {theta.target_dim} "
                 f"does not match outer argument dimension {G.dims[i]}"
             )
-    nslots = len(dims)
-    sums = [_exact_sums(theta.support(), nslots, N) for theta in thetas]
-    reads = [sorted({J[i] for J in G.support()}) for i in range(m)]
-    allowed = [set().union(*(sums[i].get(k, ()) for k in reads[i])) for i in range(m)]
-    degrees = range(1, N + 1) if _degree is None else (_degree,)
-    result_support: set[Multidegree] = set()
-    for J in G.support():
-        choices = [sums[i].get(J[i], set()) for i in range(m)]
-        if any(not c for c in choices):
-            continue
-        for combo in iter_product(*choices):
-            total = tuple(sum(vals) for vals in zip(*combo))
-            if sum(total) in degrees:
-                result_support.add(total)
+    cap = N if _degree is None else _degree
     prols = [theta.prolongation() for theta in thetas]
+    # output coordinate -> the composite's series in that coordinate
+    sums: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(G.target_dim)]
+    for J, table in G.components.items():
+        if sum(J) > cap:
+            continue
+        for outer, value in table.items():
+            powers = [prol._power(mono, cap) for prol, mono in zip(prols, outer) if any(mono)]
+            series = powers[0]
+            for power in powers[1:]:
+                series = _truncated_product(series, power, cap)
+            weight = _series_weight(outer)
+            coeffs = value if weight == 1 else {j: g / weight for j, g in value.items()}
+            for degree, terms in series.items():
+                if _degree is None or degree == _degree:
+                    for j, g in coeffs.items():
+                        add_into(sums[j], terms, g)
+    bounds = list(accumulate(dims, initial=0))
     comps: Tables = {}
-    for I in sorted(result_support, key=lambda md: (sum(md), md)):
-        table: dict[MonoTuple, SparseVector] = {}
-        for monos in tensor_monomials(dims, I):
-            total: SparseVector = {}
-            for parts, coeff in _iter_allowed_splits(monos, allowed):
-                elems = []
-                for prol, part, read in zip(prols, parts, reads):
-                    e = prol._image(part, read)
-                    if e.is_zero():
-                        break
-                    elems.append(e)
-                else:
-                    add_into(total, G.on_elements(elems), coeff)
-            if total:
-                table[monos] = total
-        if table:
-            comps[I] = table
+    for j, terms in enumerate(sums):
+        for exps, c in terms.items():
+            monos = tuple(exps[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+            entries = comps.setdefault(multidegree_of(monos), {})
+            entries.setdefault(monos, {})[j] = c * _series_weight(monos)
     return FormalMap._of_sparse(dims, G.target_dim, N, comps)
 
 
@@ -746,8 +727,8 @@ def eval_word(word: LoopWord, F: FormalLoop, nvars: int) -> FormalMap:
     """The formal map of a loop word, by structural recursion.
 
     Variables become slot projections, the unit the zero map, and the
-    binary nodes compositions with the loop or its divisions; shared
-    variables are duplicated by the regrouped coproduct inside compose.
+    binary nodes compositions with the loop or its divisions; a variable
+    shared by both subwords is shared by their series inside compose.
     """
     dims = (F.dim,) * nvars
 

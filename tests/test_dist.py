@@ -407,6 +407,25 @@ def test_linearized_sampling_stays_within_the_truncation(seed):
     assert verdict.holds, verdict.witness
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_linearized_sweep_reaches_the_truncation_by_default(seed):
+    # x + y + x1^2 y2^3 e3 is not associative, and the only failing tuples have
+    # total degree 5 = N, which a sweep stopping at degree 4 and the sparse
+    # samples miss
+    N = 5
+    series = {((2, 0, 0), (0, 3, 0)): (F(0), F(0), F(1))}
+    for j in range(3):
+        e, v = tuple(int(i == j) for i in range(3)), basis_vector(3, j)
+        series[(e, (0, 0, 0))] = series[((0, 0, 0), e)] = v
+    loop = FormalLoop.from_map(FormalMap.from_series((3, 3), 3, N, series))
+    identity = parse_identity(ASSOC, 3)
+    assert not check_loop_identity(identity, loop).holds
+    verdict = check_linearized_identity(identity, DistBialgebra.from_loop(loop), seed=seed)
+    assert not verdict.holds
+    assert verdict.exhaustive_degree == N
+    assert verdict.witness["kind"] == "monomials"
+
+
 @settings(max_examples=10, derandomize=True, deadline=None, phases=NO_SHRINK)
 @given(constants=plane_structure_constants)
 def test_loop_mode_agrees_with_bialgebra_mode_on_random_structure_constants(constants):

@@ -150,10 +150,19 @@ def _reference_eval(word, loop, nvars):
 @settings(max_examples=10, derandomize=True, deadline=None, phases=NO_SHRINK)
 @given(constants=plane_structure_constants)
 def test_compose_matches_the_full_image_reference_on_random_structure_constants(constants):
-    loop = loop_from_algebra(AlgebraTable(2, constants), 4)
-    P1 = FormalMap.slot_projection(loop.dims, 0, 4)
-    for outer in (loop, loop.division("left")):
-        assert compose(outer, [P1, loop]) == reference_compose(outer, [P1, loop])
+    N = 4
+    loop = loop_from_algebra(AlgebraTable(2, constants), N)
+    P1 = FormalMap.slot_projection(loop.dims, 0, N)
+    diagonal = FormalMap.slot_projection((2,), 0, N)
+    square = compose(loop, [diagonal, diagonal])
+    for outer, inner in ((loop, [P1, loop]), (loop.division("left"), [P1, loop]), (square, [loop])):
+        # the one-degree composes run first on the same inner maps, so a power
+        # cached at a lower degree cap cannot stand in for a full one
+        pieces = [compose(outer, inner, _degree=n) for n in range(1, N + 1)]
+        full = compose(outer, inner)
+        assert full == reference_compose(outer, inner)
+        for n, piece in enumerate(pieces, start=1):
+            assert piece == full.filter_components(lambda md: sum(md) == n), n
     for side in (MOUFANG.lhs, MOUFANG.rhs):
         assert eval_word(side, loop, 3) == _reference_eval(side, loop, 3)
 
