@@ -8,6 +8,14 @@ are the counit recursions of `su_ops`, the primitive operations and
 brackets are evaluated with these, and a prescribed multioperator can be
 installed on the same coalgebra by the similarity recursion without
 disturbing the brackets.
+
+Coefficients: inside the memos a coefficient is an ``int`` or a
+``Fraction``, never a float.  `from_loop` stores every integral product
+coefficient as an ``int`` and divides with `scalars.exact_div`, so for
+integral loops the whole kernel runs on ints.  Every value that leaves
+the public API (`DistBialgebra.product` and `divide`, the `DistSUOps`
+results, `LinearizedEvaluator.on_monomials` and `on_elements`) has
+``Fraction`` coefficients again.
 """
 
 from __future__ import annotations
@@ -23,7 +31,9 @@ from typing import Callable, Iterator, Sequence
 from . import su_ops
 from .lincomb import add_into, bilinear
 from .maps import FormalLoop, InvariantError, MonoTuple, SimilarityMap
-from .scalars import ONE, SparseVector, Vector, basis_vector, format_rational, to_sparse
+from .scalars import (
+    SparseVector, Vector, basis_vector, exact, exact_div, format_rational, rat, to_sparse,
+)
 from .symalg import (
     Monomial,
     SymElement,
@@ -40,6 +50,11 @@ from .symalg import (
 from .words import Identity, LDiv, LoopWord, Mul, RDiv, Unit, Var, word_variables
 
 ProductFn = Callable[[Monomial, Monomial], SymElement]
+
+
+def _fractions(elem: SymElement) -> SymElement:
+    """`elem` with every coefficient a Fraction, as values leave the public API."""
+    return SymElement.of_terms(elem.dim, {m: Fraction(c) for m, c in elem.terms.items()})
 
 
 class DistBialgebra:
@@ -80,17 +95,21 @@ class DistBialgebra:
         """
         self = cls(loop.dim, loop.N, None, loop)  # type: ignore[arg-type]
         dim, N = loop.dim, loop.N
-        components = loop.components
+        components = {
+            md: {monos: {j: exact(c) for j, c in vec.items()} for monos, vec in comp.items()}
+            for md, comp in loop.components.items()
+        }
+        unit = SymElement.of_terms(dim, {unit_monomial(dim): 1})
 
         def product_fn(m1: Monomial, m2: Monomial) -> SymElement:
             d1, d2 = monomial_degree(m1), monomial_degree(m2)
             if d1 + d2 == 0:
-                return self.one()
+                return unit
             top = components.get((d1, d2), {}).get((m1, m2), {})
             acc = {basis_monomial(dim, j): c for j, c in top.items()}
             groups1, groups2 = splits_by_degree(m1), splits_by_degree(m2)
             # letter j -> sum of the weighted tails mu_(2) . nu_(2), before the shift by e_j
-            tails: dict[int, dict[Monomial, Fraction]] = {}
+            tails: dict[int, dict[Monomial, int | Fraction]] = {}
             for (e1, e2), comp in components.items():
                 if e1 > d1 or e2 > d2 or (e1 == d1 and e2 == d2):
                     continue
@@ -104,7 +123,7 @@ class DistBialgebra:
                         for j, fj in front.items():
                             add_into(tails.setdefault(j, {}), tail, fj if weight == 1 else weight * fj)
             # a tail term of degree < N, times e_j
-            shifted: dict[Monomial, Fraction] = {}
+            shifted: dict[Monomial, int | Fraction] = {}
             for j, tail in tails.items():
                 add_into(shifted, {
                     mono[:j] + (mono[j] + 1,) + mono[j + 1 :]: c
@@ -113,7 +132,7 @@ class DistBialgebra:
                 })
             # tails have no degree-0 term, so these degrees are >= 2 and miss `top`
             for mono, c in shifted.items():
-                acc[mono] = c / monomial_degree(mono)
+                acc[mono] = exact_div(c, monomial_degree(mono))
             return SymElement.of_terms(dim, acc)
 
         self._product_fn = product_fn
@@ -160,12 +179,12 @@ class DistBialgebra:
     def product(self, a: SymElement, b: SymElement) -> SymElement:
         self._check_elem(a)
         self._check_elem(b)
-        return bilinear(self.product_mono, a, b)
+        return _fractions(self.mul(a, b))
 
     def divide(self, a: SymElement, b: SymElement, side: str) -> SymElement:
         self._check_elem(a)
         self._check_elem(b)
-        return su_ops.divide(self, a, b, side)
+        return _fractions(su_ops.divide(self, a, b, side))
 
     # -- element helpers ----------------------------------------------------------
     def one(self) -> SymElement:
@@ -180,17 +199,19 @@ class DistBialgebra:
     # -- the su_ops contract ------------------------------------------------------
     key_degree = staticmethod(monomial_degree)
 
-    # The methods below look up product, product_mono, ldiv_mono, rdiv_mono
-    # and monomial_splits at call time, so a wrapper installed on those names
+    # The methods below look up product_mono, ldiv_mono, rdiv_mono and
+    # monomial_splits at call time, so a wrapper installed on those names
     # (perfbench/tracer.py) sees every call; a class-level alias would not.
+    # `mul` is the kernel's product: unlike `product` it keeps the memos'
+    # int coefficients instead of converting its result to Fractions.
     def mul(self, a: SymElement, b: SymElement) -> SymElement:
-        return self.product(a, b)
+        return bilinear(self.product_mono, a, b)
 
     def is_primitive(self, a: SymElement) -> bool:
         return all(monomial_degree(m) == 1 for m in a.terms)
 
     def key_element(self, mono: Monomial) -> SymElement:
-        return SymElement.of_terms(self.dim, {mono: ONE})
+        return SymElement.of_terms(self.dim, {mono: 1})
 
     def key_coproduct(self, mono: Monomial):
         return monomial_splits(mono)
@@ -262,19 +283,19 @@ class DistSUOps:
             return x.value
         if isinstance(x, SymElement):
             return x
-        return SymElement.from_vector(tuple(Fraction(v) for v in x))
+        return SymElement.from_vector(tuple(map(rat, x)))
 
     def p(self, xs: Sequence, ys: Sequence, z) -> DistElement:
         value = su_ops.p_operation(
             self.bialgebra, [self._coerce(x) for x in xs], [self._coerce(y) for y in ys], self._coerce(z)
         )
-        return DistElement(self.bialgebra, value)
+        return DistElement(self.bialgebra, _fractions(value))
 
     def bracket(self, xs: Sequence, y, z) -> DistElement:
         value = su_ops.bracket(
             self.bialgebra, [self._coerce(x) for x in xs], self._coerce(y), self._coerce(z)
         )
-        return DistElement(self.bialgebra, value)
+        return DistElement(self.bialgebra, _fractions(value))
 
     def bracket_vector(self, xs: Sequence, y, z) -> Vector:
         """The bracket as an element of V; raises if it fails to be primitive."""
@@ -287,7 +308,7 @@ class DistSUOps:
         value = su_ops.multioperator(
             self.bialgebra, [self._coerce(x) for x in xs], [self._coerce(y) for y in ys]
         )
-        return DistElement(self.bialgebra, value)
+        return DistElement(self.bialgebra, _fractions(value))
 
     def multioperator_mono(self, mx: Monomial, my: Monomial) -> Vector:
         """Distribution-view multioperator table entry at a monomial pair.
@@ -365,7 +386,8 @@ class LinearizedEvaluator:
     A leaf's value is truncated at N; a binary node's value is a sum of
     memoized product and division entries, which are truncated already,
     so it is stored without a copy.  Every vanishing value is the
-    evaluator's one zero element.
+    evaluator's one zero element.  The memo holds kernel coefficients
+    (`int | Fraction`); the public methods return Fractions.
     """
 
     def __init__(self, bialgebra: DistBialgebra, nvars: int):
@@ -374,6 +396,7 @@ class LinearizedEvaluator:
         self.B = bialgebra
         self.nvars = nvars
         self._unit = unit_monomial(bialgebra.dim)
+        self._one = SymElement.of_terms(bialgebra.dim, {self._unit: 1})
         self._zero = SymElement.zero(bialgebra.dim)
         self._memo: dict[tuple[int, MonoTuple], SymElement] = {}
         self._nodes: dict[LoopWord, _Node] = {}
@@ -410,7 +433,7 @@ class LinearizedEvaluator:
         total = sum(map(monomial_degree, monos))
         if total > self.B.N:
             raise ValueError(f"total degree {total} exceeds the truncation degree {self.B.N}")
-        return self._eval(self._node(word), monos)
+        return _fractions(self._eval(self._node(word), monos))
 
     def _eval(self, node: _Node, monos: MonoTuple) -> SymElement:
         key = (node.id, monos)
@@ -423,11 +446,11 @@ class LinearizedEvaluator:
         elif isinstance(node.word, Var):
             index = node.word.index
             if all(monomial_degree(m) == 0 for k, m in enumerate(monos) if k != index - 1):
-                out = SymElement.of_terms(B.dim, {monos[index - 1]: ONE}).truncate(B.N)
+                out = SymElement.of_terms(B.dim, {monos[index - 1]: 1}).truncate(B.N)
             else:
                 out = self._zero
         elif all(monomial_degree(m) == 0 for m in monos):
-            out = B.one()
+            out = self._one
         else:
             out = self._zero
         self._memo[key] = out
@@ -450,7 +473,7 @@ class LinearizedEvaluator:
                 return self._zero
         # looked up on B at call time, so a wrapper on the class sees every call
         fn = getattr(B, node.method)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, int | Fraction] = {}
         for combo in iter_product(*options):
             left, right, weights = zip(*combo)
             lv = self._eval(node.left, left)
@@ -477,11 +500,11 @@ class LinearizedEvaluator:
             monos = tuple(m for m, _ in combo)
             if sum(map(monomial_degree, monos)) > self.B.N:
                 continue
-            coeff = ONE
+            coeff = 1
             for _, c in combo:
                 coeff *= c
             add_into(acc, self._eval(node, monos).terms, coeff)
-        return SymElement.of_terms(self.B.dim, acc)
+        return _fractions(SymElement.of_terms(self.B.dim, acc))
 
 
 @lru_cache(maxsize=None)
@@ -556,9 +579,12 @@ def check_linearized_identity(
             for rest in tuples_of_total(slots - 1, budget - monomial_degree(head)):
                 yield (head,) + rest
 
+    # every swept tuple has nvars slots and total degree <= N, so the sweep
+    # compares the evaluator's memoized kernel values directly
+    lhs_node, rhs_node = ev._node(identity.lhs), ev._node(identity.rhs)
     for monos in tuples_of_total(identity.nvars, sweep_cap):
-        lhs = ev.on_monomials(identity.lhs, monos)
-        rhs = ev.on_monomials(identity.rhs, monos)
+        lhs = ev._eval(lhs_node, monos)
+        rhs = ev._eval(rhs_node, monos)
         if lhs != rhs:
             witness = {
                 "kind": "monomials",
@@ -617,9 +643,9 @@ def brackets_invariance_check(
             for mu in monomials(dim, dmu):
                 for nu in monomials(dim, dnu):
                     acc: dict[Monomial, Fraction] = {}
-                    for m1, m2, coeff in SymElement(dim, {mu: ONE}).coproduct_terms():
+                    for m1, m2, coeff in monomial_splits(mu):
                         inner = prol.at((m2, nu)).truncate(N)
-                        add_into(acc, b_times.product(SymElement(dim, {m1: ONE}), inner).terms, coeff)
+                        add_into(acc, b_times.mul(b_times.key_element(m1), inner).terms, coeff)
                     lhs = SymElement.of_terms(dim, acc)
                     rhs = b_dot.product_mono(mu, nu)
                     if lhs != rhs:
@@ -689,7 +715,7 @@ class _PsiBuilder:
             if m == 0:
                 hit = self.B.one()
             else:
-                hit = self.B.product(self.dist_power(v, m - 1), SymElement.from_vector(v))
+                hit = self.B.mul(self.dist_power(v, m - 1), SymElement.from_vector(v))
             self._powers[key] = hit
         return hit
 
@@ -746,16 +772,16 @@ class _PsiBuilder:
                             * factorial(s)
                             // (factorial(k1) * factorial(k2) * factorial(k3) * factorial(k4))
                         )
-                        mid = B.product(self.dist_power(c, k2), inner)
+                        mid = B.mul(self.dist_power(c, k2), inner)
                         tail = -self._phi_on_powers(c, k4, v, j)
                         if k4 == 0 and l == m - 1:
                             tail = tail + v_elem
                         if tail.is_zero():
                             continue
-                        piece = B.product(mid, tail)
+                        piece = B.mul(mid, tail)
                         if piece.is_zero():
                             continue
-                        value = B.divide(self.dist_power(c, k1), piece, "left")
+                        value = su_ops.divide(B, self.dist_power(c, k1), piece, "left")
                         add_into(acc, value.terms, weight)
         result = SymElement.of_terms(B.dim, acc).truncate(B.N)
         self._pp[key] = result
@@ -802,7 +828,7 @@ class _PsiBuilder:
             return SymElement.zero(self.B.dim)
         if dy == 1:
             if monomial_degree(x_mono) == 0:
-                return SymElement.of_terms(self.B.dim, {y_mono: ONE})
+                return self.B.key_element(y_mono)
             return SymElement.zero(self.B.dim)
         key = (x_mono, y_mono)
         hit = self._psi.get(key)
@@ -868,7 +894,7 @@ def make_similar_product(bialgebra: DistBialgebra, phi: PhiTables) -> DistBialge
             inner = builder.psi(b, m2)
             if inner.is_zero():
                 continue
-            add_into(acc, bialgebra.product(SymElement.of_terms(dim, {a: ONE}), inner).terms, coeff)
+            add_into(acc, bialgebra.mul(bialgebra.key_element(a), inner).terms, coeff)
         return SymElement.of_terms(dim, acc).truncate(N)
 
     return DistBialgebra(dim, N, product_fn)
@@ -892,8 +918,8 @@ def su_multioperator_tables(bialgebra: DistBialgebra, max_degree: int | None = N
 # -- the filtration rank check -----------------------------------------------------------
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a list of rational rows by Gaussian elimination."""
+def _rank(rows: list[list[int | Fraction]]) -> int:
+    """Rank of a list of rational rows by exact Gaussian elimination."""
     if not rows:
         return 0
     matrix = [row[:] for row in rows]
@@ -908,7 +934,7 @@ def _rank(rows: list[list[Fraction]]) -> int:
         if pivot is None:
             continue
         matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = 1 / matrix[rank][col]
+        inv = Fraction(1) / matrix[rank][col]
         matrix[rank] = [x * inv for x in matrix[rank]]
         for r in range(len(matrix)):
             if r != rank and matrix[r][col] != 0:
@@ -948,10 +974,11 @@ def pbw_span_check(bialgebra: DistBialgebra, max_degree: int) -> PbwVerdict:
 
         yield from rec(0, k)
 
-    products: dict[tuple[int, ...], SymElement] = {(): bialgebra.one()}
+    products: dict[tuple[int, ...], SymElement] = {(): bialgebra.key_element(unit_monomial(dim))}
     for k in range(1, max_degree + 1):
         for idx in ordered_tuples(k):
-            products[idx] = bialgebra.product(products[idx[:-1]], bialgebra.basis(idx[-1]))
+            letter = bialgebra.key_element(basis_monomial(dim, idx[-1]))
+            products[idx] = bialgebra.mul(products[idx[:-1]], letter)
 
     verdict = PbwVerdict(holds=True)
     for m in range(0, max_degree + 1):
@@ -961,7 +988,7 @@ def pbw_span_check(bialgebra: DistBialgebra, max_degree: int) -> PbwVerdict:
         for idx, elem in products.items():
             if len(idx) > m:
                 continue
-            row = [Fraction(0)] * len(basis)
+            row = [0] * len(basis)
             for mono, coeff in elem.terms.items():
                 if monomial_degree(mono) <= m:
                     row[basis_index[mono]] = coeff

@@ -204,8 +204,9 @@ class FAElement(LinComb):
         self.alg = alg
         clean: dict[FAMonomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            if coeff != 0 and mono_degree(mono) <= alg.max_degree:
-                clean[mono] = Fraction(coeff)
+            coeff = rat(coeff)
+            if coeff and mono_degree(mono) <= alg.max_degree:
+                clean[mono] = coeff
         self.terms = clean
 
     def __mul__(self, other):
@@ -351,8 +352,9 @@ class FATensor(LinComb):
         cap = alg.max_degree
         clean: dict[tuple[FAMonomial, FAMonomial], Fraction] = {}
         for (a, b), coeff in (terms or {}).items():
-            if coeff != 0 and mono_degree(a) <= cap and mono_degree(b) <= cap:
-                clean[(a, b)] = Fraction(coeff)
+            coeff = rat(coeff)
+            if coeff and mono_degree(a) <= cap and mono_degree(b) <= cap:
+                clean[(a, b)] = coeff
         self.terms = clean
 
     @classmethod

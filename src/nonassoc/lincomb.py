@@ -2,14 +2,16 @@
 
 Elements of k[V], of the truncated free algebra and of their tensor
 squares are all finite sums of basis keys with rational coefficients,
-stored as a dict from key to ``Fraction``.  This module holds their shared
+stored as a dict from key to coefficient.  This module holds their shared
 arithmetic: `add_into` accumulates one combination into another in place,
 `bilinear` extends a map on pairs of basis keys, and `LinComb` gives every
 element class its vector-space structure.
 
-Invariant: every stored coefficient is a nonzero ``Fraction``.  `add_into`
-deletes the keys that cancel, and at a coefficient of 1 or -1 stores the
-term's own ``Fraction`` or its negation, with no multiplication.
+Invariant: every stored coefficient is a nonzero exact rational, never a
+float.  At the public API it is a ``Fraction``; inside the memos of the
+`dist` kernel it is an ``int`` or a ``Fraction`` (see `scalars`).
+`add_into` deletes the keys that cancel, and at a coefficient of 1 or -1
+stores the term's own coefficient or its negation, with no multiplication.
 `LinComb.of_terms` keeps the dict it is given without copying or checking
 it, so it is for results computed inside the package; the public
 constructors of the element classes validate outside input.
@@ -19,14 +21,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalars import rat
+
 
 def add_into(acc: dict, terms: dict, coeff: int | Fraction = 1) -> dict:
     """acc += coeff * terms, in place; keys whose coefficient cancels are deleted.
 
-    The values of `terms` are nonzero Fractions and coeff is an int or a
-    Fraction, so every stored coefficient is a nonzero Fraction.  A unit
-    coefficient builds no product: at 1 the term's own Fraction is stored
-    or added (Fractions are immutable), at -1 its negation.
+    The values of `terms` are nonzero ints or Fractions and coeff is an
+    int or a Fraction, so every stored coefficient is a nonzero exact
+    rational: a Fraction at the public API, and in the `dist` kernel's
+    memos an int or a Fraction, never a float.  A unit coefficient builds
+    no product: at 1 the term's own coefficient is stored or added (ints
+    and Fractions are immutable), at -1 its negation.
     """
     if coeff == 0:
         return acc
@@ -103,11 +109,11 @@ class LinComb:
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
 
-    def scale(self, c: int | Fraction):
+    def scale(self, c: int | str | Fraction):
+        if not isinstance(c, (int, Fraction)):
+            c = rat(c)
         if c == 0:
             return self._like({})
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
         return self._like({k: c * v for k, v in self.terms.items()})
 
     def __rmul__(self, c):

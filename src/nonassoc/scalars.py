@@ -1,8 +1,14 @@
 """Exact scalars and the two vector formats of the package.
 
-Every coefficient in this package is a ``fractions.Fraction`` (always in
-lowest terms by construction).  Serialized scalars are decimal-free
-strings like ``-2/3`` or ``5``.
+Every coefficient at the public API is a ``fractions.Fraction`` (always
+in lowest terms by construction).  Inside the memos of the `dist` kernel a
+coefficient is an ``int`` or a ``Fraction``: `DistBialgebra.from_loop`
+stores each product coefficient in the canonical form of `exact` (an
+``int`` when integral, else a ``Fraction`` with denominator > 1) and
+divides with `exact_div`, so no ``/`` on an ``int`` can make a float.  No
+coefficient is ever a float: `rat`, `exact` and `exact_div` raise
+``TypeError`` on one.  Serialized scalars are decimal-free strings like
+``-2/3`` or ``5``.
 
 Inside the package a vector is sparse: a dict {basis index: Fraction}
 that never stores a zero, combined with `lincomb.add_into`.  A stored
@@ -31,6 +37,23 @@ def rat(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def exact(c: int | Fraction) -> int | Fraction:
+    """The canonical exact form of c: an int when c is integral, else a Fraction."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return c
+    raise TypeError(f"not an exact rational: {c!r}")
+
+
+def exact_div(c: int | Fraction, d: int | Fraction) -> int | Fraction:
+    """c / d in canonical exact form: c // d when d divides c, otherwise a Fraction."""
+    if type(c) is int and type(d) is int:
+        q, r = divmod(c, d)
+        return Fraction(c, d) if r else q
+    return exact(rat(c) / rat(d))
+
+
 def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
@@ -43,7 +66,7 @@ def to_sparse(dim: int, v: Vector) -> SparseVector:
     """The nonzero entries of a dense vector, which must have length `dim`."""
     if len(v) != dim:
         raise ValueError(f"vector of length {len(v)} in dimension {dim}")
-    return {i: c for i, c in enumerate(map(Fraction, v)) if c}
+    return {i: c for i, c in enumerate(map(rat, v)) if c}
 
 
 def to_dense(dim: int, v: SparseVector) -> Vector:

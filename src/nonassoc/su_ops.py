@@ -21,7 +21,10 @@ and `_p_memo` and `_assoc_memo`, keyed by basis-key triples.
 
 Elements are `lincomb.LinComb` instances: the engine uses their `+`, `-`
 and `scale`, and sums linear combinations of them with `add_into` on
-their `terms`, the dicts from basis key to coefficient.
+their `terms`, the dicts from basis key to coefficient.  The division
+recursions start from `key_element`, so their memo entries carry the
+algebra's own coefficients: `int | Fraction` in `DistBialgebra`,
+`Fraction` in `FreeAlgebra`.
 
 Left and right division are defined by the counit recursions, the
 non-associative stand-in for an antipode:
@@ -55,7 +58,6 @@ from math import factorial
 from typing import Sequence
 
 from .lincomb import add_into, bilinear
-from .scalars import ONE
 
 
 def left_normed_product(alg, factors: Sequence) -> object:
@@ -88,7 +90,7 @@ def ldiv_on_keys(alg, u, v):
     if hit is None:
         du = alg.key_degree(u)
         if du == 0:
-            acc = {v: ONE}
+            acc = dict(alg.key_element(v).terms)
         else:
             acc = {}
             for u1, u2, c in alg.key_coproduct(u):
@@ -113,7 +115,7 @@ def rdiv_on_keys(alg, u, v):
     if hit is None:
         dv = alg.key_degree(v)
         if dv == 0:
-            acc = {u: ONE}
+            acc = dict(alg.key_element(u).terms)
         else:
             acc = {}
             for v1, v2, c in alg.key_coproduct(v):

@@ -123,10 +123,11 @@ class SymElement(LinComb):
         self.dim = dim
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            if coeff != 0:
+            coeff = rat(coeff)
+            if coeff:
                 if len(mono) != dim:
                     raise ValueError(f"monomial {mono} has wrong dimension, expected {dim}")
-                clean[mono] = Fraction(coeff)
+                clean[mono] = coeff
         self.terms = clean
 
     # -- constructors ----------------------------------------------------
@@ -149,7 +150,7 @@ class SymElement(LinComb):
     @classmethod
     def from_vector(cls, vec: Vector) -> "SymElement":
         dim = len(vec)
-        return cls(dim, {basis_monomial(dim, i): c for i, c in enumerate(vec) if c != 0})
+        return cls(dim, {basis_monomial(dim, i): c for i, c in enumerate(vec)})
 
     @classmethod
     def from_sparse(cls, dim: int, vec: SparseVector) -> "SymElement":
@@ -249,12 +250,13 @@ class SymTensor(LinComb):
         self.dims = tuple(dims)
         clean: dict[tuple[Monomial, ...], Fraction] = {}
         for key, coeff in (terms or {}).items():
-            if coeff != 0:
+            coeff = rat(coeff)
+            if coeff:
                 if len(key) != len(self.dims) or any(
                     len(m) != d for m, d in zip(key, self.dims)
                 ):
                     raise ValueError(f"tensor key {key} does not match dims {self.dims}")
-                clean[tuple(key)] = Fraction(coeff)
+                clean[tuple(key)] = coeff
         self.terms = clean
 
     @classmethod

@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NO_SHRINK, plane, plane_structure_constants, rationals, reference_linearized
+from nonassoc import dist
 from nonassoc.catalog import (
     AlgebraTable,
     builtin_algebra,
+    builtin_loop,
     loop_from_algebra,
     x_squared_y_loop,
 )
 from nonassoc.dist import (
     DistBialgebra,
     LinearizedEvaluator,
+    _rank,
     brackets_invariance_check,
     check_linearized_identity,
     dist_su_ops,
@@ -55,6 +58,11 @@ RIGHT_DIVISION = "((x2 / x1) * x1) = x2"
 def affine_1d():
     table = AlgebraTable(1, (((F(1),),),), {"associative": True})
     return DistBialgebra.from_loop(loop_from_algebra(table, 5))
+
+
+def is_canonical(c) -> bool:
+    """The kernel's coefficient form: a nonzero int, or a Fraction with denominator > 1."""
+    return (type(c) is int or (type(c) is F and c.denominator > 1)) and c != 0
 
 
 def mono_elem(dim, mono):
@@ -131,6 +139,10 @@ def test_product_matches_prolongation_route_on_random_plane_loops(loop):
     for m1 in monomials_up_to(2, 4):
         for m2 in monomials_up_to(2, 4 - sum(m1)):
             assert fast.product_mono(m1, m2) == slow.product_mono(m1, m2), (m1, m2)
+    # rational loops reach the Fraction branch of exact_div; every stored
+    # coefficient stays in canonical exact form
+    for value in fast._prod_memo.values():
+        assert all(is_canonical(c) for c in value.terms.values()), value
 
 
 def test_product_is_coalgebra_morphism(jordan_bialgebra_4):
@@ -253,6 +265,60 @@ def test_abelian_divisions_are_translations():
 
 
 # -- primitive operations ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, N, text, nvars",
+    [("jordan-k3-loop", 4, LEFT_DIVISION, 2), ("split-octonion-loop", 3, MOUFANG, 3)],
+)
+def test_kernel_memos_hold_canonical_ints_and_the_api_returns_fractions(monkeypatch, name, N, text, nvars):
+    evaluators = []
+
+    class Recorded(LinearizedEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            evaluators.append(self)
+
+    monkeypatch.setattr(dist, "LinearizedEvaluator", Recorded)
+    B = DistBialgebra.from_loop(builtin_loop(name, N))
+    identity = parse_identity(text, nvars)
+    assert check_linearized_identity(identity, B, samples=3, seed=0).holds
+    brackets = su_bracket_table(B, 1)
+
+    def fractions_only(values):
+        return all(type(c) is F for c in values)
+
+    dim = B.dim
+    rng = random.Random(3)
+    x, y = random_distribution(rng, dim, 1), random_distribution(rng, dim, 1)
+    m1 = (1,) + (0,) * (dim - 1)
+    assert fractions_only(B.product(x, y).terms.values())
+    for side in ("left", "right"):
+        assert fractions_only(B.divide(x, y, side).terms.values())
+    # bracket_vector fills the bracket table and multioperator_mono these
+    # tables, which are empty for the octonions at N = 3
+    multioperators = list(su_multioperator_tables(B).values())
+    assert any(map(any, brackets.values())) and (multioperators or name == "split-octonion-loop")
+    assert all(map(fractions_only, brackets.values())) and all(map(fractions_only, multioperators))
+    # a nonzero bracket <x; y, z> = p(x; z; y) - p(x; y; z) has a nonzero p term
+    x1, y1, z1 = (basis_vector(dim, i) for i in next(idx for idx, v in brackets.items() if any(v)))
+    ps = [dist_su_ops(B).p([x1], [b], c).value for b, c in ((z1, y1), (y1, z1))]
+    assert any(p.terms for p in ps) and all(fractions_only(p.terms.values()) for p in ps)
+    ev = LinearizedEvaluator(B, nvars)
+    assert fractions_only(ev.on_monomials(identity.lhs, (m1,) * nvars).terms.values())
+    assert fractions_only(ev.on_elements(identity.rhs, [x] * nvars).terms.values())
+    # the public calls above also fill the division memos
+    memos = [B._prod_memo, B._ldiv_memo, B._rdiv_memo, B._p_memo, B._assoc_memo, evaluators[0]._memo]
+    for memo in memos:
+        assert memo
+        for key, value in memo.items():
+            assert all(is_canonical(c) for c in value.terms.values()), (key, value)
+
+
+def test_su_ops_reject_float_vectors(jordan_bialgebra_4):
+    ops = dist_su_ops(jordan_bialgebra_4)
+    with pytest.raises(TypeError):
+        ops.bracket([], (0.1, 0, 0), basis_vector(3, 1))
 
 
 def test_su_bracket_table_rejects_a_negative_arity(jordan_bialgebra_4):
@@ -680,6 +746,13 @@ def test_jordan_bracket_relations(spin_bialgebra_6):
 
 
 # -- the filtration rank check -------------------------------------------------------------
+
+
+def test_rank_is_exact_on_int_rows():
+    # a float pivot inverse rounds 10**17 + 1 to 10**17 and loses a rank
+    assert _rank([[1, 10**17], [1, 10**17 + 1]]) == 2
+    assert _rank([[F(1), F(10**17)], [F(1), F(10**17 + 1)]]) == 2
+    assert _rank([[2, 4], [1, 2]]) == 1
 
 
 def test_pbw_abelian_loop():

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nonassoc.freealg import FATensor, FreeAlgebra, fa_divide, mono_degree
+from nonassoc.freealg import FAElement, FATensor, FreeAlgebra, fa_divide, mono_degree
 from nonassoc.lincomb import add_into
 from nonassoc.symalg import SymElement, SymTensor, monomials_up_to
 
@@ -107,6 +107,23 @@ def test_bialgebra_results_keep_the_invariants(jordan_bialgebra_4):
             assert_clean(B.divide(one + x, y, side))
             assert_clean(B.divide(x, x, side))
         assert B.product(one + x, x - one) == B.product(x, x) - one
+
+
+FLOAT_ENTRY_POINTS = {
+    "SymElement": lambda: SymElement(1, {(1,): 0.1}),
+    "SymElement.from_vector": lambda: SymElement.from_vector((0.0, 1)),
+    "SymTensor": lambda: SymTensor((1, 1), {((1,), (0,)): 0.1}),
+    "FAElement": lambda: FAElement(FreeAlgebra(("x",), 2), {0: 0.1}),
+    "FATensor": lambda: FATensor(FreeAlgebra(("x",), 2), {(0, 0): 0.1}),
+    "LinComb.scale": lambda: SymElement.of_terms(1, {(1,): F(1)}).scale(0.1),
+}
+
+
+@pytest.mark.parametrize("entry", FLOAT_ENTRY_POINTS)
+def test_public_constructors_and_scale_reject_floats(entry):
+    # a float would otherwise be stored as its binary fraction 3602879701896397/2**55
+    with pytest.raises(TypeError):
+        FLOAT_ENTRY_POINTS[entry]()
 
 
 def test_add_into_deletes_cancelled_keys():
