@@ -29,6 +29,7 @@ from .connection import (
     covariant_derivative,
     field_applied_to_function,
     function_times_field,
+    ms_bracket_table,
     ms_brackets,
     torsion,
     vf_bracket,

@@ -11,17 +11,16 @@ run can be replayed.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
 from fractions import Fraction
 
 from . import catalog, dist, maps, trees
-from .connection import ms_brackets
+from .connection import ms_bracket_table
 from .freealg import FreeAlgebra, fa_exp, fa_log, su_multioperator_component
 from .maps import InvariantError, resolve_memory_cap
-from .scalars import basis_vector, format_rational
+from .scalars import format_rational
 from .words import parse_identity
 
 SCHEMA_VERSION = 1
@@ -145,15 +144,11 @@ def cmd_brackets(args: argparse.Namespace) -> int:
         raise UsageError(
             f"arity {args.arity} needs degree {args.arity + 2} <= {args.degree}"
         )
-    dim = loop.dim
     su_table = ms_table = None
     if args.method in ("su", "both"):
         su_table = dist.su_bracket_table(dist.DistBialgebra.from_loop(loop), args.arity)
     if args.method in ("ms", "both"):
-        ms_table = {}
-        for idx in itertools.product(range(dim), repeat=args.arity + 2):
-            xs = [basis_vector(dim, i) for i in idx[: args.arity]]
-            ms_table[idx] = ms_brackets(loop, xs, basis_vector(dim, idx[-2]), basis_vector(dim, idx[-1]))
+        ms_table = ms_bracket_table(loop, args.arity)
     entries = []
     keys = sorted((su_table or ms_table).keys())
     for idx in keys:

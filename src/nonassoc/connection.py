@@ -20,11 +20,12 @@ constructors take functions returning them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .lincomb import add_into
 from .maps import FormalLoop
 from .scalars import ONE, ZERO, SparseVector, Vector, to_dense, to_sparse
+from .su_ops import basis_bracket_table
 from .symalg import (
     Monomial,
     basis_monomial,
@@ -62,6 +63,7 @@ class FormalVectorField:
         self.max_degree = max_degree
         self._fn = lambda mono: to_sparse(dim, fn(mono))
         self._cache: dict[Monomial, SparseVector] = {}
+        self._pulled_cache: dict[tuple[FlatConnection, Monomial], SparseVector] = {}
 
     @classmethod
     def _of_sparse(cls, dim: int, max_degree: int, fn: Callable) -> "FormalVectorField":
@@ -276,31 +278,37 @@ def field_applied_to_function(a: FormalVectorField, f: FormalFunction) -> Formal
     return FormalFunction(a.dim, table)
 
 
-def _four_splits(mono: Monomial) -> Iterator[tuple[Monomial, Monomial, Monomial, Monomial, int]]:
-    for a, rest1, c1 in monomial_splits(mono):
-        for b, rest2, c2 in monomial_splits(rest1):
-            for c, d, c3 in monomial_splits(rest2):
-                yield a, b, c, d, c1 * c2 * c3
+def _pulled(conn: FlatConnection, b: FormalVectorField, mono: Monomial) -> SparseVector:
+    r"""sum mono_(1) \* B(mono_(2)), cached on the field B per connection."""
+    hit = b._pulled_cache.get((conn, mono))
+    if hit is None:
+        hit = {}
+        for m1, m2, coeff in monomial_splits(mono):
+            add_into(hit, _on_vector(conn._inv_star, m1, b._at(m2)), coeff)
+        b._pulled_cache[(conn, mono)] = hit
+    return hit
 
 
 def covariant_derivative(
     conn: FlatConnection, a: FormalVectorField, b: FormalVectorField
 ) -> FormalVectorField:
     """nabla_A(B)(mu) = sum B(mu_(1) A(mu_(2)))
-    - (mu_(1) A(mu_(2))) * (mu_(3) \\* B(mu_(4)))."""
+    - (mu_(1) A(mu_(2))) * (mu_(3) \\* B(mu_(4))), the four-fold coproduct taken
+    as (Delta (x) Delta) Delta: mu = L (x) R, and the sum over the splits of R
+    read from B's cache (`_pulled`)."""
     if conn.dim != a.dim or conn.dim != b.dim:
         raise ValueError("connection and fields live on different spaces")
     bound = min(conn.max_degree, a.max_degree, b.max_degree) - 1
 
     def fn(mono: Monomial) -> SparseVector:
         out = _b_after_a(a, b, mono)
-        for m1, m2, m3, m4, coeff in _four_splits(mono):
-            moved = a._at(m2)
-            if not moved:
+        for left, right, c0 in monomial_splits(mono):
+            pulled = _pulled(conn, b, right)
+            if not pulled:
                 continue
-            pulled = _on_vector(conn._inv_star, m3, b._at(m4))
-            for i, c in moved.items():
-                add_into(out, _on_vector(conn._star, _times_basis(m1, i), pulled), -coeff * c)
+            for m1, m2, c1 in monomial_splits(left):
+                for i, c in a._at(m2).items():
+                    add_into(out, _on_vector(conn._star, _times_basis(m1, i), pulled), -c0 * c1 * c)
         return out
 
     return FormalVectorField._of_sparse(a.dim, bound, fn)
@@ -349,3 +357,11 @@ def ms_brackets(
             cache[key] = nxt
         field = nxt
     return field.at(unit_monomial(loop.dim))
+
+
+def ms_bracket_table(loop: FormalLoop, arity: int) -> dict[tuple[int, ...], Vector]:
+    """`ms_brackets` on every basis tuple, by `su_ops.basis_bracket_table`; mirroring (y, z)
+    is exact, as the torsion is antisymmetric by its formula and nabla_x is linear."""
+    return basis_bracket_table(
+        loop.dim, loop.N, arity, lambda xs, y, z: ms_brackets(loop, xs, y, z)
+    )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Callable, Iterator, Sequence
 
 from . import su_ops
@@ -329,18 +329,9 @@ def dist_su_ops(bialgebra: DistBialgebra) -> DistSUOps:
 
 
 def su_bracket_table(bialgebra: DistBialgebra, arity: int) -> dict[tuple[int, ...], Vector]:
-    """All brackets <e_{i_1} .. e_{i_m}; e_j, e_k> on basis tuples."""
-    if arity < 0:
-        raise ValueError(f"bracket arity must be >= 0, got {arity}")
-    if arity + 2 > bialgebra.N:
-        raise ValueError(f"bracket arity {arity} needs degree {arity + 2} <= {bialgebra.N}")
+    """All brackets <e_{i_1} .. e_{i_m}; e_j, e_k> on basis tuples (`su_ops.basis_bracket_table`)."""
     ops = dist_su_ops(bialgebra)
-    dim = bialgebra.dim
-    table: dict[tuple[int, ...], Vector] = {}
-    for idx in iter_product(range(dim), repeat=arity + 2):
-        xs = [basis_vector(dim, i) for i in idx[:arity]]
-        table[idx] = ops.bracket_vector(xs, basis_vector(dim, idx[-2]), basis_vector(dim, idx[-1]))
-    return table
+    return su_ops.basis_bracket_table(bialgebra.dim, bialgebra.N, arity, ops.bracket_vector)
 
 
 # -- linearized identities ------------------------------------------------------------
@@ -895,7 +886,7 @@ def make_similar_product(bialgebra: DistBialgebra, phi: PhiTables) -> DistBialge
             if inner.is_zero():
                 continue
             add_into(acc, bialgebra.mul(bialgebra.key_element(a), inner).terms, coeff)
-        return SymElement.of_terms(dim, acc).truncate(N)
+        return SymElement.of_terms(dim, {mono: exact(c) for mono, c in acc.items()}).truncate(N)
 
     return DistBialgebra(dim, N, product_fn)
 
@@ -919,27 +910,29 @@ def su_multioperator_tables(bialgebra: DistBialgebra, max_degree: int | None = N
 
 
 def _rank(rows: list[list[int | Fraction]]) -> int:
-    """Rank of a list of rational rows by exact Gaussian elimination."""
-    if not rows:
-        return 0
-    matrix = [row[:] for row in rows]
-    ncols = len(matrix[0])
-    rank = 0
+    """Rank of a list of rational rows by fraction-free (Bareiss) elimination.
+
+    Rows are scaled to ints by their common denominators, which keeps the
+    rank; each step divides exactly by the previous pivot (entries are minors).
+    """
+    matrix = []
+    for row in rows:
+        scale = lcm(*(c.denominator for c in row))
+        matrix.append([c.numerator * (scale // c.denominator) for c in row])
+    ncols = len(matrix[0]) if matrix else 0
+    rank, previous = 0, 1
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(matrix)):
-            if matrix[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
         if pivot is None:
             continue
         matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = Fraction(1) / matrix[rank][col]
-        matrix[rank] = [x * inv for x in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
+        head = matrix[rank]
+        p = head[col]
+        for r in range(rank + 1, len(matrix)):
+            row = matrix[r]
+            f = row[col]
+            matrix[r] = [(p * a - f * b) // previous for a, b in zip(row, head)]
+        previous = p
         rank += 1
         if rank == len(matrix):
             break

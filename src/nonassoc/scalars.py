@@ -58,8 +58,11 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+def parse_rational(value: str | int) -> Fraction:
+    """A scalar read from JSON: a "p/q" string or an int; a float (inexact) or a bool raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
+        raise ValueError(f"not an exact rational: {value!r}; write it as a string such as \"1/10\"")
+    return Fraction(value)
 
 
 def to_sparse(dim: int, v: Vector) -> SparseVector:

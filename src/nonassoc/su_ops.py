@@ -53,11 +53,12 @@ last two slots, and the multioperator symmetrizes p over both blocks.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product as iter_product
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .lincomb import add_into, bilinear
+from .scalars import Vector, basis_vector, zero_vector
 
 
 def left_normed_product(alg, factors: Sequence) -> object:
@@ -187,6 +188,35 @@ def bracket(alg, xs: Sequence, y, z) -> object:
     if not xs:
         return alg.mul(z, y) - alg.mul(y, z)
     return p_operation(alg, xs, [z], y) - p_operation(alg, xs, [y], z)
+
+
+def basis_bracket_table(
+    dim: int, N: int, arity: int, entry: Callable[[list[Vector], Vector, Vector], Vector]
+) -> dict[tuple[int, ...], Vector]:
+    """All brackets <e_{i_1} .. e_{i_m}; e_j, e_k> on basis tuples, each (j, k) pair once.
+
+    `entry(xs, y, z)` evaluates one bracket on dense basis vectors, only for
+    j < k; the entry at j > k is the negated entry at (.., k, j), and at
+    j == k it is zero.  That is exactly what direct evaluation gives for a
+    bracket antisymmetric in (y, z) by its formula, as `bracket`,
+    p(xs; z; y) - p(xs; y; z), is.  An m-ary bracket needs m + 2 <= N.
+    """
+    if arity < 0:
+        raise ValueError(f"bracket arity must be >= 0, got {arity}")
+    if arity + 2 > N:
+        raise ValueError(f"bracket arity {arity} needs degree {arity + 2} <= {N}")
+    table: dict[tuple[int, ...], Vector] = {}
+    # lexicographic order visits (.., k, j) before (.., j, k) whenever k < j
+    for idx in iter_product(range(dim), repeat=arity + 2):
+        *head, j, k = idx
+        if j < k:
+            xs = [basis_vector(dim, i) for i in head]
+            table[idx] = entry(xs, basis_vector(dim, j), basis_vector(dim, k))
+        elif j == k:
+            table[idx] = zero_vector(dim)
+        else:
+            table[idx] = tuple(-c for c in table[(*head, k, j)])
+    return table
 
 
 def multioperator(alg, xs: Sequence, ys: Sequence) -> object:

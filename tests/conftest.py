@@ -12,7 +12,7 @@ from nonassoc.catalog import builtin_loop
 from nonassoc.dist import DistBialgebra
 from nonassoc.lincomb import add_into
 from nonassoc.maps import FormalMap, multidegree_of
-from nonassoc.scalars import ONE, to_dense
+from nonassoc.scalars import ONE, basis_vector, to_dense, zero_vector
 from nonassoc.symalg import SymElement, monomial_degree, monomial_splits, monomials_up_to
 from nonassoc.words import LDiv, Mul, RDiv, Unit, Var
 
@@ -106,6 +106,50 @@ def reference_linearized(B, word, monos, memo=None):
                 out = out + value.scale(prod(w for _, _, w in combo))
     out = out.truncate(B.N)
     memo[key] = out
+    return out
+
+
+# every bracket on basis tuples evaluated directly, mirrored pairs included, to
+# compare with the tables of `su_ops.basis_bracket_table`
+
+
+def reference_bracket_table(dim, arity, entry):
+    """{(i_1 .. i_m, j, k): entry([e_{i_1} .. e_{i_m}], e_j, e_k)} on every basis tuple."""
+    table = {}
+    for idx in iter_product(range(dim), repeat=arity + 2):
+        xs = [basis_vector(dim, i) for i in idx[:arity]]
+        table[idx] = entry(xs, basis_vector(dim, idx[-2]), basis_vector(dim, idx[-1]))
+    return table
+
+
+# the covariant derivative by its literal formula, through the public dense
+# API: the four-fold coproduct as nested splits, and the pulled-back vector
+# mu_(3) \* B(mu_(4)) recomputed for every split
+
+
+def _four_splits(mono):
+    for a, rest1, c1 in monomial_splits(mono):
+        for b, rest2, c2 in monomial_splits(rest1):
+            for c, d, c3 in monomial_splits(rest2):
+                yield a, b, c, d, c1 * c2 * c3
+
+
+def _times_basis(mono, i):
+    return mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+
+
+def reference_covariant_derivative(conn, a, b, mono):
+    """nabla_A(B)(mono) = sum B(mu_(1) A(mu_(2))) - (mu_(1) A(mu_(2))) * (mu_(3) \\* B(mu_(4)))."""
+    out = zero_vector(conn.dim)
+    for m1, m2, coeff in monomial_splits(mono):
+        for i, c in enumerate(a.at(m2)):
+            if c:
+                out = vec_add(out, vec_scale(coeff * c, b.at(_times_basis(m1, i))))
+    for m1, m2, m3, m4, coeff in _four_splits(mono):
+        pulled = conn.inv_star_vec(m3, b.at(m4))
+        for i, c in enumerate(a.at(m2)):
+            if c:
+                out = vec_add(out, vec_scale(-coeff * c, conn.star_vec(_times_basis(m1, i), pulled)))
     return out
 
 

@@ -9,12 +9,13 @@ import time
 from fractions import Fraction as F
 from itertools import product as iter_product
 
-from conftest import vec_is_zero
+from conftest import reference_bracket_table, vec_is_zero
 from nonassoc.catalog import builtin_algebra, loop_from_algebra, nonlinear_loop_F, phi_G_to_F
 from nonassoc.connection import (
     adapted_field,
     connection_from_loop,
     covariant_derivative,
+    ms_bracket_table,
     ms_brackets,
     torsion,
 )
@@ -100,14 +101,13 @@ def test_criterion_03_ms_equals_su(
         ops = dist_su_ops(bialgebra)
         dim = loop.dim
         for arity in range(0, max_total - 1):
-            for idx in iter_product(range(dim), repeat=arity + 2):
-                xs = [basis_vector(dim, i) for i in idx[:arity]]
-                y = basis_vector(dim, idx[-2])
-                z = basis_vector(dim, idx[-1])
-                assert ms_brackets(loop, xs, y, z) == ops.bracket_vector(xs, y, z), (
-                    loop.dim,
-                    idx,
-                )
+            su_table = su_bracket_table(bialgebra, arity)
+            ms_table = ms_bracket_table(loop, arity)
+            # every basis tuple by both routes, the mirrored (y, z) pairs included
+            ms_direct = reference_bracket_table(dim, arity, lambda xs, y, z: ms_brackets(loop, xs, y, z))
+            su_direct = reference_bracket_table(dim, arity, ops.bracket_vector)
+            assert ms_direct == su_direct, (dim, [i for i in ms_direct if ms_direct[i] != su_direct[i]][:1])
+            assert su_table == ms_table == ms_direct, (dim, arity)
     elapsed = time.monotonic() - started
     assert elapsed < 120.0, f"criterion 3 took {elapsed:.2f}s, budget 120s"
     report(3, "connection brackets == primitive-operation brackets on all three loops", started)

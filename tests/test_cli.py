@@ -296,6 +296,19 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_float_in_a_loop_file_is_usage_error(capsys, tmp_path):
+    data = nonlinear_loop_F(3).to_json()
+    data["components"][0]["entries"][0]["value"][0] = 0.1
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"type": "components", **data}))
+    code, out, err = run(
+        capsys, "verify-identity", "--loop", f"file:{path}", "--identity", ASSOC, "--degree", "3"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and "not an exact rational: 0.1" in err
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import plane, plane_structure_constants, vec_is_zero, vec_scale
+from conftest import (
+    NO_SHRINK,
+    plane,
+    plane_structure_constants,
+    rationals,
+    reference_covariant_derivative,
+    vec_is_zero,
+    vec_scale,
+)
 from nonassoc.catalog import AlgebraTable, builtin_algebra, builtin_loop, loop_from_algebra
 from nonassoc.connection import (
     FlatConnection,
@@ -17,6 +25,7 @@ from nonassoc.connection import (
     covariant_derivative,
     field_applied_to_function,
     function_times_field,
+    ms_bracket_table,
     ms_brackets,
     torsion,
     vf_bracket,
@@ -407,3 +416,30 @@ def test_ms_equals_su_on_random_structure_constants(constants, xs, y, z):
     loop = loop_from_algebra(AlgebraTable(2, constants), 4)
     ops = dist_su_ops(DistBialgebra.from_loop(loop))
     assert ms_brackets(loop, xs, y, z) == ops.bracket_vector(xs, y, z)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(
+    constants=plane_structure_constants,
+    v=plane,
+    w=plane,
+    f=st.lists(rationals, min_size=10, max_size=10),
+)
+def test_covariant_derivative_matches_the_four_split_formula(constants, v, w, f):
+    loop = loop_from_algebra(AlgebraTable(2, constants), 5)
+    conn = connection_from_loop(loop)
+    a, b = adapted_field(conn, v), adapted_field(conn, w)
+    # an adapted field pulls back to 0 off degree 0; f b does not
+    fb = function_times_field(FormalFunction(2, dict(zip(monomials_up_to(2, 3), f))), b)
+    for x, y in ((a, b), (b, a), (a, fb), (fb, a), (fb, fb)):
+        nabla = covariant_derivative(conn, x, y)
+        for mono in monomials_up_to(2, nabla.max_degree):
+            assert nabla.at(mono) == reference_covariant_derivative(conn, x, y, mono), (x, y, mono)
+
+
+def test_ms_bracket_table_checks_the_arity(jordan_setting):
+    loop, _, _ = jordan_setting
+    with pytest.raises(ValueError, match="arity must be >= 0"):
+        ms_bracket_table(loop, -1)
+    with pytest.raises(ValueError, match="needs degree 6 <= 5"):
+        ms_bracket_table(loop, 4)

@@ -308,7 +308,12 @@ def test_kernel_memos_hold_canonical_ints_and_the_api_returns_fractions(monkeypa
     assert fractions_only(ev.on_monomials(identity.lhs, (m1,) * nvars).terms.values())
     assert fractions_only(ev.on_elements(identity.rhs, [x] * nvars).terms.values())
     # the public calls above also fill the division memos
-    memos = [B._prod_memo, B._ldiv_memo, B._rdiv_memo, B._p_memo, B._assoc_memo, evaluators[0]._memo]
+    # a similar product with zero tables keeps the brackets; its products are
+    # sums of Fraction-valued Psi terms, normalised to the same canonical form
+    similar = make_similar_product(B, {})
+    assert all(su_bracket_table(similar, a) == su_bracket_table(B, a) for a in range(N - 1))
+    memos = [B._prod_memo, B._ldiv_memo, B._rdiv_memo, B._p_memo, B._assoc_memo, evaluators[0]._memo,
+             similar._prod_memo, similar._assoc_memo]
     for memo in memos:
         assert memo
         for key, value in memo.items():
@@ -753,6 +758,52 @@ def test_rank_is_exact_on_int_rows():
     assert _rank([[1, 10**17], [1, 10**17 + 1]]) == 2
     assert _rank([[F(1), F(10**17)], [F(1), F(10**17 + 1)]]) == 2
     assert _rank([[2, 4], [1, 2]]) == 1
+
+
+def _gauss_rank(rows):
+    """Rank by Gaussian elimination over Fractions: the reference for `_rank`."""
+    matrix = [[F(c) for c in row] for row in rows]
+    rank = 0
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inv = 1 / matrix[rank][col]
+        matrix[rank] = [x * inv for x in matrix[rank]]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col] != 0:
+                factor = matrix[r][col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_matches_gaussian_elimination_on_random_matrices():
+    rng = random.Random(29)
+    ranks = set()
+    for trial in range(300):
+        nrows, ncols, inner = rng.randint(0, 7), rng.randint(1, 7), rng.randint(0, 5)
+
+        def entry():
+            if trial % 2:
+                return F(rng.randint(-4, 4), rng.randint(1, 4))
+            return rng.randint(-4, 4)
+
+        # a product of random factors has rank <= inner; zero columns and
+        # repeated rows make the elimination skip columns and run out of pivots
+        left = [[entry() for _ in range(inner)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(inner)]
+        rows = [[sum((row[k] * right[k][j] for k in range(inner)), 0) for j in range(ncols)] for row in left]
+        if rows and rng.random() < 0.3:
+            dead = rng.randrange(ncols)
+            rows = [row[:dead] + [0] + row[dead + 1:] for row in rows]
+        if rows and rng.random() < 0.3:
+            rows.append(list(rows[0]))
+        expected = _gauss_rank(rows)
+        assert _rank(rows) == expected, rows
+        ranks.add(expected)
+    assert ranks == set(range(6))
 
 
 def test_pbw_abelian_loop():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nonassoc.scalars import exact, exact_div, to_sparse
+from nonassoc.scalars import exact, exact_div, parse_rational, to_sparse
 
 
 @pytest.mark.parametrize(
@@ -44,3 +44,15 @@ def test_to_sparse_rejects_floats():
     assert to_sparse(2, (F(1, 2), 0)) == {0: F(1, 2)}
     with pytest.raises(TypeError):
         to_sparse(2, (0.1, 1))
+
+
+@pytest.mark.parametrize("value, expected", [("-2/3", F(-2, 3)), ("5", F(5)), (7, F(7)), (-4, F(-4))])
+def test_parse_rational_reads_strings_and_ints(value, expected):
+    out = parse_rational(value)
+    assert out == expected and type(out) is F
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, -0.5, True, False, None, [1, 2]])
+def test_parse_rational_rejects_floats_and_bools(value):
+    with pytest.raises(ValueError, match="not an exact rational"):
+        parse_rational(value)
