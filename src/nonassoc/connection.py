@@ -334,7 +334,10 @@ def ms_brackets(
     `_ms_field_cache`, which the loop creates empty, keyed by their argument
     chain (y, z, x_n, ..., x_1) as dense Fraction tuples, so sweeping over
     basis tuples shares all intermediate tables.  The benchmark tracer
-    (`perfbench/tracer.py`) counts its entries under that name.
+    (`perfbench/tracer.py`) counts its entries under that name.  The
+    adapted fields have their own cache, `_adapted_field_cache`, one field
+    per vector, so every torsion and derivative that reads the field of a
+    vector shares its value and pulled-back caches.
     """
     if len(xs) + 2 > loop.N:
         raise ValueError(
@@ -347,16 +350,26 @@ def ms_brackets(
     key: tuple = (y, z)
     field = cache.get(key)
     if field is None:
-        field = torsion(conn, adapted_field(conn, y), adapted_field(conn, z))
+        field = torsion(conn, _adapted(loop, conn, y), _adapted(loop, conn, z))
         cache[key] = field
     for x in reversed([tuple(Fraction(c) for c in v) for v in xs]):
         key = key + (x,)
         nxt = cache.get(key)
         if nxt is None:
-            nxt = covariant_derivative(conn, adapted_field(conn, x), field)
+            nxt = covariant_derivative(conn, _adapted(loop, conn, x), field)
             cache[key] = nxt
         field = nxt
     return field.at(unit_monomial(loop.dim))
+
+
+def _adapted(loop: FormalLoop, conn: FlatConnection, v: Vector) -> FormalVectorField:
+    """The adapted field of a dense Fraction vector, built once per loop (`adapted_field`
+    raises on a wrong length, and only built fields are cached)."""
+    field = loop._adapted_field_cache.get(v)
+    if field is None:
+        field = adapted_field(conn, v)
+        loop._adapted_field_cache[v] = field
+    return field
 
 
 def ms_bracket_table(loop: FormalLoop, arity: int) -> dict[tuple[int, ...], Vector]:

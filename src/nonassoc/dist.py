@@ -6,7 +6,7 @@ the loop's degree.  `DistBialgebra` implements the `su_ops` contract on
 monomials and owns every memo the engine fills: left and right divisions
 are the counit recursions of `su_ops`, the primitive operations and
 brackets are evaluated with these, and a prescribed multioperator can be
-installed on the same coalgebra by the similarity recursion without
+installed through a similarity, solved one degree at a time, without
 disturbing the brackets.
 
 Coefficients: inside the memos a coefficient is an ``int`` or a
@@ -24,13 +24,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product as iter_product
-from math import comb, factorial, lcm, prod
+from itertools import product as iter_product
+from math import lcm, prod
 from typing import Callable, Iterator, Sequence
 
 from . import su_ops
 from .lincomb import add_into, bilinear
-from .maps import FormalLoop, InvariantError, MonoTuple, SimilarityMap
+from .maps import FormalLoop, FormalMap, InvariantError, MonoTuple, SimilarityMap, compose
 from .scalars import (
     SparseVector, Vector, basis_vector, exact, exact_div, format_rational, rat, to_sparse,
 )
@@ -674,175 +674,66 @@ PhiTables = dict[tuple[Monomial, Monomial], Vector] | Callable[[Monomial, Monomi
 
 
 class _PsiBuilder:
-    """The similarity Psi determined by a prescribed multioperator.
+    """The similarity psi that installs a prescribed multioperator, solved one degree at a time.
 
-    Psi is pinned on pairs of powers of primitives by the recursion
+    The loop F(x, psi(x, y)) = `compose(F, [P1, psi])` is similar to F, so
+    its bialgebra keeps F's brackets.  `psi()` starts from psi = y and, for
+    n = 3..N, reads the su multioperator of the current composed loop at
+    total degree n and gives psi the block (current - prescribed) at every
+    bidegree (i, j) with i >= 1, j >= 2 and i + j = n.  Each block is
+    exactly that difference.  F is x + y plus terms of bidegree at least
+    (1, 1), so a block psi_n of total degree n changes the composed loop by
+    + psi_n at degree n and otherwise only above n: the degrees below n,
+    installed already, stay.  The degree-n multioperator reads a degree-n
+    loop component of y-degree >= 2 only as its negative at the same
+    bidegree, so psi_n moves it by exactly - psi_n at (i, j) and leaves
+    every other bidegree of degree n alone: after the pass it reads the
+    prescribed table.  The test suite pins the result against the
+    polarization recursion this solve replaced.
 
-        Psi(c^s, b^(m+1)) = sum c^k1 \\ ((c^k2 . Psi(c^k3, b^l))
-                            . (eps-term - Phi_{k4, m+1-l}(c..c; b..b)))
-
-    where the coproducts of both powers are taken in power form (the parts
-    keep their factor multisets, which is what the prescribed multioperator
-    consumes) and Phi tables are evaluated at symmetric powers.  Psi is
-    extended to all of k[V] by polarization in both slots: symmetric-power
-    monomials are rational combinations of symmetric powers of primitive
-    vectors, and the symmetric power is the loop power minus a tail of
-    lower degree that is peeled off by induction.
+    While psi is still y the composed loop is F, so the passes read the
+    given bialgebra, memos and all; a new `from_loop` bialgebra is built
+    only after psi gains a block.
     """
 
     def __init__(self, bialgebra: DistBialgebra, phi: Callable[[Monomial, Monomial], SparseVector | None]):
+        if bialgebra.loop is None:
+            raise ValueError("installing a multioperator needs the bialgebra of a loop")
         self.B = bialgebra
         self.phi = phi
-        self._psi: dict[tuple[Monomial, Monomial], SymElement] = {}
-        self._mono_pow: dict[tuple[Monomial, Vector, int], SymElement] = {}
-        self._pp: dict[tuple[Vector, int, Vector, int], SymElement] = {}
-        self._powers: dict[tuple[Vector, int], SymElement] = {}
-        self._sym_powers: dict[tuple[Vector, int], SymElement] = {}
 
-    def dist_power(self, v: Vector, m: int) -> SymElement:
-        key = (v, m)
-        hit = self._powers.get(key)
-        if hit is None:
-            if m == 0:
-                hit = self.B.one()
-            else:
-                hit = self.B.mul(self.dist_power(v, m - 1), SymElement.from_vector(v))
-            self._powers[key] = hit
-        return hit
+    def psi(self) -> SimilarityMap:
+        loop = self.B.loop
+        dim, N = loop.dim, loop.N
+        psi = SimilarityMap.identity(dim, N)
+        # the bialgebra of F(x, psi(x, y)); None once psi has changed
+        current: DistBialgebra | None = self.B
+        for n in range(3, N + 1):
+            if current is None:
+                current = DistBialgebra.from_loop(_similar_loop(loop, psi))
+            ops = dist_su_ops(current)
+            comps = dict(psi.components)
+            for i in range(1, n - 1):
+                block: dict[MonoTuple, SparseVector] = {}
+                for mx in monomials(dim, i):
+                    for my in monomials(dim, n - i):
+                        value = to_sparse(dim, ops.multioperator_mono(mx, my))
+                        add_into(value, self.phi(mx, my) or {}, -1)
+                        if value:
+                            block[(mx, my)] = value
+                if block:
+                    comps[(i, n - i)] = block
+            if len(comps) > len(psi.components):
+                psi = SimilarityMap._of_sparse(loop.dims, dim, N, comps)
+                current = None
+        return psi
 
-    def sym_power(self, v: Vector, m: int) -> SymElement:
-        key = (v, m)
-        hit = self._sym_powers.get(key)
-        if hit is None:
-            if m == 0:
-                hit = self.B.one()
-            else:
-                hit = (self.sym_power(v, m - 1) * SymElement.from_vector(v)).truncate(self.B.N)
-            self._sym_powers[key] = hit
-        return hit
 
-    def _phi_on_powers(self, c: Vector, i: int, v: Vector, j: int) -> SymElement:
-        """Phi tables at the pair of symmetric powers (c^i, v^j)."""
-        acc: SparseVector = {}
-        if i >= 1 and j >= 2:
-            for mx, cx in self.sym_power(c, i).terms.items():
-                for my, cy in self.sym_power(v, j).terms.items():
-                    value = self.phi(mx, my)
-                    if value:
-                        add_into(acc, value, cx * cy)
-        return SymElement.from_sparse(self.B.dim, acc)
-
-    # -- the recursion on pairs of powers -------------------------------------
-    def psi_pp(self, c: Vector, s: int, v: Vector, m: int) -> SymElement:
-        """Psi(c^(.s), v^(.m)) with both arguments loop powers of primitives."""
-        B = self.B
-        if m == 0:
-            return B.one() if s == 0 else SymElement.zero(B.dim)
-        if m == 1:
-            return SymElement.from_vector(v) if s == 0 else SymElement.zero(B.dim)
-        if s == 0:
-            return self.dist_power(v, m)
-        key = (c, s, v, m)
-        hit = self._pp.get(key)
-        if hit is not None:
-            return hit
-        v_elem = SymElement.from_vector(v)
-        acc: dict[Monomial, Fraction] = {}
-        for l in range(m):
-            y_weight = comb(m - 1, l)
-            j = m - l  # y-block size of the Phi term
-            for k1 in range(s + 1):
-                for k2 in range(s + 1 - k1):
-                    for k3 in range(s + 1 - k1 - k2):
-                        k4 = s - k1 - k2 - k3
-                        inner = self.psi_pp(c, k3, v, l)
-                        if inner.is_zero():
-                            continue
-                        weight = (
-                            y_weight
-                            * factorial(s)
-                            // (factorial(k1) * factorial(k2) * factorial(k3) * factorial(k4))
-                        )
-                        mid = B.mul(self.dist_power(c, k2), inner)
-                        tail = -self._phi_on_powers(c, k4, v, j)
-                        if k4 == 0 and l == m - 1:
-                            tail = tail + v_elem
-                        if tail.is_zero():
-                            continue
-                        piece = B.mul(mid, tail)
-                        if piece.is_zero():
-                            continue
-                        value = su_ops.divide(B, self.dist_power(c, k1), piece, "left")
-                        add_into(acc, value.terms, weight)
-        result = SymElement.of_terms(B.dim, acc).truncate(B.N)
-        self._pp[key] = result
-        return result
-
-    # -- polarization in the first slot ----------------------------------------
-    def psi_mono_pow(self, x_mono: Monomial, v: Vector, m: int) -> SymElement:
-        """Psi(x, v^(.m)) for a monomial x, by polarizing the first slot."""
-        s = monomial_degree(x_mono)
-        if s == 0:
-            return self.dist_power(v, m)
-        if s == 1:
-            c = tuple(Fraction(e) for e in x_mono)
-            return self.psi_pp(c, 1, v, m)
-        key = (x_mono, v, m)
-        hit = self._mono_pow.get(key)
-        if hit is not None:
-            return hit
-        letters = monomial_letters(x_mono)
-        acc: dict[Monomial, Fraction] = {}
-        for size in range(1, s + 1):
-            sign = (-1) ** (s - size)
-            for positions in combinations(range(s), size):
-                u = [Fraction(0)] * self.B.dim
-                for pos in positions:
-                    u[letters[pos]] += 1
-                u = tuple(u)
-                # c^(.s) = c^s + tail of lower degree; peel the tail.
-                top = self.psi_pp(u, s, v, m)
-                tail = self.dist_power(u, s) - self.sym_power(u, s)
-                for mono, coeff in tail.terms.items():
-                    add_into(acc, self.psi_mono_pow(mono, v, m).terms, -sign * coeff)
-                add_into(acc, top.terms, sign)
-        result = SymElement.of_terms(self.B.dim, acc).scale(Fraction(1, factorial(s)))
-        self._mono_pow[key] = result
-        return result
-
-    # -- polarization in the second slot -----------------------------------------
-    def psi(self, x_mono: Monomial, y_mono: Monomial) -> SymElement:
-        dy = monomial_degree(y_mono)
-        if dy == 0:
-            if monomial_degree(x_mono) == 0:
-                return self.B.one()
-            return SymElement.zero(self.B.dim)
-        if dy == 1:
-            if monomial_degree(x_mono) == 0:
-                return self.B.key_element(y_mono)
-            return SymElement.zero(self.B.dim)
-        key = (x_mono, y_mono)
-        hit = self._psi.get(key)
-        if hit is not None:
-            return hit
-        letters = monomial_letters(y_mono)
-        m = len(letters)
-        acc: dict[Monomial, Fraction] = {}
-        for size in range(1, m + 1):
-            sign = (-1) ** (m - size)
-            for positions in combinations(range(m), size):
-                v = [Fraction(0)] * self.B.dim
-                for pos in positions:
-                    v[letters[pos]] += 1
-                v = tuple(v)
-                top = self.psi_mono_pow(x_mono, v, m)
-                tail = self.dist_power(v, m) - self.sym_power(v, m)
-                for mono, coeff in tail.terms.items():
-                    add_into(acc, self.psi(x_mono, mono).terms, -sign * coeff)
-                add_into(acc, top.terms, sign)
-        result = SymElement.of_terms(self.B.dim, acc).scale(Fraction(1, factorial(m)))
-        self._psi[key] = result
-        return result
+def _similar_loop(loop: FormalLoop, psi: SimilarityMap) -> FormalLoop:
+    """F(x, psi(x, y)); built by the trusted constructor, as it has the size of F,
+    which passed its memory cap."""
+    P1 = FormalMap.slot_projection(loop.dims, 0, loop.N)
+    return FormalLoop._of_sparse(loop.dims, loop.dim, loop.N, compose(loop, [P1, psi]).components)
 
 
 def make_similar_product(bialgebra: DistBialgebra, phi: PhiTables) -> DistBialgebra:
@@ -851,9 +742,11 @@ def make_similar_product(bialgebra: DistBialgebra, phi: PhiTables) -> DistBialge
     Phi is given in the distribution view, keyed by symmetric-power
     monomial pairs (x-degree >= 1, y-degree >= 2); block symmetry is
     automatic on that basis, so the reachable errors are bad dimensions
-    or degrees.  The new product is x times y = sum x_(1) . Psi(x_(2), y)
-    with Psi built by the polarization recursion; its brackets agree with
-    the original ones.
+    or degrees.  The result is the `from_loop` bialgebra of F(x, psi(x, y)),
+    F being `bialgebra.loop` and psi the graded solve of `_PsiBuilder`; its
+    brackets agree with the original ones and its multioperator tables are
+    the nonzero entries of Phi.  A bialgebra without a loop raises
+    ValueError.
     """
     dim, N = bialgebra.dim, bialgebra.N
 
@@ -877,18 +770,8 @@ def make_similar_product(bialgebra: DistBialgebra, phi: PhiTables) -> DistBialge
         def phi_fn(mx: Monomial, my: Monomial) -> SparseVector | None:
             return tables.get((mx, my))
 
-    builder = _PsiBuilder(bialgebra, phi_fn)
-
-    def product_fn(m1: Monomial, m2: Monomial) -> SymElement:
-        acc: dict[Monomial, Fraction] = {}
-        for a, b, coeff in monomial_splits(m1):
-            inner = builder.psi(b, m2)
-            if inner.is_zero():
-                continue
-            add_into(acc, bialgebra.mul(bialgebra.key_element(a), inner).terms, coeff)
-        return SymElement.of_terms(dim, {mono: exact(c) for mono, c in acc.items()}).truncate(N)
-
-    return DistBialgebra(dim, N, product_fn)
+    psi = _PsiBuilder(bialgebra, phi_fn).psi()
+    return DistBialgebra.from_loop(_similar_loop(bialgebra.loop, psi))
 
 
 def su_multioperator_tables(bialgebra: DistBialgebra, max_degree: int | None = None) -> dict[tuple[Monomial, Monomial], Vector]:

@@ -598,10 +598,12 @@ class FormalLoop(FormalMap):
         self.dim = target_dim
         self._validate_unital()
         self._divisions: dict[str, FormalMap] = {}
-        # the canonical connection and its torsion and derivative fields,
-        # filled by `connection.connection_from_loop` and `connection.ms_brackets`
+        # the canonical connection, its torsion and derivative fields and its
+        # adapted fields, filled by `connection.connection_from_loop` and
+        # `connection.ms_brackets`
         self._canonical_connection = None
         self._ms_field_cache: dict = {}
+        self._adapted_field_cache: dict = {}
 
     def _validate_unital(self) -> None:
         d, N = self.dim, self.N

@@ -15,6 +15,7 @@ from conftest import (
     vec_is_zero,
     vec_scale,
 )
+from nonassoc import connection
 from nonassoc.catalog import AlgebraTable, builtin_algebra, builtin_loop, loop_from_algebra
 from nonassoc.connection import (
     FlatConnection,
@@ -30,7 +31,7 @@ from nonassoc.connection import (
     torsion,
     vf_bracket,
 )
-from nonassoc.dist import DistBialgebra, dist_su_ops
+from nonassoc.dist import DistBialgebra, dist_su_ops, su_bracket_table
 from nonassoc.scalars import basis_vector, zero_vector
 from nonassoc.symalg import SymElement, monomials_up_to, unit_monomial
 
@@ -443,3 +444,21 @@ def test_ms_bracket_table_checks_the_arity(jordan_setting):
         ms_bracket_table(loop, -1)
     with pytest.raises(ValueError, match="needs degree 6 <= 5"):
         ms_bracket_table(loop, 4)
+
+
+def test_ms_brackets_build_one_adapted_field_per_vector(monkeypatch):
+    loop = builtin_loop("jordan-k3-loop", 4)
+    built = []
+
+    def recorded(conn, v):
+        built.append(v)
+        return adapted_field(conn, v)
+
+    monkeypatch.setattr(connection, "adapted_field", recorded)
+    table = ms_bracket_table(loop, 1)
+    basis = [basis_vector(3, i) for i in range(3)]
+    assert sorted(built) == sorted(basis)
+    assert set(loop._adapted_field_cache) == set(basis)
+    # the field cache holds the 3 torsions (y < z) and their 9 derivatives only
+    assert len(loop._ms_field_cache) == 12
+    assert table == su_bracket_table(DistBialgebra.from_loop(loop), 1)

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NO_SHRINK, plane, plane_structure_constants, rationals, reference_linearized
+from conftest import (
+    NO_SHRINK,
+    ReferencePsiBuilder,
+    plane,
+    plane_structure_constants,
+    rationals,
+    reference_linearized,
+    reference_similar_product,
+)
 from nonassoc import dist
 from nonassoc.catalog import (
     AlgebraTable,
@@ -30,6 +38,7 @@ from nonassoc.dist import (
     su_multioperator_tables,
 )
 from nonassoc.maps import (
+    MEMORY_CAP_ENV,
     FormalLoop,
     FormalMap,
     check_loop_identity,
@@ -43,6 +52,7 @@ from nonassoc.symalg import (
     SymTensor,
     monomial_degree,
     monomial_splits,
+    monomials,
     monomials_up_to,
 )
 from nonassoc.words import parse_identity, parse_word
@@ -308,12 +318,13 @@ def test_kernel_memos_hold_canonical_ints_and_the_api_returns_fractions(monkeypa
     assert fractions_only(ev.on_monomials(identity.lhs, (m1,) * nvars).terms.values())
     assert fractions_only(ev.on_elements(identity.rhs, [x] * nvars).terms.values())
     # the public calls above also fill the division memos
-    # a similar product with zero tables keeps the brackets; its products are
-    # sums of Fraction-valued Psi terms, normalised to the same canonical form
-    similar = make_similar_product(B, {})
-    assert all(su_bracket_table(similar, a) == su_bracket_table(B, a) for a in range(N - 1))
-    memos = [B._prod_memo, B._ldiv_memo, B._rdiv_memo, B._p_memo, B._assoc_memo, evaluators[0]._memo,
-             similar._prod_memo, similar._assoc_memo]
+    # similar products with zero tables and with the loop's own tables keep the
+    # brackets; they are `from_loop` bialgebras, so their memos are canonical too
+    memos = [B._prod_memo, B._ldiv_memo, B._rdiv_memo, B._p_memo, B._assoc_memo, evaluators[0]._memo]
+    for tables in ({}, su_multioperator_tables(B)):
+        similar = make_similar_product(B, tables)
+        assert all(su_bracket_table(similar, a) == su_bracket_table(B, a) for a in range(N - 1))
+        memos += [similar._prod_memo, similar._assoc_memo]
     for memo in memos:
         assert memo
         for key, value in memo.items():
@@ -630,9 +641,8 @@ def test_make_similar_product_zero_multioperator(jordan_bialgebra_4):
 
 
 def test_psi_is_counit_tensor_identity_on_primitives(jordan_bialgebra_4):
-    from nonassoc.dist import _PsiBuilder
-
-    builder = _PsiBuilder(jordan_bialgebra_4, lambda mx, my: None)
+    # the reference recursion: Psi(x, e_j) = eps(x) e_j on the coalgebra level
+    builder = ReferencePsiBuilder(jordan_bialgebra_4, lambda mx, my: None)
     for mono in monomials_up_to(3, 3):
         for j in range(3):
             value = builder.psi(mono, tuple(1 if k == j else 0 for k in range(3)))
@@ -640,6 +650,87 @@ def test_psi_is_counit_tensor_identity_on_primitives(jordan_bialgebra_4):
                 assert value == SymElement.basis(3, j)
             else:
                 assert value.is_zero()
+    # the graded solve: psi is y on 1 (x) V and has no block of y-degree 1
+    psi = dist._PsiBuilder(jordan_bialgebra_4, lambda mx, my: None).psi()
+    assert psi.components[(0, 1)] == FormalMap.slot_projection((3, 3), 1, 4).components[(0, 1)]
+    assert not [md for md in psi.components if md[1] == 1 and md[0] >= 1]
+    assert len(psi.components) > 1  # zero tables need a nontrivial psi on this loop
+
+
+def _doubled(tables):
+    return {key: tuple(2 * c for c in value) for key, value in tables.items()}
+
+
+def _nonzero(tables):
+    return {key: tuple(value) for key, value in tables.items() if any(value)}
+
+
+@pytest.mark.parametrize("N, which", [(4, "own"), (4, "zero"), (4, "doubled"), (5, "doubled")])
+def test_make_similar_product_matches_the_reference_recursion(jordan_bialgebra_4, jordan_bialgebra_5, N, which):
+    B = jordan_bialgebra_4 if N == 4 else jordan_bialgebra_5
+    own = su_multioperator_tables(B)
+    tables = {"own": own, "zero": {}, "doubled": _doubled(own)}[which]
+    similar = make_similar_product(B, tables)
+    reference = reference_similar_product(B, tables)
+    pairs = [(m1, m2) for m1 in monomials_up_to(3, N) for m2 in monomials_up_to(3, N - sum(m1))]
+    assert len(pairs) == {4: 210, 5: 462}[N]
+    for m1, m2 in pairs:
+        assert similar.product_mono(m1, m2) == reference.product_mono(m1, m2), (m1, m2)
+    assert su_multioperator_tables(similar) == _nonzero(tables)
+
+
+def test_make_similar_product_needs_a_loop(jordan_bialgebra_4):
+    B = jordan_bialgebra_4
+    loopless = DistBialgebra(B.dim, B.N, B.product_mono)
+    with pytest.raises(ValueError, match="loop"):
+        make_similar_product(loopless, {})
+
+
+def test_make_similar_product_keeps_the_memory_cap_the_loop_passed(monkeypatch, jordan_bialgebra_4):
+    # the similar loop has the size of the given one, so a cap lowered after
+    # the loop was built does not refuse it
+    monkeypatch.setenv(MEMORY_CAP_ENV, "1")
+    similar = make_similar_product(jordan_bialgebra_4, {})
+    assert su_multioperator_tables(similar) == {}
+
+
+def test_make_similar_product_takes_tables_as_a_function(jordan_bialgebra_4):
+    B = jordan_bialgebra_4
+    tables = _doubled(su_multioperator_tables(B))
+    by_dict = make_similar_product(B, tables)
+    by_fn = make_similar_product(B, lambda mx, my: tables.get((mx, my), (0, 0, 0)))
+    assert by_fn.loop == by_dict.loop
+    assert su_multioperator_tables(by_fn) == tables
+
+
+def test_make_similar_product_installs_on_an_installed_product(jordan_bialgebra_4):
+    B = jordan_bialgebra_4
+    first = make_similar_product(B, {})
+    assert first.loop is not None
+    tables = _doubled(su_multioperator_tables(B))
+    second = make_similar_product(first, tables)
+    assert su_multioperator_tables(second) == tables
+    for arity in range(B.N - 1):
+        assert su_bracket_table(second, arity) == su_bracket_table(B, arity)
+
+
+_PLANE_TABLE_KEYS = [
+    (mx, my) for i, j in ((1, 2), (1, 3), (2, 2)) for mx in monomials(2, i) for my in monomials(2, j)
+]
+_small = st.integers(min_value=-2, max_value=2)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(
+    constants=plane_structure_constants,
+    tables=st.dictionaries(st.sampled_from(_PLANE_TABLE_KEYS), st.tuples(_small, _small), max_size=8),
+)
+def test_installed_tables_come_back_and_brackets_stay_on_plane_loops(constants, tables):
+    B = DistBialgebra.from_loop(loop_from_algebra(AlgebraTable(2, constants), 4))
+    similar = make_similar_product(B, tables)
+    assert su_multioperator_tables(similar) == _nonzero(tables)
+    for arity in range(B.N - 1):
+        assert su_bracket_table(similar, arity) == su_bracket_table(B, arity)
 
 
 def test_make_similar_product_validation(jordan_bialgebra_4):

@@ -27,6 +27,7 @@ LIVE_COUNTS = {
         "su_ops.p_operation.calls",
         "connection.field_cache.entries",
     ],
+    ("brackets", "install-round-trip"): ["dist.psi.s", "maps.compose.calls"],
     ("solve", "moufang-octonion-loop-3"): ["maps.compose.calls", "maps.prolong_cache.entries"],
     ("linearized", "left-division-jordan-5"): [
         "dist.product_mono.calls",
