@@ -17,7 +17,7 @@ live in the coset 1 + (augmentation ideal).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -31,12 +31,31 @@ from .trees import PlaneTree, enumerate_trees, tree_stats
 FAMonomial = None | int | tuple
 
 
+@lru_cache(maxsize=None)
 def mono_degree(mono: FAMonomial) -> int:
     if mono is None:
         return 0
     if isinstance(mono, int):
         return 1
     return mono_degree(mono[0]) + mono_degree(mono[1])
+
+
+def _require_monomial(mono: FAMonomial, ngens: int) -> None:
+    """Raise ValueError unless `mono` is a monomial in `ngens` generators.
+
+    That is None, a generator index in range(ngens) (an int, not a bool),
+    or a pair of non-unit monomials: grafting absorbs the unit, so a pair
+    holding None would be a second spelling of its other side.
+    """
+    if mono is None:
+        return
+    stack = [mono]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple and len(node) == 2:
+            stack.extend(node)
+        elif type(node) is not int or not 0 <= node < ngens:
+            raise ValueError(f"malformed monomial {mono!r} in {ngens} generator(s)")
 
 
 def mono_graft(a: FAMonomial, b: FAMonomial) -> FAMonomial:
@@ -202,23 +221,33 @@ class FAElement(LinComb):
 
     def __init__(self, alg: FreeAlgebra, terms: dict[FAMonomial, Fraction] | None = None):
         self.alg = alg
+        ngens = len(alg.names)
         clean: dict[FAMonomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
+            _require_monomial(mono, ngens)
             coeff = rat(coeff)
             if coeff and mono_degree(mono) <= alg.max_degree:
                 clean[mono] = coeff
         self.terms = clean
 
     def __mul__(self, other):
+        """The truncated product, or scaling by an int or a Fraction.
+
+        The right factor's terms are grouped by degree once; a left term
+        of degree d then grafts onto the groups of degree <= cap - d only,
+        so no pair above the truncation is formed or tested.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
         cap = self.alg.max_degree
-        right = [(m2, mono_degree(m2), c2) for m2, c2 in other.terms.items()]
+        by_degree: list[list[tuple[FAMonomial, Fraction]]] = [[] for _ in range(cap + 1)]
+        for m2, c2 in other.terms.items():
+            by_degree[mono_degree(m2)].append((m2, c2))
         terms: dict[FAMonomial, Fraction] = {}
         for m1, c1 in self.terms.items():
-            room = cap - mono_degree(m1)
-            add_into(terms, {mono_graft(m1, m2): c2 for m2, d2, c2 in right if d2 <= room}, c1)
+            fits = by_degree[: cap + 1 - mono_degree(m1)]
+            add_into(terms, {mono_graft(m1, m2): c2 for group in fits for m2, c2 in group}, c1)
         return self._like(terms)
 
     def max_degree(self) -> int:
@@ -349,9 +378,11 @@ class FATensor(LinComb):
 
     def __init__(self, alg: FreeAlgebra, terms: dict[tuple[FAMonomial, FAMonomial], Fraction] | None = None):
         self.alg = alg
-        cap = alg.max_degree
+        cap, ngens = alg.max_degree, len(alg.names)
         clean: dict[tuple[FAMonomial, FAMonomial], Fraction] = {}
         for (a, b), coeff in (terms or {}).items():
+            _require_monomial(a, ngens)
+            _require_monomial(b, ngens)
             coeff = rat(coeff)
             if coeff and mono_degree(a) <= cap and mono_degree(b) <= cap:
                 clean[(a, b)] = coeff
@@ -478,18 +509,27 @@ def fa_loop_divide(a: FAElement, z: FAElement, side: str) -> FAElement:
 
 
 def fa_exp_inverse(g: FAElement) -> FAElement:
-    """The series L with exp(L) = g, for g with counit 1, degree by degree."""
+    """The series L with exp(L) = g, for g with counit 1, one degree per pass.
+
+    L starts as g - 1.  The degree-n part of exp(L) is L_n plus products of
+    two or more parts of L, each of degree >= 1 and so < n: it reads L at
+    degrees <= n only, and L_n enters it with coefficient 1.  So pass n
+    (n = 2..N) takes exp of L truncated at degree n, in a FreeAlgebra of
+    truncation n, and adds only the degree-n part of g - exp(L); that fixes
+    L_n and leaves every other degree as it was.  The solution is unique
+    within the truncation.
+    """
     if g.counit() != 1:
         raise ValueError("logarithm needs a series with counit 1")
     alg = g.alg
-    lo = g - alg.one()
-    result = lo
-    for _ in range(2, alg.max_degree + 1):
-        defect = g - fa_exp(result)
-        if defect.is_zero():
-            break
-        result = result + defect
-    return result
+    terms = (g - alg.one()).terms
+    for n in range(2, alg.max_degree + 1):
+        low = FAElement.of_terms(
+            FreeAlgebra(alg.names, n), {m: c for m, c in terms.items() if mono_degree(m) <= n}
+        )
+        defect = {m: -c for m, c in fa_exp(low).terms.items() if mono_degree(m) == n}
+        add_into(terms, add_into(defect, g.graded_piece(n).terms))
+    return FAElement.of_terms(alg, terms)
 
 
 def fa_log(max_degree: int, method: str = "trees") -> FAElement:

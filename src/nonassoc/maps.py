@@ -51,7 +51,7 @@ from .symalg import (
     sym_dim,
     unit_monomial,
 )
-from .freealg import FAElement, FreeAlgebra, fa_exp, fa_loop_divide, mono_letter_counts
+from .freealg import FAElement, FreeAlgebra, fa_exp, fa_loop_divide, mono_degree, mono_letter_counts
 from .lincomb import add_into
 from .words import Identity, LDiv, LoopWord, Mul, RDiv, Unit, Var
 
@@ -927,9 +927,7 @@ def multioperator_ms(max_degree: int, max_bidegree: tuple[int, int] | None = Non
         delta = candidate - phi
         if delta.is_zero():
             break
-        if delta.max_degree() >= 1 and min(
-            d for d in range(1, max_degree + 1) if not delta.graded_piece(d).is_zero()
-        ) <= step:
+        if any(0 < mono_degree(m) <= step for m in delta.terms):
             raise InvariantError(f"multioperator solve changed degree <= {step} at pass {step}")
         phi = candidate
     ngens = 2

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nonassoc import su_ops
 from nonassoc.catalog import builtin_loop
 from nonassoc.dist import DistBialgebra
+from nonassoc.freealg import FAElement, fa_exp, mono_graft, mono_letter_counts
 from nonassoc.lincomb import add_into
 from nonassoc.maps import FormalMap, multidegree_of
 from nonassoc.scalars import ONE, basis_vector, to_dense, to_sparse, zero_vector
@@ -350,6 +351,36 @@ def reference_covariant_derivative(conn, a, b, mono):
             if c:
                 out = vec_add(out, vec_scale(-coeff * c, conn.star_vec(_times_basis(m1, i), pulled)))
     return out
+
+
+# the free-algebra product as the literal double loop over term pairs, and the
+# logarithm as the whole-series fixed-point iteration, to compare with the
+# degree-graded `FAElement.__mul__` and `fa_exp_inverse`
+
+
+def reference_fa_product(a, b):
+    """a * b, grafting every pair of terms and dropping the grafts above the truncation."""
+    alg = a.alg
+    ngens = len(alg.names)
+    terms = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            degree = sum(mono_letter_counts(m1, ngens)) + sum(mono_letter_counts(m2, ngens))
+            if degree <= alg.max_degree:
+                add_into(terms, {mono_graft(m1, m2): c1 * c2})
+    return FAElement(alg, terms)
+
+
+def reference_exp_inverse(g):
+    """L with exp(L) = g: L = g - 1, then L += g - exp(L) on the whole series until it holds."""
+    alg = g.alg
+    result = g - alg.one()
+    for _ in range(2, alg.max_degree + 1):
+        defect = g - fa_exp(result)
+        if defect.is_zero():
+            break
+        result = result + defect
+    return result
 
 
 @pytest.fixture(scope="session")

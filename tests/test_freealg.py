@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rationals
+from conftest import NO_SHRINK, rationals, reference_exp_inverse, reference_fa_product
 from nonassoc.freealg import (
     FAElement,
     FATensor,
@@ -331,8 +331,85 @@ def test_log_tree_coefficients():
     assert by_encoding["(x (x x))"] == F(1, 4)
 
 
+@st.composite
+def fa_monomial_of_degree(draw, ngens, degree):
+    if degree == 0:
+        return None
+    if degree == 1:
+        return draw(st.integers(0, ngens - 1))
+    split = draw(st.integers(1, degree - 1))
+    left = draw(fa_monomial_of_degree(ngens, split))
+    return (left, draw(fa_monomial_of_degree(ngens, degree - split)))
+
+
+@st.composite
+def fa_elements(draw, alg, unit=None):
+    """A unit term (coefficient `unit`, or drawn nonzero) plus 1-5 terms of mixed degrees."""
+    ngens = len(alg.names)
+    terms = {None: F(unit) if unit is not None else draw(rationals.filter(bool))}
+    for degree in draw(st.lists(st.integers(1, alg.max_degree), min_size=1, max_size=5)):
+        terms[draw(fa_monomial_of_degree(ngens, degree))] = draw(rationals.filter(bool))
+    return FAElement(alg, terms)
+
+
+free_algebras = st.builds(
+    FreeAlgebra, st.integers(1, 3).map(lambda n: ("x", "y", "z")[:n]), st.integers(2, 6)
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(data=st.data(), alg=free_algebras)
+def test_graded_product_matches_the_pairwise_product(data, alg):
+    a = data.draw(fa_elements(alg), label="a")
+    b = data.draw(fa_elements(alg), label="b")
+    assert a * b == reference_fa_product(a, b)
+    assert b * a == reference_fa_product(b, a)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(data=st.data(), alg=free_algebras)
+def test_graded_exp_inverse_matches_the_fixed_point_iteration(data, alg):
+    g = data.draw(fa_elements(alg, unit=1), label="g")
+    log = fa_exp_inverse(g)
+    assert log == reference_exp_inverse(g)
+    assert log.counit() == 0
+    assert fa_exp(log) == g
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [5, 2, -1, True, False, (0, 1, 1), (0,), (), "x", (0, "x"), (0, 2), (None, 0), (0, None), 1.0],
+    ids=repr,
+)
+def test_constructors_reject_malformed_monomials(mono):
+    alg = FreeAlgebra(("x", "y"), 3)
+    with pytest.raises(ValueError):
+        alg.element({mono: 1})
+    with pytest.raises(ValueError):
+        FAElement(alg, {mono: F(1)})
+    with pytest.raises(ValueError):
+        FATensor(alg, {(mono, None): F(1)})
+    with pytest.raises(ValueError):
+        FATensor(alg, {(0, mono): F(1)})
+
+
+def test_constructors_accept_well_formed_monomials():
+    alg = FreeAlgebra(("x", "y"), 3)
+    x, y = alg.gens()
+    elem = alg.element({None: 2, 1: 1, (0, 1): "1/2", ((1, 1), 0): -1, ((0, 0), (0, 0)): 5})
+    assert elem == alg.one().scale(2) + y + (x * y).scale(F(1, 2)) - (y * y) * x
+    assert FAElement.from_json(alg, elem.to_json()) == elem
+    assert FATensor(alg, {(None, (0, 1)): F(1)}) == FATensor.of(alg.one(), x * y)
+
+
+def test_from_json_rejects_a_unit_inside_a_pair():
+    alg = FreeAlgebra(("x", "y"), 3)
+    with pytest.raises(ValueError):
+        FAElement.from_json(alg, [{"monomial": "(1 x)", "coeff": "1"}])
+
+
 def test_log_inversion_agreement_and_exp_round_trip():
-    for degree in (3, 5, 6):
+    for degree in range(1, 10):
         tree_version = fa_log(degree)
         inversion = fa_log(degree, method="inversion")
         assert tree_version == inversion

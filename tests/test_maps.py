@@ -19,6 +19,7 @@ from nonassoc.dist import DistBialgebra, LinearizedEvaluator
 from nonassoc.freealg import (
     fa_associator,
     fa_commutator,
+    left_normed,
     p_operation,
     su_multioperator_component,
 )
@@ -408,6 +409,32 @@ def test_multioperator_bidegree_bounds():
         ms.component(2, 3)
     with pytest.raises(ValueError):
         multioperator_ms(4, max_bidegree=(2, 3))
+
+
+@pytest.mark.parametrize(
+    "at_pass, degree, fails_at", [(1, 1, 1), (1, 2, 2), (2, 3, 3), (3, 1, 3), (3, 4, 4), (1, 4, None)]
+)
+def test_multioperator_ms_guards_the_solved_degrees(monkeypatch, at_pass, degree, fails_at):
+    """A pass whose candidate moves a degree <= its own number is an invariant failure."""
+    real = maps.fa_loop_divide
+    calls = []
+
+    def perturbed(a, z, side):
+        out = real(a, z, side)
+        calls.append(side)
+        if len(calls) == at_pass:
+            alpha = a.alg.gen(0)
+            out = out + left_normed([alpha] * degree)
+        return out
+
+    monkeypatch.setattr(maps, "fa_loop_divide", perturbed)
+    if fails_at is None:
+        ms = multioperator_ms(5)
+        monkeypatch.undo()
+        assert ms.phi == multioperator_ms(5).phi
+    else:
+        with pytest.raises(InvariantError, match=f"changed degree <= {fails_at} at pass {fails_at}$"):
+            multioperator_ms(5)
 
 
 # -- loop validation, caps and serialization ------------------------------------------------------

@@ -29,6 +29,8 @@ LIVE_COUNTS = {
     ],
     ("brackets", "install-round-trip"): ["dist.psi.s", "maps.compose.calls"],
     ("solve", "moufang-octonion-loop-3"): ["maps.compose.calls", "maps.prolong_cache.entries"],
+    ("solve", "explog-8"): ["freealg.fa_log.s", "freealg.fa_exp.s"],
+    ("solve", "multioperator-6-2-4"): ["maps.multioperator_ms.s", "freealg.fa_loop_divide.s"],
     ("linearized", "left-division-jordan-5"): [
         "dist.product_mono.calls",
         "dist.ldiv_mono.calls",
