@@ -2,11 +2,12 @@
 
 An AlgebraTable is a bilinear product on a finite-dimensional rational
 space given by structure constants; declared structural flags are verified
-exhaustively at construction (multilinear identities on basis tuples,
-polynomial identities through their full polarizations, which is enough in
-characteristic zero).  Each algebra seeds the loop x + y + x*y, and two
-rational-function loops and the quotient map between them are generated
-from closed-form geometric series.
+exhaustively at construction: commutativity on the table, every other flag
+as a linear condition (a polynomial identity through its full polarization,
+enough in characteristic zero) on the associators (e_a e_b) e_c - e_a (e_b e_c)
+of basis triples, tabulated once.  Each algebra seeds the loop x + y + x*y,
+and two rational-function loops and the quotient map between them are
+generated from closed-form geometric series.
 
 Products and flag checks run on sparse rows of the structure constants
 (`scalars`); the constants and every vector crossing the API are dense.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product as iter_product
+from itertools import combinations_with_replacement, permutations, product as iter_product
 
 from .lincomb import add_into
 from .maps import FormalLoop, FormalMap, MonoTuple, compose
@@ -27,8 +28,10 @@ from .scalars import (
     SparseVector,
     Vector,
     basis_vector,
+    exact,
     format_rational,
     parse_rational,
+    rat,
     to_dense,
     to_sparse,
     zero_vector,
@@ -76,12 +79,18 @@ class AlgebraTable:
         for name, v in self.distinguished.items():
             if len(v) != self.dim:
                 raise ValueError(f"distinguished vector {name!r} does not have dimension {self.dim}")
+            tuple(map(rat, v))  # a float raises TypeError, as in `constants`
+        assoc = None
         for name, expected in self.flags.items():
-            actual = _check_flag(self, name)
+            if name not in _FLAG_CHECKS:
+                raise ValueError(f"unknown algebra flag {name!r}")
+            if not isinstance(expected, bool):
+                raise ValueError(f"flag {name!r} must be true or false, got {expected!r}")
+            if assoc is None and name != "commutative":
+                assoc = _associator_table(rows)
+            actual = _FLAG_CHECKS[name](rows, assoc)
             if actual != expected:
-                raise ValueError(
-                    f"flag {name!r} declared {expected} but verification found {actual}"
-                )
+                raise ValueError(f"flag {name!r} declared {expected} but verification found {actual}")
 
     def multiply(self, x: Vector, y: Vector) -> Vector:
         return to_dense(self.dim, self._mul(to_sparse(self.dim, x), to_sparse(self.dim, y)))
@@ -125,70 +134,60 @@ def _combine(coeffs: SparseVector, vectors) -> SparseVector:
     return out
 
 
-def _check_flag(table: AlgebraTable, name: str) -> bool:
-    checks = {
-        "associative": _is_associative,
-        "commutative": _is_commutative,
-        "alternative": _is_alternative,
-        "jordan": _is_jordan,
-    }
-    if name not in checks:
-        raise ValueError(f"unknown algebra flag {name!r}")
-    return checks[name](table)
+def _associator_table(rows) -> dict[tuple[int, int, int], SparseVector]:
+    """The nonzero associators A(a, b, c) = (e_a e_b) e_c - e_a (e_b e_c) on basis triples."""
+    rows = [[{k: exact(x) for k, x in v.items()} for v in row] for row in rows]
+    table = {}
+    for a, row_a in enumerate(rows):
+        for b, ab in enumerate(row_a):
+            for c, bc in enumerate(rows[b]):
+                value: SparseVector = {}
+                for k, x in ab.items():
+                    add_into(value, rows[k][c], x)
+                for k, x in bc.items():
+                    add_into(value, row_a[k], -x)
+                if value:
+                    table[a, b, c] = value
+    return table
 
 
-def _basis(table: AlgebraTable) -> list[SparseVector]:
-    return [{i: ONE} for i in range(table.dim)]
+def _is_commutative(rows) -> bool:
+    return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
 
 
-def _is_associative(table: AlgebraTable) -> bool:
-    basis = _basis(table)
-    mul = table._mul
-    for a, b, c in iter_product(basis, repeat=3):
-        if mul(mul(a, b), c) != mul(a, mul(b, c)):
-            return False
-    return True
+def _is_alternative(assoc) -> bool:
+    # The polarized alternator identities a(by) + b(ay) = (ab + ba)y and (ya)b + (yb)a
+    # = y(ab + ba) on basis triples: A is skew in its first two slots and in its last two.
+    return all(
+        assoc.get((b, a, c)) == assoc.get((a, c, b)) == {k: -x for k, x in value.items()}
+        for (a, b, c), value in assoc.items()
+    )
 
 
-def _is_commutative(table: AlgebraTable) -> bool:
-    basis = _basis(table)
-    for a, b in iter_product(basis, repeat=2):
-        if table._mul(a, b) != table._mul(b, a):
-            return False
-    return True
-
-
-def _is_alternative(table: AlgebraTable) -> bool:
-    # Both alternator identities are quadratic in the repeated slot; the
-    # polarized forms below on basis triples are equivalent in char 0.
-    basis = _basis(table)
-    mul = table._mul
-    for a, b, y in iter_product(basis, repeat=3):
-        sym = add_into(mul(a, b), mul(b, a))
-        if add_into(mul(a, mul(b, y)), mul(b, mul(a, y))) != mul(sym, y):
-            return False
-        if add_into(mul(mul(y, a), b), mul(mul(y, b), a)) != mul(y, sym):
-            return False
-    return True
-
-
-def _is_jordan(table: AlgebraTable) -> bool:
-    # Commutativity plus the full polarization (cubic in the repeated slot)
-    # of (x y) x^2 = x (y x^2) on basis 4-tuples.
-    if not _is_commutative(table):
+def _is_jordan(rows, assoc) -> bool:
+    # Commutativity plus the full polarization of (x y) x^2 = x (y x^2): the associators
+    # (p1, y, p2 p3) summed over the orderings of x1, x2, x3 (symmetric in them) vanish.
+    if not _is_commutative(rows):
         return False
-    basis = _basis(table)
-    mul = table._mul
-    for y in basis:
-        for x1, x2, x3 in iter_product(basis, repeat=3):
-            total: SparseVector = {}
-            for p1, p2, p3 in permutations((x1, x2, x3)):
-                p23 = mul(p2, p3)
-                add_into(total, mul(mul(p1, y), p23))
-                add_into(total, mul(p1, mul(y, p23)), -1)
-            if total:
-                return False
+    basis = range(len(rows))
+    for y, xs in iter_product(basis, combinations_with_replacement(basis, 3)):
+        total: SparseVector = {}
+        for p1, p2, p3 in permutations(xs):
+            for k, c in rows[p2][p3].items():
+                value = assoc.get((p1, y, k))
+                if value:
+                    add_into(total, value, c)
+        if total:
+            return False
     return True
+
+
+_FLAG_CHECKS = {
+    "associative": lambda rows, assoc: not assoc,
+    "commutative": lambda rows, assoc: _is_commutative(rows),
+    "alternative": lambda rows, assoc: _is_alternative(assoc),
+    "jordan": _is_jordan,
+}
 
 
 # -- builtin algebras ---------------------------------------------------------------

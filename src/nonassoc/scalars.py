@@ -54,7 +54,10 @@ def exact_div(c: int | Fraction, d: int | Fraction) -> int | Fraction:
     return exact(rat(c) / rat(d))
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: int | Fraction) -> str:
+    """The text "p/q" or "p" of value: an int or a Fraction as it is, anything else coerced first."""
+    if type(value) is Fraction or type(value) is int:
+        return str(value)
     return str(Fraction(value))
 
 

@@ -1,7 +1,7 @@
 """Shared fixtures, dense-vector helpers and hypothesis strategies of the test suite."""
 
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import combinations, permutations, product as iter_product
 from math import comb, factorial, prod
 
 import pytest
@@ -381,6 +381,72 @@ def reference_exp_inverse(g):
             break
         result = result + defect
     return result
+
+
+# the flag checks as nested products of basis vectors through `AlgebraTable._mul`,
+# to compare with the associator-table checks of `AlgebraTable`
+
+
+def _basis(table):
+    return [{i: ONE} for i in range(table.dim)]
+
+
+def reference_is_associative(table) -> bool:
+    basis = _basis(table)
+    mul = table._mul
+    for a, b, c in iter_product(basis, repeat=3):
+        if mul(mul(a, b), c) != mul(a, mul(b, c)):
+            return False
+    return True
+
+
+def reference_is_commutative(table) -> bool:
+    basis = _basis(table)
+    for a, b in iter_product(basis, repeat=2):
+        if table._mul(a, b) != table._mul(b, a):
+            return False
+    return True
+
+
+def reference_is_alternative(table) -> bool:
+    # Both alternator identities are quadratic in the repeated slot; the
+    # polarized forms below on basis triples are equivalent in char 0.
+    basis = _basis(table)
+    mul = table._mul
+    for a, b, y in iter_product(basis, repeat=3):
+        sym = add_into(mul(a, b), mul(b, a))
+        if add_into(mul(a, mul(b, y)), mul(b, mul(a, y))) != mul(sym, y):
+            return False
+        if add_into(mul(mul(y, a), b), mul(mul(y, b), a)) != mul(y, sym):
+            return False
+    return True
+
+
+def reference_is_jordan(table) -> bool:
+    # Commutativity plus the full polarization (cubic in the repeated slot)
+    # of (x y) x^2 = x (y x^2) on basis 4-tuples.
+    if not reference_is_commutative(table):
+        return False
+    basis = _basis(table)
+    mul = table._mul
+    for y in basis:
+        for x1, x2, x3 in iter_product(basis, repeat=3):
+            total = {}
+            for p1, p2, p3 in permutations((x1, x2, x3)):
+                p23 = mul(p2, p3)
+                add_into(total, mul(mul(p1, y), p23))
+                add_into(total, mul(p1, mul(y, p23)), -1)
+            if total:
+                return False
+    return True
+
+
+REFERENCE_FLAG_CHECKS = {
+    "associative": reference_is_associative,
+    "commutative": reference_is_commutative,
+    "alternative": reference_is_alternative,
+    "jordan": reference_is_jordan,
+}
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,14 @@ from fractions import Fraction as F
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import vec_add, vec_scale
+from conftest import NO_SHRINK, REFERENCE_FLAG_CHECKS, vec_add, vec_scale
 from nonassoc.catalog import (
     BUILTIN_ALGEBRAS,
     AlgebraTable,
+    _split_octonion_constants,
     builtin_algebra,
     builtin_loop,
     check_homomorphism,
@@ -83,6 +86,139 @@ def test_flag_verification_rejects_wrong_declarations():
         for flag, declared in table.flags.items():
             with pytest.raises(ValueError, match=flag):
                 AlgebraTable(table.dim, table.constants, {flag: not declared}, table.distinguished)
+
+
+# structure constants for the flag property: random sparse integer tables,
+# algebras that hold a flag written in a random integer basis, and those with
+# one constant perturbed
+
+
+def _sparse_table(dim, products):
+    """Structure constants with e_i e_j = e_k for each (i, j, k) in `products`, all other products 0."""
+    out = {(i, j): k for i, j, k in products}
+    return tuple(
+        tuple(tuple(F(int(out.get((i, j)) == k)) for k in range(dim)) for j in range(dim))
+        for i in range(dim)
+    )
+
+
+# M_2 on the matrix units E_ij = e_(2i + j), and its Jordan product (x y + y x) / 2
+_MATRIX_UNITS = _sparse_table(
+    4, [(2 * i + j, 2 * j + l, 2 * i + l) for i, j, l in iter_product(range(2), repeat=3)]
+)
+_SYMMETRIZED = tuple(
+    tuple(tuple((x + y) / 2 for x, y in zip(_MATRIX_UNITS[i][j], _MATRIX_UNITS[j][i])) for j in range(4))
+    for i in range(4)
+)
+
+
+# the algebras written in a random basis, with the flag each holds; the last
+# two are alternative on one side only
+_BASE_TABLES = {
+    "matrix-units": (AlgebraTable(4, _MATRIX_UNITS), "associative"),
+    "split-octonion": (AlgebraTable(8, _split_octonion_constants()), "alternative"),
+    "symmetrized-matrix-units": (AlgebraTable(4, _SYMMETRIZED), "jordan"),
+    "left-alternative": (AlgebraTable(3, _sparse_table(3, [(0, 0, 0), (0, 1, 1), (1, 1, 2)])), None),
+    "right-alternative": (AlgebraTable(3, _sparse_table(3, [(0, 0, 0), (1, 0, 1), (1, 1, 2)])), None),
+}
+
+
+@st.composite
+def _random_tables(draw):
+    dim = draw(st.integers(2, 4))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    constants = [[[F(draw(entry)) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    if draw(st.booleans()):  # commutative, so that the Jordan check runs to the end
+        for i in range(dim):
+            for j in range(i):
+                constants[i][j] = constants[j][i]
+    return dim, tuple(tuple(map(tuple, row)) for row in constants)
+
+
+@st.composite
+def _rebased_tables(draw, name):
+    """A base table in the basis f_j = sum_i P_ij e_i, P a random product of
+    integer shears and a nonzero integer diagonal; Q = P^-1."""
+    table = _BASE_TABLES[name][0]
+    d = table.dim
+    P = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    Q = [row[:] for row in P]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.permutations(range(d)))[:2]
+        t = draw(st.sampled_from([-2, -1, 1, 2]))
+        for row in P:  # P <- P (I + t E_ij)
+            row[j] += t * row[i]
+        Q[i] = [x - t * y for x, y in zip(Q[i], Q[j])]  # Q <- (I - t E_ij) Q
+    for i in range(d):
+        s = draw(st.sampled_from([1, -1, 2, -3]))
+        for row in P:
+            row[i] *= s
+        Q[i] = [x / s for x in Q[i]]
+    columns = [tuple(P[i][j] for i in range(d)) for j in range(d)]
+    constants = tuple(
+        tuple(
+            tuple(sum(q * x for q, x in zip(Q[k], table.multiply(fi, fj))) for k in range(d))
+            for fj in columns
+        )
+        for fi in columns
+    )
+    return d, constants
+
+
+@st.composite
+def _perturbed_tables(draw, name):
+    d, constants = draw(_rebased_tables(name))
+    i, j, k = (draw(st.integers(0, d - 1)) for _ in range(3))
+    shift = draw(st.sampled_from([-1, 1, 2]))
+    vec = tuple(c + shift if m == k else c for m, c in enumerate(constants[i][j]))
+    row = constants[i][:j] + (vec,) + constants[i][j + 1:]
+    return d, constants[:i] + (row,) + constants[i + 1:]
+
+
+def _assert_flags_match_references(dim, constants):
+    """Declaring every reference verdict passes; declaring any one of them negated raises."""
+    undeclared = AlgebraTable(dim, constants)
+    references = {flag: check(undeclared) for flag, check in REFERENCE_FLAG_CHECKS.items()}
+    AlgebraTable(dim, constants, references)
+    for flag, verdict in references.items():
+        message = f"flag {flag!r} declared {not verdict} but verification found {verdict}"
+        with pytest.raises(ValueError, match=message):
+            AlgebraTable(dim, constants, {flag: not verdict})
+    return references
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(table=_random_tables())
+def test_flag_checks_match_the_references_on_random_tables(table):
+    _assert_flags_match_references(*table)
+
+
+@pytest.mark.parametrize("name", sorted(_BASE_TABLES))
+@settings(max_examples=8, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(data=st.data())
+def test_flag_checks_match_the_references_in_a_changed_basis(name, data):
+    references = _assert_flags_match_references(*data.draw(_rebased_tables(name)))
+    flag = _BASE_TABLES[name][1]
+    assert references[flag] if flag else not references["alternative"]
+    _assert_flags_match_references(*data.draw(_perturbed_tables(name)))
+
+
+def test_flag_values_must_be_booleans():
+    data = builtin_algebra("dual-numbers").to_json()
+    for bad in [1, 0, "yes", None]:
+        with pytest.raises(ValueError, match="flag 'associative' must be true or false"):
+            AlgebraTable.from_json({**data, "flags": {"associative": bad}})
+        spec = {"type": "from-algebra", "table": {**data, "flags": {"associative": bad}}}
+        with pytest.raises(ValueError, match="associative"):
+            loop_from_spec(spec, 3)
+
+
+def test_distinguished_entries_are_exact_rationals():
+    one = ((F(1),),)
+    with pytest.raises(TypeError):
+        AlgebraTable(1, (one,), {}, {"u": (0.5,)})
+    kept = AlgebraTable(1, (one,), {}, {"u": (1,), "v": ("1/2",)})
+    assert kept.distinguished == {"u": (1,), "v": ("1/2",)}
 
 
 def test_multiply_rejects_vectors_of_the_wrong_length():

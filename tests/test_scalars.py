@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nonassoc.scalars import exact, exact_div, parse_rational, to_sparse
+from nonassoc.scalars import exact, exact_div, format_rational, parse_rational, to_sparse
 
 
 @pytest.mark.parametrize(
@@ -56,3 +56,11 @@ def test_parse_rational_reads_strings_and_ints(value, expected):
 def test_parse_rational_rejects_floats_and_bools(value):
     with pytest.raises(ValueError, match="not an exact rational"):
         parse_rational(value)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(5, "5"), (-3, "-3"), (F(6, 3), "2"), (F(-1, 3), "-1/3"), ("2/4", "1/2"), (True, "1")],
+)
+def test_format_rational_prints_the_coerced_value(value, text):
+    assert format_rational(value) == text == str(F(value))
