@@ -15,13 +15,13 @@ Products and flag checks run on sparse rows of the structure constants
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product as iter_product
 
 from .lincomb import add_into
-from .maps import FormalLoop, FormalMap, MonoTuple, compose
+from .maps import FormalLoop, FormalMap, MonoTuple, _json_field, compose
 from .scalars import (
     ONE,
     ZERO,
@@ -38,23 +38,18 @@ from .scalars import (
 )
 from .symalg import SymElement, basis_monomial
 
-BUILTIN_ALGEBRAS = (
-    "jordan-k3",
-    "jordan-spin-normalized",
-    "split-octonion",
-    "dual-numbers",
-    "assoc-2x2-uppertriangular",
-)
+# builtin loop -> the builtin algebra whose loop x + y + x*y it is
+_ALGEBRA_LOOPS = {
+    "jordan-k3-loop": "jordan-k3",
+    "jordan-spin-loop": "jordan-spin-normalized",
+    "split-octonion-loop": "split-octonion",
+    "dual-numbers-loop": "dual-numbers",
+    "assoc-2x2-uppertriangular-loop": "assoc-2x2-uppertriangular",
+}
 
-BUILTIN_LOOPS = (
-    "jordan-k3-loop",
-    "jordan-spin-loop",
-    "split-octonion-loop",
-    "dual-numbers-loop",
-    "assoc-2x2-uppertriangular-loop",
-    "nonlinear-f-loop",
-    "x-squared-y-loop",
-)
+BUILTIN_ALGEBRAS = tuple(_ALGEBRA_LOOPS.values())
+
+BUILTIN_LOOPS = (*_ALGEBRA_LOOPS, "nonlinear-f-loop", "x-squared-y-loop")
 
 
 @dataclass(frozen=True)
@@ -115,15 +110,17 @@ class AlgebraTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraTable":
+        what = "an algebra table"
         constants = tuple(
             tuple(tuple(parse_rational(c) for c in vec) for vec in row)
-            for row in data["constants"]
+            for row in _json_field(data, "constants", list, what)
         )
         distinguished = {
             k: tuple(parse_rational(c) for c in v)
-            for k, v in data.get("distinguished", {}).items()
+            for k, v in _json_field(data, "distinguished", dict, what, {}).items()
         }
-        return cls(data["dim"], constants, dict(data.get("flags", {})), distinguished)
+        flags = dict(_json_field(data, "flags", dict, what, {}))
+        return cls(_json_field(data, "dim", int, what), constants, flags, distinguished)
 
 
 def _combine(coeffs: SparseVector, vectors) -> SparseVector:
@@ -250,18 +247,11 @@ def builtin_algebra(name: str) -> AlgebraTable:
             {"jordan": True, "commutative": True, "associative": False},
         )
     if name == "jordan-spin-normalized":
-        # Same table; the distinguished pair is scaled so the bilinear form
-        # pairing them equals 2, matching the normalized identities.
-        return AlgebraTable(
-            3,
-            _jordan_k3_constants(),
-            {"jordan": True, "commutative": True, "associative": False},
-            {
-                "unit": basis_vector(3, 0),
-                "a": basis_vector(3, 1),
-                "b": (ZERO, ZERO, Fraction(2)),
-            },
-        )
+        # The jordan-k3 table; the distinguished pair is scaled so the bilinear
+        # form pairing them equals 2, matching the normalized identities.
+        b = (ZERO, ZERO, Fraction(2))
+        distinguished = {"unit": basis_vector(3, 0), "a": basis_vector(3, 1), "b": b}
+        return replace(builtin_algebra("jordan-k3"), distinguished=distinguished)
     if name == "split-octonion":
         return AlgebraTable(
             8,
@@ -383,15 +373,8 @@ def builtin_loop(name: str, max_degree: int, memory_cap: int | None = None) -> F
         return nonlinear_loop_F(max_degree, memory_cap)
     if name == "x-squared-y-loop":
         return x_squared_y_loop(max_degree, memory_cap)
-    algebra_names = {
-        "jordan-k3-loop": "jordan-k3",
-        "jordan-spin-loop": "jordan-spin-normalized",
-        "split-octonion-loop": "split-octonion",
-        "dual-numbers-loop": "dual-numbers",
-        "assoc-2x2-uppertriangular-loop": "assoc-2x2-uppertriangular",
-    }
-    if name in algebra_names:
-        return loop_from_algebra(builtin_algebra(algebra_names[name]), max_degree, memory_cap)
+    if name in _ALGEBRA_LOOPS:
+        return loop_from_algebra(builtin_algebra(_ALGEBRA_LOOPS[name]), max_degree, memory_cap)
     raise ValueError(f"unknown builtin loop {name!r}; known: {BUILTIN_LOOPS}")
 
 
@@ -400,20 +383,17 @@ def loop_from_spec(spec: dict, max_degree: int, memory_cap: int | None = None) -
 
     A components spec is trimmed to `max_degree`; one whose `N` is below it
     raises ValueError, since its components above `N` are unknown.  So does
-    a spec that is not a JSON object, or a builtin (from-algebra) spec that
-    lacks its `name` (`table`).
+    a spec that is not a JSON object, or one with a field that is missing or
+    of the wrong JSON type, the fields of its table or components included.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"a loop spec must be a JSON object, got {type(spec).__name__}")
     kind = spec.get("type")
     if kind == "builtin":
-        if "name" not in spec:
-            raise ValueError("a builtin loop spec needs a 'name' field")
-        return builtin_loop(spec["name"], max_degree, memory_cap)
+        return builtin_loop(_json_field(spec, "name", str, "a builtin loop spec"), max_degree, memory_cap)
     if kind == "from-algebra":
-        if "table" not in spec:
-            raise ValueError("a from-algebra loop spec needs a 'table' field")
-        return loop_from_algebra(AlgebraTable.from_json(spec["table"]), max_degree, memory_cap)
+        table = AlgebraTable.from_json(_json_field(spec, "table", dict, "a from-algebra loop spec"))
+        return loop_from_algebra(table, max_degree, memory_cap)
     if kind == "components":
         fmap = FormalMap.from_json(spec)
         if fmap.N < max_degree:

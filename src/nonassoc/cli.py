@@ -35,12 +35,16 @@ class UsageError(Exception):
     pass
 
 
-def _load_config(path: str) -> dict:
+def _read_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_config(path: str) -> dict:
+    data = _read_json(path, "config file")
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return {key.replace("-", "_"): value for key, value in data.items()}
@@ -50,12 +54,7 @@ def _resolve_loop(spec: str, degree: int, memory_cap: int | None):
     if spec.startswith("builtin:"):
         return catalog.builtin_loop(spec[len("builtin:") :], degree, memory_cap)
     if spec.startswith("file:"):
-        path = spec[len("file:") :]
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read loop spec {path}: {exc}") from exc
+        data = _read_json(spec[len("file:") :], "loop spec")
         return catalog.loop_from_spec(data, degree, memory_cap)
     raise UsageError(f"loop spec must start with 'builtin:' or 'file:', got {spec!r}")
 
@@ -80,7 +79,7 @@ def _emit(command: str, config: dict, result: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _config_dict(args: argparse.Namespace, extra: dict | None = None) -> dict:
+def _config_dict(args: argparse.Namespace) -> dict:
     out = {
         "degree": args.degree,
         "format": args.format,
@@ -89,8 +88,6 @@ def _config_dict(args: argparse.Namespace, extra: dict | None = None) -> dict:
     for key in ("seed", "samples", "loop", "identity", "mode", "arity", "method", "nvars"):
         if hasattr(args, key) and getattr(args, key) is not None:
             out[key] = getattr(args, key)
-    if extra:
-        out.update(extra)
     return out
 
 

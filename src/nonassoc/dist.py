@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import combinations_with_replacement, product as iter_product
 from math import lcm, prod
 from typing import Callable, Iterator, Sequence
 
@@ -32,7 +32,7 @@ from . import su_ops
 from .lincomb import add_into, bilinear
 from .maps import FormalLoop, FormalMap, InvariantError, MonoTuple, SimilarityMap, compose
 from .scalars import (
-    SparseVector, Vector, basis_vector, exact, exact_div, format_rational, rat, to_sparse,
+    SparseVector, Vector, exact, exact_div, format_rational, rat, to_sparse,
 )
 from .symalg import (
     Monomial,
@@ -316,9 +316,11 @@ class DistSUOps:
         Equals the multilinear multioperator at the basis multisets of the
         two monomials (the symmetrizations collapse on repeated letters).
         """
-        xs = [basis_vector(self.bialgebra.dim, i) for i in monomial_letters(mx)]
-        ys = [basis_vector(self.bialgebra.dim, i) for i in monomial_letters(my)]
-        value = self.multioperator([self._coerce(x) for x in xs], [self._coerce(y) for y in ys])
+        dim = self.bialgebra.dim
+        value = self.multioperator(
+            [SymElement.basis(dim, i) for i in monomial_letters(mx)],
+            [SymElement.basis(dim, i) for i in monomial_letters(my)],
+        )
         if not value.is_primitive():
             raise InvariantError("multioperator value is not primitive")
         return value.primitive_part()
@@ -775,8 +777,10 @@ def make_similar_product(bialgebra: DistBialgebra, phi: PhiTables) -> DistBialge
 
 
 def su_multioperator_tables(bialgebra: DistBialgebra, max_degree: int | None = None) -> dict[tuple[Monomial, Monomial], Vector]:
-    """Distribution-view multioperator tables of a bialgebra, up to a degree."""
+    """Distribution-view multioperator tables of a bialgebra, up to a degree <= N."""
     cap = bialgebra.N if max_degree is None else max_degree
+    if cap > bialgebra.N:
+        raise ValueError(f"degree {cap} beyond the truncation {bialgebra.N}")
     ops = dist_su_ops(bialgebra)
     out: dict[tuple[Monomial, Monomial], Vector] = {}
     for i in range(1, cap - 1):
@@ -838,21 +842,9 @@ def pbw_span_check(bialgebra: DistBialgebra, max_degree: int) -> PbwVerdict:
     if max_degree > bialgebra.N:
         raise ValueError(f"degree {max_degree} beyond the truncation {bialgebra.N}")
     dim = bialgebra.dim
-
-    def ordered_tuples(k: int) -> Iterator[tuple[int, ...]]:
-        def rec(start: int, left: int) -> Iterator[tuple[int, ...]]:
-            if left == 0:
-                yield ()
-                return
-            for i in range(start, dim):
-                for rest in rec(i, left - 1):
-                    yield (i,) + rest
-
-        yield from rec(0, k)
-
     products: dict[tuple[int, ...], SymElement] = {(): bialgebra.key_element(unit_monomial(dim))}
     for k in range(1, max_degree + 1):
-        for idx in ordered_tuples(k):
+        for idx in combinations_with_replacement(range(dim), k):
             letter = bialgebra.key_element(basis_monomial(dim, idx[-1]))
             products[idx] = bialgebra.mul(products[idx[:-1]], letter)
 

@@ -34,7 +34,6 @@ from .scalars import (
     ONE,
     SparseVector,
     Vector,
-    basis_vector,
     format_rational,
     parse_rational,
     to_dense,
@@ -51,9 +50,12 @@ from .symalg import (
     sym_dim,
     unit_monomial,
 )
-from .freealg import FAElement, FreeAlgebra, fa_exp, fa_loop_divide, mono_degree, mono_letter_counts
+from .freealg import (
+    FAElement, FreeAlgebra, fa_associator, fa_commutator, fa_exp, fa_loop_divide,
+    mono_degree, mono_letter_counts, p_operation,
+)
 from .lincomb import add_into
-from .words import Identity, LDiv, LoopWord, Mul, RDiv, Unit, Var
+from .words import Identity, LDiv, LoopWord, Mul, RDiv, Unit, Var, parse_identity
 
 MonoTuple = tuple[Monomial, ...]
 Multidegree = tuple[int, ...]
@@ -111,6 +113,36 @@ def multidegree_of(monos: MonoTuple) -> Multidegree:
 def _series_weight(monos: MonoTuple) -> int:
     """The factor between the distribution and the series view at a monomial tuple."""
     return prod(map(monomial_factorial, monos))
+
+
+def _identity_block(dims: Sequence[int], slot: int) -> dict[MonoTuple, SparseVector]:
+    """The table e_j (in slot `slot`, 1 elsewhere) -> e_j of the primitive part of one slot."""
+    units = [unit_monomial(d) for d in dims]
+    return {
+        tuple(basis_monomial(dims[slot], j) if i == slot else u for i, u in enumerate(units)): {j: ONE}
+        for j in range(dims[slot])
+    }
+
+
+_JSON_TYPES = {int: "integer", str: "string", list: "array", dict: "object"}
+
+
+def _json_field(data, key: str, kind: type, what: str, default=None):
+    """`data[key]` of the JSON object `data`, or `default` when that is given and the key is absent.
+
+    Raises ValueError naming the field when `data` is not an object or the
+    field is missing or not of the JSON type `kind`.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    if key not in data and default is None:
+        raise ValueError(f"{what} needs {'an' if key[0] in 'aeiou' else 'a'} {key!r} field")
+    value = data.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(
+            f"{what} field {key!r} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}"
+        )
+    return value
 
 
 def tensor_monomials(dims: Sequence[int], multidegree: Multidegree) -> Iterator[MonoTuple]:
@@ -319,16 +351,9 @@ class FormalMap:
         """The map picking out the primitive part of one argument slot."""
         if not 0 <= slot < len(dims):
             raise ValueError(f"slot {slot} out of range")
-        d = dims[slot]
         md = tuple(1 if i == slot else 0 for i in range(len(dims)))
-        table = {}
-        for j in range(d):
-            monos = tuple(
-                basis_monomial(d, j) if i == slot else unit_monomial(dims[i])
-                for i in range(len(dims))
-            )
-            table[monos] = basis_vector(d, j)
-        return cls(dims, d, max_degree, {md: table})
+        comps = {md: _identity_block(dims, slot)} if max_degree >= 1 else {}
+        return cls._of_sparse(dims, dims[slot], max_degree, comps)
 
     @classmethod
     def from_series(
@@ -374,21 +399,24 @@ class FormalMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "FormalMap":
-        dims = tuple(data["dims"])
-        view = data.get("view", "distribution")
+        dims = tuple(_json_field(data, "dims", list, "a formal map"))
+        view = _json_field(data, "view", str, "a formal map", "distribution")
+        if view not in ("distribution", "series"):
+            raise ValueError(f"unknown view {view!r}")
         comps: dict[Multidegree, dict[MonoTuple, Vector]] = {}
-        for comp in data["components"]:
-            md = tuple(comp["multidegree"])
+        for comp in _json_field(data, "components", list, "a formal map"):
+            md = tuple(_json_field(comp, "multidegree", list, "a component"))
             table: dict[MonoTuple, Vector] = {}
-            for entry in comp["entries"]:
-                monos = tuple(tuple(m) for m in entry["monomials"])
-                value = tuple(parse_rational(v) for v in entry["value"])
+            for entry in _json_field(comp, "entries", list, "a component"):
+                monos = tuple(tuple(m) for m in _json_field(entry, "monomials", list, "an entry"))
+                value = tuple(parse_rational(v) for v in _json_field(entry, "value", list, "an entry"))
                 if view == "series":
                     weight = _series_weight(monos)
                     value = tuple(weight * c for c in value)
                 table[monos] = value
             comps[md] = table
-        return cls(dims, data["target_dim"], data["N"], comps)
+        target_dim = _json_field(data, "target_dim", int, "a formal map")
+        return cls(dims, target_dim, _json_field(data, "N", int, "a formal map"), comps)
 
 
 class Prolongation:
@@ -484,7 +512,7 @@ class Prolongation:
             raise ValueError(f"degree {cap} beyond the truncation {self.fmap.N}")
         out: dict[MonoTuple, SymElement] = {}
         for total in range(cap + 1):
-            for md in _multidegrees(len(self.fmap.dims), total):
+            for md in monomials(len(self.fmap.dims), total):
                 for monos in tensor_monomials(self.fmap.dims, md):
                     out[monos] = self.at(monos)
         return out
@@ -501,15 +529,6 @@ def _truncated_product(a: Series, b: Series, cap: int) -> Series:
             for ka, ca in ta.items():
                 add_into(acc, {tuple(map(add, ka, kb)): cb for kb, cb in tb.items()}, ca)
     return {d: terms for d, terms in out.items() if terms}
-
-
-def _multidegrees(nslots: int, total: int) -> Iterator[Multidegree]:
-    if nslots == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _multidegrees(nslots - 1, total - head):
-            yield (head,) + rest
 
 
 def prolong(fmap: FormalMap) -> Prolongation:
@@ -606,24 +625,12 @@ class FormalLoop(FormalMap):
         self._adapted_field_cache: dict = {}
 
     def _validate_unital(self) -> None:
-        d, N = self.dim, self.N
-        for slot in (0, 1):
-            md1 = (1, 0) if slot == 0 else (0, 1)
-            table = self.components.get(md1, {})
-            for j in range(d):
-                monos = (
-                    (basis_monomial(d, j), unit_monomial(d))
-                    if slot == 0
-                    else (unit_monomial(d), basis_monomial(d, j))
-                )
-                if table.get(monos) != {j: ONE}:
-                    raise ValueError(
-                        f"not unital: component {md1} must restrict to the identity"
-                    )
-            for i in range(2, N + 1):
-                md = (i, 0) if slot == 0 else (0, i)
-                if md in self.components:
-                    raise ValueError(f"not unital: nonzero component at {md}")
+        for slot, md1 in enumerate(((1, 0), (0, 1))):
+            if self.components.get(md1) != _identity_block(self.dims, slot):
+                raise ValueError(f"not unital: component {md1} must restrict to the identity")
+        for md in self.components:
+            if 0 in md and sum(md) >= 2:
+                raise ValueError(f"not unital: nonzero component at {md}")
 
     @classmethod
     def from_map(cls, fmap: FormalMap, memory_cap: int | None = None) -> "FormalLoop":
@@ -635,15 +642,10 @@ class FormalLoop(FormalMap):
     @classmethod
     def unital_components(cls, dim: int) -> dict[Multidegree, dict[MonoTuple, Vector]]:
         """The two identity components every loop shares."""
-        left = {
-            (basis_monomial(dim, j), unit_monomial(dim)): basis_vector(dim, j)
-            for j in range(dim)
+        return {
+            md: {monos: to_dense(dim, v) for monos, v in _identity_block((dim, dim), slot).items()}
+            for slot, md in enumerate(((1, 0), (0, 1)))
         }
-        right = {
-            (unit_monomial(dim), basis_monomial(dim, j)): basis_vector(dim, j)
-            for j in range(dim)
-        }
-        return {(1, 0): left, (0, 1): right}
 
     def interaction_part(self) -> FormalMap:
         """Components of bidegree at least (1, 1); what remains after unitality."""
@@ -670,16 +672,11 @@ class SimilarityMap(FormalMap):
 
     def _setup(self, dims, target_dim, max_degree, components):
         super()._setup(dims, target_dim, max_degree, components)
-        dim = self.dim = target_dim
-        table = self.components.get((0, 1), {})
-        for j in range(dim):
-            monos = (unit_monomial(dim), basis_monomial(dim, j))
-            if table.get(monos) != {j: ONE}:
-                raise ValueError("a similarity restricts to the identity on 1 (x) k[V]")
+        self.dim = target_dim
+        if self.components.get((0, 1)) != _identity_block(self.dims, 1):
+            raise ValueError("a similarity restricts to the identity on 1 (x) k[V]")
         for md in self.components:
-            if md == (0, 1):
-                continue
-            if md[0] == 0 or md[1] <= 1:
+            if md != (0, 1) and (md[0] == 0 or md[1] <= 1):
                 raise ValueError(f"a similarity has no component at bidegree {md}")
 
     @classmethod
@@ -812,36 +809,18 @@ def right_alt_modify(F: FormalLoop) -> RightAltModification:
     the equation at that y-degree.  The similarity Phi satisfies
     F(x, y) = F_mod(x, Phi(x, y)).
     """
-    dims = F.dims
-    N = F.N
-    P1 = FormalMap.slot_projection(dims, 0, N)
-    P2 = FormalMap.slot_projection(dims, 1, N)
-    comps = {md: dict(tab) for md, tab in F.components.items() if md[1] <= 1}
-    current = FormalLoop.from_map(FormalMap._of_sparse(dims, F.dim, N, dict(comps)))
-    for n in range(2, N):
-        lhs = compose(current, [current, P2])
-        rhs = compose(current, [P1, compose(current, [P2, P2])])
-        residue = lhs - rhs
-        ratio = Fraction(1, 2**n - 2)
-        added = False
-        for md, table in residue.components.items():
-            if md[1] != n:
-                continue
-            comps[md] = {monos: {i: ratio * c for i, c in v.items()} for monos, v in table.items()}
-            added = True
-        if added:
-            current = FormalLoop.from_map(FormalMap._of_sparse(dims, F.dim, N, dict(comps)))
-    verdict = check_loop_identity(_right_alt_identity(), current)
+    P1 = FormalMap.slot_projection(F.dims, 0, F.N)
+    P2 = FormalMap.slot_projection(F.dims, 1, F.N)
+    current = FormalLoop.from_map(F.filter_components(lambda md: md[1] <= 1))
+    for n in range(2, F.N):
+        residue = compose(current, [current, P2]) - compose(current, [P1, compose(current, [P2, P2])])
+        block = residue.filter_components(lambda md: md[1] == n)
+        if not block.is_zero():
+            current = FormalLoop.from_map(current + block.scale(Fraction(1, 2**n - 2)))
+    verdict = check_loop_identity(parse_identity(RIGHT_ALTERNATIVE, 2), current)
     if not verdict.holds:
         raise InvariantError(f"right alternative modification failed: {verdict}")
-    phi = compose(current.division("left"), [P1, F])
-    return RightAltModification(current, SimilarityMap.from_map(phi))
-
-
-def _right_alt_identity() -> Identity:
-    from .words import parse_identity
-
-    return parse_identity(RIGHT_ALTERNATIVE, 2)
+    return RightAltModification(current, similarity_between(current, F).phi)
 
 
 @dataclass
@@ -902,9 +881,11 @@ class MsMultioperator:
 def multioperator_ms(max_degree: int, max_bidegree: tuple[int, int] | None = None) -> MsMultioperator:
     """Solve exp_a(a Phi) = a b for Phi in the free loop of power series.
 
-    a = exp(alpha), b = exp(beta); the equation a b = a + sum_k (1/k!) of
-    the left-normed products (a Phi) Phi ... Phi pins Phi degree by degree
-    (the unknown enters linearly through a Phi, everything else quadratically).
+    a = exp(alpha), b = exp(beta), and exp_a(a Phi) = a + a Phi + sum_k (1/k!)
+    of the left-normed products (a Phi) Phi ... Phi is `fa_exp` based at a
+    (a \\ (a Phi) = Phi).  Each pass adds a \\ (a b - exp_a(a Phi)) to Phi,
+    which pins Phi degree by degree (the unknown enters linearly through
+    a Phi, everything else quadratically).
     The components of bidegree (i, 1) vanish for i >= 1, which is asserted.
     """
     if max_bidegree is not None and sum(max_bidegree) > max_degree:
@@ -916,20 +897,12 @@ def multioperator_ms(max_degree: int, max_bidegree: tuple[int, int] | None = Non
     ab = a * b
     phi = beta
     for step in range(1, max_degree + 1):
-        higher = alg.zero()
-        term = a * phi
-        for k in range(2, max_degree + 1):
-            term = term * phi
-            if term.is_zero():
-                break
-            higher = higher + term.scale(Fraction(1, factorial(k)))
-        candidate = fa_loop_divide(a, ab - a - higher, "left")
-        delta = candidate - phi
+        delta = fa_loop_divide(a, ab - fa_exp(a * phi, base=a), "left")
         if delta.is_zero():
             break
         if any(0 < mono_degree(m) <= step for m in delta.terms):
             raise InvariantError(f"multioperator solve changed degree <= {step} at pass {step}")
-        phi = candidate
+        phi = phi + delta
     ngens = 2
     comp_terms: dict[tuple[int, int], dict] = {}
     for mono, coeff in phi.terms.items():
@@ -949,8 +922,6 @@ def multioperator_printed_formula_match() -> dict[str, bool | str]:
     with the sign of the final quarternary term flipped, and reports which,
     if any, reproduces the recursion.
     """
-    from .freealg import fa_associator, fa_commutator, p_operation
-
     ms = multioperator_ms(5)
     alg = ms.algebra
     alpha, beta = alg.gens()

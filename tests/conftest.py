@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nonassoc import su_ops
 from nonassoc.catalog import builtin_loop
 from nonassoc.dist import DistBialgebra
-from nonassoc.freealg import FAElement, fa_exp, mono_graft, mono_letter_counts
+from nonassoc.freealg import FAElement, FreeAlgebra, fa_exp, fa_loop_divide, mono_graft, mono_letter_counts
 from nonassoc.lincomb import add_into
 from nonassoc.maps import FormalMap, multidegree_of
 from nonassoc.scalars import ONE, basis_vector, to_dense, to_sparse, zero_vector
@@ -381,6 +381,32 @@ def reference_exp_inverse(g):
             break
         result = result + defect
     return result
+
+
+# the geodesic multioperator as the fixed point of the literal series, to compare
+# with `multioperator_ms`, which takes exp_a(a Phi) from `fa_exp` based at a
+
+
+def reference_multioperator_ms(max_degree):
+    """Phi with exp_a(a Phi) = a b: Phi = a \\ (a b - a - sum_k>=2 (a Phi) Phi..Phi / k!) until fixed."""
+    alg = FreeAlgebra(("a", "b"), max_degree)
+    alpha, beta = alg.gens()
+    a = fa_exp(alpha)
+    ab = a * fa_exp(beta)
+    phi = beta
+    for _ in range(max_degree):
+        higher = alg.zero()
+        term = a * phi
+        for k in range(2, max_degree + 1):
+            term = term * phi
+            if term.is_zero():
+                break
+            higher = higher + term.scale(Fraction(1, factorial(k)))
+        candidate = fa_loop_divide(a, ab - a - higher, "left")
+        if candidate == phi:
+            break
+        phi = candidate
+    return phi
 
 
 # the flag checks as nested products of basis vectors through `AlgebraTable._mul`,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import NO_SHRINK, REFERENCE_FLAG_CHECKS, vec_add, vec_scale
 from nonassoc.catalog import (
     BUILTIN_ALGEBRAS,
+    BUILTIN_LOOPS,
     AlgebraTable,
     _split_octonion_constants,
     builtin_algebra,
@@ -65,6 +66,40 @@ def test_split_octonion_is_split():
     idem = vec_scale(F(1, 2), vec_add(basis_vector(8, 0), basis_vector(8, 1)))
     comp = vec_scale(F(1, 2), tuple(a - b for a, b in zip(basis_vector(8, 0), basis_vector(8, 1))))
     assert table.multiply(idem, comp) == zero_vector(8)
+
+
+def test_builtin_names_and_their_order():
+    assert BUILTIN_ALGEBRAS == (
+        "jordan-k3",
+        "jordan-spin-normalized",
+        "split-octonion",
+        "dual-numbers",
+        "assoc-2x2-uppertriangular",
+    )
+    assert BUILTIN_LOOPS == (
+        "jordan-k3-loop",
+        "jordan-spin-loop",
+        "split-octonion-loop",
+        "dual-numbers-loop",
+        "assoc-2x2-uppertriangular-loop",
+        "nonlinear-f-loop",
+        "x-squared-y-loop",
+    )
+    with pytest.raises(ValueError, match="known: \\('jordan-k3', 'jordan-spin-normalized'"):
+        builtin_algebra("jordan")
+    with pytest.raises(ValueError, match="known: \\('jordan-k3-loop', 'jordan-spin-loop'"):
+        builtin_loop("jordan", 2)
+
+
+def test_spin_normalized_is_jordan_k3_with_a_distinguished_pair():
+    k3, spin = builtin_algebra("jordan-k3"), builtin_algebra("jordan-spin-normalized")
+    assert (spin.dim, spin.constants, spin.flags) == (k3.dim, k3.constants, k3.flags)
+    assert k3.distinguished == {}
+    assert spin.distinguished == {
+        "unit": (F(1), F(0), F(0)),
+        "a": (F(0), F(1), F(0)),
+        "b": (F(0), F(0), F(2)),
+    }
 
 
 def test_associative_baselines():

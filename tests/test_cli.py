@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nonassoc import dist
-from nonassoc.catalog import nonlinear_loop_F, x_squared_y_loop
+from nonassoc.catalog import builtin_algebra, nonlinear_loop_F, x_squared_y_loop
 from nonassoc.cli import EXIT_FAIL, EXIT_INVARIANT, EXIT_PASS, EXIT_USAGE, main
 
 ASSOC = "((x1 * x2) * x3) = (x1 * (x2 * x3))"
@@ -294,6 +294,36 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv, message):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+XSQY_SPEC = {"type": "components", **x_squared_y_loop(3).to_json()}
+DUAL_TABLE = builtin_algebra("dual-numbers").to_json()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"type": "from-algebra", "table": {"dim": 1}}, "an algebra table needs a 'constants' field"),
+        ({"type": "from-algebra", "table": {"dim": 1, "constants": 7}},
+         "an algebra table field 'constants' must be a JSON array, got int"),
+        ({"type": "from-algebra", "table": 5},
+         "a from-algebra loop spec field 'table' must be a JSON object, got int"),
+        ({k: v for k, v in XSQY_SPEC.items() if k != "dims"}, "a formal map needs a 'dims' field"),
+        ({**XSQY_SPEC, "components": 5}, "a formal map field 'components' must be a JSON array, got int"),
+        ({**XSQY_SPEC, "components": [{"multidegree": [1, 0]}]}, "a component needs an 'entries' field"),
+        ({"type": "from-algebra", "table": {**DUAL_TABLE, "flags": [["associative", True]]}},
+         "an algebra table field 'flags' must be a JSON object, got list"),
+    ],
+)
+def test_malformed_loop_spec_fields_are_usage_errors(capsys, tmp_path, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(
+        capsys, "verify-identity", "--loop", f"file:{path}", "--identity", ASSOC, "--degree", "3"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_float_in_a_loop_file_is_usage_error(capsys, tmp_path):

@@ -919,3 +919,11 @@ def test_pbw_jordan_spin_full_rank(spin_bialgebra_6):
 def test_pbw_degree_bound(affine_1d):
     with pytest.raises(ValueError):
         pbw_span_check(affine_1d, 9)
+
+
+def test_multioperator_tables_stay_within_the_truncation(jordan_bialgebra_4):
+    with pytest.raises(ValueError, match="^degree 6 beyond the truncation 4$"):
+        su_multioperator_tables(jordan_bialgebra_4, 6)
+    full = su_multioperator_tables(jordan_bialgebra_4)
+    assert su_multioperator_tables(jordan_bialgebra_4, 4) == full
+    assert su_multioperator_tables(jordan_bialgebra_4, 3) == {k: v for k, v in full.items() if sum(map(sum, k)) <= 3}

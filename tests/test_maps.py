@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from conftest import NO_SHRINK, plane_structure_constants, reference_compose
+from conftest import NO_SHRINK, plane_structure_constants, reference_compose, reference_multioperator_ms
 from nonassoc import maps
 from nonassoc.catalog import (
     AlgebraTable,
@@ -437,6 +437,11 @@ def test_multioperator_ms_guards_the_solved_degrees(monkeypatch, at_pass, degree
             multioperator_ms(5)
 
 
+@pytest.mark.parametrize("max_degree", range(2, 8))
+def test_multioperator_ms_matches_the_literal_series(max_degree):
+    assert multioperator_ms(max_degree).phi == reference_multioperator_ms(max_degree)
+
+
 # -- loop validation, caps and serialization ------------------------------------------------------
 
 
@@ -448,6 +453,25 @@ def test_unitality_validation():
     extra[(2, 0)] = {(((2,), (0,))): (F(1),)}
     with pytest.raises(ValueError):
         FormalLoop(1, 3, extra)
+
+
+@pytest.mark.parametrize(
+    "md, table, message",
+    [
+        ((0, 1), {(((0,), (1,))): (F(-1),)}, r"not unital: component \(0, 1\) must restrict to the identity"),
+        ((0, 3), {(((0,), (3,))): (F(1),)}, r"not unital: nonzero component at \(0, 3\)"),
+    ],
+)
+def test_unitality_validation_on_the_second_slot(md, table, message):
+    components = {**FormalLoop.unital_components(1), md: table}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FormalLoop(1, 3, components)
+
+
+def test_similarity_rejects_a_broken_identity_block():
+    for block in [{(((0,), (1,))): (F(2),)}, {}]:
+        with pytest.raises(ValueError, match=r"^a similarity restricts to the identity on 1 \(x\) k\[V\]$"):
+            SimilarityMap(1, 4, {(0, 1): block, (1, 2): {(((1,), (2,))): (F(1),)}})
 
 
 def test_similarity_shape_validation():
