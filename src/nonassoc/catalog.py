@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product as iter_product
 
 from .lincomb import add_into
-from .maps import FormalLoop, FormalMap, MonoTuple, _json_field, compose
+from .maps import FormalLoop, FormalMap, MonoTuple, _json_field, _json_items, compose
 from .scalars import (
     ONE,
     ZERO,
@@ -112,12 +112,15 @@ class AlgebraTable:
     def from_json(cls, data: dict) -> "AlgebraTable":
         what = "an algebra table"
         constants = tuple(
-            tuple(tuple(parse_rational(c) for c in vec) for vec in row)
-            for row in _json_field(data, "constants", list, what)
+            tuple(
+                tuple(parse_rational(c) for c in vec)
+                for vec in _json_items(row, list, "a row of 'constants'")
+            )
+            for row in _json_field(data, "constants", list, what, items=list)
         )
         distinguished = {
             k: tuple(parse_rational(c) for c in v)
-            for k, v in _json_field(data, "distinguished", dict, what, {}).items()
+            for k, v in _json_field(data, "distinguished", dict, what, {}, items=list).items()
         }
         flags = dict(_json_field(data, "flags", dict, what, {}))
         return cls(_json_field(data, "dim", int, what), constants, flags, distinguished)

@@ -29,7 +29,7 @@ from math import lcm, prod
 from typing import Callable, Iterator, Sequence
 
 from . import su_ops
-from .lincomb import add_into, bilinear
+from .lincomb import add_into, bilinear, sum_into
 from .maps import FormalLoop, FormalMap, InvariantError, MonoTuple, SimilarityMap, compose
 from .scalars import (
     SparseVector, Vector, exact, exact_div, format_rational, rat, to_sparse,
@@ -50,6 +50,13 @@ from .symalg import (
 from .words import Identity, LDiv, LoopWord, Mul, RDiv, Unit, Var, word_variables
 
 ProductFn = Callable[[Monomial, Monomial], SymElement]
+
+
+def _letter_shifts(mono: Monomial, N: int) -> tuple[Monomial, ...] | None:
+    """(mono e_0, .., mono e_{dim-1}), or None when mono has degree N and every shift vanishes."""
+    if monomial_degree(mono) >= N:
+        return None
+    return tuple(mono[:j] + (mono[j] + 1,) + mono[j + 1 :] for j in range(len(mono)))
 
 
 def _fractions(elem: SymElement) -> SymElement:
@@ -89,9 +96,11 @@ class DistBialgebra:
 
         The recursion is driven by the loop's support: only the splits whose
         front (mu_(1), nu_(1)) has a multidegree where F has a component are
-        visited, and their tails are summed per output letter e_j, unscaled;
-        the letters' sums are then shifted by e_j and added, and each output
+        visited.  Each weighted tail term, times each letter e_j of the front,
+        is summed straight into the shifted result, unscaled, and each output
         term is divided by its degree once, not once per split or letter.
+        The shifts mono e_j are cached per bialgebra; a tail term of degree N
+        has none, since mono e_j would lie above the truncation.
         """
         self = cls(loop.dim, loop.N, None, loop)  # type: ignore[arg-type]
         dim, N = loop.dim, loop.N
@@ -100,6 +109,8 @@ class DistBialgebra:
             for md, comp in loop.components.items()
         }
         unit = SymElement.of_terms(dim, {unit_monomial(dim): 1})
+        # monomial -> (mono e_0, .., mono e_{dim-1}), or None at degree N
+        shifts: dict[Monomial, tuple[Monomial, ...] | None] = {}
 
         def product_fn(m1: Monomial, m2: Monomial) -> SymElement:
             d1, d2 = monomial_degree(m1), monomial_degree(m2)
@@ -108,8 +119,9 @@ class DistBialgebra:
             top = components.get((d1, d2), {}).get((m1, m2), {})
             acc = {basis_monomial(dim, j): c for j, c in top.items()}
             groups1, groups2 = splits_by_degree(m1), splits_by_degree(m2)
-            # letter j -> sum of the weighted tails mu_(2) . nu_(2), before the shift by e_j
-            tails: dict[int, dict[Monomial, int | Fraction]] = {}
+            # mono e_j -> sum of F_j(mu_(1), nu_(1)) times the tail mu_(2) . nu_(2) at mono
+            shifted: dict[Monomial, int | Fraction] = {}
+            get = shifted.get
             for (e1, e2), comp in components.items():
                 if e1 > d1 or e2 > d2 or (e1 == d1 and e2 == d2):
                     continue
@@ -118,21 +130,23 @@ class DistBialgebra:
                         front = comp.get((a1, a2))
                         if front is None:
                             continue
-                        tail = self.product_mono(b1, b2).terms
                         weight = c1 * c2
-                        for j, fj in front.items():
-                            add_into(tails.setdefault(j, {}), tail, fj if weight == 1 else weight * fj)
-            # a tail term of degree < N, times e_j
-            shifted: dict[Monomial, int | Fraction] = {}
-            for j, tail in tails.items():
-                add_into(shifted, {
-                    mono[:j] + (mono[j] + 1,) + mono[j + 1 :]: c
-                    for mono, c in tail.items()
-                    if monomial_degree(mono) < N
-                })
+                        for mono, c in self.product_mono(b1, b2).terms.items():
+                            try:
+                                row = shifts[mono]
+                            except KeyError:
+                                row = shifts[mono] = _letter_shifts(mono, N)
+                            if row is None:
+                                continue
+                            if weight != 1:
+                                c = weight * c
+                            for j, fj in front.items():
+                                key = row[j]
+                                shifted[key] = get(key, 0) + c * fj
             # tails have no degree-0 term, so these degrees are >= 2 and miss `top`
             for mono, c in shifted.items():
-                acc[mono] = exact_div(c, monomial_degree(mono))
+                if c:
+                    acc[mono] = exact_div(c, monomial_degree(mono))
             return SymElement.of_terms(dim, acc)
 
         self._product_fn = product_fn
@@ -348,13 +362,16 @@ _METHODS = {Mul: "product_mono", LDiv: "ldiv_mono", RDiv: "rdiv_mono"}
 class _Node:
     """A distinct subword, compiled once per evaluator.
 
-    Leaves keep their word; a binary node names the `DistBialgebra` method
-    that combines its children and, per argument slot, whether the slot is
-    split between both children, routed whole to one, or used by neither.
+    A leaf keeps its word and the slot its value reads: its variable's, or
+    0 for the unit, which sees the unit monomial in every slot.  A binary
+    node names the `DistBialgebra` method that combines its children and,
+    per argument slot, whether the slot is split between both children,
+    routed whole to one, or used by neither.
     """
 
     id: int
     word: LoopWord
+    slot: int | None = None
     method: str | None = None
     left: "_Node | None" = None
     right: "_Node | None" = None
@@ -376,11 +393,13 @@ class LinearizedEvaluator:
     Each distinct subword is compiled once into a `_Node`, which fixes its
     method and slot routing; equal subwords share one node.  Values are
     memoized per evaluator in `_memo`, keyed by (node id, monomial tuple).
-    A leaf's value is truncated at N; a binary node's value is a sum of
-    memoized product and division entries, which are truncated already,
-    so it is stored without a copy.  Every vanishing value is the
-    evaluator's one zero element.  The memo holds kernel coefficients
-    (`int | Fraction`); the public methods return Fractions.
+    A leaf below the root is read straight from its slot, with no memo
+    entry; a leaf at the root is memoized, truncated at N.  A binary node's
+    value is a sum of memoized product and division entries, which are
+    truncated already, so it is stored without a copy, and a value that is
+    one entry at coefficient 1 is that entry itself.  Every vanishing value
+    is the evaluator's one zero element.  The memo holds kernel
+    coefficients (`int | Fraction`); the public methods return Fractions.
     """
 
     def __init__(self, bialgebra: DistBialgebra, nvars: int):
@@ -402,9 +421,9 @@ class LinearizedEvaluator:
             case Var(index):
                 if not 1 <= index <= self.nvars:
                     raise ValueError(f"variable x{index} outside the {self.nvars} slots")
-                node = _Node(len(self._nodes), word)
+                node = _Node(len(self._nodes), word, index - 1)
             case Unit():
-                node = _Node(len(self._nodes), word)
+                node = _Node(len(self._nodes), word, 0)
             case Mul(a, b) | LDiv(a, b) | RDiv(a, b):
                 left, right = self._node(a), self._node(b)
                 vars_a, vars_b = word_variables(a), word_variables(b)
@@ -413,7 +432,7 @@ class LinearizedEvaluator:
                     else (_RIGHT if var in vars_b else _NEITHER)
                     for var in range(1, self.nvars + 1)
                 )
-                node = _Node(len(self._nodes), word, _METHODS[type(word)], left, right, route)
+                node = _Node(len(self._nodes), word, None, _METHODS[type(word)], left, right, route)
             case _:
                 raise TypeError(f"not a loop word: {word!r}")
         self._nodes[word] = node
@@ -466,22 +485,39 @@ class LinearizedEvaluator:
                 return self._zero
         # looked up on B at call time, so a wrapper on the class sees every call
         fn = getattr(B, node.method)
-        acc: dict[Monomial, int | Fraction] = {}
+        lnode, rnode = node.left, node.right
+        lslot, rslot = lnode.slot, rnode.slot
+        # (terms, coefficient) of every coeff * c1 * c2 * fn(k1, k2); a factor 1 is not multiplied
+        parts: list[tuple[dict[Monomial, int | Fraction], int | Fraction]] = []
         for combo in iter_product(*options):
             left, right, weights = zip(*combo)
-            lv = self._eval(node.left, left)
-            if lv.is_zero():
-                continue
-            rv = self._eval(node.right, right)
-            if rv.is_zero():
-                continue
+            # routing hands a leaf the unit monomial in every slot but its own,
+            # so its value is its own slot's monomial at coefficient 1
+            if lslot is None:
+                lv = self._eval(lnode, left).terms
+                if not lv:
+                    continue
+                litems = lv.items()
+            else:
+                litems = ((left[lslot], 1),)
+            if rslot is None:
+                rv = self._eval(rnode, right).terms
+                if not rv:
+                    continue
+                ritems = rv.items()
+            else:
+                ritems = ((right[rslot], 1),)
             coeff = prod(weights)
-            # coeff * c1 * c2 * fn(k1, k2), summed straight into acc; a factor 1 is not multiplied
-            for k1, c1 in lv.terms.items():
+            for k1, c1 in litems:
                 if coeff != 1:
                     c1 = coeff * c1
-                for k2, c2 in rv.terms.items():
-                    add_into(acc, fn(k1, k2).terms, c1 if c2 == 1 else c1 * c2)
+                for k2, c2 in ritems:
+                    entry = fn(k1, k2)
+                    parts.append((entry.terms, c1 if c2 == 1 else c1 * c2))
+        if len(parts) == 1 and parts[0][1] == 1:
+            # one memoized entry at coefficient 1: the value is that entry, shared
+            return entry if entry.terms else self._zero
+        acc = sum_into({}, parts)
         return SymElement.of_terms(B.dim, acc) if acc else self._zero
 
     def on_elements(self, word: LoopWord, args: Sequence[SymElement]) -> SymElement:

@@ -3,14 +3,15 @@
 Elements of k[V], of the truncated free algebra and of their tensor
 squares are all finite sums of basis keys with rational coefficients,
 stored as a dict from key to coefficient.  This module holds their shared
-arithmetic: `add_into` accumulates one combination into another in place,
-`bilinear` extends a map on pairs of basis keys, and `LinComb` gives every
+arithmetic: `sum_into` adds a list of weighted combinations into one in
+place, in a single loop, and `add_into` is its one-part case; `bilinear`
+extends a map on pairs of basis keys, and `LinComb` gives every
 element class its vector-space structure.
 
 Invariant: every stored coefficient is a nonzero exact rational, never a
 float.  At the public API it is a ``Fraction``; inside the memos of the
 `dist` kernel it is an ``int`` or a ``Fraction`` (see `scalars`).
-`add_into` deletes the keys that cancel, and at a coefficient of 1 or -1
+`sum_into` deletes the keys that cancel, and at a coefficient of 1 or -1
 stores the term's own coefficient or its negation, with no multiplication.
 `LinComb.of_terms` keeps the dict it is given without copying or checking
 it, so it is for results computed inside the package; the public
@@ -24,45 +25,51 @@ from fractions import Fraction
 from .scalars import rat
 
 
-def add_into(acc: dict, terms: dict, coeff: int | Fraction = 1) -> dict:
-    """acc += coeff * terms, in place; keys whose coefficient cancels are deleted.
+def sum_into(acc: dict, parts) -> dict:
+    """acc += sum of coeff * terms over the (terms, coeff) pairs of `parts`, in place.
 
-    The values of `terms` are nonzero ints or Fractions and coeff is an
-    int or a Fraction, so every stored coefficient is a nonzero exact
-    rational: a Fraction at the public API, and in the `dist` kernel's
-    memos an int or a Fraction, never a float.  A unit coefficient builds
-    no product: at 1 the term's own coefficient is stored or added (ints
-    and Fractions are immutable), at -1 its negation.
+    Keys whose coefficient cancels are deleted.  The values of each `terms`
+    are nonzero ints or Fractions and each coeff is an int or a Fraction,
+    so every stored coefficient is a nonzero exact rational: a Fraction at
+    the public API, and in the `dist` kernel's memos an int or a Fraction,
+    never a float.  A part at coefficient 0 adds nothing, and a unit
+    coefficient builds no product: at 1 the term's own coefficient is
+    stored or added (ints and Fractions are immutable), at -1 its negation.
+    The parts are summed in order, so the result, key order included, is
+    that of one `add_into` per part.
     """
-    if coeff == 0:
-        return acc
-    if coeff == 1:
-        items = terms.items()
-    elif coeff == -1:
-        items = ((key, -c) for key, c in terms.items())
-    else:
-        items = ((key, coeff * c) for key, c in terms.items())
     get = acc.get
-    for key, c in items:
-        old = get(key)
-        if old is None:
-            acc[key] = c
-        else:
-            c += old
-            if c:
+    for terms, coeff in parts:
+        if not coeff:
+            continue
+        one, minus_one = coeff == 1, coeff == -1
+        for key, c in terms.items():
+            if not one:
+                c = -c if minus_one else coeff * c
+            old = get(key)
+            if old is None:
                 acc[key] = c
             else:
-                del acc[key]
+                c += old
+                if c:
+                    acc[key] = c
+                else:
+                    del acc[key]
     return acc
+
+
+def add_into(acc: dict, terms: dict, coeff: int | Fraction = 1) -> dict:
+    """acc += coeff * terms, in place: `sum_into` with one part."""
+    return sum_into(acc, ((terms, coeff),))
 
 
 def bilinear(fn, a, b):
     """The bilinear extension of `fn`, a map from pairs of basis keys to elements, at (a, b)."""
-    acc: dict = {}
-    for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
-            add_into(acc, fn(k1, k2).terms, c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2)
-    return a._like(acc)
+    return a._like(sum_into({}, [
+        (fn(k1, k2).terms, c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2)
+        for k1, c1 in a.terms.items()
+        for k2, c2 in b.terms.items()
+    ]))
 
 
 class LinComb:

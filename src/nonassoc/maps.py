@@ -127,11 +127,12 @@ def _identity_block(dims: Sequence[int], slot: int) -> dict[MonoTuple, SparseVec
 _JSON_TYPES = {int: "integer", str: "string", list: "array", dict: "object"}
 
 
-def _json_field(data, key: str, kind: type, what: str, default=None):
+def _json_field(data, key: str, kind: type, what: str, default=None, items: type | None = None):
     """`data[key]` of the JSON object `data`, or `default` when that is given and the key is absent.
 
     Raises ValueError naming the field when `data` is not an object or the
-    field is missing or not of the JSON type `kind`.
+    field is missing or not of the JSON type `kind`, or, when `items` is
+    given, holds an element (a value, for an object) not of that JSON type.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
@@ -142,7 +143,17 @@ def _json_field(data, key: str, kind: type, what: str, default=None):
         raise ValueError(
             f"{what} field {key!r} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}"
         )
+    if items is not None:
+        _json_items(value.values() if isinstance(value, dict) else value, items, f"{what} field {key!r}")
     return value
+
+
+def _json_items(values, kind: type, what: str):
+    """`values`, after checking that each is of the JSON type `kind`; raises ValueError naming `what`."""
+    for value in values:
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{what} must hold JSON {_JSON_TYPES[kind]}s, got {type(value).__name__}")
+    return values
 
 
 def tensor_monomials(dims: Sequence[int], multidegree: Multidegree) -> Iterator[MonoTuple]:
@@ -399,16 +410,19 @@ class FormalMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "FormalMap":
-        dims = tuple(_json_field(data, "dims", list, "a formal map"))
+        dims = tuple(_json_field(data, "dims", list, "a formal map", items=int))
         view = _json_field(data, "view", str, "a formal map", "distribution")
         if view not in ("distribution", "series"):
             raise ValueError(f"unknown view {view!r}")
         comps: dict[Multidegree, dict[MonoTuple, Vector]] = {}
         for comp in _json_field(data, "components", list, "a formal map"):
-            md = tuple(_json_field(comp, "multidegree", list, "a component"))
+            md = tuple(_json_field(comp, "multidegree", list, "a component", items=int))
             table: dict[MonoTuple, Vector] = {}
             for entry in _json_field(comp, "entries", list, "a component"):
-                monos = tuple(tuple(m) for m in _json_field(entry, "monomials", list, "an entry"))
+                monos = tuple(
+                    tuple(_json_items(m, int, "a monomial"))
+                    for m in _json_field(entry, "monomials", list, "an entry", items=list)
+                )
                 value = tuple(parse_rational(v) for v in _json_field(entry, "value", list, "an entry"))
                 if view == "series":
                     weight = _series_weight(monos)

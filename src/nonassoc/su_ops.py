@@ -20,10 +20,11 @@ algebra instance: `_ldiv_memo` and `_rdiv_memo`, keyed by basis-key pairs,
 and `_p_memo` and `_assoc_memo`, keyed by basis-key triples.
 
 Elements are `lincomb.LinComb` instances: the engine uses their `+`, `-`
-and `scale`, and sums linear combinations of them with `add_into` on
-their `terms`, the dicts from basis key to coefficient.  The division
-recursions start from `key_element`, so their memo entries carry the
-algebra's own coefficients: `int | Fraction` in `DistBialgebra`,
+and `scale`, and sums linear combinations of them with `sum_into` and
+`add_into` on their `terms`, the dicts from basis key to coefficient; a
+division entry collects its summands and sums them in one call.  The
+division recursions start from `key_element`, so their memo entries carry
+the algebra's own coefficients: `int | Fraction` in `DistBialgebra`,
 `Fraction` in `FreeAlgebra`.
 
 Left and right division are defined by the counit recursions, the
@@ -57,7 +58,7 @@ from itertools import permutations, product as iter_product
 from math import factorial
 from typing import Callable, Sequence
 
-from .lincomb import add_into, bilinear
+from .lincomb import add_into, bilinear, sum_into
 from .scalars import Vector, basis_vector, zero_vector
 
 
@@ -93,17 +94,18 @@ def ldiv_on_keys(alg, u, v):
         if du == 0:
             acc = dict(alg.key_element(v).terms)
         else:
-            acc = {}
+            parts = []
             for u1, u2, c in alg.key_coproduct(u):
                 d1 = alg.key_degree(u1)
                 if d1 == du:
                     continue
                 prod = alg.key_product(u2, v)
                 if d1 == 0:
-                    add_into(acc, prod, -c)
+                    parts.append((prod, -c))
                 else:
                     for w, cw in prod.items():
-                        add_into(acc, alg.key_ldiv(u1, w).terms, -cw if c == 1 else -c * cw)
+                        parts.append((alg.key_ldiv(u1, w).terms, -cw if c == 1 else -c * cw))
+            acc = sum_into({}, parts)
         hit = alg.one()._like(acc)
         alg._ldiv_memo[key] = hit
     return hit
@@ -118,16 +120,17 @@ def rdiv_on_keys(alg, u, v):
         if dv == 0:
             acc = dict(alg.key_element(u).terms)
         else:
-            acc = {}
+            parts = []
             for v1, v2, c in alg.key_coproduct(v):
                 d1 = alg.key_degree(v1)
                 if d1 == dv:
                     continue
                 if d1 == 0:
-                    add_into(acc, alg.key_product(u, v2), -c)
+                    parts.append((alg.key_product(u, v2), -c))
                 else:
                     for w, cw in alg.key_rdiv(u, v1).terms.items():
-                        add_into(acc, alg.key_product(w, v2), -cw if c == 1 else -c * cw)
+                        parts.append((alg.key_product(w, v2), -cw if c == 1 else -c * cw))
+            acc = sum_into({}, parts)
         hit = alg.one()._like(acc)
         alg._rdiv_memo[key] = hit
     return hit

@@ -313,6 +313,13 @@ DUAL_TABLE = builtin_algebra("dual-numbers").to_json()
         ({**XSQY_SPEC, "components": [{"multidegree": [1, 0]}]}, "a component needs an 'entries' field"),
         ({"type": "from-algebra", "table": {**DUAL_TABLE, "flags": [["associative", True]]}},
          "an algebra table field 'flags' must be a JSON object, got list"),
+        ({"type": "from-algebra", "table": {**DUAL_TABLE, "constants": [5]}},
+         "an algebra table field 'constants' must hold JSON arrays, got int"),
+        ({**XSQY_SPEC, "components": [{"multidegree": ["a", 1], "entries": []}]},
+         "a component field 'multidegree' must hold JSON integers, got str"),
+        ({**XSQY_SPEC,
+          "components": [{"multidegree": [1, 0], "entries": [{"monomials": [5, 6], "value": ["1"]}]}]},
+         "an entry field 'monomials' must hold JSON arrays, got int"),
     ],
 )
 def test_malformed_loop_spec_fields_are_usage_errors(capsys, tmp_path, spec, message):

@@ -118,9 +118,13 @@ def test_product_matches_prolongation_route_on_wider_support(loop_name, request)
     loop = request.getfixturevalue(loop_name)
     fast = DistBialgebra.from_loop(loop)
     slow = DistBialgebra.from_loop_prolonged(loop)
+    # up to total degree N + 1, where a tail of degree N meets the front F itself:
+    # the recursion builds no term above N, even before `product_mono` truncates
     for m1 in monomials_up_to(loop.dim, loop.N):
-        for m2 in monomials_up_to(loop.dim, loop.N - sum(m1)):
-            assert fast.product_mono(m1, m2) == slow.product_mono(m1, m2), (m1, m2)
+        for m2 in monomials_up_to(loop.dim, loop.N + 1 - sum(m1)):
+            expected = slow.product_mono(m1, m2)
+            assert fast.product_mono(m1, m2) == expected, (m1, m2)
+            assert fast._product_fn(m1, m2) == expected, (m1, m2)
 
 
 # series coefficients of a plane loop at (1, 1), (2, 1), (1, 2) and (2, 2),
@@ -523,6 +527,13 @@ def test_loop_mode_agrees_with_bialgebra_mode_on_random_structure_constants(cons
         assert in_loop or text == ASSOC, text
 
 
+# a unit leaf under each of *, \ and /; leaves as split children of a shared slot,
+# once beside a slot that neither child uses; leaves at the root
+LEAF_WORDS = (
+    "((e * x1) \\ (x2 / e))", "((x1 \\ e) * (e / x2))", "(x1 * (x1 / x2))", "(x1 * x1)", "x2", "e",
+)
+
+
 @settings(max_examples=10, derandomize=True, deadline=None, phases=NO_SHRINK)
 @given(constants=plane_structure_constants)
 def test_linearized_evaluator_matches_the_bilinear_reference(constants):
@@ -530,14 +541,33 @@ def test_linearized_evaluator_matches_the_bilinear_reference(constants):
     B = DistBialgebra.from_loop(loop_from_algebra(AlgebraTable(2, constants), 4))
     for text, nvars in ((RIGHT_DIVISION, 2), (LEFT_DIVISION, 2), (MOUFANG, 3)):
         identity = parse_identity(text, nvars)
+        words = [identity.lhs, identity.rhs]
+        if nvars == 2:
+            words += [parse_word(leaf_text, 2) for leaf_text in LEAF_WORDS]
         ev, memo = LinearizedEvaluator(B, nvars), {}
         for monos in iter_product(*[list(monomials_up_to(2, 4))] * nvars):
             if sum(map(monomial_degree, monos)) > 4:
                 continue
-            for word in (identity.lhs, identity.rhs):
+            for word in words:
                 assert ev.on_monomials(word, monos) == reference_linearized(B, word, monos, memo), (
-                    text, monos
+                    text, word, monos
                 )
+
+
+def test_evaluator_memoizes_no_leaf_below_the_root(jordan_bialgebra_4):
+    ev = LinearizedEvaluator(jordan_bialgebra_4, 2)
+    pool = list(monomials_up_to(3, 4))
+    tuples = [m for m in iter_product(pool, repeat=2) if sum(map(monomial_degree, m)) <= 4]
+    for monos in tuples:
+        for text in LEAF_WORDS[:4]:
+            ev.on_monomials(parse_word(text, 2), monos)
+    leaves = {node.id for node in ev._nodes.values() if node.method is None}
+    assert len(leaves) == 3 and ev._memo
+    assert not [key for key in ev._memo if key[0] in leaves]
+    # a leaf at the root is memoized
+    root = ev._node(parse_word("x2", 2))
+    ev.on_monomials(root.word, tuples[-1])
+    assert [key for key in ev._memo if key[0] in leaves] == [(root.id, tuples[-1])]
 
 
 def test_evaluator_shares_nodes_between_equal_words(jordan_bialgebra_4):

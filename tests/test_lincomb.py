@@ -10,9 +10,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import NO_SHRINK
 from nonassoc.freealg import FAElement, FATensor, FreeAlgebra, fa_divide, mono_degree
-from nonassoc.lincomb import add_into
+from nonassoc.lincomb import add_into, sum_into
 from nonassoc.symalg import SymElement, SymTensor, monomials_up_to
 
 SEEDS = range(6)
@@ -149,3 +152,36 @@ def test_add_into_matches_a_naive_sum(coeff):
         assert out is acc and acc == expected and key not in acc
         assert all(type(c) is F and c != 0 for c in acc.values()), acc
         assert terms == before
+
+
+# kernel coefficients: nonzero ints and Fractions; a part's coefficient may
+# also be 0 or a unit, as int or Fraction
+nonzero = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3)).filter(bool)
+combos = st.dictionaries(st.integers(0, 5), nonzero, max_size=5)
+part_coeffs = st.one_of(st.sampled_from([0, 1, -1, F(0), F(1), F(-1)]), nonzero)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(
+    start=combos,
+    parts=st.lists(st.tuples(combos, part_coeffs), max_size=6),
+    echoes=st.lists(st.integers(0, 5), max_size=3),
+)
+def test_sum_into_equals_successive_add_into(start, parts, echoes):
+    # an echo repeats an earlier part at the negated coefficient, so whole parts cancel
+    if parts:
+        parts += [(parts[i % len(parts)][0], -parts[i % len(parts)][1]) for i in echoes]
+    before = (dict(start), [(dict(t), c) for t, c in parts])
+    expected = dict(start)
+    for terms, coeff in parts:
+        add_into(expected, terms, coeff)
+    naive = dict(start)
+    for terms, coeff in parts:
+        for key, c in terms.items():
+            naive[key] = naive.get(key, 0) + coeff * c
+    got = sum_into(dict(start), parts)
+    assert got == expected == {k: c for k, c in naive.items() if c}
+    assert list(got) == list(expected)
+    assert all(type(c) in (int, F) and c != 0 for c in got.values()), got
+    assert (start, parts) == before
+    assert sum_into(dict(got), [(terms, 0 * coeff) for terms, coeff in parts]) == got

@@ -37,6 +37,11 @@ LIVE_COUNTS = {
         "dist.ldiv_memo.entries",
         "dist.linearized.memo_entries",
     ],
+    ("linearized", "right-division-jordan-5"): [
+        "dist.rdiv_mono.calls",
+        "dist.rdiv_memo.entries",
+        "dist.prod_memo.entries",
+    ],
 }
 
 
