@@ -56,7 +56,6 @@ from .freealg import (
     fa_exp_inverse,
     fa_log,
     fa_loop_divide,
-    is_primitive,
     p_operation,
     su_bracket,
     su_multioperator,

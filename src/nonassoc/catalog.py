@@ -21,7 +21,9 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product as iter_product
 
 from .lincomb import add_into
-from .maps import FormalLoop, FormalMap, MonoTuple, _json_field, _json_items, compose
+from .maps import (
+    FormalLoop, FormalMap, IdentityVerdict, MonoTuple, _compare_maps, _json_field, _json_items, compose,
+)
 from .scalars import (
     ONE,
     ZERO,
@@ -331,15 +333,7 @@ def phi_G_to_F(max_degree: int) -> FormalMap:
     return FormalMap.from_series((3,), 2, max_degree, series)
 
 
-@dataclass
-class HomomorphismVerdict:
-    holds: bool
-    multidegree: tuple[int, ...] | None = None
-    monomials: MonoTuple | None = None
-    difference: Vector | None = None
-
-
-def check_homomorphism(theta: FormalMap, source: FormalLoop, target: FormalLoop) -> HomomorphismVerdict:
+def check_homomorphism(theta: FormalMap, source: FormalLoop, target: FormalLoop) -> IdentityVerdict:
     """Does theta carry the source product to the target product?
 
     Compares H(theta(x), theta(y)) with theta(F(x, y)) componentwise up to
@@ -352,13 +346,9 @@ def check_homomorphism(theta: FormalMap, source: FormalLoop, target: FormalLoop)
     dims = source.dims
     p1 = FormalMap.slot_projection(dims, 0, source.N)
     p2 = FormalMap.slot_projection(dims, 1, source.N)
-    lhs = compose(target, [compose(theta, [p1]), compose(theta, [p2])])
-    rhs = compose(theta, [source])
-    diff = lhs - rhs
-    if diff.is_zero():
-        return HomomorphismVerdict(holds=True)
-    md, monos, value = next(diff.sorted_entries())
-    return HomomorphismVerdict(holds=False, multidegree=md, monomials=monos, difference=value)
+    return _compare_maps(
+        compose(target, [compose(theta, [p1]), compose(theta, [p2])]), compose(theta, [source])
+    )
 
 
 def x_squared_y_loop(max_degree: int, memory_cap: int | None = None) -> FormalLoop:

@@ -2,10 +2,10 @@
 
 Exit codes: 0 when every requested check passes, 1 on a mathematical
 failure (an identity that does not hold, a table mismatch), 2 on usage or
-configuration errors, 3 when an internal invariant fails (a bug).  Reports
-are deterministic given the same configuration and seed; JSON reports
-carry a schema version and the fully resolved configuration so a failing
-run can be replayed.
+configuration errors, 3 when an internal invariant fails or any other
+error escapes (a bug).  Reports are deterministic given the same
+configuration and seed; JSON reports carry a schema version and the fully
+resolved configuration so a failing run can be replayed.
 """
 
 from __future__ import annotations
@@ -48,6 +48,43 @@ def _load_config(path: str) -> dict:
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return {key.replace("-", "_"): value for key, value in data.items()}
+
+
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with the values of its `--config` file as flags right after the subcommand.
+
+    argparse then checks each value as it checks a flag (type, choices,
+    count), and a flag given on the command line, parsed later, wins.  A
+    key that names no option of any subcommand is a usage error; a key of
+    another subcommand is skipped, so one file can serve several commands.
+    """
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    command = next((i for i, token in enumerate(argv) if token in parser.subcommands), None)
+    if not path or command is None:
+        return argv
+    options = {
+        name: {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
+        for name, sub in parser.subcommands.items()
+    }
+    tokens: list[str] = []
+    for key, value in _load_config(path).items():
+        if not any(key in own for own in options.values()):
+            raise UsageError(f"config file {path}: {key!r} names no option")
+        action = options[argv[command]].get(key)
+        if action is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # a switch such as --check
+            if not isinstance(value, bool):
+                raise UsageError(f"config file {path}: {key!r} must be true or false")
+            tokens += [flag] if value else []
+        elif isinstance(action.nargs, int):
+            tokens += [flag, *map(str, value if isinstance(value, list) else [value])]
+        else:
+            tokens.append(f"{flag}={value}")
+    return argv[: command + 1] + tokens + argv[command + 1 :]
 
 
 def _resolve_loop(spec: str, degree: int, memory_cap: int | None):
@@ -313,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--memory-cap", type=int, default=None, dest="memory_cap",
                         help="cap on component-table size (rational slots)")
     common.add_argument("--config", type=str, default=None,
-                        help="JSON file with defaults for any option")
+                        help="JSON file of option values, checked like flags; flags given here win")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -348,21 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bidegree", type=int, nargs=2, metavar=("I", "J"), required=True)
     p.add_argument("--method", choices=("ms", "su", "both"), default="ms")
     p.set_defaults(func=cmd_multioperator)
-    parser.all_parsers = [parser] + list(sub.choices.values())
+    parser.subcommands = sub.choices
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        config = getattr(parser.parse_known_args(argv)[0], "config", None)
-        if config:
-            # subcommands parse into a fresh namespace, so the configured
-            # defaults must reach every subparser, not just the root
-            defaults = _load_config(config)
-            for sub_parser in parser.all_parsers:
-                sub_parser.set_defaults(**defaults)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(parser, sys.argv[1:] if argv is None else list(argv)))
         if args.degree < 1:
             raise UsageError("the truncation degree must be >= 1")
         return args.func(args)
@@ -372,6 +402,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except InvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from .lincomb import add_into
 from .maps import FormalLoop
-from .scalars import ONE, ZERO, SparseVector, Vector, to_dense, to_sparse
+from .scalars import ONE, ZERO, SparseVector, Vector, rat, to_dense, to_sparse
 from .su_ops import basis_bracket_table
 from .symalg import (
     Monomial,
@@ -74,7 +74,7 @@ class FormalVectorField:
 
     @classmethod
     def from_table(cls, dim: int, max_degree: int, table: dict[Monomial, Vector]) -> "FormalVectorField":
-        data = {tuple(m): tuple(Fraction(c) for c in v) for m, v in table.items()}
+        data = {tuple(m): tuple(map(rat, v)) for m, v in table.items()}
         for mono in monomials_up_to(dim, max_degree):
             if mono not in data:
                 raise ValueError(f"partial table: no value at monomial {mono}")
@@ -109,6 +109,7 @@ class FormalVectorField:
         return self._of_sparse(self.dim, bound, lambda m: add_into(dict(self._at(m)), other._at(m), -1))
 
     def scale(self, c: Fraction) -> "FormalVectorField":
+        c = rat(c)
         return self._of_sparse(self.dim, self.max_degree, lambda m: add_into({}, self._at(m), c))
 
     def _compatible(self, other: "FormalVectorField") -> None:
@@ -124,7 +125,7 @@ class FormalFunction:
 
     def __init__(self, dim: int, table: dict[Monomial, Fraction]):
         self.dim = dim
-        self.table = {tuple(m): Fraction(c) for m, c in table.items()}
+        self.table = {tuple(m): rat(c) for m, c in table.items()}
 
     def at(self, mono: Monomial) -> Fraction:
         return self.table.get(tuple(mono), Fraction(0))
@@ -152,7 +153,7 @@ class FlatConnection:
 
     @classmethod
     def from_table(cls, dim: int, max_degree: int, table: dict[tuple[Monomial, int], Vector]) -> "FlatConnection":
-        data = {(tuple(m), j): tuple(Fraction(c) for c in v) for (m, j), v in table.items()}
+        data = {(tuple(m), j): tuple(map(rat, v)) for (m, j), v in table.items()}
         for mono in monomials_up_to(dim, max_degree):
             for j in range(dim):
                 if (mono, j) not in data:
@@ -345,14 +346,14 @@ def ms_brackets(
         )
     conn = connection_from_loop(loop)
     cache = loop._ms_field_cache
-    y = tuple(Fraction(c) for c in y)
-    z = tuple(Fraction(c) for c in z)
+    y = tuple(map(rat, y))
+    z = tuple(map(rat, z))
     key: tuple = (y, z)
     field = cache.get(key)
     if field is None:
         field = torsion(conn, _adapted(loop, conn, y), _adapted(loop, conn, z))
         cache[key] = field
-    for x in reversed([tuple(Fraction(c) for c in v) for v in xs]):
+    for x in reversed([tuple(map(rat, v)) for v in xs]):
         key = key + (x,)
         nxt = cache.get(key)
         if nxt is None:

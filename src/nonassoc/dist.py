@@ -541,13 +541,11 @@ def _monomial_pool(dim: int, max_degree: int) -> tuple[Monomial, ...]:
     return tuple(monomials_up_to(dim, max_degree))
 
 
-def random_distribution(
-    rng: random.Random, dim: int, max_degree: int, max_terms: int = 4
-) -> SymElement:
-    """A sparse distribution with small integer coefficients, for sampling."""
+def random_distribution(rng: random.Random, dim: int, max_degree: int) -> SymElement:
+    """A sparse distribution of one to four terms with small integer coefficients, for sampling."""
     pool = _monomial_pool(dim, max_degree)
     terms: dict[Monomial, Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 4)):
         mono = pool[rng.randrange(len(pool))]
         add_into(terms, {mono: Fraction(rng.choice([-2, -1, 1, 2]))})
     return SymElement.of_terms(dim, terms)
@@ -574,30 +572,24 @@ class LinearizedVerdict:
 
 
 def check_linearized_identity(
-    identity: Identity,
-    bialgebra: DistBialgebra,
-    samples: int = 25,
-    seed: int = 0,
-    exhaustive_degree: int | None = None,
+    identity: Identity, bialgebra: DistBialgebra, samples: int = 25, seed: int = 0
 ) -> LinearizedVerdict:
     """Compare the two word linearizations in a distribution bialgebra.
 
-    Deterministic sweep over all monomial tuples of total degree up to
-    exhaustive_degree (the truncation N by default, and capped by it), then
-    seeded sparse random distributions of degree <= min(3, N - 1), evaluated
-    on their monomial tuples of total degree <= N only: above N the
-    truncated product has lost the loop components it would need.  Both
-    sides are linear in each argument, so a sweep up to N decides the
-    identity within the truncation and no sample can then fail.
-    Comparisons are exact and the first mismatch is reported with enough
-    data to replay it.
+    Deterministic sweep over all monomial tuples of total degree up to the
+    truncation N, then seeded sparse random distributions of degree
+    <= min(3, N - 1), evaluated on their monomial tuples of total degree
+    <= N only: above N the truncated product has lost the loop components
+    it would need.  Both sides are linear in each argument, so a sweep up
+    to N decides the identity within the truncation and no sample can then
+    fail.  Comparisons are exact and the first mismatch is reported with
+    enough data to replay it.
     """
     ev = LinearizedEvaluator(bialgebra, identity.nvars)
     dim, N = bialgebra.dim, bialgebra.N
-    sweep_cap = N if exhaustive_degree is None else min(exhaustive_degree, N)
 
     # budget -> the monomials of degree <= budget, in `monomials_up_to` order
-    pools = [_monomial_pool(dim, budget) for budget in range(sweep_cap + 1)]
+    pools = [_monomial_pool(dim, budget) for budget in range(N + 1)]
 
     def tuples_of_total(slots: int, budget: int) -> Iterator[MonoTuple]:
         if slots == 1:
@@ -611,7 +603,7 @@ def check_linearized_identity(
     # every swept tuple has nvars slots and total degree <= N, so the sweep
     # compares the evaluator's memoized kernel values directly
     lhs_node, rhs_node = ev._node(identity.lhs), ev._node(identity.rhs)
-    for monos in tuples_of_total(identity.nvars, sweep_cap):
+    for monos in tuples_of_total(identity.nvars, N):
         lhs = ev._eval(lhs_node, monos)
         rhs = ev._eval(rhs_node, monos)
         if lhs != rhs:
@@ -621,7 +613,7 @@ def check_linearized_identity(
                 "lhs": lhs.to_json(),
                 "rhs": rhs.to_json(),
             }
-            return LinearizedVerdict(False, seed, samples, sweep_cap, witness)
+            return LinearizedVerdict(False, seed, samples, N, witness)
     rng = random.Random(seed)
     sample_degree = min(3, N - 1)
     for index in range(samples):
@@ -636,8 +628,8 @@ def check_linearized_identity(
                 "lhs": lhs.to_json(),
                 "rhs": rhs.to_json(),
             }
-            return LinearizedVerdict(False, seed, samples, sweep_cap, witness)
-    return LinearizedVerdict(True, seed, samples, sweep_cap)
+            return LinearizedVerdict(False, seed, samples, N, witness)
+    return LinearizedVerdict(True, seed, samples, N)
 
 
 # -- similarity invariance -------------------------------------------------------------
@@ -650,25 +642,20 @@ class InvarianceVerdict:
 
 
 def brackets_invariance_check(
-    b_times: DistBialgebra,
-    b_dot: DistBialgebra,
-    phi: SimilarityMap,
-    linphi_degree: int = 3,
+    b_times: DistBialgebra, b_dot: DistBialgebra, phi: SimilarityMap
 ) -> InvarianceVerdict:
-    """Check that two similar products share all low-arity brackets.
+    """Check that two similar products share all their brackets within the truncation.
 
     First verifies the similarity equation sum mu_(1) x Phi'(mu_(2), nu)
-    = mu . nu on monomials of degree up to linphi_degree, then compares
-    every bracket on basis tuples of total degree up to min(5, N).
+    = mu . nu on every monomial pair with |mu| + |nu| <= N, then compares
+    the brackets of every arity m + 2 <= N on basis tuples.
     """
     if (b_times.dim, b_times.N) != (b_dot.dim, b_dot.N):
         raise ValueError("bialgebras must share dimension and truncation")
     dim, N = b_times.dim, b_times.N
     prol = phi.prolongation()
-    for dmu in range(0, linphi_degree + 1):
-        for dnu in range(0, linphi_degree + 1):
-            if dmu + dnu > N:
-                continue
+    for dmu in range(0, N + 1):
+        for dnu in range(0, N - dmu + 1):
             for mu in monomials(dim, dmu):
                 for nu in monomials(dim, dnu):
                     acc: dict[Monomial, Fraction] = {}
@@ -688,8 +675,7 @@ def brackets_invariance_check(
                                 "rhs": rhs.to_json(),
                             },
                         )
-    max_arity = min(5, N) - 2
-    for arity in range(0, max_arity + 1):
+    for arity in range(0, N - 1):
         t1 = su_bracket_table(b_times, arity)
         t2 = su_bracket_table(b_dot, arity)
         if t1 != t2:
@@ -707,9 +693,6 @@ def brackets_invariance_check(
 
 
 # -- installing a prescribed multioperator ----------------------------------------------
-
-PhiTables = dict[tuple[Monomial, Monomial], Vector] | Callable[[Monomial, Monomial], Vector]
-
 
 class _PsiBuilder:
     """The similarity psi that installs a prescribed multioperator, solved one degree at a time.
@@ -774,7 +757,9 @@ def _similar_loop(loop: FormalLoop, psi: SimilarityMap) -> FormalLoop:
     return FormalLoop._of_sparse(loop.dims, loop.dim, loop.N, compose(loop, [P1, psi]).components)
 
 
-def make_similar_product(bialgebra: DistBialgebra, phi: PhiTables) -> DistBialgebra:
+def make_similar_product(
+    bialgebra: DistBialgebra, phi: dict[tuple[Monomial, Monomial], Vector]
+) -> DistBialgebra:
     """A product similar to the given one whose multioperator is the prescribed Phi.
 
     Phi is given in the distribution view, keyed by symmetric-power
@@ -787,40 +772,29 @@ def make_similar_product(bialgebra: DistBialgebra, phi: PhiTables) -> DistBialge
     ValueError.
     """
     dim, N = bialgebra.dim, bialgebra.N
-
-    if callable(phi):
-        def phi_fn(mx: Monomial, my: Monomial) -> SparseVector:
-            return to_sparse(dim, phi(mx, my))
-    else:
-        tables: dict[tuple[Monomial, Monomial], SparseVector] = {}
-        for (mx, my), value in phi.items():
-            mx, my = tuple(mx), tuple(my)
-            if len(mx) != dim or len(my) != dim:
-                raise ValueError(f"multioperator key {(mx, my)} has wrong dimension")
-            if monomial_degree(mx) < 1 or monomial_degree(my) < 2:
-                raise ValueError(
-                    f"multioperator blocks need x-degree >= 1 and y-degree >= 2, got {(mx, my)}"
-                )
-            if monomial_degree(mx) + monomial_degree(my) > N:
-                raise ValueError(f"multioperator key {(mx, my)} beyond the truncation {N}")
-            tables[(mx, my)] = to_sparse(dim, value)
-
-        def phi_fn(mx: Monomial, my: Monomial) -> SparseVector | None:
-            return tables.get((mx, my))
-
-    psi = _PsiBuilder(bialgebra, phi_fn).psi()
+    tables: dict[tuple[Monomial, Monomial], SparseVector] = {}
+    for (mx, my), value in phi.items():
+        mx, my = tuple(mx), tuple(my)
+        if len(mx) != dim or len(my) != dim:
+            raise ValueError(f"multioperator key {(mx, my)} has wrong dimension")
+        if monomial_degree(mx) < 1 or monomial_degree(my) < 2:
+            raise ValueError(
+                f"multioperator blocks need x-degree >= 1 and y-degree >= 2, got {(mx, my)}"
+            )
+        if monomial_degree(mx) + monomial_degree(my) > N:
+            raise ValueError(f"multioperator key {(mx, my)} beyond the truncation {N}")
+        tables[(mx, my)] = to_sparse(dim, value)
+    psi = _PsiBuilder(bialgebra, lambda mx, my: tables.get((mx, my))).psi()
     return DistBialgebra.from_loop(_similar_loop(bialgebra.loop, psi))
 
 
-def su_multioperator_tables(bialgebra: DistBialgebra, max_degree: int | None = None) -> dict[tuple[Monomial, Monomial], Vector]:
-    """Distribution-view multioperator tables of a bialgebra, up to a degree <= N."""
-    cap = bialgebra.N if max_degree is None else max_degree
-    if cap > bialgebra.N:
-        raise ValueError(f"degree {cap} beyond the truncation {bialgebra.N}")
+def su_multioperator_tables(bialgebra: DistBialgebra) -> dict[tuple[Monomial, Monomial], Vector]:
+    """Distribution-view multioperator tables of a bialgebra, up to the truncation N."""
+    N = bialgebra.N
     ops = dist_su_ops(bialgebra)
     out: dict[tuple[Monomial, Monomial], Vector] = {}
-    for i in range(1, cap - 1):
-        for j in range(2, cap - i + 1):
+    for i in range(1, N - 1):
+        for j in range(2, N - i + 1):
             for mx in monomials(bialgebra.dim, i):
                 for my in monomials(bialgebra.dim, j):
                     value = ops.multioperator_mono(mx, my)

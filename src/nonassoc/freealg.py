@@ -17,7 +17,7 @@ live in the coset 1 + (augmentation ideal).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -94,10 +94,11 @@ def mono_letter_counts(mono: FAMonomial, ngens: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def mono_from_tree(tree: PlaneTree, gen: int = 0) -> FAMonomial:
+def mono_from_tree(tree: PlaneTree) -> FAMonomial:
+    """The monomial of a plane tree in the first generator."""
     if tree.is_leaf:
-        return gen
-    return (mono_from_tree(tree.left, gen), mono_from_tree(tree.right, gen))
+        return 0
+    return (mono_from_tree(tree.left), mono_from_tree(tree.right))
 
 
 class FreeAlgebra:
@@ -551,13 +552,3 @@ def fa_log(max_degree: int, method: str = "trees") -> FAElement:
         return fa_exp_inverse(alg.one() + alg.gen(0))
     raise ValueError(f"unknown method {method!r}")
 
-
-def is_primitive(x: FAElement) -> bool:
-    return x.is_primitive()
-
-
-def left_normed(factors: Sequence[FAElement]) -> FAElement:
-    """((x1 x2) x3) ... xn; the empty product is 1."""
-    if not factors:
-        raise ValueError("left_normed needs at least one factor")
-    return reduce(lambda a, b: a * b, factors)

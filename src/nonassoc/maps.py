@@ -36,6 +36,7 @@ from .scalars import (
     Vector,
     format_rational,
     parse_rational,
+    rat,
     to_dense,
     to_sparse,
 )
@@ -307,9 +308,9 @@ class FormalMap:
         return self._plus(other, -1)
 
     def scale(self, c: int | Fraction) -> "FormalMap":
+        c = rat(c)
         if c == 0:
             return self._like({})
-        c = Fraction(c)
         return self._like(
             {
                 md: {monos: {i: c * x for i, x in v.items()} for monos, v in tab.items()}
@@ -380,7 +381,7 @@ class FormalMap:
             monos = tuple(monos)
             md = multidegree_of(monos)
             weight = _series_weight(monos)
-            comps.setdefault(md, {})[monos] = tuple(weight * Fraction(c) for c in coeffs)
+            comps.setdefault(md, {})[monos] = tuple(weight * rat(c) for c in coeffs)
         return cls(dims, target_dim, max_degree, comps)
 
     # -- serialization ---------------------------------------------------------------------
@@ -766,7 +767,7 @@ def eval_word(word: LoopWord, F: FormalLoop, nvars: int) -> FormalMap:
 
 @dataclass
 class IdentityVerdict:
-    """Outcome of a loop-identity check, with the smallest failing witness."""
+    """Whether two formal maps agree within the truncation, with the smallest failing witness."""
 
     holds: bool
     max_degree: int
@@ -787,22 +788,26 @@ class IdentityVerdict:
         return out
 
 
-def check_loop_identity(identity: Identity, F: FormalLoop) -> IdentityVerdict:
-    """Compare the two word maps componentwise up to the loop's truncation."""
-    lhs = eval_word(identity.lhs, F, identity.nvars)
-    rhs = eval_word(identity.rhs, F, identity.nvars)
+def _compare_maps(lhs: FormalMap, rhs: FormalMap) -> IdentityVerdict:
+    """Compare two maps componentwise up to their truncation; the witness is lhs - rhs's first entry."""
     diff = lhs - rhs
     if diff.is_zero():
-        return IdentityVerdict(holds=True, max_degree=F.N)
+        return IdentityVerdict(holds=True, max_degree=lhs.N)
     md, monos, value = next(diff.sorted_entries())
     return IdentityVerdict(
         holds=False,
-        max_degree=F.N,
+        max_degree=lhs.N,
         multidegree=md,
         monomials=monos,
         difference=value,
         series_difference=diff.series_value(monos),
     )
+
+
+def check_loop_identity(identity: Identity, F: FormalLoop) -> IdentityVerdict:
+    """Compare the two word maps componentwise up to the loop's truncation."""
+    n = identity.nvars
+    return _compare_maps(eval_word(identity.lhs, F, n), eval_word(identity.rhs, F, n))
 
 
 RIGHT_ALTERNATIVE = "(x1 * (x2 * x2)) = ((x1 * x2) * x2)"
@@ -892,7 +897,7 @@ class MsMultioperator:
         return self.components.get((i, j), self.algebra.zero())
 
 
-def multioperator_ms(max_degree: int, max_bidegree: tuple[int, int] | None = None) -> MsMultioperator:
+def multioperator_ms(max_degree: int) -> MsMultioperator:
     """Solve exp_a(a Phi) = a b for Phi in the free loop of power series.
 
     a = exp(alpha), b = exp(beta), and exp_a(a Phi) = a + a Phi + sum_k (1/k!)
@@ -902,8 +907,6 @@ def multioperator_ms(max_degree: int, max_bidegree: tuple[int, int] | None = Non
     a Phi, everything else quadratically).
     The components of bidegree (i, 1) vanish for i >= 1, which is asserted.
     """
-    if max_bidegree is not None and sum(max_bidegree) > max_degree:
-        raise ValueError(f"bidegree {max_bidegree} beyond the truncation {max_degree}")
     alg = FreeAlgebra(("a", "b"), max_degree)
     alpha, beta = alg.gens()
     a = fa_exp(alpha)

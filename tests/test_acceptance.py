@@ -135,9 +135,7 @@ def test_criterion_05_moufang_pipeline(octonion_loop_4, octonion_bialgebra_4):
     started = time.monotonic()
     identity = parse_identity(MOUFANG, 3)
     assert check_loop_identity(identity, octonion_loop_4).holds
-    verdict = check_linearized_identity(
-        identity, octonion_bialgebra_4, samples=25, seed=2024, exhaustive_degree=4
-    )
+    verdict = check_linearized_identity(identity, octonion_bialgebra_4, samples=25, seed=2024)
     assert verdict.holds
     assert verdict.samples == 25
     report(5, "Moufang identity and its linearization on the split-octonion loop", started)

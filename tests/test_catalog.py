@@ -386,6 +386,11 @@ def test_phi_is_homomorphism_and_perturbation_fails():
     verdict = check_homomorphism(bad, source, target)
     assert not verdict.holds
     assert verdict.multidegree is not None
+    assert verdict.max_degree == degree
+    assert verdict.series_difference is not None
+    report = verdict.to_json()
+    assert report["holds"] is False and report["max_degree"] == degree
+    assert report["witness"]["series_difference"] == [str(v) for v in verdict.series_difference]
 
 
 def test_identity_map_is_homomorphism(jordan_loop_4):

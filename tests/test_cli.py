@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nonassoc import dist
+from nonassoc import dist, maps
 from nonassoc.catalog import builtin_algebra, nonlinear_loop_F, x_squared_y_loop
 from nonassoc.cli import EXIT_FAIL, EXIT_INVARIANT, EXIT_PASS, EXIT_USAGE, main
 
@@ -230,6 +230,74 @@ def test_config_file_provides_defaults(capsys, tmp_path):
     assert code == EXIT_PASS
     report = json.loads(out)  # format came from the config file
     assert len(report["result"]["rows"]) == 4
+
+
+def run_exit(capsys, *argv):
+    """`run`, reading argparse's own exit (status 2 on a bad flag value) as the return code."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+CONFIGURED = {
+    "brackets": ["--loop", "builtin:dual-numbers-loop", "--degree", "3"],
+    "verify-identity": ["--loop", "builtin:dual-numbers-loop", "--identity", ASSOC, "--degree", "3"],
+    "explog": ["--degree", "3"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("brackets", {"arity": None}),
+        ("brackets", {"degree": 4.5}),
+        ("brackets", {"method": "bogus"}),
+        ("verify-identity", {"mode": "bogus"}),
+        ("brackets", {"degre": 9}),
+        ("explog", {"check": "yes"}),
+    ],
+    ids=["arity-null", "degree-float", "method-bogus", "mode-bogus", "unknown-key", "switch-not-bool"],
+)
+def test_config_values_are_checked_like_flags(capsys, tmp_path, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_exit(capsys, command, "--config", str(path), *CONFIGURED[command])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-identity", "--loop", "builtin:jordan-k3-loop", "--identity", MOUFANG, "--degree", "3",
+         "--mode", "bialgebra", "--samples", "2", "--seed", "7"],
+        ["multioperator", "--bidegree", "1", "2", "--method", "both", "--degree", "3"],
+        ["explog", "--degree", "3", "--check"],
+        ["explog", "--degree", "3"],
+    ],
+)
+def test_a_report_replays_from_its_own_config(capsys, tmp_path, argv):
+    first = run(capsys, *argv, "--format", "json")
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(json.loads(first[1])["config"]))
+    assert run(capsys, argv[0], "--config", str(path)) == first
+    # a flag on the command line beats the file
+    _, out, _ = run(capsys, argv[0], "--config", str(path), "--degree", "4")
+    assert json.loads(out)["config"]["degree"] == 4
+
+
+def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(identity, loop):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(maps, "check_loop_identity", broken)
+    code, out, err = run(capsys, "verify-identity", *CONFIGURED["verify-identity"])
+    assert code == EXIT_INVARIANT
+    assert out == ""
+    assert err == "error: internal error: KeyError: 'lost'\n"
 
 
 def test_json_reports_carry_config(capsys):

@@ -41,6 +41,7 @@ from nonassoc.maps import (
     MEMORY_CAP_ENV,
     FormalLoop,
     FormalMap,
+    SimilarityMap,
     check_loop_identity,
     right_alt_modify,
     similarity_between,
@@ -631,12 +632,21 @@ def test_brackets_invariance_for_modified_jordan(jordan_loop_4, jordan_bialgebra
 
 
 def test_brackets_invariance_trivial_case(jordan_loop_4, jordan_bialgebra_4):
-    from nonassoc.maps import SimilarityMap
-
     verdict = brackets_invariance_check(
         jordan_bialgebra_4, jordan_bialgebra_4, SimilarityMap.identity(3, 4)
     )
     assert verdict.holds
+
+
+def test_brackets_invariance_reads_the_similarity_equation_up_to_the_truncation(jordan_bialgebra_5):
+    """Phi differs from y only at bidegree (1, 4), which breaks the similarity
+    equation at (mu, nu) = (e1, e1^4): the check must look at y-degree 4."""
+    identity = {monos: value for _, monos, value in SimilarityMap.identity(3, 5).sorted_entries()}
+    phi = SimilarityMap(3, 5, {(0, 1): identity, (1, 4): {((1, 0, 0), (4, 0, 0)): (1, 0, 0)}})
+    verdict = brackets_invariance_check(jordan_bialgebra_5, jordan_bialgebra_5, phi)
+    assert not verdict.holds
+    assert verdict.witness["kind"] == "linphi"
+    assert (verdict.witness["mu"], verdict.witness["nu"]) == ([1, 0, 0], [4, 0, 0])
 
 
 def test_similar_products_agree_on_primitive_slot(jordan_bialgebra_4):
@@ -722,15 +732,6 @@ def test_make_similar_product_keeps_the_memory_cap_the_loop_passed(monkeypatch, 
     monkeypatch.setenv(MEMORY_CAP_ENV, "1")
     similar = make_similar_product(jordan_bialgebra_4, {})
     assert su_multioperator_tables(similar) == {}
-
-
-def test_make_similar_product_takes_tables_as_a_function(jordan_bialgebra_4):
-    B = jordan_bialgebra_4
-    tables = _doubled(su_multioperator_tables(B))
-    by_dict = make_similar_product(B, tables)
-    by_fn = make_similar_product(B, lambda mx, my: tables.get((mx, my), (0, 0, 0)))
-    assert by_fn.loop == by_dict.loop
-    assert su_multioperator_tables(by_fn) == tables
 
 
 def test_make_similar_product_installs_on_an_installed_product(jordan_bialgebra_4):
@@ -950,10 +951,3 @@ def test_pbw_degree_bound(affine_1d):
     with pytest.raises(ValueError):
         pbw_span_check(affine_1d, 9)
 
-
-def test_multioperator_tables_stay_within_the_truncation(jordan_bialgebra_4):
-    with pytest.raises(ValueError, match="^degree 6 beyond the truncation 4$"):
-        su_multioperator_tables(jordan_bialgebra_4, 6)
-    full = su_multioperator_tables(jordan_bialgebra_4)
-    assert su_multioperator_tables(jordan_bialgebra_4, 4) == full
-    assert su_multioperator_tables(jordan_bialgebra_4, 3) == {k: v for k, v in full.items() if sum(map(sum, k)) <= 3}

@@ -17,8 +17,6 @@ from nonassoc.freealg import (
     fa_exp_inverse,
     fa_log,
     fa_loop_divide,
-    is_primitive,
-    left_normed,
     mono_degree,
     mono_encode,
     p_operation,
@@ -27,6 +25,7 @@ from nonassoc.freealg import (
     su_multioperator,
     su_multioperator_component,
 )
+from nonassoc.su_ops import left_normed_product
 
 
 @pytest.fixture
@@ -203,7 +202,7 @@ def p_oracle(alg, xs, ys, z):
             yield inside, outside
 
     def normed(seq):
-        return left_normed(seq) if seq else alg.one()
+        return left_normed_product(alg, seq)
 
     def solve(xs_part, ys_part):
         if not xs_part or not ys_part:
@@ -425,11 +424,11 @@ def test_log_associative_collapse():
 
 def test_primitivity_checks(alg):
     x, y, z = alg.gens()
-    assert is_primitive(p_operation([x], [y], z))
-    assert not is_primitive(x * y)
-    assert is_primitive(fa_commutator(y, z))
-    assert is_primitive(alg.zero())
-    assert not is_primitive(alg.one())
+    assert p_operation([x], [y], z).is_primitive()
+    assert not (x * y).is_primitive()
+    assert fa_commutator(y, z).is_primitive()
+    assert alg.zero().is_primitive()
+    assert not alg.one().is_primitive()
 
 
 def truncate_total(t: FATensor, max_degree: int) -> dict:

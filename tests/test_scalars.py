@@ -4,6 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from nonassoc.catalog import builtin_loop
+from nonassoc.connection import FlatConnection, FormalFunction, FormalVectorField, ms_brackets
+from nonassoc.maps import FormalMap
 from nonassoc.scalars import exact, exact_div, format_rational, parse_rational, to_sparse
 
 
@@ -38,6 +41,23 @@ def test_exact_div_is_exact_and_canonical(c, d, expected):
 def test_exact_helpers_reject_floats(call):
     with pytest.raises(TypeError):
         call()
+
+
+FLOAT_ENTRIES = {
+    "FormalMap.scale": lambda: FormalMap.slot_projection((1,), 0, 2).scale(0.5),
+    "FormalMap.from_series": lambda: FormalMap.from_series((1,), 1, 2, {((1,),): (0.1,)}),
+    "FormalVectorField.from_table": lambda: FormalVectorField.from_table(1, 0, {(0,): (0.5,)}),
+    "FormalVectorField.scale": lambda: FormalVectorField.from_table(1, 0, {(0,): (1,)}).scale(0.5),
+    "FormalFunction": lambda: FormalFunction(1, {(1,): 0.5}),
+    "FlatConnection.from_table": lambda: FlatConnection.from_table(1, 0, {((0,), 0): (1.0,)}),
+    "ms_brackets": lambda: ms_brackets(builtin_loop("jordan-k3-loop", 3), [], (0.5, 0, 0), (0, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", FLOAT_ENTRIES)
+def test_public_entries_reject_floats(entry):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        FLOAT_ENTRIES[entry]()
 
 
 def test_to_sparse_rejects_floats():
