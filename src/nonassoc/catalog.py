@@ -30,7 +30,7 @@ from .scalars import (
     SparseVector,
     Vector,
     basis_vector,
-    exact,
+    exact_terms,
     format_rational,
     parse_rational,
     rat,
@@ -138,7 +138,7 @@ def _combine(coeffs: SparseVector, vectors) -> SparseVector:
 
 def _associator_table(rows) -> dict[tuple[int, int, int], SparseVector]:
     """The nonzero associators A(a, b, c) = (e_a e_b) e_c - e_a (e_b e_c) on basis triples."""
-    rows = [[{k: exact(x) for k, x in v.items()} for v in row] for row in rows]
+    rows = [[exact_terms(v) for v in row] for row in rows]
     table = {}
     for a, row_a in enumerate(rows):
         for b, ab in enumerate(row_a):

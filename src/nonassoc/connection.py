@@ -10,10 +10,14 @@ Covariant differentiation consumes one degree of the bound per
 application, which is why an n-fold bracket needs n + 2 <= N.
 
 Internally every field value and transport is a sparse vector (`scalars`),
-accumulated with `lincomb.add_into`; the canonical connection reads the
-loop's stored sparse values.  The public API stays dense: `at`, `star`,
-`inv_star`, `star_vec`, `inv_star_vec`, `table`, `inverse_table` and
-`ms_brackets` return length-`dim` Fraction tuples, and the public
+accumulated with `lincomb.add_into`, whose coefficients are in the
+canonical form of `scalars.exact`: an int when integral, else a Fraction.
+Each value is put in that form once, as its cache stores it (`_at`,
+`_star`, `_inv_star` and the pulled-back vectors), so the canonical
+connection of an integral loop, and every field built on it, computes on
+ints.  The public API stays dense: `at`, `star`, `inv_star`, `star_vec`,
+`inv_star_vec`, `table`, `inverse_table` and `ms_brackets` return
+length-`dim` Fraction tuples (`scalars.to_dense`), and the public
 constructors take functions returning them.
 """
 
@@ -24,7 +28,7 @@ from typing import Callable, Sequence
 
 from .lincomb import add_into
 from .maps import FormalLoop
-from .scalars import ONE, ZERO, SparseVector, Vector, rat, to_dense, to_sparse
+from .scalars import ZERO, SparseVector, Vector, exact, exact_terms, rat, to_dense, to_sparse
 from .su_ops import basis_bracket_table
 from .symalg import (
     Monomial,
@@ -64,21 +68,23 @@ class FormalVectorField:
         self._fn = lambda mono: to_sparse(dim, fn(mono))
         self._cache: dict[Monomial, SparseVector] = {}
         self._pulled_cache: dict[tuple[FlatConnection, Monomial], SparseVector] = {}
+        # (conn, v) when this is the field mu -> mu * v of `adapted_field`
+        self._adapted: tuple[FlatConnection, SparseVector] | None = None
 
     @classmethod
     def _of_sparse(cls, dim: int, max_degree: int, fn: Callable) -> "FormalVectorField":
-        """Trusted constructor: `fn` returns fresh sparse vectors."""
+        """Trusted constructor: `fn` returns sparse vectors that are never mutated."""
         field = cls(dim, max_degree, fn)
         field._fn = fn
         return field
 
     @classmethod
     def from_table(cls, dim: int, max_degree: int, table: dict[Monomial, Vector]) -> "FormalVectorField":
-        data = {tuple(m): tuple(map(rat, v)) for m, v in table.items()}
+        data = {tuple(m): exact_terms(to_sparse(dim, v)) for m, v in table.items()}
         for mono in monomials_up_to(dim, max_degree):
             if mono not in data:
                 raise ValueError(f"partial table: no value at monomial {mono}")
-        return cls(dim, max_degree, lambda mono: data[mono])
+        return cls._of_sparse(dim, max_degree, data.__getitem__)
 
     def at(self, mono: Monomial) -> Vector:
         return to_dense(self.dim, self._at(tuple(mono)))
@@ -90,13 +96,12 @@ class FormalVectorField:
                 raise ValueError(
                     f"monomial of degree {monomial_degree(mono)} beyond the field bound {self.max_degree}"
                 )
-            hit = self._fn(mono)
+            hit = exact_terms(self._fn(mono))
             self._cache[mono] = hit
         return hit
 
-    def table(self, max_degree: int | None = None) -> dict[Monomial, Vector]:
-        cap = self.max_degree if max_degree is None else max_degree
-        return {mono: self.at(mono) for mono in monomials_up_to(self.dim, cap)}
+    def table(self) -> dict[Monomial, Vector]:
+        return {mono: self.at(mono) for mono in monomials_up_to(self.dim, self.max_degree)}
 
     def __add__(self, other: "FormalVectorField") -> "FormalVectorField":
         self._compatible(other)
@@ -109,7 +114,7 @@ class FormalVectorField:
         return self._of_sparse(self.dim, bound, lambda m: add_into(dict(self._at(m)), other._at(m), -1))
 
     def scale(self, c: Fraction) -> "FormalVectorField":
-        c = rat(c)
+        c = exact(rat(c))
         return self._of_sparse(self.dim, self.max_degree, lambda m: add_into({}, self._at(m), c))
 
     def _compatible(self, other: "FormalVectorField") -> None:
@@ -141,7 +146,7 @@ class FlatConnection:
         self._star_cache: dict[tuple[Monomial, int], SparseVector] = {}
         self._inv_cache: dict[tuple[Monomial, int], SparseVector] = {}
         for j in range(dim):
-            if self._star(unit_monomial(dim), j) != {j: ONE}:
+            if self._star(unit_monomial(dim), j) != {j: 1}:
                 raise ValueError("a flat connection restricts to the identity on 1 (x) V")
 
     @classmethod
@@ -153,12 +158,12 @@ class FlatConnection:
 
     @classmethod
     def from_table(cls, dim: int, max_degree: int, table: dict[tuple[Monomial, int], Vector]) -> "FlatConnection":
-        data = {(tuple(m), j): tuple(map(rat, v)) for (m, j), v in table.items()}
+        data = {(tuple(m), j): exact_terms(to_sparse(dim, v)) for (m, j), v in table.items()}
         for mono in monomials_up_to(dim, max_degree):
             for j in range(dim):
                 if (mono, j) not in data:
                     raise ValueError(f"partial table: no value at ({mono}, {j})")
-        return cls(dim, max_degree, lambda mono, j: data[(mono, j)])
+        return cls._of_sparse(dim, max_degree, lambda mono, j: data[(mono, j)])
 
     def star(self, mono: Monomial, j: int) -> Vector:
         return to_dense(self.dim, self._star(tuple(mono), j))
@@ -171,7 +176,7 @@ class FlatConnection:
                 raise ValueError(
                     f"monomial of degree {monomial_degree(mono)} beyond the connection bound {self.max_degree}"
                 )
-            hit = self._fn(mono, j)
+            hit = exact_terms(self._fn(mono, j))
             self._star_cache[key] = hit
         return hit
 
@@ -188,7 +193,7 @@ class FlatConnection:
         if hit is None:
             degree = monomial_degree(mono)
             if degree == 0:
-                hit = {j: ONE}
+                hit = {j: 1}
             else:
                 # sum over splits of mu of mu_(1) \* (mu_(2) * v) vanishes off degree 0
                 hit = {}
@@ -197,17 +202,17 @@ class FlatConnection:
                         continue
                     for i, c in self._star(b, j).items():
                         add_into(hit, self._inv_star(a, i), -coeff * c)
+                hit = exact_terms(hit)
             self._inv_cache[key] = hit
         return hit
 
     def inv_star_vec(self, mono: Monomial, v: Vector) -> Vector:
         return to_dense(self.dim, _on_vector(self._inv_star, tuple(mono), to_sparse(self.dim, v)))
 
-    def inverse_table(self, max_degree: int | None = None) -> dict[tuple[Monomial, int], Vector]:
-        cap = self.max_degree if max_degree is None else max_degree
+    def inverse_table(self) -> dict[tuple[Monomial, int], Vector]:
         return {
             (mono, j): self.inv_star(mono, j)
-            for mono in monomials_up_to(self.dim, cap)
+            for mono in monomials_up_to(self.dim, self.max_degree)
             for j in range(self.dim)
         }
 
@@ -229,10 +234,12 @@ def connection_from_loop(loop: FormalLoop) -> FlatConnection:
 
 def adapted_field(conn: FlatConnection, v: Vector) -> FormalVectorField:
     """The field adapted to a tangent vector: mu -> mu * v."""
-    v = to_sparse(conn.dim, v)
-    return FormalVectorField._of_sparse(
+    v = exact_terms(to_sparse(conn.dim, v))
+    field = FormalVectorField._of_sparse(
         conn.dim, conn.max_degree, lambda mono: _on_vector(conn._star, mono, v)
     )
+    field._adapted = (conn, v)
+    return field
 
 
 def _b_after_a(a: FormalVectorField, b: FormalVectorField, mono: Monomial) -> SparseVector:
@@ -280,12 +287,20 @@ def field_applied_to_function(a: FormalVectorField, f: FormalFunction) -> Formal
 
 
 def _pulled(conn: FlatConnection, b: FormalVectorField, mono: Monomial) -> SparseVector:
-    r"""sum mono_(1) \* B(mono_(2)), cached on the field B per connection."""
+    r"""sum mono_(1) \* B(mono_(2)), cached on the field B per connection.
+
+    For the field B(mu) = mu * v adapted along conn the sum is
+    sum mono_(1) \* (mono_(2) * v) = counit(mono) v, the recursion that
+    defines `_inv_star`: v at degree 0 and 0 above, with nothing to sum.
+    """
+    if b._adapted is not None and b._adapted[0] is conn:
+        return {} if any(mono) else b._adapted[1]
     hit = b._pulled_cache.get((conn, mono))
     if hit is None:
         hit = {}
         for m1, m2, coeff in monomial_splits(mono):
             add_into(hit, _on_vector(conn._inv_star, m1, b._at(m2)), coeff)
+        hit = exact_terms(hit)
         b._pulled_cache[(conn, mono)] = hit
     return hit
 
@@ -333,7 +348,8 @@ def ms_brackets(
 
     Torsion and derivative fields are cached in the loop's
     `_ms_field_cache`, which the loop creates empty, keyed by their argument
-    chain (y, z, x_n, ..., x_1) as dense Fraction tuples, so sweeping over
+    chain (y, z, x_n, ..., x_1) as dense tuples of exact coefficients
+    (`scalars.exact`), so sweeping over
     basis tuples shares all intermediate tables.  The benchmark tracer
     (`perfbench/tracer.py`) counts its entries under that name.  The
     adapted fields have their own cache, `_adapted_field_cache`, one field
@@ -346,14 +362,13 @@ def ms_brackets(
         )
     conn = connection_from_loop(loop)
     cache = loop._ms_field_cache
-    y = tuple(map(rat, y))
-    z = tuple(map(rat, z))
+    y, z = _exact_vector(y), _exact_vector(z)
     key: tuple = (y, z)
     field = cache.get(key)
     if field is None:
         field = torsion(conn, _adapted(loop, conn, y), _adapted(loop, conn, z))
         cache[key] = field
-    for x in reversed([tuple(map(rat, v)) for v in xs]):
+    for x in reversed([_exact_vector(v) for v in xs]):
         key = key + (x,)
         nxt = cache.get(key)
         if nxt is None:
@@ -363,8 +378,13 @@ def ms_brackets(
     return field.at(unit_monomial(loop.dim))
 
 
-def _adapted(loop: FormalLoop, conn: FlatConnection, v: Vector) -> FormalVectorField:
-    """The adapted field of a dense Fraction vector, built once per loop (`adapted_field`
+def _exact_vector(v: Vector) -> tuple:
+    """A dense vector with its entries in the canonical form of `scalars.exact`."""
+    return tuple(exact(rat(c)) for c in v)
+
+
+def _adapted(loop: FormalLoop, conn: FlatConnection, v: tuple) -> FormalVectorField:
+    """The adapted field of a dense exact vector, built once per loop (`adapted_field`
     raises on a wrong length, and only built fields are cached)."""
     field = loop._adapted_field_cache.get(v)
     if field is None:

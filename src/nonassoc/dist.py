@@ -11,11 +11,13 @@ disturbing the brackets.
 
 Coefficients: inside the memos a coefficient is an ``int`` or a
 ``Fraction``, never a float.  `from_loop` stores every integral product
-coefficient as an ``int`` and divides with `scalars.exact_div`, so for
-integral loops the whole kernel runs on ints.  Every value that leaves
-the public API (`DistBialgebra.product` and `divide`, the `DistSUOps`
-results, `LinearizedEvaluator.on_monomials` and `on_elements`) has
-``Fraction`` coefficients again.
+coefficient as an ``int`` and divides with `scalars.exact_div`, and
+`DistSUOps` hands the engine its arguments in the same canonical form, so
+for integral loops the whole kernel, the primitive operations included,
+runs on ints.  Every value that leaves the public API
+(`DistBialgebra.product` and `divide`, the `DistSUOps` results,
+`LinearizedEvaluator.on_monomials` and `on_elements`) has ``Fraction``
+coefficients again (`scalars.as_fractions`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import su_ops
 from .lincomb import add_into, bilinear, sum_into
 from .maps import FormalLoop, FormalMap, InvariantError, MonoTuple, SimilarityMap, compose
 from .scalars import (
-    SparseVector, Vector, exact, exact_div, format_rational, rat, to_sparse,
+    SparseVector, Vector, as_fractions, exact_div, exact_terms, format_rational, to_sparse,
 )
 from .symalg import (
     Monomial,
@@ -61,7 +63,7 @@ def _letter_shifts(mono: Monomial, N: int) -> tuple[Monomial, ...] | None:
 
 def _fractions(elem: SymElement) -> SymElement:
     """`elem` with every coefficient a Fraction, as values leave the public API."""
-    return SymElement.of_terms(elem.dim, {m: Fraction(c) for m, c in elem.terms.items()})
+    return SymElement.of_terms(elem.dim, as_fractions(elem.terms))
 
 
 class DistBialgebra:
@@ -105,7 +107,7 @@ class DistBialgebra:
         self = cls(loop.dim, loop.N, None, loop)  # type: ignore[arg-type]
         dim, N = loop.dim, loop.N
         components = {
-            md: {monos: {j: exact(c) for j, c in vec.items()} for monos, vec in comp.items()}
+            md: {monos: exact_terms(vec) for monos, vec in comp.items()}
             for md, comp in loop.components.items()
         }
         unit = SymElement.of_terms(dim, {unit_monomial(dim): 1})
@@ -291,13 +293,15 @@ class DistSUOps:
         self.bialgebra = bialgebra
 
     def _coerce(self, x) -> SymElement:
+        """x, a distribution, an element or a vector, with the kernel's exact coefficients."""
         if isinstance(x, DistElement):
             if x.bialgebra is not self.bialgebra:
                 raise ValueError("distribution from a different bialgebra")
-            return x.value
-        if isinstance(x, SymElement):
-            return x
-        return SymElement.from_vector(tuple(map(rat, x)))
+            x = x.value
+        elif not isinstance(x, SymElement):
+            dim = len(x)
+            return SymElement.from_sparse(dim, exact_terms(to_sparse(dim, x)))
+        return SymElement.of_terms(x.dim, exact_terms(x.terms))
 
     def p(self, xs: Sequence, ys: Sequence, z) -> DistElement:
         value = su_ops.p_operation(
@@ -330,10 +334,10 @@ class DistSUOps:
         Equals the multilinear multioperator at the basis multisets of the
         two monomials (the symmetrizations collapse on repeated letters).
         """
-        dim = self.bialgebra.dim
+        B = self.bialgebra
         value = self.multioperator(
-            [SymElement.basis(dim, i) for i in monomial_letters(mx)],
-            [SymElement.basis(dim, i) for i in monomial_letters(my)],
+            [B.key_element(basis_monomial(B.dim, i)) for i in monomial_letters(mx)],
+            [B.key_element(basis_monomial(B.dim, i)) for i in monomial_letters(my)],
         )
         if not value.is_primitive():
             raise InvariantError("multioperator value is not primitive")
@@ -769,8 +773,13 @@ def make_similar_product(
     F being `bialgebra.loop` and psi the graded solve of `_PsiBuilder`; its
     brackets agree with the original ones and its multioperator tables are
     the nonzero entries of Phi.  A bialgebra without a loop raises
-    ValueError.
+    ValueError; a Phi that is not a dict of tables raises TypeError.
     """
+    if not isinstance(phi, dict):
+        raise TypeError(
+            "Phi must be a dict of multioperator tables {(mx, my): vector}, "
+            f"got {type(phi).__name__}"
+        )
     dim, N = bialgebra.dim, bialgebra.N
     tables: dict[tuple[Monomial, Monomial], SparseVector] = {}
     for (mx, my), value in phi.items():

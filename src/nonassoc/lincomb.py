@@ -9,8 +9,9 @@ extends a map on pairs of basis keys, and `LinComb` gives every
 element class its vector-space structure.
 
 Invariant: every stored coefficient is a nonzero exact rational, never a
-float.  At the public API it is a ``Fraction``; inside the memos of the
-`dist` kernel it is an ``int`` or a ``Fraction`` (see `scalars`).
+float.  At the public API it is a ``Fraction``; inside the package (the
+`dist` memos and both bracket routes) it is an ``int`` or a ``Fraction``
+(see `scalars`).
 `sum_into` deletes the keys that cancel, and at a coefficient of 1 or -1
 stores the term's own coefficient or its negation, with no multiplication.
 `LinComb.of_terms` keeps the dict it is given without copying or checking
@@ -117,7 +118,7 @@ class LinComb:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def scale(self, c: int | str | Fraction):
-        if not isinstance(c, (int, Fraction)):
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
             c = rat(c)
         if c == 0:
             return self._like({})

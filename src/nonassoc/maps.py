@@ -521,12 +521,9 @@ class Prolongation:
             self._cache[key] = hit
         return hit
 
-    def table(self, max_degree: int | None = None) -> dict[MonoTuple, SymElement]:
-        cap = self.fmap.N if max_degree is None else max_degree
-        if cap > self.fmap.N:
-            raise ValueError(f"degree {cap} beyond the truncation {self.fmap.N}")
+    def table(self) -> dict[MonoTuple, SymElement]:
         out: dict[MonoTuple, SymElement] = {}
-        for total in range(cap + 1):
+        for total in range(self.fmap.N + 1):
             for md in monomials(len(self.fmap.dims), total):
                 for monos in tensor_monomials(self.fmap.dims, md):
                     out[monos] = self.at(monos)

@@ -1,16 +1,19 @@
 """Exact scalars and the two vector formats of the package.
 
 Every coefficient at the public API is a ``fractions.Fraction`` (always
-in lowest terms by construction).  Inside the memos of the `dist` kernel a
-coefficient is an ``int`` or a ``Fraction``: `DistBialgebra.from_loop`
-stores each product coefficient in the canonical form of `exact` (an
-``int`` when integral, else a ``Fraction`` with denominator > 1) and
-divides with `exact_div`, so no ``/`` on an ``int`` can make a float.  No
-coefficient is ever a float: `rat`, `exact` and `exact_div` raise
-``TypeError`` on one.  Serialized scalars are decimal-free strings like
-``-2/3`` or ``5``.
+in lowest terms by construction).  Inside the package a coefficient is in
+the canonical form of `exact`: an ``int`` when integral, else a
+``Fraction`` with denominator > 1.  That holds in the memos of the `dist`
+kernel (`DistBialgebra.from_loop` divides with `exact_div`, so no ``/`` on
+an ``int`` can make a float), in the elements both bracket routes build
+(`DistSUOps` and `su_ops`), and in the transports and field values of
+`connection`; integral loops therefore run those routes on ints.  Values
+leave the public API through `as_fractions`, the one conversion back to
+Fractions (`to_dense` uses it).  No coefficient is ever a float or a bool:
+`rat`, `exact` and `exact_div` raise ``TypeError`` on one.  Serialized
+scalars are decimal-free strings like ``-2/3`` or ``5``.
 
-Inside the package a vector is sparse: a dict {basis index: Fraction}
+Inside the package a vector is sparse: a dict {basis index: coefficient}
 that never stores a zero, combined with `lincomb.add_into`.  A stored
 sparse vector is shared between tables and never mutated.  Where a vector
 crosses the public API it is dense: a length-`dim` tuple of Fractions.
@@ -22,17 +25,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 Vector = tuple[Fraction, ...]
-SparseVector = dict[int, Fraction]
+SparseVector = dict[int, int | Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to an exact rational."""
+    """Coerce an int, Fraction or "p/q" string to an exact rational; a float or a bool raises."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -41,9 +44,23 @@ def exact(c: int | Fraction) -> int | Fraction:
     """The canonical exact form of c: an int when c is integral, else a Fraction."""
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return c
     raise TypeError(f"not an exact rational: {c!r}")
+
+
+def exact_terms(terms: dict) -> dict:
+    """`terms` with every coefficient in the canonical form of `exact`."""
+    return {k: c if type(c) is int else exact(c) for k, c in terms.items()}
+
+
+def as_fractions(terms: dict) -> dict:
+    """`terms` with every coefficient a Fraction, as values leave the public API.
+
+    The coefficients are exact (`exact`), so an int becomes a Fraction and a
+    Fraction is kept as it is.
+    """
+    return {k: Fraction(c) if type(c) is int else c for k, c in terms.items()}
 
 
 def exact_div(c: int | Fraction, d: int | Fraction) -> int | Fraction:
@@ -76,6 +93,8 @@ def to_sparse(dim: int, v: Vector) -> SparseVector:
 
 
 def to_dense(dim: int, v: SparseVector) -> Vector:
+    """The length-`dim` Fraction tuple of a sparse vector (`as_fractions`)."""
+    v = as_fractions(v)
     return tuple(v.get(i, ZERO) for i in range(dim))
 
 

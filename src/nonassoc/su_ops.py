@@ -25,7 +25,11 @@ and `scale`, and sums linear combinations of them with `sum_into` and
 division entry collects its summands and sums them in one call.  The
 division recursions start from `key_element`, so their memo entries carry
 the algebra's own coefficients: `int | Fraction` in `DistBialgebra`,
-`Fraction` in `FreeAlgebra`.
+`Fraction` in `FreeAlgebra`.  The operations multiply and add the
+coefficients of their arguments and never divide them, so on the
+`int`-coefficient elements that `dist.DistSUOps` passes in they stay ints;
+only `multioperator` and `multioperator_component` scale their sums by
+1/(m! n!), once, at the end.
 
 Left and right division are defined by the counit recursions, the
 non-associative stand-in for an antipode:
@@ -232,14 +236,14 @@ def multioperator(alg, xs: Sequence, ys: Sequence) -> object:
     if m < 1 or n < 2:
         raise ValueError(f"multioperator needs m >= 1 and n >= 2, got ({m}, {n})")
     _require_primitive(alg, list(xs) + list(ys))
-    weight = Fraction(1, factorial(m) * factorial(n))
     acc: dict = {}
     for tau in permutations(range(m)):
         xs_p = [xs[i] for i in tau]
         for sigma in permutations(range(n)):
             ys_p = [ys[i] for i in sigma]
-            add_into(acc, p_operation(alg, xs_p, ys_p[:-1], ys_p[-1]).terms, weight)
-    return ys[0]._like(acc)
+            add_into(acc, p_operation(alg, xs_p, ys_p[:-1], ys_p[-1]).terms)
+    # the weight 1/(m! n!) once, on the sum, so the summands keep the algebra's coefficients
+    return ys[0]._like(acc).scale(Fraction(1, factorial(m) * factorial(n)))
 
 
 def multioperator_component(alg, x, y, i: int, j: int) -> object:

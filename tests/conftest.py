@@ -35,6 +35,11 @@ def vec_is_zero(a) -> bool:
     return all(x == 0 for x in a)
 
 
+def is_canonical(c) -> bool:
+    """The package's inner coefficient form: a nonzero int, or a Fraction with denominator > 1."""
+    return (type(c) is int or (type(c) is Fraction and c.denominator > 1)) and c != 0
+
+
 # small rationals, vectors of the plane, and the structure constants of a
 # random 2-dimensional algebra (the input of `loop_from_algebra`)
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -350,6 +355,14 @@ def reference_covariant_derivative(conn, a, b, mono):
         for i, c in enumerate(a.at(m2)):
             if c:
                 out = vec_add(out, vec_scale(-coeff * c, conn.star_vec(_times_basis(m1, i), pulled)))
+    return out
+
+
+def reference_pulled(conn, b, mono):
+    """sum mono_(1) \\* B(mono_(2)), the pulled-back vector, summed over every split."""
+    out = zero_vector(conn.dim)
+    for m1, m2, coeff in monomial_splits(mono):
+        out = vec_add(out, vec_scale(coeff, conn.inv_star_vec(m1, b.at(m2))))
     return out
 
 

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     NO_SHRINK,
+    is_canonical,
     plane,
     plane_structure_constants,
     rationals,
     reference_covariant_derivative,
+    reference_pulled,
     vec_is_zero,
     vec_scale,
 )
@@ -32,7 +34,7 @@ from nonassoc.connection import (
     vf_bracket,
 )
 from nonassoc.dist import DistBialgebra, dist_su_ops, su_bracket_table
-from nonassoc.scalars import basis_vector, zero_vector
+from nonassoc.scalars import basis_vector, to_dense, zero_vector
 from nonassoc.symalg import SymElement, monomials_up_to, unit_monomial
 
 
@@ -336,9 +338,10 @@ def test_vector_arguments_must_have_the_space_dimension():
 
 
 def _assert_sparse(value, dim):
+    """A cached sparse vector: basis indices to nonzero coefficients in canonical exact form."""
     assert type(value) is dict
     for i, c in value.items():
-        assert i in range(dim) and type(c) is F and c != 0, value
+        assert i in range(dim) and is_canonical(c), value
 
 
 def _assert_dense(value, dim):
@@ -346,38 +349,88 @@ def _assert_dense(value, dim):
     assert all(type(c) is F for c in value), value
 
 
-def test_sparse_values_inside_dense_values_outside():
-    loop = builtin_loop("jordan-k3-loop", 5)
-    conn = connection_from_loop(loop)
-    for idx in iter_product(range(3), repeat=3):
-        ms_brackets(loop, [basis_vector(3, idx[0])], basis_vector(3, idx[1]), basis_vector(3, idx[2]))
-    fields = list(loop._ms_field_cache.values())
-    assert len(fields) == 9 + 27
-    cached = [*conn._star_cache.values(), *conn._inv_cache.values()]
-    for field in fields:
-        cached.extend(field._cache.values())
-    assert len(cached) > len(fields)
-    for value in cached:
-        _assert_sparse(value, 3)
+def _thirds_loop(N):
+    """A plane loop whose structure constants have denominators 2 and 3."""
+    constants = (((F(1, 2), F(0)), (F(-1, 3), F(1))), ((F(2, 3), F(1, 2)), (F(0), F(-3, 2))))
+    return loop_from_algebra(AlgebraTable(2, constants), N)
 
-    v = (F(1), F(0), F(-2))
-    field = adapted_field(conn, v)
-    high = (2, 0, 0)
-    assert conn.star(high, 1) == zero_vector(3)
-    assert field.at(high) == zero_vector(3)
-    dense = [
-        ms_brackets(loop, [], v, v),
-        field.at(unit_monomial(3)),
-        field.at(high),
-        conn.star(high, 1),
-        conn.inv_star((1, 0, 0), 2),
-        conn.star_vec(high, v),
-        conn.inv_star_vec((0, 1, 0), v),
-        *field.table(2).values(),
-        *conn.inverse_table(2).values(),
-    ]
-    for value in dense:
-        _assert_dense(value, 3)
+
+def _cached_values(loop, conn):
+    """Every sparse vector the connection and the loop's fields have cached or hold."""
+    cached = [*conn._star_cache.values(), *conn._inv_cache.values()]
+    cached += [field._adapted[1] for field in loop._adapted_field_cache.values()]
+    for field in [*loop._ms_field_cache.values(), *loop._adapted_field_cache.values()]:
+        cached.extend(field._cache.values())
+        cached.extend(field._pulled_cache.values())
+    return cached
+
+
+def test_sparse_values_inside_dense_values_outside():
+    for loop in (builtin_loop("jordan-k3-loop", 5), _thirds_loop(5)):
+        dim = loop.dim
+        conn = connection_from_loop(loop)
+        for idx in iter_product(range(dim), repeat=3):
+            ms_brackets(loop, [basis_vector(dim, idx[0])], basis_vector(dim, idx[1]), basis_vector(dim, idx[2]))
+        # the integral loop computes on ints alone, the other needs Fractions too
+        types = {type(c) for value in _cached_values(loop, conn) for c in value.values()}
+        assert types == ({int} if dim == 3 else {int, F}), types
+
+        v = (F(1), F(-2), F(0))[:dim]
+        field = adapted_field(conn, v)
+        high = (2,) + (0,) * (dim - 1)
+        assert conn.star(high, 1) == zero_vector(dim)
+        assert field.at(high) == zero_vector(dim)
+        dense = [
+            ms_brackets(loop, [], v, v),
+            ms_brackets(loop, [v], (F(1, 2),) * dim, v),
+            field.at(unit_monomial(dim)),
+            field.at(high),
+            conn.star(high, 1),
+            conn.inv_star(high, 0),
+            conn.star_vec(high, v),
+            conn.inv_star_vec(high, v),
+            *field.table().values(),
+            *conn.inverse_table().values(),
+        ]
+        # the field of <v; 1/2, v> on every monomial, which pulls back the torsion there too
+        fields = list(loop._ms_field_cache.values())
+        assert len(fields) == dim * dim + dim ** 3 + 3
+        dense += fields[-1].table().values()
+        assert any(map(any, dense)) and not all(map(any, dense))
+        for value in dense:
+            _assert_dense(value, dim)
+
+        # every key entry, zeros included, is an int or a Fraction with denominator > 1
+        for key in [*loop._ms_field_cache, *((k,) for k in loop._adapted_field_cache)]:
+            for vec in key:
+                assert all(type(c) is int or is_canonical(c) for c in vec), key
+        cached = _cached_values(loop, conn)
+        assert len(cached) > len(fields)
+        for value in cached:
+            _assert_sparse(value, dim)
+
+
+def test_pulled_vector_matches_the_literal_sum():
+    loops = [builtin_loop("jordan-k3-loop", 5), builtin_loop("split-octonion-loop", 4), _thirds_loop(5)]
+    rng = random.Random(11)
+    for loop in loops:
+        dim = loop.dim
+        conn = connection_from_loop(loop)
+        vectors = [basis_vector(dim, dim - 1), *_rational_vectors(rng, dim, 1)]
+        fields = [adapted_field(conn, v) for v in vectors]
+        # fields that are not adapted take the general sum
+        fields += [torsion(conn, *fields), fields[0].scale(2)]
+        # an adapted field of another connection is not adapted along conn
+        other = connection_from_loop(loop_from_algebra(AlgebraTable(dim, _zero_constants(dim)), loop.N))
+        fields.append(adapted_field(other, vectors[1]))
+        for field in fields:
+            for mono in monomials_up_to(dim, field.max_degree):
+                got = to_dense(dim, connection._pulled(conn, field, mono))
+                assert got == reference_pulled(conn, field, mono), (field, mono)
+
+
+def _zero_constants(dim):
+    return tuple(tuple((F(0),) * dim for _ in range(dim)) for _ in range(dim))
 
 
 def _rational_vectors(rng, dim, count):

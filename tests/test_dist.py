@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction as F
 from functools import reduce
-from itertools import product as iter_product
+from itertools import permutations, product as iter_product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     NO_SHRINK,
     ReferencePsiBuilder,
+    is_canonical,
     plane,
     plane_structure_constants,
     rationals,
@@ -52,6 +54,7 @@ from nonassoc.symalg import (
     SymElement,
     SymTensor,
     monomial_degree,
+    monomial_letters,
     monomial_splits,
     monomials,
     monomials_up_to,
@@ -69,11 +72,6 @@ RIGHT_DIVISION = "((x2 / x1) * x1) = x2"
 def affine_1d():
     table = AlgebraTable(1, (((F(1),),),), {"associative": True})
     return DistBialgebra.from_loop(loop_from_algebra(table, 5))
-
-
-def is_canonical(c) -> bool:
-    """The kernel's coefficient form: a nonzero int, or a Fraction with denominator > 1."""
-    return (type(c) is int or (type(c) is F and c.denominator > 1)) and c != 0
 
 
 def mono_elem(dim, mono):
@@ -329,11 +327,38 @@ def test_kernel_memos_hold_canonical_ints_and_the_api_returns_fractions(monkeypa
     for tables in ({}, su_multioperator_tables(B)):
         similar = make_similar_product(B, tables)
         assert all(su_bracket_table(similar, a) == su_bracket_table(B, a) for a in range(N - 1))
-        memos += [similar._prod_memo, similar._assoc_memo]
+        memos += [similar._prod_memo, similar._ldiv_memo, similar._p_memo, similar._assoc_memo]
     for memo in memos:
         assert memo
         for key, value in memo.items():
             assert all(is_canonical(c) for c in value.terms.values()), (key, value)
+
+
+def test_su_ops_hand_the_engine_exact_coefficients(jordan_bialgebra_4):
+    B = jordan_bialgebra_4
+    ops = dist_su_ops(B)
+    half, two = SymElement(3, {(1, 0, 0): F(1, 2)}), SymElement(3, {(0, 1, 0): F(2)})
+    for x, terms in (
+        ((F(0), F(4, 2), "-1/3"), {(0, 1, 0): 2, (0, 0, 1): F(-1, 3)}),
+        (basis_vector(3, 0), {(1, 0, 0): 1}),
+        (half, {(1, 0, 0): F(1, 2)}),
+        (B.element(two), {(0, 1, 0): 2}),
+    ):
+        coerced = ops._coerce(x)
+        assert coerced.terms == terms and [type(c) for c in coerced.terms.values()] == [
+            type(c) for c in terms.values()
+        ]
+    # the weight 1/(m! n!) of the multioperator is applied once, to the sum
+    (mx, my), entry = next(iter(su_multioperator_tables(B).items()))
+    xs = [basis_vector(3, i) for i in monomial_letters(mx)]
+    ys = [basis_vector(3, i) for i in monomial_letters(my)]
+    total = SymElement.zero(3)
+    for tau in permutations(xs):
+        for sigma in permutations(ys):
+            total = total + ops.p(list(tau), list(sigma[:-1]), sigma[-1]).value
+    value = ops.multioperator(xs, ys).value
+    assert value == total.scale(F(1, factorial(len(xs)) * factorial(len(ys))))
+    assert value.primitive_part() == entry and all(type(c) is F for c in value.terms.values())
 
 
 def test_su_ops_reject_float_vectors(jordan_bialgebra_4):
@@ -724,6 +749,11 @@ def test_make_similar_product_needs_a_loop(jordan_bialgebra_4):
     loopless = DistBialgebra(B.dim, B.N, B.product_mono)
     with pytest.raises(ValueError, match="loop"):
         make_similar_product(loopless, {})
+
+
+def test_make_similar_product_names_the_tables_for_a_callable_phi(jordan_bialgebra_4):
+    with pytest.raises(TypeError, match=r"dict of multioperator tables .*got function"):
+        make_similar_product(jordan_bialgebra_4, lambda mx, my: None)
 
 
 def test_make_similar_product_keeps_the_memory_cap_the_loop_passed(monkeypatch, jordan_bialgebra_4):

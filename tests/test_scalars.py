@@ -7,7 +7,8 @@ import pytest
 from nonassoc.catalog import builtin_loop
 from nonassoc.connection import FlatConnection, FormalFunction, FormalVectorField, ms_brackets
 from nonassoc.maps import FormalMap
-from nonassoc.scalars import exact, exact_div, format_rational, parse_rational, to_sparse
+from nonassoc.scalars import exact, exact_div, format_rational, parse_rational, rat, to_sparse
+from nonassoc.symalg import SymElement
 
 
 @pytest.mark.parametrize(
@@ -41,6 +42,27 @@ def test_exact_div_is_exact_and_canonical(c, d, expected):
 def test_exact_helpers_reject_floats(call):
     with pytest.raises(TypeError):
         call()
+
+
+BOOL_ENTRIES = {
+    "rat(True)": lambda: rat(True),
+    "rat(False)": lambda: rat(False),
+    "exact(True)": lambda: exact(True),
+    "exact(False)": lambda: exact(False),
+    "exact_div(True, 1)": lambda: exact_div(True, 1),
+    "to_sparse": lambda: to_sparse(2, (True, 0)),
+    "FormalMap": lambda: FormalMap((1,), 1, 2, {(1,): {((1,),): (True,)}}),
+    "FormalMap.scale": lambda: FormalMap.slot_projection((1,), 0, 2).scale(True),
+    "SymElement.scale": lambda: SymElement.basis(2, 0).scale(True),
+    "SymElement": lambda: SymElement(2, {(1, 0): False}),
+    "ms_brackets": lambda: ms_brackets(builtin_loop("jordan-k3-loop", 3), [], (True, 0, 0), (0, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", BOOL_ENTRIES)
+def test_bools_are_not_scalars(entry):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        BOOL_ENTRIES[entry]()
 
 
 FLOAT_ENTRIES = {

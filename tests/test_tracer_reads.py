@@ -26,6 +26,8 @@ LIVE_COUNTS = {
         "dist.ldiv_memo.entries",
         "su_ops.p_operation.calls",
         "connection.field_cache.entries",
+        "connection.ms_brackets.s",
+        "dist.su_bracket_table.s",
     ],
     ("brackets", "install-round-trip"): ["dist.psi.s", "maps.compose.calls"],
     ("solve", "moufang-octonion-loop-3"): ["maps.compose.calls", "maps.prolong_cache.entries"],
