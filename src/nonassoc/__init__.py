@@ -22,13 +22,10 @@ from .catalog import (
 )
 from .connection import (
     FlatConnection,
-    FormalFunction,
     FormalVectorField,
     adapted_field,
     connection_from_loop,
     covariant_derivative,
-    field_applied_to_function,
-    function_times_field,
     ms_bracket_table,
     ms_brackets,
     torsion,

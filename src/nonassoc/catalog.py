@@ -21,14 +21,14 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product as iter_product
 
 from .lincomb import add_into
-from .maps import (
-    FormalLoop, FormalMap, IdentityVerdict, MonoTuple, _compare_maps, _json_field, _json_items, compose,
-)
+from .maps import FormalLoop, FormalMap, IdentityVerdict, MonoTuple, _compare_maps, compose
 from .scalars import (
     ONE,
     ZERO,
     SparseVector,
     Vector,
+    _json_field,
+    _json_items,
     basis_vector,
     exact_terms,
     format_rational,

@@ -17,8 +17,10 @@ Each value is put in that form once, as its cache stores it (`_at`,
 connection of an integral loop, and every field built on it, computes on
 ints.  The public API stays dense: `at`, `star`, `inv_star`, `star_vec`,
 `inv_star_vec`, `table`, `inverse_table` and `ms_brackets` return
-length-`dim` Fraction tuples (`scalars.to_dense`), and the public
-constructors take functions returning them.
+length-`dim` Fraction tuples (`scalars.to_dense`).  The constructors of
+`FormalVectorField` and `FlatConnection` take functions returning sparse
+vectors, which are never mutated; dense input comes in through their
+`from_table`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Sequence
 
 from .lincomb import add_into
 from .maps import FormalLoop
-from .scalars import ZERO, SparseVector, Vector, exact, exact_terms, rat, to_dense, to_sparse
+from .scalars import SparseVector, Vector, exact, exact_terms, rat, to_dense, to_sparse
 from .su_ops import basis_bracket_table
 from .symalg import (
     Monomial,
@@ -58,25 +60,19 @@ class FormalVectorField:
     Derived fields (brackets, covariant derivatives) are defined by their
     formulas and evaluated on demand with caching; fields built from an
     explicit table must be total and reject anything partial up front.
+    `fn` returns sparse vectors that are never mutated.
     """
 
-    def __init__(self, dim: int, max_degree: int, fn: Callable[[Monomial], Vector]):
+    def __init__(self, dim: int, max_degree: int, fn: Callable[[Monomial], SparseVector]):
         if max_degree < 0:
             raise ValueError("vector field degree bound must be >= 0")
         self.dim = dim
         self.max_degree = max_degree
-        self._fn = lambda mono: to_sparse(dim, fn(mono))
+        self._fn = fn
         self._cache: dict[Monomial, SparseVector] = {}
         self._pulled_cache: dict[tuple[FlatConnection, Monomial], SparseVector] = {}
         # (conn, v) when this is the field mu -> mu * v of `adapted_field`
         self._adapted: tuple[FlatConnection, SparseVector] | None = None
-
-    @classmethod
-    def _of_sparse(cls, dim: int, max_degree: int, fn: Callable) -> "FormalVectorField":
-        """Trusted constructor: `fn` returns sparse vectors that are never mutated."""
-        field = cls(dim, max_degree, fn)
-        field._fn = fn
-        return field
 
     @classmethod
     def from_table(cls, dim: int, max_degree: int, table: dict[Monomial, Vector]) -> "FormalVectorField":
@@ -84,7 +80,7 @@ class FormalVectorField:
         for mono in monomials_up_to(dim, max_degree):
             if mono not in data:
                 raise ValueError(f"partial table: no value at monomial {mono}")
-        return cls._of_sparse(dim, max_degree, data.__getitem__)
+        return cls(dim, max_degree, data.__getitem__)
 
     def at(self, mono: Monomial) -> Vector:
         return to_dense(self.dim, self._at(tuple(mono)))
@@ -106,16 +102,16 @@ class FormalVectorField:
     def __add__(self, other: "FormalVectorField") -> "FormalVectorField":
         self._compatible(other)
         bound = min(self.max_degree, other.max_degree)
-        return self._of_sparse(self.dim, bound, lambda m: add_into(dict(self._at(m)), other._at(m)))
+        return FormalVectorField(self.dim, bound, lambda m: add_into(dict(self._at(m)), other._at(m)))
 
     def __sub__(self, other: "FormalVectorField") -> "FormalVectorField":
         self._compatible(other)
         bound = min(self.max_degree, other.max_degree)
-        return self._of_sparse(self.dim, bound, lambda m: add_into(dict(self._at(m)), other._at(m), -1))
+        return FormalVectorField(self.dim, bound, lambda m: add_into(dict(self._at(m)), other._at(m), -1))
 
     def scale(self, c: Fraction) -> "FormalVectorField":
         c = exact(rat(c))
-        return self._of_sparse(self.dim, self.max_degree, lambda m: add_into({}, self._at(m), c))
+        return FormalVectorField(self.dim, self.max_degree, lambda m: add_into({}, self._at(m), c))
 
     def _compatible(self, other: "FormalVectorField") -> None:
         if self.dim != other.dim:
@@ -125,36 +121,21 @@ class FormalVectorField:
         return f"FormalVectorField(dim={self.dim}, max_degree={self.max_degree})"
 
 
-class FormalFunction:
-    """An element of the graded dual, as a finite coefficient table (0 elsewhere)."""
-
-    def __init__(self, dim: int, table: dict[Monomial, Fraction]):
-        self.dim = dim
-        self.table = {tuple(m): rat(c) for m, c in table.items()}
-
-    def at(self, mono: Monomial) -> Fraction:
-        return self.table.get(tuple(mono), Fraction(0))
-
-
 class FlatConnection:
-    """A linear map k[V] (x) V -> V whose restriction to 1 (x) V is the identity."""
+    """A linear map k[V] (x) V -> V whose restriction to 1 (x) V is the identity.
 
-    def __init__(self, dim: int, max_degree: int, star_fn: Callable[[Monomial, int], Vector]):
+    `star_fn(mono, j)` returns the sparse vector mono * e_j, never mutated.
+    """
+
+    def __init__(self, dim: int, max_degree: int, star_fn: Callable[[Monomial, int], SparseVector]):
         self.dim = dim
         self.max_degree = max_degree  # bound on the k[V] argument
-        self._fn = lambda mono, j: to_sparse(dim, star_fn(mono, j))
+        self._fn = star_fn
         self._star_cache: dict[tuple[Monomial, int], SparseVector] = {}
         self._inv_cache: dict[tuple[Monomial, int], SparseVector] = {}
         for j in range(dim):
             if self._star(unit_monomial(dim), j) != {j: 1}:
                 raise ValueError("a flat connection restricts to the identity on 1 (x) V")
-
-    @classmethod
-    def _of_sparse(cls, dim: int, max_degree: int, fn: Callable) -> "FlatConnection":
-        """Trusted constructor: `fn` returns sparse vectors that are never mutated."""
-        conn = cls(dim, max_degree, lambda mono, j: to_dense(dim, fn(mono, j)))
-        conn._fn = fn
-        return conn
 
     @classmethod
     def from_table(cls, dim: int, max_degree: int, table: dict[tuple[Monomial, int], Vector]) -> "FlatConnection":
@@ -163,7 +144,7 @@ class FlatConnection:
             for j in range(dim):
                 if (mono, j) not in data:
                     raise ValueError(f"partial table: no value at ({mono}, {j})")
-        return cls._of_sparse(dim, max_degree, lambda mono, j: data[(mono, j)])
+        return cls(dim, max_degree, lambda mono, j: data[(mono, j)])
 
     def star(self, mono: Monomial, j: int) -> Vector:
         return to_dense(self.dim, self._star(tuple(mono), j))
@@ -228,16 +209,14 @@ def connection_from_loop(loop: FormalLoop) -> FlatConnection:
         def star_fn(mono: Monomial, j: int) -> SparseVector:
             return loop._value((mono, basis_monomial(loop.dim, j)))
 
-        loop._canonical_connection = FlatConnection._of_sparse(loop.dim, loop.N - 1, star_fn)
+        loop._canonical_connection = FlatConnection(loop.dim, loop.N - 1, star_fn)
     return loop._canonical_connection
 
 
 def adapted_field(conn: FlatConnection, v: Vector) -> FormalVectorField:
     """The field adapted to a tangent vector: mu -> mu * v."""
     v = exact_terms(to_sparse(conn.dim, v))
-    field = FormalVectorField._of_sparse(
-        conn.dim, conn.max_degree, lambda mono: _on_vector(conn._star, mono, v)
-    )
+    field = FormalVectorField(conn.dim, conn.max_degree, lambda mono: _on_vector(conn._star, mono, v))
     field._adapted = (conn, v)
     return field
 
@@ -255,35 +234,9 @@ def vf_bracket(a: FormalVectorField, b: FormalVectorField) -> FormalVectorField:
     """[A, B](mu) = sum B(mu_(1) A(mu_(2))) - A(mu_(1) B(mu_(2)))."""
     a._compatible(b)
     bound = min(a.max_degree, b.max_degree) - 1
-    return FormalVectorField._of_sparse(
+    return FormalVectorField(
         a.dim, bound, lambda mono: add_into(_b_after_a(a, b, mono), _b_after_a(b, a, mono), -1)
     )
-
-
-def function_times_field(f: FormalFunction, a: FormalVectorField) -> FormalVectorField:
-    """(fA)(mu) = sum f(mu_(1)) A(mu_(2)); the module structure on fields."""
-
-    def fn(mono: Monomial) -> SparseVector:
-        out: SparseVector = {}
-        for m1, m2, coeff in monomial_splits(mono):
-            weight = f.at(m1)
-            if weight:
-                add_into(out, a._at(m2), coeff * weight)
-        return out
-
-    return FormalVectorField._of_sparse(a.dim, a.max_degree, fn)
-
-
-def field_applied_to_function(a: FormalVectorField, f: FormalFunction) -> FormalFunction:
-    """A(f)(mu) = sum f(mu_(1) A(mu_(2))); the derivation action on functions."""
-    table: dict[Monomial, Fraction] = {}
-    for mono in monomials_up_to(a.dim, a.max_degree):
-        value = ZERO
-        for m1, m2, coeff in monomial_splits(mono):
-            for i, c in a._at(m2).items():
-                value += coeff * c * f.at(_times_basis(m1, i))
-        table[mono] = value
-    return FormalFunction(a.dim, table)
 
 
 def _pulled(conn: FlatConnection, b: FormalVectorField, mono: Monomial) -> SparseVector:
@@ -327,7 +280,7 @@ def covariant_derivative(
                     add_into(out, _on_vector(conn._star, _times_basis(m1, i), pulled), -c0 * c1 * c)
         return out
 
-    return FormalVectorField._of_sparse(a.dim, bound, fn)
+    return FormalVectorField(a.dim, bound, fn)
 
 
 def torsion(conn: FlatConnection, a: FormalVectorField, b: FormalVectorField) -> FormalVectorField:

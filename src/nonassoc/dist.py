@@ -18,6 +18,12 @@ runs on ints.  Every value that leaves the public API
 (`DistBialgebra.product` and `divide`, the `DistSUOps` results,
 `LinearizedEvaluator.on_monomials` and `on_elements`) has ``Fraction``
 coefficients again (`scalars.as_fractions`).
+
+Those public operations are exact within the truncation and raise
+ValueError beyond it: `product` and `divide` when the degrees of their
+arguments sum past N, and the `DistSUOps` operations when their degree
+does (m + n + 1 for p, m + 2 for a bracket, m + n for a multioperator, on
+m and n primitive arguments).
 """
 
 from __future__ import annotations
@@ -59,6 +65,11 @@ def _letter_shifts(mono: Monomial, N: int) -> tuple[Monomial, ...] | None:
     if monomial_degree(mono) >= N:
         return None
     return tuple(mono[:j] + (mono[j] + 1,) + mono[j + 1 :] for j in range(len(mono)))
+
+
+def _check_degree(operation: str, degree: int, N: int) -> None:
+    if degree > N:
+        raise ValueError(f"{operation} of degree {degree} beyond the truncation {N}")
 
 
 def _fractions(elem: SymElement) -> SymElement:
@@ -188,18 +199,20 @@ class DistBialgebra:
         return su_ops.rdiv_on_keys(self, m1, m2)
 
     # -- bilinear extensions ------------------------------------------------------
-    def _check_elem(self, a: SymElement) -> None:
-        if a.dim != self.dim:
-            raise ValueError(f"element dimension {a.dim} does not match bialgebra {self.dim}")
+    def _check_pair(self, operation: str, a: SymElement, b: SymElement) -> None:
+        """Both elements are in k[V] and their degrees sum to at most N; above N the truncated
+        result would silently lose terms."""
+        for x in (a, b):
+            if x.dim != self.dim:
+                raise ValueError(f"element dimension {x.dim} does not match bialgebra {self.dim}")
+        _check_degree(operation, a.max_degree() + b.max_degree(), self.N)
 
     def product(self, a: SymElement, b: SymElement) -> SymElement:
-        self._check_elem(a)
-        self._check_elem(b)
+        self._check_pair("product", a, b)
         return _fractions(self.mul(a, b))
 
     def divide(self, a: SymElement, b: SymElement, side: str) -> SymElement:
-        self._check_elem(a)
-        self._check_elem(b)
+        self._check_pair("division", a, b)
         return _fractions(su_ops.divide(self, a, b, side))
 
     # -- element helpers ----------------------------------------------------------
@@ -208,9 +221,6 @@ class DistBialgebra:
 
     def basis(self, index: int) -> SymElement:
         return SymElement.basis(self.dim, index)
-
-    def element(self, value: SymElement) -> "DistElement":
-        return DistElement(self, value)
 
     # -- the su_ops contract ------------------------------------------------------
     key_degree = staticmethod(monomial_degree)
@@ -304,12 +314,14 @@ class DistSUOps:
         return SymElement.of_terms(x.dim, exact_terms(x.terms))
 
     def p(self, xs: Sequence, ys: Sequence, z) -> DistElement:
+        _check_degree("p", len(xs) + len(ys) + 1, self.bialgebra.N)
         value = su_ops.p_operation(
             self.bialgebra, [self._coerce(x) for x in xs], [self._coerce(y) for y in ys], self._coerce(z)
         )
         return DistElement(self.bialgebra, _fractions(value))
 
     def bracket(self, xs: Sequence, y, z) -> DistElement:
+        _check_degree("bracket", len(xs) + 2, self.bialgebra.N)
         value = su_ops.bracket(
             self.bialgebra, [self._coerce(x) for x in xs], self._coerce(y), self._coerce(z)
         )
@@ -323,6 +335,7 @@ class DistSUOps:
         return value.primitive_part()
 
     def multioperator(self, xs: Sequence, ys: Sequence) -> DistElement:
+        _check_degree("multioperator", len(xs) + len(ys), self.bialgebra.N)
         value = su_ops.multioperator(
             self.bialgebra, [self._coerce(x) for x in xs], [self._coerce(y) for y in ys]
         )
@@ -721,11 +734,11 @@ class _PsiBuilder:
     only after psi gains a block.
     """
 
-    def __init__(self, bialgebra: DistBialgebra, phi: Callable[[Monomial, Monomial], SparseVector | None]):
+    def __init__(self, bialgebra: DistBialgebra, tables: dict[tuple[Monomial, Monomial], SparseVector]):
         if bialgebra.loop is None:
             raise ValueError("installing a multioperator needs the bialgebra of a loop")
         self.B = bialgebra
-        self.phi = phi
+        self.tables = tables
 
     def psi(self) -> SimilarityMap:
         loop = self.B.loop
@@ -743,7 +756,7 @@ class _PsiBuilder:
                 for mx in monomials(dim, i):
                     for my in monomials(dim, n - i):
                         value = to_sparse(dim, ops.multioperator_mono(mx, my))
-                        add_into(value, self.phi(mx, my) or {}, -1)
+                        add_into(value, self.tables.get((mx, my), {}), -1)
                         if value:
                             block[(mx, my)] = value
                 if block:
@@ -793,7 +806,7 @@ def make_similar_product(
         if monomial_degree(mx) + monomial_degree(my) > N:
             raise ValueError(f"multioperator key {(mx, my)} beyond the truncation {N}")
         tables[(mx, my)] = to_sparse(dim, value)
-    psi = _PsiBuilder(bialgebra, lambda mx, my: tables.get((mx, my))).psi()
+    psi = _PsiBuilder(bialgebra, tables).psi()
     return DistBialgebra.from_loop(_similar_loop(bialgebra.loop, psi))
 
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import su_ops
 from .lincomb import LinComb, add_into
-from .scalars import ONE, ZERO, format_rational, parse_rational, rat
+from .scalars import ONE, ZERO, _json_field, _json_items, format_rational, parse_rational, rat
 from .trees import PlaneTree, enumerate_trees, tree_stats
 
 # A monomial is None (the unit), an int (generator index), or a pair of
@@ -144,9 +144,6 @@ class FreeAlgebra:
 
     def gens(self) -> tuple["FAElement", ...]:
         return tuple(self.gen(i) for i in range(len(self.names)))
-
-    def element(self, terms: dict[FAMonomial, int | str | Fraction]) -> "FAElement":
-        return FAElement(self, {m: rat(c) for m, c in terms.items()})
 
     # -- structural maps on monomials -----------------------------------------
     def mono_coproduct(self, mono: FAMonomial) -> tuple[tuple[FAMonomial, FAMonomial, Fraction], ...]:
@@ -274,14 +271,6 @@ class FAElement(LinComb):
         return self.coproduct() == expected
 
     # -- misc ---------------------------------------------------------------------
-    def associative_collapse(self) -> dict[tuple[int, ...], Fraction]:
-        """Image in the polynomial ring obtained by forgetting the tree shapes."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        ngens = len(self.alg.names)
-        for mono, coeff in self.terms.items():
-            add_into(out, {mono_letter_counts(mono, ngens): coeff})
-        return out
-
     def sorted_terms(self) -> list[tuple[FAMonomial, Fraction]]:
         return sorted(
             self.terms.items(), key=lambda mc: mono_sort_key(mc[0], self.alg.names)
@@ -323,11 +312,13 @@ class FAElement(LinComb):
         ]
 
     @classmethod
-    def from_json(cls, alg: FreeAlgebra, data: Iterable[dict]) -> "FAElement":
+    def from_json(cls, alg: FreeAlgebra, data: list[dict]) -> "FAElement":
+        """The element written by `to_json`; raises ValueError naming a missing or mistyped field."""
         terms: dict[FAMonomial, Fraction] = {}
-        for item in data:
-            mono = parse_fa_monomial(item["monomial"], alg.names)
-            add_into(terms, {mono: parse_rational(item["coeff"])})
+        for item in _json_items(data, dict, "a free-algebra element"):
+            mono = parse_fa_monomial(_json_field(item, "monomial", str, "a term"), alg.names)
+            coeff = parse_rational(_json_field(item, "coeff", (str, int), "a term"))
+            add_into(terms, {mono: coeff})
         return cls(alg, terms)
 
 

@@ -7,7 +7,7 @@ multidegree (i1, ..., in) is a table sending each tuple of exponent-vector
 monomials (of those degrees) to a vector; the value at a monomial tuple is
 the value of the map on the corresponding product of derivative operators.
 The series view (coefficients of the associated power series) differs by
-the product of the exponent factorials, and a codec for it is provided.
+the product of the exponent factorials; `from_json` reads either view.
 
 Stored values are sparse vectors (`scalars`), shared between maps and never
 mutated; a table holds no zero vector and no table is empty.  Constructor
@@ -34,6 +34,8 @@ from .scalars import (
     ONE,
     SparseVector,
     Vector,
+    _json_field,
+    _json_items,
     format_rational,
     parse_rational,
     rat,
@@ -51,10 +53,7 @@ from .symalg import (
     sym_dim,
     unit_monomial,
 )
-from .freealg import (
-    FAElement, FreeAlgebra, fa_associator, fa_commutator, fa_exp, fa_loop_divide,
-    mono_degree, mono_letter_counts, p_operation,
-)
+from .freealg import FAElement, FreeAlgebra, fa_exp, fa_loop_divide, mono_degree, mono_letter_counts
 from .lincomb import add_into
 from .words import Identity, LDiv, LoopWord, Mul, RDiv, Unit, Var, parse_identity
 
@@ -123,38 +122,6 @@ def _identity_block(dims: Sequence[int], slot: int) -> dict[MonoTuple, SparseVec
         tuple(basis_monomial(dims[slot], j) if i == slot else u for i, u in enumerate(units)): {j: ONE}
         for j in range(dims[slot])
     }
-
-
-_JSON_TYPES = {int: "integer", str: "string", list: "array", dict: "object"}
-
-
-def _json_field(data, key: str, kind: type, what: str, default=None, items: type | None = None):
-    """`data[key]` of the JSON object `data`, or `default` when that is given and the key is absent.
-
-    Raises ValueError naming the field when `data` is not an object or the
-    field is missing or not of the JSON type `kind`, or, when `items` is
-    given, holds an element (a value, for an object) not of that JSON type.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-    if key not in data and default is None:
-        raise ValueError(f"{what} needs {'an' if key[0] in 'aeiou' else 'a'} {key!r} field")
-    value = data.get(key, default)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(
-            f"{what} field {key!r} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}"
-        )
-    if items is not None:
-        _json_items(value.values() if isinstance(value, dict) else value, items, f"{what} field {key!r}")
-    return value
-
-
-def _json_items(values, kind: type, what: str):
-    """`values`, after checking that each is of the JSON type `kind`; raises ValueError naming `what`."""
-    for value in values:
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ValueError(f"{what} must hold JSON {_JSON_TYPES[kind]}s, got {type(value).__name__}")
-    return values
 
 
 def tensor_monomials(dims: Sequence[int], multidegree: Multidegree) -> Iterator[MonoTuple]:
@@ -385,19 +352,17 @@ class FormalMap:
         return cls(dims, target_dim, max_degree, comps)
 
     # -- serialization ---------------------------------------------------------------------
-    def to_json(self, view: str = "distribution") -> dict:
-        if view not in ("distribution", "series"):
-            raise ValueError(f"unknown view {view!r}")
+    def to_json(self) -> dict:
+        """The map in the distribution view; `from_json` also reads the series view."""
         components = []
         for md in sorted(self.components, key=lambda m: (sum(m), m)):
             table = self.components[md]
             entries = []
             for monos in sorted(table):
-                value = self.value(monos) if view == "distribution" else self.series_value(monos)
                 entries.append(
                     {
                         "monomials": [list(m) for m in monos],
-                        "value": [format_rational(v) for v in value],
+                        "value": [format_rational(v) for v in self.value(monos)],
                     }
                 )
             components.append({"multidegree": list(md), "entries": entries})
@@ -405,7 +370,7 @@ class FormalMap:
             "dims": list(self.dims),
             "target_dim": self.target_dim,
             "N": self.N,
-            "view": view,
+            "view": "distribution",
             "components": components,
         }
 
@@ -927,41 +892,3 @@ def multioperator_ms(max_degree: int) -> MsMultioperator:
             raise InvariantError(f"unexpected multioperator component at bidegree {(i, j)}")
     return MsMultioperator(alg, phi, comps)
 
-
-def multioperator_printed_formula_match() -> dict[str, bool | str]:
-    """Compare the recursion's (2,3) component against the published formula.
-
-    The published expression contains an undeclared symbol v; this evaluates
-    both readings (v := alpha and v := beta) and also the v := beta reading
-    with the sign of the final quarternary term flipped, and reports which,
-    if any, reproduces the recursion.
-    """
-    ms = multioperator_ms(5)
-    alg = ms.algebra
-    alpha, beta = alg.gens()
-    actual = ms.component(2, 3)
-    abb = fa_associator(alpha, beta, beta)
-    head = (
-        fa_associator(alpha, beta, abb).scale(Fraction(-1, 12))
-        + fa_associator(alpha, abb, beta).scale(Fraction(1, 12))
-    )
-    p21 = p_operation([alpha, alpha], [beta], beta)
-    p22 = p_operation([alpha, alpha], [beta, beta], beta)
-
-    def candidate(v: FAElement, last_sign: int) -> FAElement:
-        return (
-            head
-            + fa_commutator(v, p21).scale(Fraction(-1, 24))
-            + p22.scale(Fraction(last_sign, 12))
-        )
-
-    readings = {
-        "v=alpha": candidate(alpha, -1),
-        "v=beta": candidate(beta, -1),
-        "v=beta, last term +1/12": candidate(beta, +1),
-        "v=alpha, last term +1/12": candidate(alpha, +1),
-    }
-    results: dict[str, bool | str] = {name: (expr == actual) for name, expr in readings.items()}
-    matches = [name for name, ok in results.items() if ok]
-    results["match"] = matches[0] if matches else "none"
-    return results

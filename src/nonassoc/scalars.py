@@ -11,7 +11,9 @@ an ``int`` can make a float), in the elements both bracket routes build
 leave the public API through `as_fractions`, the one conversion back to
 Fractions (`to_dense` uses it).  No coefficient is ever a float or a bool:
 `rat`, `exact` and `exact_div` raise ``TypeError`` on one.  Serialized
-scalars are decimal-free strings like ``-2/3`` or ``5``.
+scalars are decimal-free strings like ``-2/3`` or ``5``, and the JSON
+readers of the package take their fields through `_json_field` and
+`_json_items`, which raise ValueError naming a missing or mistyped field.
 
 Inside the package a vector is sparse: a dict {basis index: coefficient}
 that never stores a zero, combined with `lincomb.add_into`.  A stored
@@ -83,6 +85,44 @@ def parse_rational(value: str | int) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
         raise ValueError(f"not an exact rational: {value!r}; write it as a string such as \"1/10\"")
     return Fraction(value)
+
+
+_JSON_TYPES = {
+    int: "integer", str: "string", list: "array", dict: "object", (str, int): "string or integer",
+}
+
+
+def _json_field(data, key: str, kind: type | tuple, what: str, default=None, items: type | None = None):
+    """`data[key]` of the JSON object `data`, or `default` when that is given and the key is absent.
+
+    Raises ValueError naming the field when `data` is not an object or the
+    field is missing or not of the JSON type `kind`, or, when `items` is
+    given, holds an element (a value, for an object) not of that JSON type.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    if key not in data and default is None:
+        raise ValueError(f"{what} needs {'an' if key[0] in 'aeiou' else 'a'} {key!r} field")
+    value = data.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(
+            f"{what} field {key!r} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}"
+        )
+    if items is not None:
+        values = list(value.values()) if isinstance(value, dict) else value
+        _json_items(values, items, f"{what} field {key!r}")
+    return value
+
+
+def _json_items(values, kind: type, what: str):
+    """`values`, after checking that it is a JSON array whose elements are of the JSON type `kind`;
+    raises ValueError naming `what`."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a JSON array, got {type(values).__name__}")
+    for value in values:
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{what} must hold JSON {_JSON_TYPES[kind]}s, got {type(value).__name__}")
+    return values
 
 
 def to_sparse(dim: int, v: Vector) -> SparseVector:

@@ -22,7 +22,7 @@ from math import comb, factorial, prod
 from typing import Iterator, Sequence
 
 from .lincomb import LinComb, add_into
-from .scalars import ONE, ZERO, SparseVector, Vector, format_rational, parse_rational, rat
+from .scalars import ONE, ZERO, SparseVector, Vector, _json_field, format_rational, parse_rational, rat
 
 Monomial = tuple[int, ...]
 
@@ -144,10 +144,6 @@ class SymElement(LinComb):
         return cls.of_terms(dim, {basis_monomial(dim, index): ONE})
 
     @classmethod
-    def monomial(cls, exps: Sequence[int], coeff: int | str | Fraction = 1) -> "SymElement":
-        return cls(len(exps), {tuple(exps): rat(coeff)})
-
-    @classmethod
     def from_vector(cls, vec: Vector) -> "SymElement":
         dim = len(vec)
         return cls(dim, {basis_monomial(dim, i): c for i, c in enumerate(vec)})
@@ -230,10 +226,13 @@ class SymElement(LinComb):
 
     @classmethod
     def from_json(cls, data: dict) -> "SymElement":
+        """The element written by `to_json`; raises ValueError naming a missing or mistyped field."""
         terms = {
-            tuple(item["exps"]): parse_rational(item["coeff"]) for item in data["terms"]
+            tuple(_json_field(item, "exps", list, "a term", items=int)):
+                parse_rational(_json_field(item, "coeff", (str, int), "a term"))
+            for item in _json_field(data, "terms", list, "an element", items=dict)
         }
-        return cls(data["dim"], terms)
+        return cls(_json_field(data, "dim", int, "an element"), terms)
 
 
 class SymTensor(LinComb):

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from nonassoc import su_ops
 from nonassoc.catalog import builtin_loop
+from nonassoc.connection import FormalVectorField
 from nonassoc.dist import DistBialgebra
 from nonassoc.freealg import FAElement, FreeAlgebra, fa_exp, fa_loop_divide, mono_graft, mono_letter_counts
 from nonassoc.lincomb import add_into
 from nonassoc.maps import FormalMap, multidegree_of
-from nonassoc.scalars import ONE, basis_vector, to_dense, to_sparse, zero_vector
+from nonassoc.scalars import ONE, basis_vector, format_rational, to_dense, to_sparse, zero_vector
 from nonassoc.symalg import (
     SymElement, monomial_degree, monomial_letters, monomial_splits, monomials_up_to,
 )
@@ -366,6 +367,35 @@ def reference_pulled(conn, b, mono):
     return out
 
 
+# the module structure of vector fields over functions.  A function is an
+# element of the graded dual, a dict {monomial: coefficient}, 0 elsewhere; the
+# fields built from one come in through `FormalVectorField.from_table`
+
+
+def function_times_field(f, a):
+    """(fA)(mu) = sum f(mu_(1)) A(mu_(2)); the module structure on fields."""
+    table = {}
+    for mono in monomials_up_to(a.dim, a.max_degree):
+        value = zero_vector(a.dim)
+        for m1, m2, coeff in monomial_splits(mono):
+            if f.get(m1):
+                value = vec_add(value, vec_scale(coeff * f[m1], a.at(m2)))
+        table[mono] = value
+    return FormalVectorField.from_table(a.dim, a.max_degree, table)
+
+
+def field_applied_to_function(a, f):
+    """A(f)(mu) = sum f(mu_(1) A(mu_(2))); the derivation action on functions."""
+    table = {}
+    for mono in monomials_up_to(a.dim, a.max_degree):
+        value = Fraction(0)
+        for m1, m2, coeff in monomial_splits(mono):
+            for i, c in enumerate(a.at(m2)):
+                value += coeff * c * f.get(_times_basis(m1, i), 0)
+        table[mono] = value
+    return table
+
+
 # the free-algebra product as the literal double loop over term pairs, and the
 # logarithm as the whole-series fixed-point iteration, to compare with the
 # degree-graded `FAElement.__mul__` and `fa_exp_inverse`
@@ -420,6 +450,32 @@ def reference_multioperator_ms(max_degree):
             break
         phi = candidate
     return phi
+
+
+# the quotient of the free algebra by associativity and commutativity
+
+
+def associative_collapse(elem):
+    """The image of a free-algebra element in the polynomial ring: tree shapes forgotten."""
+    out = {}
+    for mono, coeff in elem.terms.items():
+        add_into(out, {mono_letter_counts(mono, len(elem.alg.names)): coeff})
+    return out
+
+
+# a formal map written in the series view, which `FormalMap.from_json` reads as
+# outside input: each value divided by the factorials of its exponents
+
+
+def series_json(fmap):
+    """`fmap.to_json()` with `"view": "series"` and every value `fmap.series_value`."""
+    data = fmap.to_json()
+    data["view"] = "series"
+    for comp in data["components"]:
+        for entry in comp["entries"]:
+            value = fmap.series_value(tuple(map(tuple, entry["monomials"])))
+            entry["value"] = [format_rational(c) for c in value]
+    return data
 
 
 # the flag checks as nested products of basis vectors through `AlgebraTable._mul`,

@@ -28,6 +28,7 @@ from nonassoc.catalog import (
 )
 from nonassoc.dist import (
     DistBialgebra,
+    DistElement,
     LinearizedEvaluator,
     _rank,
     brackets_invariance_check,
@@ -342,7 +343,7 @@ def test_su_ops_hand_the_engine_exact_coefficients(jordan_bialgebra_4):
         ((F(0), F(4, 2), "-1/3"), {(0, 1, 0): 2, (0, 0, 1): F(-1, 3)}),
         (basis_vector(3, 0), {(1, 0, 0): 1}),
         (half, {(1, 0, 0): F(1, 2)}),
-        (B.element(two), {(0, 1, 0): 2}),
+        (DistElement(B, two), {(0, 1, 0): 2}),
     ):
         coerced = ops._coerce(x)
         assert coerced.terms == terms and [type(c) for c in coerced.terms.values()] == [
@@ -447,7 +448,11 @@ def test_p_on_rational_combinations_matches_defining_sum(loop_name, request):
             xs = [vector() for _ in range(m)]
             ys = [vector() for _ in range(n)]
             z = vector()
-            assert ops.p(xs, ys, z).value == p_reference(B, xs, ys, z)
+            if m + n + 1 > B.N:
+                with pytest.raises(ValueError, match=f"p of degree {m + n + 1} beyond the truncation {B.N}"):
+                    ops.p(xs, ys, z)
+            else:
+                assert ops.p(xs, ys, z).value == p_reference(B, xs, ys, z)
 
 
 def test_p_requires_primitive_arguments(jordan_bialgebra_4):
@@ -471,15 +476,59 @@ def test_bracket_antisymmetry_and_multioperator_symmetry(jordan_bialgebra_4):
 
 def test_dist_element_wrapper(jordan_bialgebra_4, octonion_bialgebra_4):
     B = jordan_bialgebra_4
-    mu = B.element(B.basis(0))
-    nu = B.element(B.basis(1))
+    mu = DistElement(B, B.basis(0))
+    nu = DistElement(B, B.basis(1))
     assert (mu * nu).value == B.product(mu.value, nu.value)
-    assert B.element(B.one()).ldiv(nu).value == nu.value
-    assert nu.rdiv(B.element(B.one())).value == nu.value
+    assert DistElement(B, B.one()).ldiv(nu).value == nu.value
+    assert nu.rdiv(DistElement(B, B.one())).value == nu.value
     assert mu.is_primitive() and not (mu * mu).is_primitive()
-    other = octonion_bialgebra_4.element(octonion_bialgebra_4.basis(0))
+    other = DistElement(octonion_bialgebra_4, octonion_bialgebra_4.basis(0))
     with pytest.raises(ValueError):
         mu * other
+
+
+@pytest.fixture(scope="module")
+def nonlinear_bialgebra_3():
+    return DistBialgebra.from_loop(builtin_loop("nonlinear-f-loop", 3))
+
+
+_e1, _e2 = SymElement.basis(2, 0), SymElement.basis(2, 1)
+_e1e2 = SymElement(2, {(1, 1): F(1)})
+
+# each public operation at degree N = 3, where it answers, and at degree 4, where it raises
+ABOVE_N = {
+    "product": (lambda B, ops: B.product(_e1, _e1), lambda B, ops: B.product(_e1e2, _e1e2), "product"),
+    "divide": (lambda B, ops: B.divide(_e1e2, _e1, "left"), lambda B, ops: B.divide(_e1e2, _e1e2, "right"),
+               "division"),
+    "p": (lambda B, ops: ops.p([_e1], [_e1], _e2), lambda B, ops: ops.p([_e1, _e1], [_e1], _e2), "p"),
+    "bracket": (lambda B, ops: ops.bracket([_e1], _e1, _e2), lambda B, ops: ops.bracket([_e1, _e1], _e1, _e2),
+                "bracket"),
+    "bracket_vector": (lambda B, ops: ops.bracket_vector([_e1], _e1, _e2),
+                       lambda B, ops: ops.bracket_vector([_e1, _e2], _e1, _e2), "bracket"),
+    "multioperator": (lambda B, ops: ops.multioperator([_e1], [_e1, _e2]),
+                      lambda B, ops: ops.multioperator([_e1, _e2], [_e1, _e2]), "multioperator"),
+    "multioperator_mono": (lambda B, ops: ops.multioperator_mono((1, 0), (1, 1)),
+                           lambda B, ops: ops.multioperator_mono((1, 1), (0, 2)), "multioperator"),
+}
+
+
+@pytest.mark.parametrize("name", ABOVE_N)
+def test_operations_raise_above_the_truncation(nonlinear_bialgebra_3, name):
+    within, above, operation = ABOVE_N[name]
+    B = nonlinear_bialgebra_3
+    ops = dist_su_ops(B)
+    within(B, ops)
+    with pytest.raises(ValueError, match=f"{operation} of degree 4 beyond the truncation 3"):
+        above(B, ops)
+
+
+def test_product_above_the_truncation_is_refused_not_truncated():
+    # at N=2 the truncated product(e1, e1e2) reads 0; within degree 2 the truth is -e1
+    B = DistBialgebra.from_loop(builtin_loop("nonlinear-f-loop", 2))
+    with pytest.raises(ValueError, match="product of degree 3 beyond the truncation 2"):
+        B.product(_e1, _e1e2)
+    wide = DistBialgebra.from_loop(builtin_loop("nonlinear-f-loop", 4))
+    assert wide.product(_e1, _e1e2).truncate(2) == _e1.scale(-1)
 
 
 # -- linearized identities ---------------------------------------------------------------
@@ -716,7 +765,7 @@ def test_psi_is_counit_tensor_identity_on_primitives(jordan_bialgebra_4):
             else:
                 assert value.is_zero()
     # the graded solve: psi is y on 1 (x) V and has no block of y-degree 1
-    psi = dist._PsiBuilder(jordan_bialgebra_4, lambda mx, my: None).psi()
+    psi = dist._PsiBuilder(jordan_bialgebra_4, {}).psi()
     assert psi.components[(0, 1)] == FormalMap.slot_projection((3, 3), 1, 4).components[(0, 1)]
     assert not [md for md in psi.components if md[1] == 1 and md[0] >= 1]
     assert len(psi.components) > 1  # zero tables need a nontrivial psi on this loop

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NO_SHRINK, rationals, reference_exp_inverse, reference_fa_product
+from conftest import NO_SHRINK, associative_collapse, rationals, reference_exp_inverse, reference_fa_product
 from nonassoc.freealg import (
     FAElement,
     FATensor,
@@ -184,7 +184,7 @@ def test_p_on_generators_is_associator(alg):
 def test_p_collapses_in_associative_quotient(alg):
     x, y, z = alg.gens()
     value = p_operation([x, y], [z], x)
-    assert value.associative_collapse() == {}
+    assert associative_collapse(value) == {}
 
 
 def p_oracle(alg, xs, ys, z):
@@ -383,7 +383,7 @@ def test_graded_exp_inverse_matches_the_fixed_point_iteration(data, alg):
 def test_constructors_reject_malformed_monomials(mono):
     alg = FreeAlgebra(("x", "y"), 3)
     with pytest.raises(ValueError):
-        alg.element({mono: 1})
+        FAElement(alg, {mono: 1})
     with pytest.raises(ValueError):
         FAElement(alg, {mono: F(1)})
     with pytest.raises(ValueError):
@@ -395,7 +395,7 @@ def test_constructors_reject_malformed_monomials(mono):
 def test_constructors_accept_well_formed_monomials():
     alg = FreeAlgebra(("x", "y"), 3)
     x, y = alg.gens()
-    elem = alg.element({None: 2, 1: 1, (0, 1): "1/2", ((1, 1), 0): -1, ((0, 0), (0, 0)): 5})
+    elem = FAElement(alg, {None: 2, 1: 1, (0, 1): "1/2", ((1, 1), 0): -1, ((0, 0), (0, 0)): 5})
     assert elem == alg.one().scale(2) + y + (x * y).scale(F(1, 2)) - (y * y) * x
     assert FAElement.from_json(alg, elem.to_json()) == elem
     assert FATensor(alg, {(None, (0, 1)): F(1)}) == FATensor.of(alg.one(), x * y)
@@ -405,6 +405,24 @@ def test_from_json_rejects_a_unit_inside_a_pair():
     alg = FreeAlgebra(("x", "y"), 3)
     with pytest.raises(ValueError):
         FAElement.from_json(alg, [{"monomial": "(1 x)", "coeff": "1"}])
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"monomial": "x", "coeff": "1"}, "a free-algebra element must be a JSON array, got dict"),
+        ("x", "a free-algebra element must be a JSON array, got str"),
+        ([["x", "1"]], "a free-algebra element must hold JSON objects, got list"),
+        ([{"monomial": "x"}], "a term needs a 'coeff' field"),
+        ([{"coeff": "1"}], "a term needs a 'monomial' field"),
+        ([{"monomial": 0, "coeff": "1"}], "a term field 'monomial' must be a JSON string, got int"),
+        ([{"monomial": "x", "coeff": 0.5}], "a term field 'coeff' must be a JSON string or integer, got float"),
+        ([{"monomial": "x", "coeff": True}], "a term field 'coeff' must be a JSON string or integer, got bool"),
+    ],
+)
+def test_from_json_names_a_missing_or_mistyped_field(data, message):
+    with pytest.raises(ValueError, match=message):
+        FAElement.from_json(FreeAlgebra(("x", "y"), 3), data)
 
 
 def test_log_inversion_agreement_and_exp_round_trip():
@@ -417,7 +435,7 @@ def test_log_inversion_agreement_and_exp_round_trip():
 
 
 def test_log_associative_collapse():
-    collapsed = fa_log(7).associative_collapse()
+    collapsed = associative_collapse(fa_log(7))
     for n in range(1, 8):
         assert collapsed[(n,)] == F((-1) ** (n + 1), n)
 

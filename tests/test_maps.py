@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from conftest import NO_SHRINK, plane_structure_constants, reference_compose, reference_multioperator_ms
+from conftest import (
+    NO_SHRINK, plane_structure_constants, reference_compose, reference_multioperator_ms, series_json,
+)
 from nonassoc import maps
 from nonassoc.catalog import (
     AlgebraTable,
@@ -35,7 +37,6 @@ from nonassoc.maps import (
     eval_word,
     loop_division,
     multioperator_ms,
-    multioperator_printed_formula_match,
     prolong,
     right_alt_modify,
     similarity_between,
@@ -398,9 +399,20 @@ def test_multioperator_ms_differs_from_symmetrized():
 
 
 def test_multioperator_printed_formula_readings():
-    results = multioperator_printed_formula_match()
-    assert results["match"] == "v=beta"
-    assert results["v=alpha"] is False
+    # the printed (2, 3) component leaves v undeclared: of v = alpha or beta, with the last
+    # term -1/12 as printed or +1/12, only v = beta as printed is the recursion's component
+    ms = multioperator_ms(5)
+    alpha, beta = ms.algebra.gens()
+    abb = fa_associator(alpha, beta, beta)
+    head = fa_associator(alpha, beta, abb).scale(F(-1, 12)) + fa_associator(alpha, abb, beta).scale(F(1, 12))
+    p21 = p_operation([alpha, alpha], [beta], beta)
+    p22 = p_operation([alpha, alpha], [beta, beta], beta)
+    readings = {
+        (name, last): head + fa_commutator(v, p21).scale(F(-1, 24)) + p22.scale(F(last, 12))
+        for name, v in (("alpha", alpha), ("beta", beta))
+        for last in (-1, 1)
+    }
+    assert [key for key, expr in readings.items() if expr == ms.component(2, 3)] == [("beta", -1)]
 
 
 def test_multioperator_bidegree_bounds():
@@ -492,13 +504,16 @@ def test_memory_cap():
         del os.environ["NONASSOC_MEMORY_CAP"]
 
 
-def test_loop_json_round_trip(jordan_loop_4):
+def test_loop_json_round_trip(jordan_loop_4, fxy):
     data = jordan_loop_4.to_json()
+    assert data["view"] == "distribution"
     rebuilt = FormalLoop.from_map(FormalMap.from_json(data))
     assert rebuilt == FormalLoop.from_map(jordan_loop_4)
-    series = jordan_loop_4.to_json(view="series")
-    rebuilt_series = FormalLoop.from_map(FormalMap.from_json(series))
-    assert rebuilt_series.components == jordan_loop_4.components
+    # the series view, read as outside input; x_squared_y and the division of F = x + y + xy
+    # have exponents above 1, where the two views differ
+    for fmap in (jordan_loop_4, x_squared_y_loop(4), fxy.division("left")):
+        rebuilt_series = FormalMap.from_json(series_json(fmap))
+        assert rebuilt_series.components == fmap.components
     text = json.dumps(data, sort_keys=True)
     assert json.dumps(FormalMap.from_json(json.loads(text)).to_json(), sort_keys=True) == json.dumps(
         data, sort_keys=True
@@ -574,7 +589,7 @@ def test_sparse_values_inside_dense_values_outside(fxy):
         loop.scale(F(-2, 3)),
         modification.modified,
         modification.similarity,
-        FormalMap.from_json(loop.to_json(view="series")),
+        FormalMap.from_json(series_json(loop)),
         fxy.division("left"),
     ]
     for fmap in maps:
@@ -584,7 +599,7 @@ def test_sparse_values_inside_dense_values_outside(fxy):
             _assert_dense(value, fmap.target_dim)
             assert fmap.value(monos) == value
             _assert_dense(fmap.series_value(monos), fmap.target_dim)
-        for comp in fmap.to_json(view="series")["components"]:
+        for comp in series_json(fmap)["components"]:
             assert all(len(e["value"]) == fmap.target_dim for e in comp["entries"])
     absent = ((0, 0, 0), (4, 0, 0))
     assert loop.value(absent) == (F(0),) * 3 and loop.series_value(absent) == (F(0),) * 3

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from nonassoc.catalog import builtin_loop
-from nonassoc.connection import FlatConnection, FormalFunction, FormalVectorField, ms_brackets
+from nonassoc.connection import FlatConnection, FormalVectorField, ms_brackets
 from nonassoc.maps import FormalMap
 from nonassoc.scalars import exact, exact_div, format_rational, parse_rational, rat, to_sparse
 from nonassoc.symalg import SymElement
@@ -70,7 +70,8 @@ FLOAT_ENTRIES = {
     "FormalMap.from_series": lambda: FormalMap.from_series((1,), 1, 2, {((1,),): (0.1,)}),
     "FormalVectorField.from_table": lambda: FormalVectorField.from_table(1, 0, {(0,): (0.5,)}),
     "FormalVectorField.scale": lambda: FormalVectorField.from_table(1, 0, {(0,): (1,)}).scale(0.5),
-    "FormalFunction": lambda: FormalFunction(1, {(1,): 0.5}),
+    "FormalVectorField": lambda: FormalVectorField(1, 0, lambda mono: {0: 0.5}).at((0,)),
+    "FlatConnection": lambda: FlatConnection(1, 0, lambda mono, j: {0: 1.0}),
     "FlatConnection.from_table": lambda: FlatConnection.from_table(1, 0, {((0,), 0): (1.0,)}),
     "ms_brackets": lambda: ms_brackets(builtin_loop("jordan-k3-loop", 3), [], (0.5, 0, 0), (0, 1, 0)),
 }

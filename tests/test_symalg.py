@@ -175,6 +175,28 @@ def test_json_round_trip():
     assert all(isinstance(item["coeff"], str) for item in data["terms"])
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "an element must be a JSON object, got list"),
+        ({"dim": 2}, "an element needs a 'terms' field"),
+        ({"terms": []}, "an element needs a 'dim' field"),
+        ({"dim": "2", "terms": []}, "an element field 'dim' must be a JSON integer, got str"),
+        ({"dim": 2, "terms": {}}, "an element field 'terms' must be a JSON array, got dict"),
+        ({"dim": 2, "terms": [[1, 0]]}, "an element field 'terms' must hold JSON objects, got list"),
+        ({"dim": 2, "terms": [{"coeff": "1"}]}, "a term needs an 'exps' field"),
+        ({"dim": 2, "terms": [{"exps": [1, 0]}]}, "a term needs a 'coeff' field"),
+        ({"dim": 2, "terms": [{"exps": "10", "coeff": "1"}]}, "a term field 'exps' must be a JSON array, got str"),
+        ({"dim": 2, "terms": [{"exps": [1, "0"], "coeff": "1"}]}, "a term field 'exps' must hold JSON integers"),
+        ({"dim": 2, "terms": [{"exps": [1, 0], "coeff": 0.5}]},
+         "a term field 'coeff' must be a JSON string or integer, got float"),
+    ],
+)
+def test_from_json_names_a_missing_or_mistyped_field(data, message):
+    with pytest.raises(ValueError, match=message):
+        SymElement.from_json(data)
+
+
 def test_monomial_splits_weights():
     splits = dict(((a, b), c) for a, b, c in monomial_splits((2, 1)))
     assert splits[((1, 0), (1, 1))] == 2
