@@ -303,15 +303,20 @@ class DistSUOps:
         self.bialgebra = bialgebra
 
     def _coerce(self, x) -> SymElement:
-        """x, a distribution, an element or a vector, with the kernel's exact coefficients."""
+        """x, a distribution, an element or a vector, with the kernel's exact coefficients.
+
+        An element or a vector must have the bialgebra's dimension; otherwise ValueError.
+        """
+        dim = self.bialgebra.dim
         if isinstance(x, DistElement):
             if x.bialgebra is not self.bialgebra:
                 raise ValueError("distribution from a different bialgebra")
             x = x.value
         elif not isinstance(x, SymElement):
-            dim = len(x)
             return SymElement.from_sparse(dim, exact_terms(to_sparse(dim, x)))
-        return SymElement.of_terms(x.dim, exact_terms(x.terms))
+        elif x.dim != dim:
+            raise ValueError(f"element of dimension {x.dim} in a bialgebra of dimension {dim}")
+        return SymElement.of_terms(dim, exact_terms(x.terms))
 
     def p(self, xs: Sequence, ys: Sequence, z) -> DistElement:
         _check_degree("p", len(xs) + len(ys) + 1, self.bialgebra.N)

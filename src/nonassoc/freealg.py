@@ -212,7 +212,10 @@ class FreeAlgebra:
 
 
 class FAElement(LinComb):
-    """A free non-associative polynomial, truncated by its context."""
+    """A free non-associative polynomial, truncated by its context.
+
+    The constructor refuses a term above the truncation; products drop them.
+    """
 
     __slots__ = ("alg",)
     _space_attr = "alg"
@@ -224,7 +227,12 @@ class FAElement(LinComb):
         for mono, coeff in (terms or {}).items():
             _require_monomial(mono, ngens)
             coeff = rat(coeff)
-            if coeff and mono_degree(mono) <= alg.max_degree:
+            if coeff:
+                if mono_degree(mono) > alg.max_degree:
+                    raise ValueError(
+                        f"monomial {mono_encode(mono, alg.names)} has degree {mono_degree(mono)}, "
+                        f"above the truncation {alg.max_degree}"
+                    )
                 clean[mono] = coeff
         self.terms = clean
 

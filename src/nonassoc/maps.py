@@ -15,15 +15,19 @@ inputs, `value`, `series_value`, `sorted_entries`, `to_json` and verdict
 witnesses are dense.  `_of_sparse` is the trusted constructor.
 
 Maps prolong to coalgebra morphisms between symmetric coalgebras and
-compose by substituting the inner maps' power series into the outer map's
-(shared variables are shared by the series).  A unital two-slot map is a
-formal loop with two-sided divisions obtained as degree-graded fixed points.
+compose by substituting the inner maps' series into the outer map's
+(shared variables are shared by the series).  The substitution works in
+divided-power coordinates x^(e) = x^e / e!, in which the distribution view
+is the coefficient list, so no factorial is divided out or multiplied back
+and an integral map composes on int coefficients.  A unital two-slot map is
+a formal loop with two-sided divisions obtained as degree-graded fixed points.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import accumulate, product as iter_product
 from math import factorial, prod
@@ -36,6 +40,9 @@ from .scalars import (
     Vector,
     _json_field,
     _json_items,
+    exact,
+    exact_div,
+    exact_terms,
     format_rational,
     parse_rational,
     rat,
@@ -47,7 +54,6 @@ from .symalg import (
     SymElement,
     basis_monomial,
     monomial_degree,
-    monomial_factorial,
     monomials,
     submonomials,
     sym_dim,
@@ -60,9 +66,10 @@ from .words import Identity, LDiv, LoopWord, Mul, RDiv, Unit, Var, parse_identit
 MonoTuple = tuple[Monomial, ...]
 Multidegree = tuple[int, ...]
 Tables = dict[Multidegree, dict[MonoTuple, SparseVector]]
-# a scalar power series in the arguments of a map: total degree -> {exponents: coefficient},
-# the exponent vector being the concatenation of the slots' monomials
-Series = dict[int, dict[tuple[int, ...], Fraction]]
+# a scalar series in the arguments of a map, in divided-power coordinates: total degree ->
+# {exponents e: the coefficient of x^(e) = x^e / e!}, in `scalars.exact` form, the exponent
+# vector being the concatenation of the slots' monomials
+Series = dict[int, dict[tuple[int, ...], int | Fraction]]
 
 DEFAULT_MEMORY_CAP = 100_000
 MEMORY_CAP_ENV = "NONASSOC_MEMORY_CAP"
@@ -110,9 +117,15 @@ def multidegree_of(monos: MonoTuple) -> Multidegree:
     return tuple(monomial_degree(m) for m in monos)
 
 
+@cache
+def _exps_factorial(exps: tuple[int, ...]) -> int:
+    """prod_i exps_i!, the factor between x^exps and the divided power x^(exps)."""
+    return prod(map(factorial, exps))
+
+
 def _series_weight(monos: MonoTuple) -> int:
     """The factor between the distribution and the series view at a monomial tuple."""
-    return prod(map(monomial_factorial, monos))
+    return _exps_factorial(sum(monos, ()))
 
 
 def _identity_block(dims: Sequence[int], slot: int) -> dict[MonoTuple, SparseVector]:
@@ -400,7 +413,7 @@ class FormalMap:
 
 
 class Prolongation:
-    """The coalgebra morphism induced by a formal map, and the powers of its series.
+    """The coalgebra morphism induced by a formal map, and the divided powers of its series.
 
     Each route has its own cache.  `at(mu)` is the image
 
@@ -410,11 +423,16 @@ class Prolongation:
 
     whose n-th term is the piece of target degree n; `_parts_cache` holds
     each (tuple, n) sum, and splits are pruned to the multidegree support of
-    theta.  `_power(b, cap)` is the scalar series theta^b = prod_k theta_k^b_k
-    of theta's coordinate series (its series view), without the terms above
-    total degree `cap`, which is what `compose` substitutes; `_cache` holds
-    each power by (b, cap), built as one truncated product of the power at
-    b - e_k with theta_k.
+    theta.  The other route works in divided-power coordinates: a series is
+    sum_e c_e x^(e) with x^(e) = x^e / e!, so `_coords[k]`, theta's k-th
+    coordinate series, holds the stored distribution-view values as they
+    are.  `_power(b, cap)` is the divided power
+    gamma_b(theta) = prod_k theta_k^b_k / b_k!, without the terms above total
+    degree `cap`, which is what `compose` substitutes; `_cache` holds each
+    one by (b, cap), built as gamma_(b - e_k)(theta) times theta_k, divided
+    exactly by b_k.  Coefficients are in the `scalars.exact` form, so an
+    integral theta without constant term has integral divided powers and
+    runs on ints.
     """
 
     def __init__(self, fmap: FormalMap):
@@ -426,9 +444,8 @@ class Prolongation:
         for md, table in fmap.components.items():
             for monos, vec in table.items():
                 exps = sum(monos, ())
-                weight = _series_weight(monos)
                 for k, c in vec.items():
-                    self._coords[k].setdefault(sum(md), {})[exps] = c / weight
+                    self._coords[k].setdefault(sum(md), {})[exps] = exact(c)
 
     def at(self, monos: MonoTuple) -> SymElement:
         monos = tuple(monos)
@@ -478,11 +495,12 @@ class Prolongation:
         hit = self._cache.get(key)
         if hit is None:
             if not any(b):
-                hit = {0: {(0,) * sum(self.fmap.dims): ONE}}
+                hit = {0: {(0,) * sum(self.fmap.dims): 1}}
             else:
                 k = next(i for i, e in enumerate(b) if e)
                 lower = b[:k] + (b[k] - 1,) + b[k + 1 :]
-                hit = _truncated_product(self._power(lower, cap), self._coords[k], cap)
+                product = _truncated_product(self._power(lower, cap), self._coords[k], cap)
+                hit = {d: {e: exact_div(c, b[k]) for e, c in terms.items()} for d, terms in product.items()}
             self._cache[key] = hit
         return hit
 
@@ -496,15 +514,26 @@ class Prolongation:
 
 
 def _truncated_product(a: Series, b: Series, cap: int) -> Series:
-    """The product of two series without the terms above total degree `cap`."""
+    """The product of two divided-power series without the terms above total degree `cap`.
+
+    x^(e) x^(f) = C(e + f, e) x^(e + f), C(e + f, e) = prod_i C(e_i + f_i, e_i)
+    being (e + f)! / (e! f!) with the factorials of `_exps_factorial`.
+    """
+    fact = _exps_factorial
     out: Series = {}
     for da, ta in a.items():
         for db, tb in b.items():
             if da + db > cap:
                 continue
             acc = out.setdefault(da + db, {})
+            weighted = [(kb, cb, fact(kb)) for kb, cb in tb.items()]
             for ka, ca in ta.items():
-                add_into(acc, {tuple(map(add, ka, kb)): cb for kb, cb in tb.items()}, ca)
+                wa = fact(ka)
+                add_into(acc, {
+                    k: cb * (fact(k) // (wa * wb))
+                    for kb, cb, wb in weighted
+                    for k in (tuple(map(add, ka, kb)),)
+                }, ca)
     return {d: terms for d, terms in out.items() if terms}
 
 
@@ -516,17 +545,18 @@ def prolong(fmap: FormalMap) -> Prolongation:
 def compose(G: FormalMap, thetas: Sequence[FormalMap], *, _degree: int | None = None) -> FormalMap:
     """G(theta_1, ..., theta_m) over the thetas' shared argument list.
 
-    All thetas must share one argument signature.  In the series view the
+    All thetas must share one argument signature.  In divided-power
+    coordinates, where the distribution view is the coefficient list, the
     composite is the substitution
 
-        G(theta) = sum over entries M of G of (G(M) / prod_i M_i!) prod_i theta_i^M_i,
+        G(theta) = sum over entries M of G of G(M) prod_i gamma_M_i(theta_i),
 
-    M_i being the monomial of slot i and theta_i^M_i a power cached on
-    theta_i's `Prolongation`; a variable shared between the thetas is
-    simply shared by their series.  Every product drops the terms above the
-    cap N, and the sum goes back to the distribution view once.  `_degree`
-    sets the cap to one total degree and keeps only that degree of the
-    result; it is for the graded solve in `loop_division`.
+    M_i being the monomial of slot i and gamma_M_i(theta_i) a divided power
+    cached on theta_i's `Prolongation`; a variable shared between the thetas
+    is simply shared by their series.  Every product drops the terms above
+    the cap N, and the sums, in `scalars.exact` form, become Fractions once.
+    `_degree` sets the cap to one total degree and keeps only that degree of
+    the result; it is for the graded solve in `loop_division`.
     """
     m = len(G.dims)
     if len(thetas) != m:
@@ -547,8 +577,8 @@ def compose(G: FormalMap, thetas: Sequence[FormalMap], *, _degree: int | None = 
             )
     cap = N if _degree is None else _degree
     prols = [theta.prolongation() for theta in thetas]
-    # output coordinate -> the composite's series in that coordinate
-    sums: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(G.target_dim)]
+    # output coordinate -> the composite's divided-power series in that coordinate
+    sums: list[dict[tuple[int, ...], int | Fraction]] = [{} for _ in range(G.target_dim)]
     for J, table in G.components.items():
         if sum(J) > cap:
             continue
@@ -557,8 +587,7 @@ def compose(G: FormalMap, thetas: Sequence[FormalMap], *, _degree: int | None = 
             series = powers[0]
             for power in powers[1:]:
                 series = _truncated_product(series, power, cap)
-            weight = _series_weight(outer)
-            coeffs = value if weight == 1 else {j: g / weight for j, g in value.items()}
+            coeffs = exact_terms(value)
             for degree, terms in series.items():
                 if _degree is None or degree == _degree:
                     for j, g in coeffs.items():
@@ -568,8 +597,8 @@ def compose(G: FormalMap, thetas: Sequence[FormalMap], *, _degree: int | None = 
     for j, terms in enumerate(sums):
         for exps, c in terms.items():
             monos = tuple(exps[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-            entries = comps.setdefault(multidegree_of(monos), {})
-            entries.setdefault(monos, {})[j] = c * _series_weight(monos)
+            entries = comps.setdefault(tuple(map(sum, monos)), {})
+            entries.setdefault(monos, {})[j] = Fraction(c) if type(c) is int else c
     return FormalMap._of_sparse(dims, G.target_dim, N, comps)
 
 

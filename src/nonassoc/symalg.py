@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import comb, factorial, prod
+from math import comb, prod
 from typing import Iterator, Sequence
 
 from .lincomb import LinComb, add_into
@@ -39,13 +39,6 @@ def basis_monomial(dim: int, index: int) -> Monomial:
 
 def monomial_degree(mono: Monomial) -> int:
     return sum(mono)
-
-
-def monomial_factorial(mono: Monomial) -> int:
-    out = 1
-    for a in mono:
-        out *= factorial(a)
-    return out
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -127,6 +120,8 @@ class SymElement(LinComb):
             if coeff:
                 if len(mono) != dim:
                     raise ValueError(f"monomial {mono} has wrong dimension, expected {dim}")
+                if not all(type(e) is int and e >= 0 for e in mono):
+                    raise ValueError(f"monomial {mono} has an exponent that is not a non-negative integer")
                 clean[mono] = coeff
         self.terms = clean
 

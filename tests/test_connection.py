@@ -312,6 +312,7 @@ def test_ms_brackets_degree_overflow(jordan_setting):
 def test_vector_arguments_must_have_the_space_dimension():
     loop = builtin_loop("split-octonion-loop", 3)
     conn = connection_from_loop(loop)
+    ops = dist_su_ops(DistBialgebra.from_loop(loop))
     e1, e2 = basis_vector(8, 1), basis_vector(8, 2)
     ms_brackets(loop, [], e1, e2)  # a wrong length must not slip through a cache hit
     short = (e1[:7], e2[:7])
@@ -320,6 +321,10 @@ def test_vector_arguments_must_have_the_space_dimension():
         for args in (([], y, z), ([], y, e2), ([], e1, z), ([y], e1, e2)):
             with pytest.raises(ValueError):
                 ms_brackets(loop, *args)
+            with pytest.raises(ValueError):
+                ops.bracket_vector(*args)
+        with pytest.raises(ValueError):
+            ops.bracket_vector([], SymElement.from_vector(y), e2)
         with pytest.raises(ValueError):
             adapted_field(conn, y)
         with pytest.raises(ValueError):

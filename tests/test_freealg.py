@@ -393,12 +393,25 @@ def test_constructors_reject_malformed_monomials(mono):
 
 
 def test_constructors_accept_well_formed_monomials():
-    alg = FreeAlgebra(("x", "y"), 3)
+    alg = FreeAlgebra(("x", "y"), 4)
     x, y = alg.gens()
     elem = FAElement(alg, {None: 2, 1: 1, (0, 1): "1/2", ((1, 1), 0): -1, ((0, 0), (0, 0)): 5})
-    assert elem == alg.one().scale(2) + y + (x * y).scale(F(1, 2)) - (y * y) * x
+    assert elem == alg.one().scale(2) + y + (x * y).scale(F(1, 2)) - (y * y) * x + ((x * x) * (x * x)).scale(5)
     assert FAElement.from_json(alg, elem.to_json()) == elem
     assert FATensor(alg, {(None, (0, 1)): F(1)}) == FATensor.of(alg.one(), x * y)
+
+
+def test_constructors_refuse_a_monomial_above_the_truncation():
+    alg = FreeAlgebra(("x", "y"), 2)
+    x, y = alg.gens()
+    message = r"monomial \(\(x y\) x\) has degree 3, above the truncation 2"
+    with pytest.raises(ValueError, match=message):
+        FAElement(alg, {((0, 1), 0): 1})
+    with pytest.raises(ValueError, match=message):
+        FAElement.from_json(alg, [{"monomial": "((x y) x)", "coeff": "1"}])
+    # a zero coefficient is no term, and products still truncate
+    assert FAElement(alg, {((0, 1), 0): 0}).is_zero()
+    assert ((x * y) * x).is_zero()
 
 
 def test_from_json_rejects_a_unit_inside_a_pair():

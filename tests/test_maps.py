@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
-    NO_SHRINK, plane_structure_constants, reference_compose, reference_multioperator_ms, series_json,
+    NO_SHRINK, is_canonical, plane_structure_constants, reference_compose, reference_multioperator_ms, series_json,
 )
 from nonassoc import maps
 from nonassoc.catalog import (
@@ -167,6 +167,59 @@ def test_compose_matches_the_full_image_reference_on_random_structure_constants(
             assert piece == full.filter_components(lambda md: sum(md) == n), n
     for side in (MOUFANG.lhs, MOUFANG.rhs):
         assert eval_word(side, loop, 3) == _reference_eval(side, loop, 3)
+
+
+def _divided_powers_of(monkeypatch, run):
+    """`run()`'s output, and each prolongation it builds with that prolongation's cached coefficients."""
+    made = []
+
+    class Recording(maps.Prolongation):
+        def __init__(self, fmap):
+            super().__init__(fmap)
+            made.append(self)
+
+    monkeypatch.setattr(maps, "Prolongation", Recording)
+    outputs = run()
+    powers = [
+        (prol, [c for series in prol._cache.values() for terms in series.values() for c in terms.values()])
+        for prol in made
+    ]
+    return powers, outputs
+
+
+def _solve_words_and_raltify(loop):
+    return [eval_word(side, loop, 3) for side in (MOUFANG.lhs, MOUFANG.rhs)] + [right_alt_modify(loop).modified]
+
+
+def _has_integral_tables(fmap):
+    return all(c.denominator == 1 for table in fmap.components.values() for v in table.values() for c in v.values())
+
+
+@pytest.mark.parametrize("name, degree, all_integral", [
+    ("jordan-k3-loop", 5, False),  # the modification halves its y-degree-2 block
+    ("split-octonion-loop", 3, True),  # alternative, so its own modification
+])
+def test_divided_powers_of_integral_maps_are_ints(monkeypatch, name, degree, all_integral):
+    powers, outputs = _divided_powers_of(monkeypatch, lambda: _solve_words_and_raltify(builtin_loop(name, degree)))
+    integral = [coeffs for prol, coeffs in powers if _has_integral_tables(prol.fmap)]
+    assert sum(map(len, integral)) > 500
+    assert all(type(c) is int for coeffs in integral for c in coeffs)
+    assert all(is_canonical(c) for _, coeffs in powers for c in coeffs)
+    assert (len(integral) == len(powers)) == all_integral
+    for fmap in outputs:
+        _assert_sparse_tables(fmap)
+
+
+def test_divided_powers_with_denominators_are_canonical(monkeypatch):
+    constants = (((F(1, 2), F(0)), (F(1, 3), F(1))), ((F(0), F(-1, 2)), (F(2, 3), F(1, 3))))
+    loop = loop_from_algebra(AlgebraTable(2, constants), 5)
+    assert {c.denominator for t in loop.components.values() for v in t.values() for c in v.values()} == {1, 2, 3}
+    powers, outputs = _divided_powers_of(monkeypatch, lambda: _solve_words_and_raltify(loop))
+    coeffs = [c for _, cs in powers for c in cs]
+    assert all(is_canonical(c) for c in coeffs)
+    assert any(type(c) is F for c in coeffs) and any(type(c) is int for c in coeffs)
+    for fmap in outputs:
+        _assert_sparse_tables(fmap)
 
 
 def test_compose_signature_errors(fxy):

@@ -197,6 +197,14 @@ def test_from_json_names_a_missing_or_mistyped_field(data, message):
         SymElement.from_json(data)
 
 
+def test_negative_exponents_are_refused():
+    message = r"monomial \(-1, 0\) has an exponent that is not a non-negative integer"
+    with pytest.raises(ValueError, match=message):
+        SymElement(2, {(-1, 0): 1})
+    with pytest.raises(ValueError, match=message):
+        SymElement.from_json({"dim": 2, "terms": [{"exps": [-1, 0], "coeff": "1"}]})
+
+
 def test_monomial_splits_weights():
     splits = dict(((a, b), c) for a, b, c in monomial_splits((2, 1)))
     assert splits[((1, 0), (1, 1))] == 2

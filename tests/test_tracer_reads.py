@@ -31,6 +31,12 @@ LIVE_COUNTS = {
     ],
     ("brackets", "install-round-trip"): ["dist.psi.s", "maps.compose.calls"],
     ("solve", "moufang-octonion-loop-3"): ["maps.compose.calls", "maps.prolong_cache.entries"],
+    ("solve", "raltify-jordan-5"): [
+        "maps.compose.s",
+        "maps.loop_division.s",
+        "maps.right_alt_modify.s",
+        "maps.prolong_cache.entries",
+    ],
     ("solve", "explog-8"): ["freealg.fa_log.s", "freealg.fa_exp.s"],
     ("solve", "multioperator-6-2-4"): ["maps.multioperator_ms.s", "freealg.fa_loop_divide.s"],
     ("linearized", "left-division-jordan-5"): [
