@@ -33,7 +33,6 @@ from .connection import (
 )
 from .dist import (
     DistBialgebra,
-    DistElement,
     brackets_invariance_check,
     check_linearized_identity,
     dist_su_ops,

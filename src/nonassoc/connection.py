@@ -30,7 +30,9 @@ from typing import Callable, Sequence
 
 from .lincomb import add_into
 from .maps import FormalLoop
-from .scalars import SparseVector, Vector, exact, exact_terms, rat, to_dense, to_sparse
+from .scalars import (
+    SparseVector, Vector, basis_vector, exact, exact_terms, rat, to_dense, to_sparse,
+)
 from .su_ops import basis_bracket_table
 from .symalg import (
     Monomial,
@@ -349,6 +351,5 @@ def _adapted(loop: FormalLoop, conn: FlatConnection, v: tuple) -> FormalVectorFi
 def ms_bracket_table(loop: FormalLoop, arity: int) -> dict[tuple[int, ...], Vector]:
     """`ms_brackets` on every basis tuple, by `su_ops.basis_bracket_table`; mirroring (y, z)
     is exact, as the torsion is antisymmetric by its formula and nabla_x is linear."""
-    return basis_bracket_table(
-        loop.dim, loop.N, arity, lambda xs, y, z: ms_brackets(loop, xs, y, z)
-    )
+    basis = [basis_vector(loop.dim, i) for i in range(loop.dim)]
+    return basis_bracket_table(basis, loop.N, arity, lambda xs, y, z: ms_brackets(loop, xs, y, z))

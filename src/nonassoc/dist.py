@@ -14,10 +14,12 @@ Coefficients: inside the memos a coefficient is an ``int`` or a
 coefficient as an ``int`` and divides with `scalars.exact_div`, and
 `DistSUOps` hands the engine its arguments in the same canonical form, so
 for integral loops the whole kernel, the primitive operations included,
-runs on ints.  Every value that leaves the public API
-(`DistBialgebra.product` and `divide`, the `DistSUOps` results,
-`LinearizedEvaluator.on_monomials` and `on_elements`) has ``Fraction``
-coefficients again (`scalars.as_fractions`).
+runs on ints; `su_bracket_table` evaluates on the bialgebra's own
+int-coefficient basis elements.  Every value that leaves the public API
+has ``Fraction`` coefficients again (`scalars.as_fractions`): the
+`SymElement`s of `DistBialgebra.product` and `divide`, of the `DistSUOps`
+operations `p`, `bracket` and `multioperator`, and of
+`LinearizedEvaluator.on_monomials` and `on_elements`.
 
 Those public operations are exact within the truncation and raise
 ValueError beyond it: `product` and `divide` when the degrees of their
@@ -46,6 +48,7 @@ from .symalg import (
     Monomial,
     SymElement,
     basis_monomial,
+    is_monomial,
     monomial_degree,
     monomial_letters,
     monomial_splits,
@@ -252,112 +255,73 @@ class DistBialgebra:
         return self.rdiv_mono(m1, m2)
 
 
-@dataclass(frozen=True)
-class DistElement:
-    """A distribution tagged with its bialgebra; operators check the tag."""
-
-    bialgebra: DistBialgebra
-    value: SymElement
-
-    def _check(self, other: "DistElement") -> None:
-        if self.bialgebra is not other.bialgebra:
-            raise ValueError("distributions live in different bialgebras")
-
-    def __add__(self, other: "DistElement") -> "DistElement":
-        self._check(other)
-        return DistElement(self.bialgebra, self.value + other.value)
-
-    def __sub__(self, other: "DistElement") -> "DistElement":
-        self._check(other)
-        return DistElement(self.bialgebra, self.value - other.value)
-
-    def __mul__(self, other: "DistElement") -> "DistElement":
-        self._check(other)
-        return DistElement(self.bialgebra, self.bialgebra.product(self.value, other.value))
-
-    def scale(self, c) -> "DistElement":
-        return DistElement(self.bialgebra, self.value.scale(c))
-
-    def ldiv(self, other: "DistElement") -> "DistElement":
-        self._check(other)
-        return DistElement(self.bialgebra, self.bialgebra.divide(self.value, other.value, "left"))
-
-    def rdiv(self, other: "DistElement") -> "DistElement":
-        self._check(other)
-        return DistElement(self.bialgebra, self.bialgebra.divide(self.value, other.value, "right"))
-
-    def counit(self) -> Fraction:
-        return self.value.counit()
-
-    def primitive_part(self) -> Vector:
-        return self.value.primitive_part()
-
-    def is_primitive(self) -> bool:
-        return self.bialgebra.is_primitive(self.value)
-
-
 class DistSUOps:
-    """Evaluator for the primitive operations in a distribution bialgebra."""
+    """Evaluator for the primitive operations in a distribution bialgebra.
+
+    `p`, `bracket` and `multioperator` take `SymElement`s or dense vectors of
+    the bialgebra's dimension and return `SymElement`s with `Fraction`
+    coefficients; the kernel computes on the arguments' exact coefficients.
+    """
 
     def __init__(self, bialgebra: DistBialgebra):
         self.bialgebra = bialgebra
 
     def _coerce(self, x) -> SymElement:
-        """x, a distribution, an element or a vector, with the kernel's exact coefficients.
+        """x, an element or a vector, with the kernel's exact coefficients.
 
         An element or a vector must have the bialgebra's dimension; otherwise ValueError.
         """
         dim = self.bialgebra.dim
-        if isinstance(x, DistElement):
-            if x.bialgebra is not self.bialgebra:
-                raise ValueError("distribution from a different bialgebra")
-            x = x.value
-        elif not isinstance(x, SymElement):
+        if not isinstance(x, SymElement):
             return SymElement.from_sparse(dim, exact_terms(to_sparse(dim, x)))
-        elif x.dim != dim:
+        if x.dim != dim:
             raise ValueError(f"element of dimension {x.dim} in a bialgebra of dimension {dim}")
         return SymElement.of_terms(dim, exact_terms(x.terms))
 
-    def p(self, xs: Sequence, ys: Sequence, z) -> DistElement:
+    def p(self, xs: Sequence, ys: Sequence, z) -> SymElement:
         _check_degree("p", len(xs) + len(ys) + 1, self.bialgebra.N)
         value = su_ops.p_operation(
             self.bialgebra, [self._coerce(x) for x in xs], [self._coerce(y) for y in ys], self._coerce(z)
         )
-        return DistElement(self.bialgebra, _fractions(value))
+        return _fractions(value)
 
-    def bracket(self, xs: Sequence, y, z) -> DistElement:
+    def bracket(self, xs: Sequence, y, z) -> SymElement:
         _check_degree("bracket", len(xs) + 2, self.bialgebra.N)
         value = su_ops.bracket(
             self.bialgebra, [self._coerce(x) for x in xs], self._coerce(y), self._coerce(z)
         )
-        return DistElement(self.bialgebra, _fractions(value))
+        return _fractions(value)
 
     def bracket_vector(self, xs: Sequence, y, z) -> Vector:
         """The bracket as an element of V; raises if it fails to be primitive."""
         value = self.bracket(xs, y, z)
-        if not value.is_primitive():
-            raise InvariantError(f"bracket value is not primitive: {value.value!r}")
+        if not self.bialgebra.is_primitive(value):
+            raise InvariantError(f"bracket value is not primitive: {value!r}")
         return value.primitive_part()
 
-    def multioperator(self, xs: Sequence, ys: Sequence) -> DistElement:
+    def multioperator(self, xs: Sequence, ys: Sequence) -> SymElement:
         _check_degree("multioperator", len(xs) + len(ys), self.bialgebra.N)
         value = su_ops.multioperator(
             self.bialgebra, [self._coerce(x) for x in xs], [self._coerce(y) for y in ys]
         )
-        return DistElement(self.bialgebra, _fractions(value))
+        return _fractions(value)
 
     def multioperator_mono(self, mx: Monomial, my: Monomial) -> Vector:
         """Distribution-view multioperator table entry at a monomial pair.
 
         Equals the multilinear multioperator at the basis multisets of the
         two monomials (the symmetrizations collapse on repeated letters).
+        Each must be a monomial of the bialgebra's dimension; otherwise ValueError.
         """
         B = self.bialgebra
+        for mono in (mx, my):
+            if not is_monomial(mono, B.dim):
+                raise ValueError(f"{mono} is not a monomial of dimension {B.dim}")
         value = self.multioperator(
             [B.key_element(basis_monomial(B.dim, i)) for i in monomial_letters(mx)],
             [B.key_element(basis_monomial(B.dim, i)) for i in monomial_letters(my)],
         )
-        if not value.is_primitive():
+        if not B.is_primitive(value):
             raise InvariantError("multioperator value is not primitive")
         return value.primitive_part()
 
@@ -367,9 +331,12 @@ def dist_su_ops(bialgebra: DistBialgebra) -> DistSUOps:
 
 
 def su_bracket_table(bialgebra: DistBialgebra, arity: int) -> dict[tuple[int, ...], Vector]:
-    """All brackets <e_{i_1} .. e_{i_m}; e_j, e_k> on basis tuples (`su_ops.basis_bracket_table`)."""
+    """All brackets <e_{i_1} .. e_{i_m}; e_j, e_k> on basis tuples (`su_ops.basis_bracket_table`),
+    evaluated on the bialgebra's own int-coefficient basis elements."""
     ops = dist_su_ops(bialgebra)
-    return su_ops.basis_bracket_table(bialgebra.dim, bialgebra.N, arity, ops.bracket_vector)
+    dim = bialgebra.dim
+    basis = [bialgebra.key_element(basis_monomial(dim, i)) for i in range(dim)]
+    return su_ops.basis_bracket_table(basis, bialgebra.N, arity, ops.bracket_vector)
 
 
 # -- linearized identities ------------------------------------------------------------
@@ -605,8 +572,10 @@ def check_linearized_identity(
     it would need.  Both sides are linear in each argument, so a sweep up
     to N decides the identity within the truncation and no sample can then
     fail.  Comparisons are exact and the first mismatch is reported with
-    enough data to replay it.
+    enough data to replay it.  `samples` must be an int >= 0; otherwise ValueError.
     """
+    if type(samples) is not int or samples < 0:
+        raise ValueError(f"samples must be an int >= 0, got {samples!r}")
     ev = LinearizedEvaluator(bialgebra, identity.nvars)
     dim, N = bialgebra.dim, bialgebra.N
 
@@ -802,8 +771,8 @@ def make_similar_product(
     tables: dict[tuple[Monomial, Monomial], SparseVector] = {}
     for (mx, my), value in phi.items():
         mx, my = tuple(mx), tuple(my)
-        if len(mx) != dim or len(my) != dim:
-            raise ValueError(f"multioperator key {(mx, my)} has wrong dimension")
+        if not (is_monomial(mx, dim) and is_monomial(my, dim)):
+            raise ValueError(f"multioperator key {(mx, my)} is not a pair of monomials of dimension {dim}")
         if monomial_degree(mx) < 1 or monomial_degree(my) < 2:
             raise ValueError(
                 f"multioperator blocks need x-degree >= 1 and y-degree >= 2, got {(mx, my)}"

@@ -211,6 +211,15 @@ class FreeAlgebra:
         return self.mono_rdiv(a, b)
 
 
+def _require_within(alg: FreeAlgebra, mono: FAMonomial) -> None:
+    """Outside input may not hold a term above the truncation, which products drop silently."""
+    if mono_degree(mono) > alg.max_degree:
+        raise ValueError(
+            f"monomial {mono_encode(mono, alg.names)} has degree {mono_degree(mono)}, "
+            f"above the truncation {alg.max_degree}"
+        )
+
+
 class FAElement(LinComb):
     """A free non-associative polynomial, truncated by its context.
 
@@ -228,11 +237,7 @@ class FAElement(LinComb):
             _require_monomial(mono, ngens)
             coeff = rat(coeff)
             if coeff:
-                if mono_degree(mono) > alg.max_degree:
-                    raise ValueError(
-                        f"monomial {mono_encode(mono, alg.names)} has degree {mono_degree(mono)}, "
-                        f"above the truncation {alg.max_degree}"
-                    )
+                _require_within(alg, mono)
                 clean[mono] = coeff
         self.terms = clean
 
@@ -378,13 +383,15 @@ class FATensor(LinComb):
 
     def __init__(self, alg: FreeAlgebra, terms: dict[tuple[FAMonomial, FAMonomial], Fraction] | None = None):
         self.alg = alg
-        cap, ngens = alg.max_degree, len(alg.names)
+        ngens = len(alg.names)
         clean: dict[tuple[FAMonomial, FAMonomial], Fraction] = {}
         for (a, b), coeff in (terms or {}).items():
             _require_monomial(a, ngens)
             _require_monomial(b, ngens)
             coeff = rat(coeff)
-            if coeff and mono_degree(a) <= cap and mono_degree(b) <= cap:
+            if coeff:
+                _require_within(alg, a)
+                _require_within(alg, b)
                 clean[(a, b)] = coeff
         self.terms = clean
 

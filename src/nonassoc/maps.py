@@ -53,6 +53,7 @@ from .symalg import (
     Monomial,
     SymElement,
     basis_monomial,
+    is_monomial,
     monomial_degree,
     monomials,
     submonomials,
@@ -177,7 +178,7 @@ class FormalMap:
             for monos, value in table.items():
                 monos = tuple(monos)
                 for mono, dim in zip(monos, dims):
-                    if len(mono) != dim or not all(isinstance(e, int) and e >= 0 for e in mono):
+                    if not is_monomial(mono, dim):
                         raise ValueError(f"{mono} is not a monomial of a {dim}-dimensional slot")
                 if multidegree_of(monos) != md:
                     raise ValueError(f"monomials {monos} do not have multidegree {md}")

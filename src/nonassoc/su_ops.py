@@ -53,6 +53,12 @@ keys; P and the associators inside it are memoized on the algebra, which
 shares them across every bracket and multioperator entry.  The binary
 bracket is the negated commutator; higher brackets antisymmetrize p in its
 last two slots, and the multioperator symmetrizes p over both blocks.
+
+`basis_bracket_table` builds the basis table of any bracket route from a
+basis the caller supplies: `dist.su_bracket_table` passes the bialgebra's
+own `int`-coefficient basis elements and `connection.ms_bracket_table`
+dense basis vectors, and the route's `entry` runs on those objects as they
+are.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from math import factorial
 from typing import Callable, Sequence
 
 from .lincomb import add_into, bilinear, sum_into
-from .scalars import Vector, basis_vector, zero_vector
+from .scalars import Vector, zero_vector
 
 
 def left_normed_product(alg, factors: Sequence) -> object:
@@ -198,27 +204,29 @@ def bracket(alg, xs: Sequence, y, z) -> object:
 
 
 def basis_bracket_table(
-    dim: int, N: int, arity: int, entry: Callable[[list[Vector], Vector, Vector], Vector]
+    basis: Sequence, N: int, arity: int, entry: Callable[[list, object, object], Vector]
 ) -> dict[tuple[int, ...], Vector]:
     """All brackets <e_{i_1} .. e_{i_m}; e_j, e_k> on basis tuples, each (j, k) pair once.
 
-    `entry(xs, y, z)` evaluates one bracket on dense basis vectors, only for
-    j < k; the entry at j > k is the negated entry at (.., k, j), and at
-    j == k it is zero.  That is exactly what direct evaluation gives for a
-    bracket antisymmetric in (y, z) by its formula, as `bracket`,
-    p(xs; z; y) - p(xs; y; z), is.  An m-ary bracket needs m + 2 <= N.
+    `basis[i]` is the caller's own e_i, in whatever form `entry` takes, and
+    `entry(xs, y, z)` evaluates one bracket on those objects to a dense
+    vector, only for j < k; the entry at j > k is the negated entry at
+    (.., k, j), and at j == k it is zero.  That is exactly what direct
+    evaluation gives for a bracket antisymmetric in (y, z) by its formula,
+    as `bracket`, p(xs; z; y) - p(xs; y; z), is.  An m-ary bracket needs
+    m + 2 <= N.
     """
     if arity < 0:
         raise ValueError(f"bracket arity must be >= 0, got {arity}")
     if arity + 2 > N:
         raise ValueError(f"bracket arity {arity} needs degree {arity + 2} <= {N}")
+    dim = len(basis)
     table: dict[tuple[int, ...], Vector] = {}
     # lexicographic order visits (.., k, j) before (.., j, k) whenever k < j
     for idx in iter_product(range(dim), repeat=arity + 2):
         *head, j, k = idx
         if j < k:
-            xs = [basis_vector(dim, i) for i in head]
-            table[idx] = entry(xs, basis_vector(dim, j), basis_vector(dim, k))
+            table[idx] = entry([basis[i] for i in head], basis[j], basis[k])
         elif j == k:
             table[idx] = zero_vector(dim)
         else:

@@ -37,6 +37,11 @@ def basis_monomial(dim: int, index: int) -> Monomial:
     return tuple(1 if i == index else 0 for i in range(dim))
 
 
+def is_monomial(mono: Monomial, dim: int) -> bool:
+    """Whether mono is an exponent vector of k[V]: dim entries, each an int (not a bool) >= 0."""
+    return len(mono) == dim and all(type(e) is int and e >= 0 for e in mono)
+
+
 def monomial_degree(mono: Monomial) -> int:
     return sum(mono)
 
@@ -118,9 +123,9 @@ class SymElement(LinComb):
         for mono, coeff in (terms or {}).items():
             coeff = rat(coeff)
             if coeff:
-                if len(mono) != dim:
-                    raise ValueError(f"monomial {mono} has wrong dimension, expected {dim}")
-                if not all(type(e) is int and e >= 0 for e in mono):
+                if not is_monomial(mono, dim):
+                    if len(mono) != dim:
+                        raise ValueError(f"monomial {mono} has wrong dimension, expected {dim}")
                     raise ValueError(f"monomial {mono} has an exponent that is not a non-negative integer")
                 clean[mono] = coeff
         self.terms = clean

@@ -133,7 +133,8 @@ def test_brackets_su_only_on_associative_loop(capsys):
 
 
 def test_invariant_failure_has_its_own_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(dist.DistElement, "is_primitive", lambda self: False)
+    # a bracket whose value is the unit, which is not primitive
+    monkeypatch.setattr(dist.su_ops, "bracket", lambda alg, xs, y, z: alg.one())
     code, out, err = run(
         capsys,
         "brackets",

@@ -28,7 +28,6 @@ from nonassoc.catalog import (
 )
 from nonassoc.dist import (
     DistBialgebra,
-    DistElement,
     LinearizedEvaluator,
     _rank,
     brackets_invariance_check,
@@ -51,6 +50,7 @@ from nonassoc.maps import (
     tensor_monomials,
 )
 from nonassoc.scalars import basis_vector
+from nonassoc.su_ops import basis_bracket_table
 from nonassoc.symalg import (
     SymElement,
     SymTensor,
@@ -216,11 +216,15 @@ def assert_division_laws(B, mu, nu):
 
 
 def test_division_laws_to_truncation(jordan_bialgebra_4):
+    B = jordan_bialgebra_4
+    nu = B.basis(1)
+    assert B.divide(B.one(), nu, "left") == nu
+    assert B.divide(nu, B.one(), "right") == nu
     rng = random.Random(2)
     for _ in range(4):
         mu = random_distribution(rng, 3, 2)
         nu = random_distribution(rng, 3, 2)
-        assert_division_laws(jordan_bialgebra_4, mu, nu)
+        assert_division_laws(B, mu, nu)
 
 
 # distributions on the plane of degree at most 2, so that products stay within N = 4
@@ -316,7 +320,7 @@ def test_kernel_memos_hold_canonical_ints_and_the_api_returns_fractions(monkeypa
     assert all(map(fractions_only, brackets.values())) and all(map(fractions_only, multioperators))
     # a nonzero bracket <x; y, z> = p(x; z; y) - p(x; y; z) has a nonzero p term
     x1, y1, z1 = (basis_vector(dim, i) for i in next(idx for idx, v in brackets.items() if any(v)))
-    ps = [dist_su_ops(B).p([x1], [b], c).value for b, c in ((z1, y1), (y1, z1))]
+    ps = [dist_su_ops(B).p([x1], [b], c) for b, c in ((z1, y1), (y1, z1))]
     assert any(p.terms for p in ps) and all(fractions_only(p.terms.values()) for p in ps)
     ev = LinearizedEvaluator(B, nvars)
     assert fractions_only(ev.on_monomials(identity.lhs, (m1,) * nvars).terms.values())
@@ -338,12 +342,11 @@ def test_kernel_memos_hold_canonical_ints_and_the_api_returns_fractions(monkeypa
 def test_su_ops_hand_the_engine_exact_coefficients(jordan_bialgebra_4):
     B = jordan_bialgebra_4
     ops = dist_su_ops(B)
-    half, two = SymElement(3, {(1, 0, 0): F(1, 2)}), SymElement(3, {(0, 1, 0): F(2)})
+    half = SymElement(3, {(1, 0, 0): F(1, 2)})
     for x, terms in (
         ((F(0), F(4, 2), "-1/3"), {(0, 1, 0): 2, (0, 0, 1): F(-1, 3)}),
         (basis_vector(3, 0), {(1, 0, 0): 1}),
         (half, {(1, 0, 0): F(1, 2)}),
-        (DistElement(B, two), {(0, 1, 0): 2}),
     ):
         coerced = ops._coerce(x)
         assert coerced.terms == terms and [type(c) for c in coerced.terms.values()] == [
@@ -356,10 +359,21 @@ def test_su_ops_hand_the_engine_exact_coefficients(jordan_bialgebra_4):
     total = SymElement.zero(3)
     for tau in permutations(xs):
         for sigma in permutations(ys):
-            total = total + ops.p(list(tau), list(sigma[:-1]), sigma[-1]).value
-    value = ops.multioperator(xs, ys).value
+            total = total + ops.p(list(tau), list(sigma[:-1]), sigma[-1])
+    value = ops.multioperator(xs, ys)
     assert value == total.scale(F(1, factorial(len(xs)) * factorial(len(ys))))
     assert value.primitive_part() == entry and all(type(c) is F for c in value.terms.values())
+
+
+def test_multioperator_mono_reads_only_monomials_of_the_bialgebra(jordan_bialgebra_4):
+    ops = dist_su_ops(jordan_bialgebra_4)
+    assert ops.multioperator_mono((0, 1, 0), (0, 1, 1)) == (0, F(-1, 2), 0)
+    # unchecked, `monomial_letters` reads each of these as (0, 1, 0), another key's entry
+    for mx in [(0, 1), (-1, 1, 0), (0, True, 0)]:
+        with pytest.raises(ValueError, match="is not a monomial of dimension 3"):
+            ops.multioperator_mono(mx, (0, 1, 1))
+    with pytest.raises(ValueError, match="is not a monomial of dimension 3"):
+        ops.multioperator_mono((0, 1, 0), (0, 1, 1, 0))
 
 
 def test_su_ops_reject_float_vectors(jordan_bialgebra_4):
@@ -371,6 +385,32 @@ def test_su_ops_reject_float_vectors(jordan_bialgebra_4):
 def test_su_bracket_table_rejects_a_negative_arity(jordan_bialgebra_4):
     with pytest.raises(ValueError, match="arity must be >= 0"):
         su_bracket_table(jordan_bialgebra_4, -1)
+
+
+@pytest.mark.parametrize("dim, arity", [(3, 0), (2, 1), (3, 2)])
+def test_basis_bracket_table_calls_entry_on_the_callers_basis(dim, arity):
+    basis = [object() for _ in range(dim)]
+    calls = []
+
+    def entry(xs, y, z):
+        calls.append((xs, y, z))
+        return (F(len(calls)),) + (F(-7),) * (dim - 1)
+
+    table = basis_bracket_table(basis, arity + 2, arity, entry)
+    assert len(table) == dim ** (arity + 2)
+    # every argument is one of the caller's own objects (a KeyError otherwise)
+    index = {id(b): i for i, b in enumerate(basis)}
+    called = [tuple(index[id(x)] for x in (*xs, y, z)) for xs, y, z in calls]
+    # once per tuple with j < k, in lexicographic order
+    assert called == [idx for idx in iter_product(range(dim), repeat=arity + 2) if idx[-2] < idx[-1]]
+    for n, idx in enumerate(called, start=1):
+        *head, j, k = idx
+        assert table[idx] == (n,) + (-7,) * (dim - 1)
+        assert table[(*head, k, j)] == (-n,) + (7,) * (dim - 1)
+        assert table[(*head, j, j)] == table[(*head, k, k)] == (0,) * dim
+    with pytest.raises(ValueError, match=f"bracket arity {arity} needs degree {arity + 2} <= {arity + 1}"):
+        basis_bracket_table(basis, arity + 1, arity, entry)
+    assert len(calls) == len(called)
 
 
 def test_binary_bracket_is_negative_commutator(jordan_bialgebra_4):
@@ -390,21 +430,21 @@ def test_jordan_spin_p_values(spin_bialgebra_6):
     b = spin.distinguished["b"]
     unit = spin.distinguished["unit"]
     ops = dist_su_ops(spin_bialgebra_6)
-    assert ops.p([a], [b], b).value == SymElement.from_vector(tuple(2 * c for c in b))
-    assert ops.p([a, a], [b], b).value == SymElement.from_vector(
+    assert ops.p([a], [b], b) == SymElement.from_vector(tuple(2 * c for c in b))
+    assert ops.p([a, a], [b], b) == SymElement.from_vector(
         tuple(-8 * c for c in unit)
     )
-    assert ops.p([a, a, a], [b], b).value == SymElement.from_vector(
+    assert ops.p([a, a, a], [b], b) == SymElement.from_vector(
         tuple(24 * c for c in a)
     )
-    assert ops.p([a, a, a, a], [b], b).value.is_zero()
+    assert ops.p([a, a, a, a], [b], b).is_zero()
 
 
 def test_p_vanishes_on_associative_algebras(dual_loop_4):
     ops = dist_su_ops(DistBialgebra.from_loop(dual_loop_4))
     e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
-    assert ops.p([e0], [e1], e0).value.is_zero()
-    assert ops.p([e0, e1], [e1], e0).value.is_zero()
+    assert ops.p([e0], [e1], e0).is_zero()
+    assert ops.p([e0, e1], [e1], e0).is_zero()
 
 
 def test_p_values_are_primitive(jordan_bialgebra_4):
@@ -415,7 +455,10 @@ def test_p_values_are_primitive(jordan_bialgebra_4):
         ([vecs[0], vecs[1]], [vecs[2]], vecs[0]),
         ([vecs[0]], [vecs[1], vecs[2]], vecs[1]),
     ]:
-        assert ops.p(xs, ys, z).is_primitive()
+        assert jordan_bialgebra_4.is_primitive(ops.p(xs, ys, z))
+    mu = jordan_bialgebra_4.basis(0)
+    assert jordan_bialgebra_4.is_primitive(mu)
+    assert not jordan_bialgebra_4.is_primitive(jordan_bialgebra_4.product(mu, mu))
 
 
 def p_reference(B, xs, ys, z):
@@ -452,7 +495,7 @@ def test_p_on_rational_combinations_matches_defining_sum(loop_name, request):
                 with pytest.raises(ValueError, match=f"p of degree {m + n + 1} beyond the truncation {B.N}"):
                     ops.p(xs, ys, z)
             else:
-                assert ops.p(xs, ys, z).value == p_reference(B, xs, ys, z)
+                assert ops.p(xs, ys, z) == p_reference(B, xs, ys, z)
 
 
 def test_p_requires_primitive_arguments(jordan_bialgebra_4):
@@ -468,23 +511,10 @@ def test_bracket_antisymmetry_and_multioperator_symmetry(jordan_bialgebra_4):
     for i, j in iter_product(range(3), repeat=2):
         forward = ops.bracket([e[0]], e[i], e[j])
         backward = ops.bracket([e[0]], e[j], e[i])
-        assert forward.value == -backward.value
-    assert ops.multioperator([e[0], e[1]], [e[2], e[2]]).value == ops.multioperator(
+        assert forward == -backward
+    assert ops.multioperator([e[0], e[1]], [e[2], e[2]]) == ops.multioperator(
         [e[1], e[0]], [e[2], e[2]]
-    ).value
-
-
-def test_dist_element_wrapper(jordan_bialgebra_4, octonion_bialgebra_4):
-    B = jordan_bialgebra_4
-    mu = DistElement(B, B.basis(0))
-    nu = DistElement(B, B.basis(1))
-    assert (mu * nu).value == B.product(mu.value, nu.value)
-    assert DistElement(B, B.one()).ldiv(nu).value == nu.value
-    assert nu.rdiv(DistElement(B, B.one())).value == nu.value
-    assert mu.is_primitive() and not (mu * mu).is_primitive()
-    other = DistElement(octonion_bialgebra_4, octonion_bialgebra_4.basis(0))
-    with pytest.raises(ValueError):
-        mu * other
+    )
 
 
 @pytest.fixture(scope="module")
@@ -532,6 +562,14 @@ def test_product_above_the_truncation_is_refused_not_truncated():
 
 
 # -- linearized identities ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("samples", [-4, True])
+def test_linearized_check_refuses_a_sample_count_that_is_not_a_count(jordan_bialgebra_4, samples):
+    identity = parse_identity(MOUFANG, 3)
+    with pytest.raises(ValueError, match=f"samples must be an int >= 0, got {samples}"):
+        check_linearized_identity(identity, jordan_bialgebra_4, samples=samples, seed=0)
+    assert check_linearized_identity(parse_identity(RIGHT_ALT, 2), jordan_bialgebra_4, samples=0).samples == 0
 
 
 def test_linearized_right_alternativity_on_modified_loop():
@@ -848,6 +886,10 @@ def test_make_similar_product_validation(jordan_bialgebra_4):
         make_similar_product(
             jordan_bialgebra_4, {((1, 0, 0), (0, 1, 0)): basis_vector(3, 0)}
         )  # y-degree 1
+    with pytest.raises(ValueError, match="is not a pair of monomials of dimension 3"):
+        make_similar_product(
+            jordan_bialgebra_4, {((-1, 2, 0), (0, 2, 0)): basis_vector(3, 0)}
+        )  # degree 1, with a negative exponent
     with pytest.raises(ValueError):
         make_similar_product(
             jordan_bialgebra_4, {((0, 0, 0), (0, 2, 0)): basis_vector(3, 0)}
@@ -880,15 +922,15 @@ def test_jordan_derivation_relation(spin_bialgebra_6):
         ]
         factors = [f if any(f) else basis_vector(3, 0) for f in factors]
         c = basis_vector(3, rng.randrange(3))
-        lhs = ops.p([a], list(factors) + [c], b).value
+        lhs = ops.p([a], list(factors) + [c], b)
         rhs = SymElement.zero(3)
         for inside, outside in _subset_parts(factors):
             if not inside:
                 continue  # p with an empty middle block vanishes
-            inner = ops.p([a], list(outside), b).value if outside else None
+            inner = ops.p([a], list(outside), b) if outside else None
             if outside:
                 inner_vec = inner.primitive_part()
-                rhs = rhs - ops.p([c], list(inside), inner_vec).value
+                rhs = rhs - ops.p([c], list(inside), inner_vec)
         assert lhs == rhs  # eps(x) = 0 for k >= 1
 
 
@@ -929,7 +971,7 @@ def test_jordan_bracket_relations(spin_bialgebra_6):
 
     for j in range(3):
         c = basis_vector(3, j)
-        lhs = ops.bracket([c], a, b).value
+        lhs = ops.bracket([c], a, b)
         rhs = -assoc_vec(
             SymElement.from_vector(a),
             SymElement.from_vector(c),
@@ -940,14 +982,14 @@ def test_jordan_bracket_relations(spin_bialgebra_6):
     for k in (1, 2):
         factors = [basis_vector(3, rng.randrange(3)) for _ in range(k)]
         c = basis_vector(3, rng.randrange(3))
-        lhs = ops.bracket(list(factors) + [c], a, b).value
+        lhs = ops.bracket(list(factors) + [c], a, b)
         rhs = SymElement.zero(3)
         for inside, outside in _subset_parts(factors):
             inner = ops.bracket(list(outside), a, b)
-            if not inner.is_primitive():
+            if not B.is_primitive(inner):
                 raise AssertionError("inner bracket not primitive")
             value = ops.bracket(list(inside), c, inner.primitive_part())
-            rhs = rhs + value.value
+            rhs = rhs + value
         assert lhs == rhs
 
 

@@ -409,9 +409,15 @@ def test_constructors_refuse_a_monomial_above_the_truncation():
         FAElement(alg, {((0, 1), 0): 1})
     with pytest.raises(ValueError, match=message):
         FAElement.from_json(alg, [{"monomial": "((x y) x)", "coeff": "1"}])
+    with pytest.raises(ValueError, match=message):
+        FATensor(alg, {(((0, 1), 0), None): 1})
+    with pytest.raises(ValueError, match=message):
+        FATensor(alg, {(0, ((0, 1), 0)): 1})
     # a zero coefficient is no term, and products still truncate
     assert FAElement(alg, {((0, 1), 0): 0}).is_zero()
+    assert FATensor(alg, {(((0, 1), 0), None): 0}).is_zero()
     assert ((x * y) * x).is_zero()
+    assert (FATensor.of(x * y, x) * FATensor.of(x, y)).is_zero()
 
 
 def test_from_json_rejects_a_unit_inside_a_pair():

@@ -691,6 +691,10 @@ def test_formal_map_rejects_malformed_monomials(dim, good, bad):
 def test_formal_map_rejects_non_integer_exponents():
     with pytest.raises(ValueError, match="not a monomial of a 2-dimensional slot"):
         FormalMap((2,), 2, 3, {(1,): {((1.0, 0),): (1, 0)}})
+    # a bool hashes like its int, but it is not an exponent
+    with pytest.raises(ValueError, match=r"\(True,\) is not a monomial of a 1-dimensional slot"):
+        FormalMap((1,), 1, 2, {(1,): {((True,),): (1,)}})
+    assert list(FormalMap((1,), 1, 2, {(1,): {((1,),): (1,)}}).components[(1,)]) == [((1,),)]
 
 
 # (components, what is wrong) at multidegree (2,) of a map k^3 -> k^2 truncated at N = 1

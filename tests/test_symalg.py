@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 from nonassoc.symalg import (
     SymElement,
     SymTensor,
+    is_monomial,
     iterated_coproduct,
     merge_slots,
     monomial_splits,
@@ -203,6 +205,27 @@ def test_negative_exponents_are_refused():
         SymElement(2, {(-1, 0): 1})
     with pytest.raises(ValueError, match=message):
         SymElement.from_json({"dim": 2, "terms": [{"exps": [-1, 0], "coeff": "1"}]})
+
+
+@pytest.mark.parametrize(
+    "mono, dim, expected",
+    [
+        ((0, 2, 1), 3, True),
+        ((), 0, True),
+        ((0, 1), 3, False),
+        ((0, 1, 0, 0), 3, False),
+        ((-1, 1, 0), 3, False),
+        ((True, 0), 2, False),
+        ((1.0, 0), 2, False),
+    ],
+)
+def test_is_monomial_wants_dim_non_negative_int_exponents(mono, dim, expected):
+    assert is_monomial(mono, dim) is expected
+    if expected:
+        assert SymElement(dim, {mono: 1}).terms == {mono: 1}
+    else:
+        with pytest.raises(ValueError, match=rf"monomial {re.escape(str(mono))} has "):
+            SymElement(dim, {mono: 1})
 
 
 def test_monomial_splits_weights():
