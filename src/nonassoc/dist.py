@@ -292,12 +292,14 @@ class DistSUOps:
         )
         return _fractions(value)
 
+    def _primitive_vector(self, operation: str, value: SymElement) -> Vector:
+        if not self.bialgebra.is_primitive(value):
+            raise InvariantError(f"{operation} value is not primitive: {value!r}")
+        return value.primitive_part()
+
     def bracket_vector(self, xs: Sequence, y, z) -> Vector:
         """The bracket as an element of V; raises if it fails to be primitive."""
-        value = self.bracket(xs, y, z)
-        if not self.bialgebra.is_primitive(value):
-            raise InvariantError(f"bracket value is not primitive: {value!r}")
-        return value.primitive_part()
+        return self._primitive_vector("bracket", self.bracket(xs, y, z))
 
     def multioperator(self, xs: Sequence, ys: Sequence) -> SymElement:
         _check_degree("multioperator", len(xs) + len(ys), self.bialgebra.N)
@@ -310,7 +312,7 @@ class DistSUOps:
         """Distribution-view multioperator table entry at a monomial pair.
 
         Equals the multilinear multioperator at the basis multisets of the
-        two monomials (the symmetrizations collapse on repeated letters).
+        two monomials, which evaluates p once per distinct ordering of the letters.
         Each must be a monomial of the bialgebra's dimension; otherwise ValueError.
         """
         B = self.bialgebra
@@ -321,9 +323,16 @@ class DistSUOps:
             [B.key_element(basis_monomial(B.dim, i)) for i in monomial_letters(mx)],
             [B.key_element(basis_monomial(B.dim, i)) for i in monomial_letters(my)],
         )
-        if not B.is_primitive(value):
-            raise InvariantError("multioperator value is not primitive")
-        return value.primitive_part()
+        return self._primitive_vector("multioperator", value)
+
+
+def _multioperator_entries(ops: DistSUOps, n: int) -> Iterator[tuple[Monomial, Monomial, Vector]]:
+    """(mx, my, ops.multioperator_mono(mx, my)) at every table key (mx, my) of total degree n."""
+    dim = ops.bialgebra.dim
+    for i in range(1, n - 1):
+        for mx in monomials(dim, i):
+            for my in monomials(dim, n - i):
+                yield mx, my, ops.multioperator_mono(mx, my)
 
 
 def dist_su_ops(bialgebra: DistBialgebra) -> DistSUOps:
@@ -572,10 +581,13 @@ def check_linearized_identity(
     it would need.  Both sides are linear in each argument, so a sweep up
     to N decides the identity within the truncation and no sample can then
     fail.  Comparisons are exact and the first mismatch is reported with
-    enough data to replay it.  `samples` must be an int >= 0; otherwise ValueError.
+    enough data to replay it.  `samples` must be an int >= 0 and `seed` an int,
+    which the report replays through; otherwise ValueError.
     """
     if type(samples) is not int or samples < 0:
         raise ValueError(f"samples must be an int >= 0, got {samples!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     ev = LinearizedEvaluator(bialgebra, identity.nvars)
     dim, N = bialgebra.dim, bialgebra.N
 
@@ -725,16 +737,11 @@ class _PsiBuilder:
                 current = DistBialgebra.from_loop(_similar_loop(loop, psi))
             ops = dist_su_ops(current)
             comps = dict(psi.components)
-            for i in range(1, n - 1):
-                block: dict[MonoTuple, SparseVector] = {}
-                for mx in monomials(dim, i):
-                    for my in monomials(dim, n - i):
-                        value = to_sparse(dim, ops.multioperator_mono(mx, my))
-                        add_into(value, self.tables.get((mx, my), {}), -1)
-                        if value:
-                            block[(mx, my)] = value
-                if block:
-                    comps[(i, n - i)] = block
+            for mx, my, entry in _multioperator_entries(ops, n):
+                value = add_into(to_sparse(dim, entry), self.tables.get((mx, my), {}), -1)
+                if value:
+                    i = monomial_degree(mx)
+                    comps.setdefault((i, n - i), {})[(mx, my)] = value
             if len(comps) > len(psi.components):
                 psi = SimilarityMap._of_sparse(loop.dims, dim, N, comps)
                 current = None
@@ -786,17 +793,9 @@ def make_similar_product(
 
 def su_multioperator_tables(bialgebra: DistBialgebra) -> dict[tuple[Monomial, Monomial], Vector]:
     """Distribution-view multioperator tables of a bialgebra, up to the truncation N."""
-    N = bialgebra.N
     ops = dist_su_ops(bialgebra)
-    out: dict[tuple[Monomial, Monomial], Vector] = {}
-    for i in range(1, N - 1):
-        for j in range(2, N - i + 1):
-            for mx in monomials(bialgebra.dim, i):
-                for my in monomials(bialgebra.dim, j):
-                    value = ops.multioperator_mono(mx, my)
-                    if any(value):
-                        out[(mx, my)] = value
-    return out
+    entries = (e for n in range(3, bialgebra.N + 1) for e in _multioperator_entries(ops, n))
+    return {(mx, my): value for mx, my, value in entries if any(value)}
 
 
 # -- the filtration rank check -----------------------------------------------------------

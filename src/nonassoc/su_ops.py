@@ -28,8 +28,8 @@ the algebra's own coefficients: `int | Fraction` in `DistBialgebra`,
 `Fraction` in `FreeAlgebra`.  The operations multiply and add the
 coefficients of their arguments and never divide them, so on the
 `int`-coefficient elements that `dist.DistSUOps` passes in they stay ints;
-only `multioperator` and `multioperator_component` scale their sums by
-1/(m! n!), once, at the end.
+only `multioperator` scales its sum by 1/(m! n!), once, at the end, and
+`multioperator_component` that value by 1/(i! j!).
 
 Left and right division are defined by the counit recursions, the
 non-associative stand-in for an antipode:
@@ -52,7 +52,8 @@ z, so p is evaluated as a combination of its values P on triples of basis
 keys; P and the associators inside it are memoized on the algebra, which
 shares them across every bracket and multioperator entry.  The binary
 bracket is the negated commutator; higher brackets antisymmetrize p in its
-last two slots, and the multioperator symmetrizes p over both blocks.
+last two slots, and the multioperator symmetrizes p over both blocks,
+evaluating p once per distinct ordering of its arguments.
 
 `basis_bracket_table` builds the basis table of any bracket route from a
 basis the caller supplies: `dist.su_bracket_table` passes the bialgebra's
@@ -63,6 +64,7 @@ are.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product as iter_product
 from math import factorial
@@ -216,8 +218,8 @@ def basis_bracket_table(
     as `bracket`, p(xs; z; y) - p(xs; y; z), is.  An m-ary bracket needs
     m + 2 <= N.
     """
-    if arity < 0:
-        raise ValueError(f"bracket arity must be >= 0, got {arity}")
+    if type(arity) is not int or arity < 0:
+        raise ValueError(f"bracket arity must be >= 0 (an int, not a bool), got {arity!r}")
     if arity + 2 > N:
         raise ValueError(f"bracket arity {arity} needs degree {arity + 2} <= {N}")
     dim = len(basis)
@@ -238,18 +240,20 @@ def multioperator(alg, xs: Sequence, ys: Sequence) -> object:
     """The multilinear multioperator, symmetrized over both blocks.
 
     (1/m! n!) sum over permutations of p(x_t(1)..x_t(m); y_s(1)..y_s(n-1); y_s(n)),
-    for m >= 1 and n >= 2.
+    for m >= 1 and n >= 2, evaluating p (which checks that the arguments are
+    primitive) once per distinct ordering, weighted by its number of permutations.
     """
     m, n = len(xs), len(ys)
     if m < 1 or n < 2:
         raise ValueError(f"multioperator needs m >= 1 and n >= 2, got ({m}, {n})")
-    _require_primitive(alg, list(xs) + list(ys))
+    # each block's distinct orderings as index tuples (equal arguments share an index), counted
+    x_orders, y_orders = (Counter(permutations([b.index(a) for a in b])) for b in (xs, ys))
     acc: dict = {}
-    for tau in permutations(range(m)):
+    for tau, tau_count in x_orders.items():
         xs_p = [xs[i] for i in tau]
-        for sigma in permutations(range(n)):
+        for sigma, sigma_count in y_orders.items():
             ys_p = [ys[i] for i in sigma]
-            add_into(acc, p_operation(alg, xs_p, ys_p[:-1], ys_p[-1]).terms)
+            add_into(acc, p_operation(alg, xs_p, ys_p[:-1], ys_p[-1]).terms, tau_count * sigma_count)
     # the weight 1/(m! n!) once, on the sum, so the summands keep the algebra's coefficients
     return ys[0]._like(acc).scale(Fraction(1, factorial(m) * factorial(n)))
 
@@ -257,11 +261,10 @@ def multioperator(alg, xs: Sequence, ys: Sequence) -> object:
 def multioperator_component(alg, x, y, i: int, j: int) -> object:
     """Bidegree-(i, j) polynomial component of the multioperator at (x, y).
 
-    Equals multioperator on i copies of x and j copies of y divided by
-    i! j!; at repeated arguments every symmetrization term coincides, so
-    this is p(x..x; y..y; y) / (i! j!).
+    The multioperator on i copies of x and j copies of y, divided by i! j!;
+    those arguments have one distinct ordering, so this is one p evaluation.
+    i and j must be ints (not bools) with i >= 1 and j >= 2; otherwise ValueError.
     """
-    if i < 1 or j < 2:
-        raise ValueError(f"multioperator components need i >= 1 and j >= 2, got ({i}, {j})")
-    value = p_operation(alg, [x] * i, [y] * (j - 1), y)
-    return value.scale(Fraction(1, factorial(i) * factorial(j)))
+    if type(i) is not int or type(j) is not int or i < 1 or j < 2:
+        raise ValueError(f"multioperator components need i >= 1 and j >= 2, got ({i!r}, {j!r})")
+    return multioperator(alg, [x] * i, [y] * j).scale(Fraction(1, factorial(i) * factorial(j)))

@@ -251,10 +251,8 @@ class SymTensor(LinComb):
         for key, coeff in (terms or {}).items():
             coeff = rat(coeff)
             if coeff:
-                if len(key) != len(self.dims) or any(
-                    len(m) != d for m, d in zip(key, self.dims)
-                ):
-                    raise ValueError(f"tensor key {key} does not match dims {self.dims}")
+                if len(key) != len(self.dims) or not all(map(is_monomial, key, self.dims)):
+                    raise ValueError(f"tensor key {key} is not a monomial per slot of dims {self.dims}")
                 clean[tuple(key)] = coeff
         self.terms = clean
 
@@ -281,9 +279,6 @@ class SymTensor(LinComb):
     def counit(self) -> Fraction:
         unit = tuple(unit_monomial(d) for d in self.dims)
         return self.terms.get(unit, ZERO)
-
-    def slot(self, index: int) -> int:
-        return self.dims[index]
 
     def truncate(self, max_degree: int) -> "SymTensor":
         return self._like(

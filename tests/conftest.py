@@ -328,6 +328,19 @@ def reference_bracket_table(dim, arity, entry):
     return table
 
 
+# the multioperator by its literal symmetrization: p on every one of the m! n!
+# orderings of the two blocks, repeated orderings evaluated again
+
+
+def reference_multioperator(alg, xs, ys):
+    """(1/m! n!) sum over all permutations of p(x_t(1)..x_t(m); y_s(1)..y_s(n-1); y_s(n))."""
+    acc = {}
+    for tau in permutations(xs):
+        for sigma in permutations(ys):
+            add_into(acc, su_ops.p_operation(alg, list(tau), list(sigma[:-1]), sigma[-1]).terms)
+    return ys[0]._like(acc).scale(Fraction(1, factorial(len(xs)) * factorial(len(ys))))
+
+
 # the covariant derivative by its literal formula, through the public dense
 # API: the four-fold coproduct as nested splits, and the pulled-back vector
 # mu_(3) \* B(mu_(4)) recomputed for every split

@@ -16,9 +16,10 @@ from conftest import (
     plane_structure_constants,
     rationals,
     reference_linearized,
+    reference_multioperator,
     reference_similar_product,
 )
-from nonassoc import dist
+from nonassoc import dist, su_ops
 from nonassoc.catalog import (
     AlgebraTable,
     builtin_algebra,
@@ -54,6 +55,7 @@ from nonassoc.su_ops import basis_bracket_table
 from nonassoc.symalg import (
     SymElement,
     SymTensor,
+    basis_monomial,
     monomial_degree,
     monomial_letters,
     monomial_splits,
@@ -365,6 +367,70 @@ def test_su_ops_hand_the_engine_exact_coefficients(jordan_bialgebra_4):
     assert value.primitive_part() == entry and all(type(c) is F for c in value.terms.values())
 
 
+def _letters(elements):
+    return tuple(monomial_letters(next(iter(e.terms)))[0] for e in elements)
+
+
+@pytest.mark.parametrize(
+    "mx, my, orderings",
+    [
+        # the y-block e1 e1 e2 has 3 distinct orderings of its 3! permutations
+        ((1, 0, 0), (0, 2, 1), {((0,), (1, 1), (2,)), ((0,), (1, 2), (1,)), ((0,), (2, 1), (1,))}),
+        ((1, 1, 0), (0, 0, 2), {((0, 1), (2,), (2,)), ((1, 0), (2,), (2,))}),
+        ((2, 0, 0), (0, 2, 0), {((0, 0), (1,), (1,))}),
+    ],
+)
+def test_multioperator_mono_evaluates_p_once_per_distinct_ordering(
+    jordan_bialgebra_4, monkeypatch, mx, my, orderings
+):
+    calls = []
+    p_operation = su_ops.p_operation
+
+    def counted(alg, xs, ys, z):
+        calls.append((_letters(xs), _letters(ys), _letters([z])))
+        return p_operation(alg, xs, ys, z)
+
+    monkeypatch.setattr(su_ops, "p_operation", counted)
+    ops = dist_su_ops(jordan_bialgebra_4)
+    ops.multioperator_mono(mx, my)
+    assert len(calls) == len(orderings) and set(calls) == orderings
+    calls.clear()
+    e = [jordan_bialgebra_4.key_element(basis_monomial(3, i)) for i in range(3)]
+    su_ops.multioperator_component(jordan_bialgebra_4, e[0], e[1], 1, 3)
+    assert calls == [((0,), (1, 1), (1,))]
+
+
+def test_multioperator_tables_are_the_literal_symmetrization(jordan_bialgebra_5):
+    B = jordan_bialgebra_5
+    e = [B.key_element(basis_monomial(3, i)) for i in range(3)]
+    expected = {}
+    for mx in monomials_up_to(3, 3):
+        for my in monomials_up_to(3, 5 - monomial_degree(mx)):
+            if monomial_degree(mx) >= 1 and monomial_degree(my) >= 2:
+                value = reference_multioperator(
+                    B, [e[i] for i in monomial_letters(mx)], [e[i] for i in monomial_letters(my)]
+                )
+                if value.terms:
+                    expected[(mx, my)] = value.primitive_part()
+    assert su_multioperator_tables(B) == expected
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(constants=plane_structure_constants, data=st.data())
+def test_multioperator_is_the_literal_symmetrization_on_random_structure_constants(constants, data):
+    B = DistBialgebra.from_loop(loop_from_algebra(AlgebraTable(2, constants), 4))
+    # few letters, so blocks repeat them; (1, -2) is primitive and distinct from e0 and e1
+    pool = [SymElement.from_vector(v) for v in [(1, 0), (0, 1), (1, -2)]]
+    m = data.draw(st.integers(1, 2), label="m")
+    n = data.draw(st.integers(2, 4 - m), label="n")
+    xs = data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m), label="xs")
+    ys = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n), label="ys")
+    assert su_ops.multioperator(B, xs, ys) == reference_multioperator(B, xs, ys)
+    assert su_ops.multioperator_component(B, xs[0], ys[0], m, n) == reference_multioperator(
+        B, [xs[0]] * m, [ys[0]] * n
+    ).scale(F(1, factorial(m) * factorial(n)))
+
+
 def test_multioperator_mono_reads_only_monomials_of_the_bialgebra(jordan_bialgebra_4):
     ops = dist_su_ops(jordan_bialgebra_4)
     assert ops.multioperator_mono((0, 1, 0), (0, 1, 1)) == (0, F(-1, 2), 0)
@@ -385,6 +451,17 @@ def test_su_ops_reject_float_vectors(jordan_bialgebra_4):
 def test_su_bracket_table_rejects_a_negative_arity(jordan_bialgebra_4):
     with pytest.raises(ValueError, match="arity must be >= 0"):
         su_bracket_table(jordan_bialgebra_4, -1)
+
+
+def test_bracket_table_and_multioperator_component_refuse_a_bool_degree(jordan_bialgebra_4):
+    # read as ints, these were the arity-1 table and the (1, 3) component
+    B = DistBialgebra.from_loop(builtin_loop("jordan-k3-loop", 3))
+    with pytest.raises(ValueError, match="bracket arity must be >= 0 .an int, not a bool., got True"):
+        su_bracket_table(B, True)
+    e = [jordan_bialgebra_4.key_element(basis_monomial(3, i)) for i in range(3)]
+    for i, j in [(True, 3), (1, True), (1.0, 3)]:
+        with pytest.raises(ValueError, match="multioperator components need i >= 1 and j >= 2"):
+            su_ops.multioperator_component(jordan_bialgebra_4, e[0], e[1], i, j)
 
 
 @pytest.mark.parametrize("dim, arity", [(3, 0), (2, 1), (3, 2)])
@@ -570,6 +647,13 @@ def test_linearized_check_refuses_a_sample_count_that_is_not_a_count(jordan_bial
     with pytest.raises(ValueError, match=f"samples must be an int >= 0, got {samples}"):
         check_linearized_identity(identity, jordan_bialgebra_4, samples=samples, seed=0)
     assert check_linearized_identity(parse_identity(RIGHT_ALT, 2), jordan_bialgebra_4, samples=0).samples == 0
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "7"])
+def test_linearized_check_refuses_a_seed_that_is_not_an_int(jordan_bialgebra_4, seed):
+    # random.Random("7") draws other samples than random.Random(7), so the report could not replay
+    with pytest.raises(ValueError, match=f"seed must be an int, got {seed!r}"):
+        check_linearized_identity(parse_identity(RIGHT_ALT, 2), jordan_bialgebra_4, samples=1, seed=seed)
 
 
 def test_linearized_right_alternativity_on_modified_loop():

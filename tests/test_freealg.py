@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NO_SHRINK, associative_collapse, rationals, reference_exp_inverse, reference_fa_product
+from conftest import (
+    NO_SHRINK, associative_collapse, rationals, reference_exp_inverse, reference_fa_product,
+    reference_multioperator,
+)
 from nonassoc.freealg import (
     FAElement,
     FATensor,
@@ -270,6 +274,27 @@ def test_multioperator_definition_small(alg):
     assert su_multioperator_component(x, y, 1, 2) == p_operation([x], [y], y).scale(
         F(1, 2)
     )
+
+
+_ALG5 = FreeAlgebra(("x", "y", "z"), 5)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(data=st.data())
+def test_multioperator_is_the_literal_symmetrization(data):
+    alg = _ALG5
+    x, y, z = alg.gens()
+    # few letters, so blocks repeat them; x - 2y is primitive and distinct from x and y
+    pool = [x, y, z, x - y.scale(2)]
+    m = data.draw(st.integers(1, 3), label="m")
+    n = data.draw(st.integers(2, alg.max_degree - m), label="n")
+    xs = data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m), label="xs")
+    ys = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n), label="ys")
+    assert su_multioperator(xs, ys) == reference_multioperator(alg, xs, ys)
+    a, b = data.draw(st.sampled_from(pool), label="a"), data.draw(st.sampled_from(pool), label="b")
+    assert su_multioperator_component(a, b, m, n) == reference_multioperator(
+        alg, [a] * m, [b] * n
+    ).scale(F(1, factorial(m) * factorial(n)))
 
 
 def test_exp_series_to_degree_four():

@@ -207,6 +207,13 @@ def test_negative_exponents_are_refused():
         SymElement.from_json({"dim": 2, "terms": [{"exps": [-1, 0], "coeff": "1"}]})
 
 
+@pytest.mark.parametrize("key", [((-1, 1),), ((True, 1),), ((1,),), ((1, 0), (0, 1))])
+def test_tensor_keys_are_a_monomial_per_slot(key):
+    with pytest.raises(ValueError, match=r"is not a monomial per slot of dims \(2,\)"):
+        SymTensor((2,), {key: 1})
+    assert SymTensor((2, 1), {((1, 0), (2,)): 1}).terms == {((1, 0), (2,)): 1}
+
+
 @pytest.mark.parametrize(
     "mono, dim, expected",
     [

@@ -29,7 +29,12 @@ LIVE_COUNTS = {
         "connection.ms_brackets.s",
         "dist.su_bracket_table.s",
     ],
-    ("brackets", "install-round-trip"): ["dist.psi.s", "maps.compose.calls"],
+    ("brackets", "install-round-trip"): [
+        "dist.psi.s",
+        "maps.compose.calls",
+        "su_ops.p_operation.calls",
+        "dist.product_mono.calls",
+    ],
     ("solve", "moufang-octonion-loop-3"): ["maps.compose.calls", "maps.prolong_cache.entries"],
     ("solve", "raltify-jordan-5"): [
         "maps.compose.s",
