@@ -19,6 +19,7 @@ from nonassoc.scalars import ONE, basis_vector, format_rational, to_dense, to_sp
 from nonassoc.symalg import (
     SymElement, monomial_degree, monomial_letters, monomial_splits, monomials_up_to,
 )
+from nonassoc.trees import bernoulli_number, enumerate_trees
 from nonassoc.words import LDiv, Mul, RDiv, Unit, Var
 
 # dense vectors (length-dim tuples of Fractions), as the public API returns them
@@ -463,6 +464,30 @@ def reference_multioperator_ms(max_degree):
             break
         phi = candidate
     return phi
+
+
+# tree Bernoulli data as Fraction products over the left comb, and the tree
+# Bernoulli sum as a plain Fraction sum, to compare with the int arithmetic of
+# `tree_stats` and `bernoulli_tree_sum`
+
+
+def reference_tree_stats(tree):
+    """(B_t, t!), for t = (...((x t1) t2)...) tk the products B_k B_t1..B_tk and k! t1!..tk!."""
+    comb = tree.left_comb()
+    bern, fact = bernoulli_number(len(comb)), factorial(len(comb))
+    for part in comb:
+        b, f = reference_tree_stats(part)
+        bern, fact = bern * b, fact * f
+    return bern, fact
+
+
+def reference_bernoulli_tree_sum(n):
+    """The sum of B_t / t! over the trees t of degree n, one Fraction addition per tree."""
+    total = Fraction(0)
+    for tree in enumerate_trees(n):
+        bern, fact = reference_tree_stats(tree)
+        total += bern / fact
+    return total
 
 
 # the quotient of the free algebra by associativity and commutativity
