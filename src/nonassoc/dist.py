@@ -9,23 +9,30 @@ brackets are evaluated with these, and a prescribed multioperator can be
 installed through a similarity, solved one degree at a time, without
 disturbing the brackets.
 
-Coefficients: inside the memos a coefficient is an ``int`` or a
-``Fraction``, never a float.  `from_loop` stores every integral product
-coefficient as an ``int`` and divides with `scalars.exact_div`, and
-`DistSUOps` hands the engine its arguments in the same canonical form, so
-for integral loops the whole kernel, the primitive operations included,
-runs on ints; `su_bracket_table` evaluates on the bialgebra's own
-int-coefficient basis elements.  Every value that leaves the public API
-has ``Fraction`` coefficients again (`scalars.as_fractions`): the
-`SymElement`s of `DistBialgebra.product` and `divide`, of the `DistSUOps`
-operations `p`, `bracket` and `multioperator`, and of
-`LinearizedEvaluator.on_monomials` and `on_elements`.
+Ids and coefficients: inside the kernel a monomial of degree <= N is an
+``int`` id, which one `_MonomialIndex` per (dim, N) assigns on first use,
+and a coefficient is an ``int`` or a ``Fraction``, never a float.  The
+memos key a pair of ids (i, j) by the int i * M + j, M being the number
+of monomials of degree <= N, and hold terms dicts {id: coefficient};
+the `su_ops` contract and `LinearizedEvaluator` run on ids.  Every stored
+coefficient is in the canonical form of `scalars.exact`: `from_loop`
+divides with `scalars.exact_div`, and division entries, the values of an
+explicit product function and the arguments `DistSUOps` hands the engine
+go through `scalars.exact`, so for integral loops the whole kernel, the
+primitive operations included, runs on ints.  Monomial tuples and
+``Fraction`` coefficients appear only at the public API: `product_mono`,
+`ldiv_mono` and `rdiv_mono` take monomials and return `SymElement`s
+(with the kernel's coefficients), and the `SymElement`s of
+`DistBialgebra.product` and `divide`, of the `DistSUOps` operations `p`,
+`bracket` and `multioperator`, and of `LinearizedEvaluator.on_monomials`
+and `on_elements` have ``Fraction`` coefficients (`scalars.as_fractions`).
 
 Those public operations are exact within the truncation and raise
 ValueError beyond it: `product` and `divide` when the degrees of their
 arguments sum past N, and the `DistSUOps` operations when their degree
 does (m + n + 1 for p, m + 2 for a bracket, m + n for a multioperator, on
-m and n primitive arguments).
+m and n primitive arguments).  A monomial of degree above N, which has no
+id, raises ValueError too.
 """
 
 from __future__ import annotations
@@ -34,15 +41,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product as iter_product
-from math import lcm, prod
+from itertools import chain, combinations_with_replacement, product as iter_product
+from math import comb, lcm, prod
 from typing import Callable, Iterator, Sequence
 
 from . import su_ops
-from .lincomb import add_into, bilinear, sum_into
+from .lincomb import LinComb, add_into, bilinear, sum_into
 from .maps import FormalLoop, FormalMap, InvariantError, MonoTuple, SimilarityMap, compose
 from .scalars import (
-    SparseVector, Vector, as_fractions, exact_div, exact_terms, format_rational, to_sparse,
+    SparseVector, Vector, as_fractions, exact, exact_div, exact_terms, format_rational, to_sparse,
 )
 from .symalg import (
     Monomial,
@@ -54,20 +61,13 @@ from .symalg import (
     monomial_splits,
     monomials,
     monomials_up_to,
-    splits_by_degree,
     sym_dim,
     unit_monomial,
 )
 from .words import Identity, LDiv, LoopWord, Mul, RDiv, Unit, Var, word_variables
 
 ProductFn = Callable[[Monomial, Monomial], SymElement]
-
-
-def _letter_shifts(mono: Monomial, N: int) -> tuple[Monomial, ...] | None:
-    """(mono e_0, .., mono e_{dim-1}), or None when mono has degree N and every shift vanishes."""
-    if monomial_degree(mono) >= N:
-        return None
-    return tuple(mono[:j] + (mono[j] + 1,) + mono[j + 1 :] for j in range(len(mono)))
+Terms = dict[int, int | Fraction]  # a kernel value: monomial id -> coefficient
 
 
 def _check_degree(operation: str, degree: int, N: int) -> None:
@@ -75,29 +75,148 @@ def _check_degree(operation: str, degree: int, N: int) -> None:
         raise ValueError(f"{operation} of degree {degree} beyond the truncation {N}")
 
 
-def _fractions(elem: SymElement) -> SymElement:
-    """`elem` with every coefficient a Fraction, as values leave the public API."""
-    return SymElement.of_terms(elem.dim, as_fractions(elem.terms))
+class _MonomialIndex:
+    """Int ids for the monomials of k[V] of degree <= N, assigned on first use.
+
+    Ids run 0, 1, 2, .. in the order monomials are first seen and stay below
+    `size`, the number of monomials of degree <= N, so i * size + j keys a
+    pair of ids.  Per id the index keeps the monomial and its degree and,
+    once read, its splits and letter shifts as ids: only what a computation
+    touches gets an id, so a small job pays for a small index.
+    """
+
+    def __init__(self, dim: int, N: int):
+        self.dim = dim
+        self.N = N
+        self.size = comb(dim + N, N)
+        self.ids: dict[Monomial, int] = {}
+        self.monos: list[Monomial] = []
+        self.degrees: list[int] = []
+        # id -> its splits by degree, its splits, its shifts; None until read
+        self._groups: list[tuple | None] = []
+        self._splits: list[tuple | None] = []
+        self.shift_rows: list[tuple[int, ...] | None] = []
+
+    def id(self, mono: Monomial) -> int:
+        """The id of a monomial of k[V] of degree <= N; anything else raises ValueError."""
+        i = self.ids.get(mono)
+        if i is None:
+            if not is_monomial(mono, self.dim):
+                raise ValueError(f"{mono} is not a monomial of dimension {self.dim}")
+            degree = monomial_degree(mono)
+            if degree > self.N:
+                raise ValueError(f"monomial {mono} beyond the truncation {self.N}")
+            i = self.ids[mono] = len(self.monos)
+            self.monos.append(mono)
+            self.degrees.append(degree)
+            self._groups.append(None)
+            self._splits.append(None)
+            self.shift_rows.append(None)
+        return i
+
+    def groups(self, i: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """The splits (b, mono - b, weight) of monomial i as id triples, grouped by the degree of b.
+
+        The terms of `symalg.monomial_splits`, found by Pascal's rule from the
+        splits of mono / e_l, l its last letter: each split (b, c) of it gives
+        (b e_l, c) and (b, c e_l).
+        """
+        groups = self._groups[i]
+        if groups is None:
+            degree = self.degrees[i]
+            if degree == 0:
+                groups = (((i, i, 1),),)
+            else:
+                mono = self.monos[i]
+                l = max(j for j, e in enumerate(mono) if e)
+                rest = self.id(mono[:l] + (mono[l] - 1,) + mono[l + 1 :])
+                acc: list[dict[tuple[int, int], int]] = [{} for _ in range(degree + 1)]
+                for k, group in enumerate(self.groups(rest)):
+                    up, same = acc[k + 1], acc[k]
+                    for b, c, weight in group:
+                        key = (self.shifts(b)[l], c)
+                        up[key] = up.get(key, 0) + weight
+                        key = (b, self.shifts(c)[l])
+                        same[key] = same.get(key, 0) + weight
+                groups = tuple(tuple((b, c, w) for (b, c), w in group.items()) for group in acc)
+            self._groups[i] = groups
+        return groups
+
+    def splits(self, i: int) -> tuple[tuple[int, int, int], ...]:
+        """`symalg.monomial_splits` of monomial i, as (id, id, weight) triples."""
+        splits = self._splits[i]
+        if splits is None:
+            splits = self._splits[i] = tuple(chain.from_iterable(self.groups(i)))
+        return splits
+
+    def shifts(self, i: int) -> tuple[int, ...]:
+        """The ids of (mono e_0, .., mono e_{dim-1}) for monomial i; () at degree N, where
+        every shift lies above the truncation."""
+        row = self.shift_rows[i]
+        if row is None:
+            mono = self.monos[i]
+            row = () if self.degrees[i] == self.N else tuple(
+                self.id(mono[:j] + (mono[j] + 1,) + mono[j + 1 :]) for j in range(self.dim)
+            )
+            self.shift_rows[i] = row
+        return row
+
+    def to_ids(self, terms: dict) -> Terms:
+        """Monomial-keyed terms keyed by id, each coefficient in canonical exact form."""
+        return {self.id(m): exact(c) for m, c in terms.items()}
+
+    def to_monomials(self, terms: Terms) -> dict[Monomial, int | Fraction]:
+        monos = self.monos
+        return {monos[k]: c for k, c in terms.items()}
+
+
+@lru_cache(maxsize=None)
+def _monomial_index(dim: int, N: int) -> _MonomialIndex:
+    """The one index of (dim, N), shared by every bialgebra of that size."""
+    return _MonomialIndex(dim, N)
+
+
+class _KernelElement(LinComb):
+    """An element of k[V] inside the kernel: terms keyed by monomial id."""
+
+    __slots__ = ("index",)
+    _space_attr = "index"
+
+    def __repr__(self) -> str:
+        return repr(SymElement.of_terms(self.index.dim, self.index.to_monomials(self.terms)))
 
 
 class DistBialgebra:
     """k[V] with the convolution product of a loop (or an explicit product).
 
-    Product and division values are memoized per monomial pair, and the
-    primitive operation and associator per monomial triple; the caches live
-    on the instance, so distinct bialgebras never share entries.
+    Product and division values are memoized per pair of monomial ids, and
+    the primitive operation and associator per triple; the caches live on
+    the instance, so distinct bialgebras never share entries.  Each memo
+    entry is filled by `product_mono`, `ldiv_mono` or `rdiv_mono`; the
+    kernel reads the memos directly and calls those methods on a miss.
     """
 
     def __init__(self, dim: int, max_degree: int, product_fn: ProductFn, loop: FormalLoop | None = None):
         self.dim = dim
         self.N = max_degree
         self.loop = loop
-        self._product_fn = product_fn
-        self._prod_memo: dict[tuple[Monomial, Monomial], SymElement] = {}
-        self._ldiv_memo: dict[tuple[Monomial, Monomial], SymElement] = {}
-        self._rdiv_memo: dict[tuple[Monomial, Monomial], SymElement] = {}
-        self._p_memo: dict[tuple[Monomial, Monomial, Monomial], SymElement] = {}
-        self._assoc_memo: dict[tuple[Monomial, Monomial, Monomial], SymElement] = {}
+        index = self._index = _monomial_index(dim, max_degree)
+        self._size = index.size
+        self._monos = index.monos
+        self._degrees = index.degrees
+
+        def on_ids(i: int, j: int) -> Terms:
+            value = product_fn(index.monos[i], index.monos[j]).truncate(max_degree)
+            return index.to_ids(value.terms)
+
+        # (id, id) -> terms of the product: an explicit product on monomials, read on ids
+        # and stored canonical; `from_loop` installs its own recursion on ids instead
+        self._product_fn: Callable[[int, int], Terms] = on_ids
+        self._prod_memo: dict[int, Terms] = {}
+        self._ldiv_memo: dict[int, Terms] = {}
+        self._rdiv_memo: dict[int, Terms] = {}
+        self._p_memo: dict[int, Terms] = {}
+        self._assoc_memo: dict[int, Terms] = {}
 
     @classmethod
     def from_loop(cls, loop: FormalLoop) -> "DistBialgebra":
@@ -110,60 +229,71 @@ class DistBialgebra:
         have positive degree (the degree-1 part is F itself).  This agrees
         with the prolongation of F, which the test suite pins.
 
-        The recursion is driven by the loop's support: only the splits whose
-        front (mu_(1), nu_(1)) has a multidegree where F has a component are
-        visited.  Each weighted tail term, times each letter e_j of the front,
-        is summed straight into the shifted result, unscaled, and each output
-        term is divided by its degree once, not once per split or letter.
-        The shifts mono e_j are cached per bialgebra; a tail term of degree N
-        has none, since mono e_j would lie above the truncation.
+        The recursion runs on monomial ids and is driven by the loop's
+        support: only the splits whose front (mu_(1), nu_(1)) has a
+        multidegree where F has a component are visited, and F's value at a
+        front is looked up once per pair of ids.  Each weighted tail term,
+        times each letter e_j of the front, is summed straight into the
+        shifted result, unscaled, and each output term is divided by its
+        degree once, not once per split or letter.  A tail term of degree N
+        has no shifts (`_MonomialIndex.shifts`), since mono e_j would lie
+        above the truncation.
         """
         self = cls(loop.dim, loop.N, None, loop)  # type: ignore[arg-type]
-        dim, N = loop.dim, loop.N
+        dim, N, size = loop.dim, loop.N, self._size
+        index, monos, degrees, shift_rows = self._index, self._monos, self._degrees, self._index.shift_rows
         components = {
-            md: {monos: exact_terms(vec) for monos, vec in comp.items()}
+            md: {pair: exact_terms(vec) for pair, vec in comp.items()}
             for md, comp in loop.components.items()
         }
-        unit = SymElement.of_terms(dim, {unit_monomial(dim): 1})
-        # monomial -> (mono e_0, .., mono e_{dim-1}), or None at degree N
-        shifts: dict[Monomial, tuple[Monomial, ...] | None] = {}
+        unit = index.id(unit_monomial(dim))
+        letters = [index.id(basis_monomial(dim, j)) for j in range(dim)]
+        # i * size + j -> F's component at the monomials (i, j), () where F has none
+        fronts: dict[int, dict[int, int | Fraction] | tuple] = {}
+        memo = self._prod_memo
 
-        def product_fn(m1: Monomial, m2: Monomial) -> SymElement:
-            d1, d2 = monomial_degree(m1), monomial_degree(m2)
+        def product_fn(i: int, j: int) -> Terms:
+            d1, d2 = degrees[i], degrees[j]
             if d1 + d2 == 0:
-                return unit
-            top = components.get((d1, d2), {}).get((m1, m2), {})
-            acc = {basis_monomial(dim, j): c for j, c in top.items()}
-            groups1, groups2 = splits_by_degree(m1), splits_by_degree(m2)
-            # mono e_j -> sum of F_j(mu_(1), nu_(1)) times the tail mu_(2) . nu_(2) at mono
-            shifted: dict[Monomial, int | Fraction] = {}
+                return {unit: 1}
+            top = components.get((d1, d2), {}).get((monos[i], monos[j]), {})
+            acc = {letters[l]: c for l, c in top.items()}
+            groups1, groups2 = index.groups(i), index.groups(j)
+            # id of mono e_l -> sum of F_l(mu_(1), nu_(1)) times the tail mu_(2) . nu_(2) at mono
+            shifted: Terms = {}
             get = shifted.get
             for (e1, e2), comp in components.items():
                 if e1 > d1 or e2 > d2 or (e1 == d1 and e2 == d2):
                     continue
                 for a1, b1, c1 in groups1[e1]:
+                    base = a1 * size
                     for a2, b2, c2 in groups2[e2]:
-                        front = comp.get((a1, a2))
+                        front = fronts.get(base + a2)
                         if front is None:
+                            front = fronts[base + a2] = comp.get((monos[a1], monos[a2])) or ()
+                        if not front:
                             continue
                         weight = c1 * c2
-                        for mono, c in self.product_mono(b1, b2).terms.items():
-                            try:
-                                row = shifts[mono]
-                            except KeyError:
-                                row = shifts[mono] = _letter_shifts(mono, N)
+                        tail = memo.get(b1 * size + b2)
+                        if tail is None:
+                            self.product_mono(monos[b1], monos[b2])
+                            tail = memo[b1 * size + b2]
+                        for mono, c in tail.items():
+                            row = shift_rows[mono]
                             if row is None:
+                                row = index.shifts(mono)
+                            if not row:
                                 continue
                             if weight != 1:
                                 c = weight * c
-                            for j, fj in front.items():
-                                key = row[j]
-                                shifted[key] = get(key, 0) + c * fj
+                            for l, fl in front.items():
+                                key = row[l]
+                                shifted[key] = get(key, 0) + c * fl
             # tails have no degree-0 term, so these degrees are >= 2 and miss `top`
             for mono, c in shifted.items():
                 if c:
-                    acc[mono] = exact_div(c, monomial_degree(mono))
-            return SymElement.of_terms(dim, acc)
+                    acc[mono] = exact_div(c, degrees[mono])
+            return acc
 
         self._product_fn = product_fn
         return self
@@ -184,22 +314,30 @@ class DistBialgebra:
     def __repr__(self) -> str:
         return f"DistBialgebra(dim={self.dim}, N={self.N})"
 
-    # -- product and divisions on monomials ------------------------------------
+    # -- product and divisions on monomials: the one place memo entries are filled ----
     def product_mono(self, m1: Monomial, m2: Monomial) -> SymElement:
-        key = (m1, m2)
-        hit = self._prod_memo.get(key)
-        if hit is None:
-            hit = self._product_fn(m1, m2).truncate(self.N)
-            self._prod_memo[key] = hit
-        return hit
+        i, j = self._index.id(m1), self._index.id(m2)
+        key = i * self._size + j
+        terms = self._prod_memo.get(key)
+        if terms is None:
+            terms = self._prod_memo[key] = self._product_fn(i, j)
+        return SymElement.of_terms(self.dim, self._index.to_monomials(terms))
 
     def ldiv_mono(self, m1: Monomial, m2: Monomial) -> SymElement:
         r"""mu \ nu on monomials (`su_ops.ldiv_on_keys`)."""
-        return su_ops.ldiv_on_keys(self, m1, m2)
+        return self._division(self._ldiv_memo, su_ops.ldiv_on_keys, m1, m2)
 
     def rdiv_mono(self, m1: Monomial, m2: Monomial) -> SymElement:
         """mu / nu on monomials (`su_ops.rdiv_on_keys`)."""
-        return su_ops.rdiv_on_keys(self, m1, m2)
+        return self._division(self._rdiv_memo, su_ops.rdiv_on_keys, m1, m2)
+
+    def _division(self, memo: dict[int, Terms], recursion, m1: Monomial, m2: Monomial) -> SymElement:
+        i, j = self._index.id(m1), self._index.id(m2)
+        key = i * self._size + j
+        terms = memo.get(key)
+        if terms is None:
+            terms = memo[key] = exact_terms(recursion(self, i, j))
+        return SymElement.of_terms(self.dim, self._index.to_monomials(terms))
 
     # -- bilinear extensions ------------------------------------------------------
     def _check_pair(self, operation: str, a: SymElement, b: SymElement) -> None:
@@ -212,47 +350,80 @@ class DistBialgebra:
 
     def product(self, a: SymElement, b: SymElement) -> SymElement:
         self._check_pair("product", a, b)
-        return _fractions(self.mul(a, b))
+        return self._public(self.mul(self._kernel(a), self._kernel(b)).terms)
 
     def divide(self, a: SymElement, b: SymElement, side: str) -> SymElement:
         self._check_pair("division", a, b)
-        return _fractions(su_ops.divide(self, a, b, side))
+        return self._public(su_ops.divide(self, self._kernel(a), self._kernel(b), side).terms)
 
     # -- element helpers ----------------------------------------------------------
+    # `one` is the public unit; `su_ops` reads it only for a left-normed product
+    # of no factors, which the kernel never forms
     def one(self) -> SymElement:
         return SymElement.one(self.dim)
 
     def basis(self, index: int) -> SymElement:
         return SymElement.basis(self.dim, index)
 
-    # -- the su_ops contract ------------------------------------------------------
-    key_degree = staticmethod(monomial_degree)
+    def _kernel(self, elem: SymElement) -> _KernelElement:
+        """A public element as the kernel's: keyed by id, with exact coefficients."""
+        return _KernelElement.of_terms(self._index, self._index.to_ids(elem.terms))
 
-    # The methods below look up product_mono, ldiv_mono, rdiv_mono and
-    # monomial_splits at call time, so a wrapper installed on those names
-    # (perfbench/tracer.py) sees every call; a class-level alias would not.
-    # `mul` is the kernel's product: unlike `product` it keeps the memos'
-    # int coefficients instead of converting its result to Fractions.
-    def mul(self, a: SymElement, b: SymElement) -> SymElement:
-        return bilinear(self.product_mono, a, b)
+    def _public(self, terms: Terms) -> SymElement:
+        """Kernel terms as they leave the public API: keyed by monomial, with Fractions."""
+        return SymElement.of_terms(self.dim, as_fractions(self._index.to_monomials(terms)))
 
-    def is_primitive(self, a: SymElement) -> bool:
-        return all(monomial_degree(m) == 1 for m in a.terms)
+    # -- the su_ops contract, on monomial ids ---------------------------------------
+    # The key methods read the memos directly and call product_mono, ldiv_mono
+    # and rdiv_mono on a miss, looked up at call time, so a wrapper installed
+    # on those names (perfbench/tracer.py) sees every fill; a class-level
+    # alias would not.  `mul` is the kernel's product: unlike `product` it
+    # keeps the memos' int coefficients instead of converting to Fractions.
+    def mul(self, a: _KernelElement, b: _KernelElement) -> _KernelElement:
+        return bilinear(self.key_product, a, b)
 
-    def key_element(self, mono: Monomial) -> SymElement:
-        return SymElement.of_terms(self.dim, {mono: 1})
+    def is_primitive(self, a: _KernelElement | SymElement) -> bool:
+        """Whether every term of a, a kernel or a public element, has degree 1."""
+        if isinstance(a, SymElement):
+            return all(monomial_degree(m) == 1 for m in a.terms)
+        degrees = self._degrees
+        return all(degrees[k] == 1 for k in a.terms)
 
-    def key_coproduct(self, mono: Monomial):
-        return monomial_splits(mono)
+    def key_element(self, i: int) -> _KernelElement:
+        return _KernelElement.of_terms(self._index, {i: 1})
 
-    def key_product(self, m1: Monomial, m2: Monomial):
-        return self.product_mono(m1, m2).terms
+    def key_degree(self, i: int) -> int:
+        return self._degrees[i]
 
-    def key_ldiv(self, m1: Monomial, m2: Monomial) -> SymElement:
-        return self.ldiv_mono(m1, m2)
+    def key_coproduct(self, i: int) -> tuple[tuple[int, int, int], ...]:
+        return self._index.splits(i)
 
-    def key_rdiv(self, m1: Monomial, m2: Monomial) -> SymElement:
-        return self.rdiv_mono(m1, m2)
+    def key_product(self, i: int, j: int) -> Terms:
+        key = i * self._size + j
+        hit = self._prod_memo.get(key)
+        if hit is None:
+            self.product_mono(self._monos[i], self._monos[j])
+            hit = self._prod_memo[key]
+        return hit
+
+    def key_ldiv(self, i: int, j: int) -> Terms:
+        key = i * self._size + j
+        hit = self._ldiv_memo.get(key)
+        if hit is None:
+            self.ldiv_mono(self._monos[i], self._monos[j])
+            hit = self._ldiv_memo[key]
+        return hit
+
+    def key_rdiv(self, i: int, j: int) -> Terms:
+        key = i * self._size + j
+        hit = self._rdiv_memo.get(key)
+        if hit is None:
+            self.rdiv_mono(self._monos[i], self._monos[j])
+            hit = self._rdiv_memo[key]
+        return hit
+
+    def triple_key(self, i: int, j: int, k: int) -> int:
+        return (i * self._size + j) * self._size + k
 
 
 class DistSUOps:
@@ -260,53 +431,57 @@ class DistSUOps:
 
     `p`, `bracket` and `multioperator` take `SymElement`s or dense vectors of
     the bialgebra's dimension and return `SymElement`s with `Fraction`
-    coefficients; the kernel computes on the arguments' exact coefficients.
+    coefficients; the kernel computes on the arguments' exact coefficients,
+    keyed by monomial id.
     """
 
     def __init__(self, bialgebra: DistBialgebra):
         self.bialgebra = bialgebra
 
-    def _coerce(self, x) -> SymElement:
-        """x, an element or a vector, with the kernel's exact coefficients.
+    def _coerce(self, x) -> _KernelElement:
+        """x, an element or a vector, as a kernel element with exact coefficients.
 
         An element or a vector must have the bialgebra's dimension; otherwise ValueError.
         """
-        dim = self.bialgebra.dim
+        B = self.bialgebra
         if not isinstance(x, SymElement):
-            return SymElement.from_sparse(dim, exact_terms(to_sparse(dim, x)))
-        if x.dim != dim:
-            raise ValueError(f"element of dimension {x.dim} in a bialgebra of dimension {dim}")
-        return SymElement.of_terms(dim, exact_terms(x.terms))
+            x = SymElement.from_sparse(B.dim, to_sparse(B.dim, x))
+        elif x.dim != B.dim:
+            raise ValueError(f"element of dimension {x.dim} in a bialgebra of dimension {B.dim}")
+        return B._kernel(x)
 
     def p(self, xs: Sequence, ys: Sequence, z) -> SymElement:
         _check_degree("p", len(xs) + len(ys) + 1, self.bialgebra.N)
         value = su_ops.p_operation(
             self.bialgebra, [self._coerce(x) for x in xs], [self._coerce(y) for y in ys], self._coerce(z)
         )
-        return _fractions(value)
+        return self.bialgebra._public(value.terms)
 
     def bracket(self, xs: Sequence, y, z) -> SymElement:
+        return self.bialgebra._public(self._bracket(xs, y, z).terms)
+
+    def _bracket(self, xs: Sequence, y, z) -> _KernelElement:
         _check_degree("bracket", len(xs) + 2, self.bialgebra.N)
-        value = su_ops.bracket(
+        return su_ops.bracket(
             self.bialgebra, [self._coerce(x) for x in xs], self._coerce(y), self._coerce(z)
         )
-        return _fractions(value)
 
-    def _primitive_vector(self, operation: str, value: SymElement) -> Vector:
+    def _primitive_vector(self, operation: str, value: _KernelElement) -> Vector:
         if not self.bialgebra.is_primitive(value):
             raise InvariantError(f"{operation} value is not primitive: {value!r}")
-        return value.primitive_part()
+        return self.bialgebra._public(value.terms).primitive_part()
 
     def bracket_vector(self, xs: Sequence, y, z) -> Vector:
         """The bracket as an element of V; raises if it fails to be primitive."""
-        return self._primitive_vector("bracket", self.bracket(xs, y, z))
+        return self._primitive_vector("bracket", self._bracket(xs, y, z))
 
     def multioperator(self, xs: Sequence, ys: Sequence) -> SymElement:
+        value = self._multioperator([self._coerce(x) for x in xs], [self._coerce(y) for y in ys])
+        return self.bialgebra._public(value.terms)
+
+    def _multioperator(self, xs: list[_KernelElement], ys: list[_KernelElement]) -> _KernelElement:
         _check_degree("multioperator", len(xs) + len(ys), self.bialgebra.N)
-        value = su_ops.multioperator(
-            self.bialgebra, [self._coerce(x) for x in xs], [self._coerce(y) for y in ys]
-        )
-        return _fractions(value)
+        return su_ops.multioperator(self.bialgebra, xs, ys)
 
     def multioperator_mono(self, mx: Monomial, my: Monomial) -> Vector:
         """Distribution-view multioperator table entry at a monomial pair.
@@ -319,9 +494,9 @@ class DistSUOps:
         for mono in (mx, my):
             if not is_monomial(mono, B.dim):
                 raise ValueError(f"{mono} is not a monomial of dimension {B.dim}")
-        value = self.multioperator(
-            [B.key_element(basis_monomial(B.dim, i)) for i in monomial_letters(mx)],
-            [B.key_element(basis_monomial(B.dim, i)) for i in monomial_letters(my)],
+        letters = [B.key_element(B._index.id(basis_monomial(B.dim, i))) for i in range(B.dim)]
+        value = self._multioperator(
+            [letters[i] for i in monomial_letters(mx)], [letters[i] for i in monomial_letters(my)]
         )
         return self._primitive_vector("multioperator", value)
 
@@ -341,10 +516,10 @@ def dist_su_ops(bialgebra: DistBialgebra) -> DistSUOps:
 
 def su_bracket_table(bialgebra: DistBialgebra, arity: int) -> dict[tuple[int, ...], Vector]:
     """All brackets <e_{i_1} .. e_{i_m}; e_j, e_k> on basis tuples (`su_ops.basis_bracket_table`),
-    evaluated on the bialgebra's own int-coefficient basis elements."""
+    evaluated on int-coefficient basis elements."""
     ops = dist_su_ops(bialgebra)
     dim = bialgebra.dim
-    basis = [bialgebra.key_element(basis_monomial(dim, i)) for i in range(dim)]
+    basis = [SymElement.of_terms(dim, {basis_monomial(dim, i): 1}) for i in range(dim)]
     return su_ops.basis_bracket_table(basis, bialgebra.N, arity, ops.bracket_vector)
 
 
@@ -353,7 +528,12 @@ def su_bracket_table(bialgebra: DistBialgebra, arity: int) -> dict[tuple[int, ..
 
 # how a binary node routes one argument slot to its children
 _SPLIT, _LEFT, _RIGHT, _NEITHER = range(4)
-_METHODS = {Mul: "product_mono", LDiv: "ldiv_mono", RDiv: "rdiv_mono"}
+# the `DistBialgebra` method that fills a binary node's memo entries, and that memo
+_METHODS = {
+    Mul: ("product_mono", "_prod_memo"),
+    LDiv: ("ldiv_mono", "_ldiv_memo"),
+    RDiv: ("rdiv_mono", "_rdiv_memo"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,18 +542,23 @@ class _Node:
 
     A leaf keeps its word and the slot its value reads: its variable's, or
     0 for the unit, which sees the unit monomial in every slot.  A binary
-    node names the `DistBialgebra` method that combines its children and,
-    per argument slot, whether the slot is split between both children,
-    routed whole to one, or used by neither.
+    node names the `DistBialgebra` method that combines its children,
+    holds the bialgebra's memo that method fills and, per argument slot,
+    whether the slot is split between both children, routed whole to one,
+    or used by neither.
     """
 
     id: int
     word: LoopWord
     slot: int | None = None
     method: str | None = None
+    memo: dict[int, Terms] | None = field(default=None, repr=False)
     left: "_Node | None" = None
     right: "_Node | None" = None
     route: tuple[int, ...] = ()
+    # for two leaf children and no split slot, the slot each child's variable reads, None
+    # for the unit; the node's value is then one memo entry
+    direct: tuple[int | None, int | None] | None = None
 
 
 class LinearizedEvaluator:
@@ -381,23 +566,26 @@ class LinearizedEvaluator:
 
     The recursion mirrors the word structure: each binary node splits the
     argument slots by the coproduct, routes the halves to its children and
-    combines with the bialgebra product or division on monomials
-    (`product_mono`, `ldiv_mono`, `rdiv_mono`), summing each weighted
-    monomial value once, straight into the node's value.  A subword kills any
-    content in slots whose variable it does not use (its formal map does
-    not depend on them), so only slots shared by both children are split
-    in earnest; the rest are routed whole or force the term to vanish.
+    combines with the bialgebra product or division on monomials, reading
+    the entries of `product_mono`, `ldiv_mono` and `rdiv_mono` straight from
+    their memos and summing each weighted entry once, straight into the
+    node's value.  A subword kills any content in slots whose variable it
+    does not use (its formal map does not depend on them), so only slots
+    shared by both children are split in earnest; the rest are routed whole
+    or force the term to vanish.
 
-    Each distinct subword is compiled once into a `_Node`, which fixes its
-    method and slot routing; equal subwords share one node.  Values are
-    memoized per evaluator in `_memo`, keyed by (node id, monomial tuple).
-    A leaf below the root is read straight from its slot, with no memo
-    entry; a leaf at the root is memoized, truncated at N.  A binary node's
-    value is a sum of memoized product and division entries, which are
-    truncated already, so it is stored without a copy, and a value that is
-    one entry at coefficient 1 is that entry itself.  Every vanishing value
-    is the evaluator's one zero element.  The memo holds kernel
-    coefficients (`int | Fraction`); the public methods return Fractions.
+    The evaluator runs on monomial ids (`_MonomialIndex`).  Each distinct
+    subword is compiled once into a `_Node`, which fixes its method and slot
+    routing; equal subwords share one node.  Values are terms dicts
+    {id: coefficient}, memoized per evaluator in `_memo`, keyed by (node id,
+    tuple of slot ids).  A leaf below the root is read straight from its
+    slot, with no memo entry; a leaf at the root is memoized.  A binary
+    node's value is a sum of memo entries, which never hold a term above N,
+    so it is stored without a copy, and a value that is one entry at
+    coefficient 1 is that entry itself.  Every vanishing value is the
+    evaluator's one empty dict.  The memo holds kernel coefficients
+    (`int | Fraction`); the public methods take and return `SymElement`s,
+    with Fractions.
     """
 
     def __init__(self, bialgebra: DistBialgebra, nvars: int):
@@ -405,10 +593,11 @@ class LinearizedEvaluator:
             raise ValueError(f"a linearized word needs at least one variable slot, got {nvars}")
         self.B = bialgebra
         self.nvars = nvars
-        self._unit = unit_monomial(bialgebra.dim)
-        self._one = SymElement.of_terms(bialgebra.dim, {self._unit: 1})
-        self._zero = SymElement.zero(bialgebra.dim)
-        self._memo: dict[tuple[int, MonoTuple], SymElement] = {}
+        self._index = bialgebra._index
+        self._unit = self._index.id(unit_monomial(bialgebra.dim))
+        self._one: Terms = {self._unit: 1}
+        self._zero: Terms = {}
+        self._memo: dict[tuple[int, tuple[int, ...]], Terms] = {}
         self._nodes: dict[LoopWord, _Node] = {}
 
     def _node(self, word: LoopWord) -> _Node:
@@ -430,7 +619,13 @@ class LinearizedEvaluator:
                     else (_RIGHT if var in vars_b else _NEITHER)
                     for var in range(1, self.nvars + 1)
                 )
-                node = _Node(len(self._nodes), word, None, _METHODS[type(word)], left, right, route)
+                method, memo = _METHODS[type(word)]
+                direct = None
+                if left.method is None and right.method is None and _SPLIT not in route:
+                    direct = tuple(n.slot if isinstance(n.word, Var) else None for n in (left, right))
+                node = _Node(
+                    len(self._nodes), word, None, method, getattr(self.B, memo), left, right, route, direct
+                )
             case _:
                 raise TypeError(f"not a loop word: {word!r}")
         self._nodes[word] = node
@@ -443,63 +638,78 @@ class LinearizedEvaluator:
         total = sum(map(monomial_degree, monos))
         if total > self.B.N:
             raise ValueError(f"total degree {total} exceeds the truncation degree {self.B.N}")
-        return _fractions(self._eval(self._node(word), monos))
+        return self.B._public(self._eval(self._node(word), tuple(map(self._index.id, monos))))
 
-    def _eval(self, node: _Node, monos: MonoTuple) -> SymElement:
-        key = (node.id, monos)
+    def _eval(self, node: _Node, ids: tuple[int, ...]) -> Terms:
+        key = (node.id, ids)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        B = self.B
+        degrees = self._index.degrees
         if node.method is not None:
-            out = self._binary(node, monos)
+            out = self._binary(node, ids)
         elif isinstance(node.word, Var):
-            index = node.word.index
-            if all(monomial_degree(m) == 0 for k, m in enumerate(monos) if k != index - 1):
-                out = SymElement.of_terms(B.dim, {monos[index - 1]: 1}).truncate(B.N)
+            slot = node.slot
+            if all(degrees[k] == 0 for s, k in enumerate(ids) if s != slot):
+                out = {ids[slot]: 1}
             else:
                 out = self._zero
-        elif all(monomial_degree(m) == 0 for m in monos):
+        elif all(degrees[k] == 0 for k in ids):
             out = self._one
         else:
             out = self._zero
         self._memo[key] = out
         return out
 
-    def _binary(self, node: _Node, monos: MonoTuple) -> SymElement:
-        B = self.B
+    def _binary(self, node: _Node, ids: tuple[int, ...]) -> Terms:
+        index = self._index
         unit = self._unit
-        options: list[Sequence[tuple[Monomial, Monomial, int]]] = []
-        for how, mono in zip(node.route, monos):
+        if node.direct is not None:
+            lsrc, rsrc = node.direct
+            degrees = index.degrees
+            if any(degrees[k] for s, k in enumerate(ids) if s != lsrc and s != rsrc):
+                return self._zero
+            k1 = unit if lsrc is None else ids[lsrc]
+            k2 = unit if rsrc is None else ids[rsrc]
+            entry = node.memo.get(k1 * index.size + k2)
+            if entry is None:
+                entry = self._fill(node, k1, k2)
+            return entry or self._zero
+        options: list[Sequence[tuple[int, int, int]]] = []
+        for how, k in zip(node.route, ids):
             if how == _SPLIT:
-                options.append(monomial_splits(mono))
+                options.append(index.splits(k))
             elif how == _LEFT:
-                options.append(((mono, unit, 1),))
+                options.append(((k, unit, 1),))
             elif how == _RIGHT:
-                options.append(((unit, mono, 1),))
-            elif monomial_degree(mono) == 0:
+                options.append(((unit, k, 1),))
+            elif index.degrees[k] == 0:
                 options.append(((unit, unit, 1),))
             else:
                 return self._zero
-        # looked up on B at call time, so a wrapper on the class sees every call
-        fn = getattr(B, node.method)
+        memo, size, values = node.memo, index.size, self._memo
         lnode, rnode = node.left, node.right
-        lslot, rslot = lnode.slot, rnode.slot
-        # (terms, coefficient) of every coeff * c1 * c2 * fn(k1, k2); a factor 1 is not multiplied
-        parts: list[tuple[dict[Monomial, int | Fraction], int | Fraction]] = []
+        lslot, rslot, lid, rid = lnode.slot, rnode.slot, lnode.id, rnode.id
+        # (entry, coefficient) of every coeff * c1 * c2 * entry(k1, k2); a factor 1 is not multiplied
+        parts: list[tuple[Terms, int | Fraction]] = []
+        append = parts.append
         for combo in iter_product(*options):
             left, right, weights = zip(*combo)
-            # routing hands a leaf the unit monomial in every slot but its own,
+            # routing hands a leaf the unit in every slot but its own,
             # so its value is its own slot's monomial at coefficient 1
             if lslot is None:
-                lv = self._eval(lnode, left).terms
+                lv = values.get((lid, left))
+                if lv is None:
+                    lv = self._eval(lnode, left)
                 if not lv:
                     continue
                 litems = lv.items()
             else:
                 litems = ((left[lslot], 1),)
             if rslot is None:
-                rv = self._eval(rnode, right).terms
+                rv = values.get((rid, right))
+                if rv is None:
+                    rv = self._eval(rnode, right)
                 if not rv:
                     continue
                 ritems = rv.items()
@@ -509,29 +719,46 @@ class LinearizedEvaluator:
             for k1, c1 in litems:
                 if coeff != 1:
                     c1 = coeff * c1
+                base = k1 * size
                 for k2, c2 in ritems:
-                    entry = fn(k1, k2)
-                    parts.append((entry.terms, c1 if c2 == 1 else c1 * c2))
+                    entry = memo.get(base + k2)
+                    if entry is None:
+                        entry = self._fill(node, k1, k2)
+                    append((entry, c1 if c2 == 1 else c1 * c2))
         if len(parts) == 1 and parts[0][1] == 1:
             # one memoized entry at coefficient 1: the value is that entry, shared
-            return entry if entry.terms else self._zero
-        acc = sum_into({}, parts)
-        return SymElement.of_terms(B.dim, acc) if acc else self._zero
+            return entry or self._zero
+        return sum_into({}, parts) or self._zero
+
+    def _fill(self, node: _Node, k1: int, k2: int) -> Terms:
+        """The entry at the ids (k1, k2) that `node`'s method, looked up on the bialgebra at call
+        time so a wrapper on the class sees every fill, stores in the node's memo."""
+        monos = self._index.monos
+        getattr(self.B, node.method)(monos[k1], monos[k2])
+        return node.memo[k1 * self._index.size + k2]
 
     def on_elements(self, word: LoopWord, args: Sequence[SymElement]) -> SymElement:
         if len(args) != self.nvars:
             raise ValueError(f"{self.nvars} arguments expected, got {len(args)}")
         node = self._node(word)
-        acc: dict[Monomial, Fraction] = {}
-        for combo in iter_product(*(a.terms.items() for a in args)):
-            monos = tuple(m for m, _ in combo)
-            if sum(map(monomial_degree, monos)) > self.B.N:
+        N, ident = self.B.N, self._index.id
+        # per argument: (id, degree, coefficient) of each term; no id above N, where every
+        # tuple holding the term is skipped
+        terms = []
+        for a in args:
+            degrees = [monomial_degree(m) for m in a.terms]
+            terms.append([
+                (ident(m) if d <= N else None, d, c) for (m, c), d in zip(a.terms.items(), degrees)
+            ])
+        acc: Terms = {}
+        for combo in iter_product(*terms):
+            if sum(d for _, d, _ in combo) > N:
                 continue
             coeff = 1
-            for _, c in combo:
+            for _, _, c in combo:
                 coeff *= c
-            add_into(acc, self._eval(node, monos).terms, coeff)
-        return _fractions(SymElement.of_terms(self.B.dim, acc))
+            add_into(acc, self._eval(node, tuple(k for k, _, _ in combo)), coeff)
+        return self.B._public(acc)
 
 
 @lru_cache(maxsize=None)
@@ -590,31 +817,35 @@ def check_linearized_identity(
         raise ValueError(f"seed must be an int, got {seed!r}")
     ev = LinearizedEvaluator(bialgebra, identity.nvars)
     dim, N = bialgebra.dim, bialgebra.N
+    index = bialgebra._index
+    degrees = index.degrees
 
-    # budget -> the monomials of degree <= budget, in `monomials_up_to` order
-    pools = [_monomial_pool(dim, budget) for budget in range(N + 1)]
+    # the ids of the monomials of degree <= N in `monomials_up_to` order; those of
+    # degree <= budget are a prefix of it
+    order = [index.id(mono) for mono in _monomial_pool(dim, N)]
+    pools = [order[: comb(dim + budget, budget)] for budget in range(N + 1)]
 
-    def tuples_of_total(slots: int, budget: int) -> Iterator[MonoTuple]:
+    def tuples_of_total(slots: int, budget: int) -> Iterator[tuple[int, ...]]:
         if slots == 1:
-            for mono in pools[budget]:
-                yield (mono,)
+            for k in pools[budget]:
+                yield (k,)
             return
         for head in pools[budget]:
-            for rest in tuples_of_total(slots - 1, budget - monomial_degree(head)):
+            for rest in tuples_of_total(slots - 1, budget - degrees[head]):
                 yield (head,) + rest
 
     # every swept tuple has nvars slots and total degree <= N, so the sweep
     # compares the evaluator's memoized kernel values directly
     lhs_node, rhs_node = ev._node(identity.lhs), ev._node(identity.rhs)
-    for monos in tuples_of_total(identity.nvars, N):
-        lhs = ev._eval(lhs_node, monos)
-        rhs = ev._eval(rhs_node, monos)
+    for ids in tuples_of_total(identity.nvars, N):
+        lhs = ev._eval(lhs_node, ids)
+        rhs = ev._eval(rhs_node, ids)
         if lhs != rhs:
             witness = {
                 "kind": "monomials",
-                "monomials": [list(m) for m in monos],
-                "lhs": lhs.to_json(),
-                "rhs": rhs.to_json(),
+                "monomials": [list(index.monos[k]) for k in ids],
+                "lhs": bialgebra._public(lhs).to_json(),
+                "rhs": bialgebra._public(rhs).to_json(),
             }
             return LinearizedVerdict(False, seed, samples, N, witness)
     rng = random.Random(seed)
@@ -657,15 +888,16 @@ def brackets_invariance_check(
         raise ValueError("bialgebras must share dimension and truncation")
     dim, N = b_times.dim, b_times.N
     prol = phi.prolongation()
+    ident = b_times._index.id
     for dmu in range(0, N + 1):
         for dnu in range(0, N - dmu + 1):
             for mu in monomials(dim, dmu):
                 for nu in monomials(dim, dnu):
-                    acc: dict[Monomial, Fraction] = {}
+                    acc: dict[int, int | Fraction] = {}
                     for m1, m2, coeff in monomial_splits(mu):
-                        inner = prol.at((m2, nu)).truncate(N)
-                        add_into(acc, b_times.mul(b_times.key_element(m1), inner).terms, coeff)
-                    lhs = SymElement.of_terms(dim, acc)
+                        inner = b_times._kernel(prol.at((m2, nu)).truncate(N))
+                        add_into(acc, b_times.mul(b_times.key_element(ident(m1)), inner).terms, coeff)
+                    lhs = SymElement.of_terms(dim, b_times._index.to_monomials(acc))
                     rhs = b_dot.product_mono(mu, nu)
                     if lhs != rhs:
                         return InvarianceVerdict(
@@ -847,10 +1079,11 @@ def pbw_span_check(bialgebra: DistBialgebra, max_degree: int) -> PbwVerdict:
     if max_degree > bialgebra.N:
         raise ValueError(f"degree {max_degree} beyond the truncation {bialgebra.N}")
     dim = bialgebra.dim
-    products: dict[tuple[int, ...], SymElement] = {(): bialgebra.key_element(unit_monomial(dim))}
+    index = bialgebra._index
+    products = {(): bialgebra.key_element(index.id(unit_monomial(dim)))}
     for k in range(1, max_degree + 1):
         for idx in combinations_with_replacement(range(dim), k):
-            letter = bialgebra.key_element(basis_monomial(dim, idx[-1]))
+            letter = bialgebra.key_element(index.id(basis_monomial(dim, idx[-1])))
             products[idx] = bialgebra.mul(products[idx[:-1]], letter)
 
     verdict = PbwVerdict(holds=True)
@@ -862,9 +1095,9 @@ def pbw_span_check(bialgebra: DistBialgebra, max_degree: int) -> PbwVerdict:
             if len(idx) > m:
                 continue
             row = [0] * len(basis)
-            for mono, coeff in elem.terms.items():
-                if monomial_degree(mono) <= m:
-                    row[basis_index[mono]] = coeff
+            for k, coeff in elem.terms.items():
+                if index.degrees[k] <= m:
+                    row[basis_index[index.monos[k]]] = coeff
             rows.append(row)
         expected = sum(sym_dim(dim, i) for i in range(m + 1))
         got = _rank(rows)

@@ -95,10 +95,19 @@ def mono_letter_counts(mono: FAMonomial, ngens: int) -> tuple[int, ...]:
 
 
 def mono_from_tree(tree: PlaneTree) -> FAMonomial:
-    """The monomial of a plane tree in the first generator."""
-    if tree.is_leaf:
-        return 0
-    return (mono_from_tree(tree.left), mono_from_tree(tree.right))
+    """The monomial of a plane tree in the first generator.
+
+    Read off the tree's encoding, so any depth works: a leaf pushes the
+    generator and each closing parenthesis pairs the top two monomials.
+    """
+    stack: list[FAMonomial] = []
+    for ch in tree.encode():
+        if ch == "x":
+            stack.append(0)
+        elif ch == ")":
+            right = stack.pop()
+            stack[-1] = (stack[-1], right)
+    return stack[0]
 
 
 class FreeAlgebra:
@@ -114,8 +123,8 @@ class FreeAlgebra:
         self._coproduct_memo: dict[FAMonomial, tuple[tuple[FAMonomial, FAMonomial, Fraction], ...]] = {}
         self._ldiv_memo: dict[tuple[FAMonomial, FAMonomial], "FAElement"] = {}
         self._rdiv_memo: dict[tuple[FAMonomial, FAMonomial], "FAElement"] = {}
-        self._p_memo: dict[tuple[FAMonomial, FAMonomial, FAMonomial], "FAElement"] = {}
-        self._assoc_memo: dict[tuple[FAMonomial, FAMonomial, FAMonomial], "FAElement"] = {}
+        self._p_memo: dict[tuple[FAMonomial, FAMonomial, FAMonomial], dict] = {}
+        self._assoc_memo: dict[tuple[FAMonomial, FAMonomial, FAMonomial], dict] = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -171,15 +180,19 @@ class FreeAlgebra:
 
     def mono_ldiv(self, u: FAMonomial, v: FAMonomial) -> "FAElement":
         r"""Left division u \ v on monomials (`su_ops.ldiv_on_keys`); zero above the truncation."""
-        if mono_degree(u) + mono_degree(v) > self.max_degree:
-            return self.zero()
-        return su_ops.ldiv_on_keys(self, u, v)
+        return self._division(self._ldiv_memo, su_ops.ldiv_on_keys, u, v)
 
     def mono_rdiv(self, u: FAMonomial, v: FAMonomial) -> "FAElement":
         """Right division u / v on monomials (`su_ops.rdiv_on_keys`); zero above the truncation."""
+        return self._division(self._rdiv_memo, su_ops.rdiv_on_keys, u, v)
+
+    def _division(self, memo: dict, recursion, u: FAMonomial, v: FAMonomial) -> "FAElement":
         if mono_degree(u) + mono_degree(v) > self.max_degree:
             return self.zero()
-        return su_ops.rdiv_on_keys(self, u, v)
+        hit = memo.get((u, v))
+        if hit is None:
+            hit = memo[(u, v)] = FAElement.of_terms(self, recursion(self, u, v))
+        return hit
 
     # -- the su_ops contract ----------------------------------------------------
     key_degree = staticmethod(mono_degree)
@@ -204,11 +217,15 @@ class FreeAlgebra:
             return {}
         return {mono_graft(a, b): ONE}
 
-    def key_ldiv(self, a: FAMonomial, b: FAMonomial) -> "FAElement":
-        return self.mono_ldiv(a, b)
+    def key_ldiv(self, a: FAMonomial, b: FAMonomial) -> dict:
+        return self.mono_ldiv(a, b).terms
 
-    def key_rdiv(self, a: FAMonomial, b: FAMonomial) -> "FAElement":
-        return self.mono_rdiv(a, b)
+    def key_rdiv(self, a: FAMonomial, b: FAMonomial) -> dict:
+        return self.mono_rdiv(a, b).terms
+
+    @staticmethod
+    def triple_key(a: FAMonomial, b: FAMonomial, c: FAMonomial) -> tuple:
+        return (a, b, c)
 
 
 def _require_within(alg: FreeAlgebra, mono: FAMonomial) -> None:

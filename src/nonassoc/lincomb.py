@@ -65,9 +65,9 @@ def add_into(acc: dict, terms: dict, coeff: int | Fraction = 1) -> dict:
 
 
 def bilinear(fn, a, b):
-    """The bilinear extension of `fn`, a map from pairs of basis keys to elements, at (a, b)."""
+    """The bilinear extension of `fn`, a map from pairs of basis keys to terms dicts, at (a, b)."""
     return a._like(sum_into({}, [
-        (fn(k1, k2).terms, c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2)
+        (fn(k1, k2), c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2)
         for k1, c1 in a.terms.items()
         for k2, c2 in b.terms.items()
     ]))

@@ -3,7 +3,7 @@
 These are polynomial expressions in a product and its left division, so
 they make sense in any unital bialgebra with divisions.  The functions
 here take the algebra itself as their first argument; `DistBialgebra`
-(keys are monomials) and `FreeAlgebra` (keys are words) implement the
+(keys are monomial ids) and `FreeAlgebra` (keys are words) implement the
 contract
 
     one() mul(a,b) is_primitive(a)
@@ -11,19 +11,20 @@ contract
     key_coproduct(k) -> iterable of (k1, k2, coeff), the Sweedler terms of k
     key_degree(k) -> the degree of k
     key_product(k1, k2) -> the terms dict of k1 k2, truncated by the algebra
-    key_ldiv(k1, k2), key_rdiv(k1, k2) -> the algebra's memoized entries for
-        k1 \\ k2 and k1 / k2 on basis keys, which call `ldiv_on_keys` and
-        `rdiv_on_keys` here
+    key_ldiv(k1, k2), key_rdiv(k1, k2) -> the terms dicts of the algebra's
+        memoized entries for k1 \\ k2 and k1 / k2 on basis keys, which it
+        fills with `ldiv_on_keys` and `rdiv_on_keys` here
+    triple_key(k1, k2, k3) -> the memo key of a triple of basis keys
 
-and own the four memo dicts this module reads and fills, one set per
-algebra instance: `_ldiv_memo` and `_rdiv_memo`, keyed by basis-key pairs,
-and `_p_memo` and `_assoc_memo`, keyed by basis-key triples.
+and owns the two memo dicts this module reads and fills, one pair per
+algebra instance: `_p_memo` and `_assoc_memo`, keyed by `triple_key` and
+holding terms dicts.
 
 Elements are `lincomb.LinComb` instances: the engine uses their `+`, `-`
 and `scale`, and sums linear combinations of them with `sum_into` and
 `add_into` on their `terms`, the dicts from basis key to coefficient; a
 division entry collects its summands and sums them in one call.  The
-division recursions start from `key_element`, so their memo entries carry
+division recursions start from `key_element`, so their entries carry
 the algebra's own coefficients: `int | Fraction` in `DistBialgebra`,
 `Fraction` in `FreeAlgebra`.  The operations multiply and add the
 coefficients of their arguments and never divide them, so on the
@@ -97,55 +98,41 @@ def _require_primitive(alg, elements: Sequence) -> None:
             raise ValueError(f"primitive operations need primitive arguments, got {elem!r}")
 
 
-def ldiv_on_keys(alg, u, v):
-    r"""u \ v on basis keys, by the left counit recursion; memoized in alg._ldiv_memo."""
-    key = (u, v)
-    hit = alg._ldiv_memo.get(key)
-    if hit is None:
-        du = alg.key_degree(u)
-        if du == 0:
-            acc = dict(alg.key_element(v).terms)
+def ldiv_on_keys(alg, u, v) -> dict:
+    r"""The terms of u \ v on basis keys, by the left counit recursion from the entries at smaller u."""
+    du = alg.key_degree(u)
+    if du == 0:
+        return dict(alg.key_element(v).terms)
+    parts = []
+    for u1, u2, c in alg.key_coproduct(u):
+        d1 = alg.key_degree(u1)
+        if d1 == du:
+            continue
+        prod = alg.key_product(u2, v)
+        if d1 == 0:
+            parts.append((prod, -c))
         else:
-            parts = []
-            for u1, u2, c in alg.key_coproduct(u):
-                d1 = alg.key_degree(u1)
-                if d1 == du:
-                    continue
-                prod = alg.key_product(u2, v)
-                if d1 == 0:
-                    parts.append((prod, -c))
-                else:
-                    for w, cw in prod.items():
-                        parts.append((alg.key_ldiv(u1, w).terms, -cw if c == 1 else -c * cw))
-            acc = sum_into({}, parts)
-        hit = alg.one()._like(acc)
-        alg._ldiv_memo[key] = hit
-    return hit
+            for w, cw in prod.items():
+                parts.append((alg.key_ldiv(u1, w), -cw if c == 1 else -c * cw))
+    return sum_into({}, parts)
 
 
-def rdiv_on_keys(alg, u, v):
-    """u / v on basis keys, by the right counit recursion; memoized in alg._rdiv_memo."""
-    key = (u, v)
-    hit = alg._rdiv_memo.get(key)
-    if hit is None:
-        dv = alg.key_degree(v)
-        if dv == 0:
-            acc = dict(alg.key_element(u).terms)
+def rdiv_on_keys(alg, u, v) -> dict:
+    """The terms of u / v on basis keys, by the right counit recursion from the entries at smaller v."""
+    dv = alg.key_degree(v)
+    if dv == 0:
+        return dict(alg.key_element(u).terms)
+    parts = []
+    for v1, v2, c in alg.key_coproduct(v):
+        d1 = alg.key_degree(v1)
+        if d1 == dv:
+            continue
+        if d1 == 0:
+            parts.append((alg.key_product(u, v2), -c))
         else:
-            parts = []
-            for v1, v2, c in alg.key_coproduct(v):
-                d1 = alg.key_degree(v1)
-                if d1 == dv:
-                    continue
-                if d1 == 0:
-                    parts.append((alg.key_product(u, v2), -c))
-                else:
-                    for w, cw in alg.key_rdiv(u, v1).terms.items():
-                        parts.append((alg.key_product(w, v2), -cw if c == 1 else -c * cw))
-            acc = sum_into({}, parts)
-        hit = alg.one()._like(acc)
-        alg._rdiv_memo[key] = hit
-    return hit
+            for w, cw in alg.key_rdiv(u, v1).items():
+                parts.append((alg.key_product(w, v2), -cw if c == 1 else -c * cw))
+    return sum_into({}, parts)
 
 
 def divide(alg, a, b, side: str):
@@ -157,28 +144,27 @@ def divide(alg, a, b, side: str):
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _assoc_on_keys(alg, a, b, c):
-    key = (a, b, c)
+def _assoc_on_keys(alg, a, b, c) -> dict:
+    key = alg.triple_key(a, b, c)
     hit = alg._assoc_memo.get(key)
     if hit is None:
-        hit = associator(alg, alg.key_element(a), alg.key_element(b), alg.key_element(c))
+        hit = associator(alg, alg.key_element(a), alg.key_element(b), alg.key_element(c)).terms
         alg._assoc_memo[key] = hit
     return hit
 
 
-def _p_on_keys(alg, mu, nu, zeta):
+def _p_on_keys(alg, mu, nu, zeta) -> dict:
     """The defining Sweedler sum with u, v and z the basis elements mu, nu and zeta."""
-    key = (mu, nu, zeta)
+    key = alg.triple_key(mu, nu, zeta)
     hit = alg._p_memo.get(key)
     if hit is None:
-        acc: dict = {}
+        hit = {}
         for mu1, mu2, cu in alg.key_coproduct(mu):
             for nu1, nu2, cv in alg.key_coproduct(nu):
                 assoc = _assoc_on_keys(alg, mu2, nu2, zeta)
-                if assoc.terms:
+                if assoc:
                     head = alg.mul(alg.key_element(mu1), alg.key_element(nu1))
-                    add_into(acc, divide(alg, head, assoc, "left").terms, cu * cv)
-        hit = alg.one()._like(acc)
+                    add_into(hit, divide(alg, head, head._like(assoc), "left").terms, cu * cv)
         alg._p_memo[key] = hit
     return hit
 
@@ -193,7 +179,7 @@ def p_operation(alg, xs: Sequence, ys: Sequence, z) -> object:
     for mu, cu in u.terms.items():
         for nu, cv in v.terms.items():
             for zeta, cz in z.terms.items():
-                add_into(acc, _p_on_keys(alg, mu, nu, zeta).terms, cu * cv * cz)
+                add_into(acc, _p_on_keys(alg, mu, nu, zeta), cu * cv * cz)
     return z._like(acc)
 
 

@@ -143,22 +143,40 @@ def bernoulli_number(k: int) -> Fraction:
     return -factorial(k) * acc
 
 
-@lru_cache(maxsize=None)
+# tree -> (B_t, t!), filled by `tree_stats`: a subtree shared between trees is computed once
+_TREE_STATS: dict[PlaneTree, tuple[Fraction, int]] = {LEAF: (Fraction(1), 1)}
+
+
 def tree_stats(tree: PlaneTree) -> tuple[Fraction, int]:
     """The tree Bernoulli number B_t and the tree factorial t!.
 
     For the leaf both are 1; for t = (...((x t1) t2)...) tk, B_t = B_k * B_{t1} ... B_{tk}
     and t! = k! * t1! ... tk!; numerators and denominators multiply as ints.
+    Memoized per tree, and iterative, so any depth works: a stack holds the
+    trees whose comb parts are not all known yet, and a tree is done once they are.
     """
-    if tree.is_leaf:
-        return Fraction(1), 1
-    comb = tree.left_comb()
-    num, den = bernoulli_number(len(comb)).as_integer_ratio()
-    fact = factorial(len(comb))
-    for part in comb:
-        b, f = tree_stats(part)
-        num, den, fact = num * b.numerator, den * b.denominator, fact * f
-    return Fraction(num, den), fact
+    stats = _TREE_STATS.get(tree)
+    if stats is not None:
+        return stats
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        if node in _TREE_STATS:  # a part pushed twice
+            stack.pop()
+            continue
+        comb = node.left_comb()
+        missing = [part for part in comb if part not in _TREE_STATS]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        num, den = bernoulli_number(len(comb)).as_integer_ratio()
+        fact = factorial(len(comb))
+        for part in comb:
+            b, f = _TREE_STATS[part]
+            num, den, fact = num * b.numerator, den * b.denominator, fact * f
+        _TREE_STATS[node] = (Fraction(num, den), fact)
+    return _TREE_STATS[tree]
 
 
 def bernoulli_tree_sum(n: int) -> Fraction:

@@ -123,7 +123,7 @@ class ReferencePsiBuilder:
             if m == 0:
                 hit = self.B.one()
             else:
-                hit = self.B.mul(self.dist_power(v, m - 1), SymElement.from_vector(v))
+                hit = self.B.product(self.dist_power(v, m - 1), SymElement.from_vector(v))
             self._powers[key] = hit
         return hit
 
@@ -180,16 +180,16 @@ class ReferencePsiBuilder:
                             * factorial(s)
                             // (factorial(k1) * factorial(k2) * factorial(k3) * factorial(k4))
                         )
-                        mid = B.mul(self.dist_power(c, k2), inner)
+                        mid = B.product(self.dist_power(c, k2), inner)
                         tail = -self._phi_on_powers(c, k4, v, j)
                         if k4 == 0 and l == m - 1:
                             tail = tail + v_elem
                         if tail.is_zero():
                             continue
-                        piece = B.mul(mid, tail)
+                        piece = B.product(mid, tail)
                         if piece.is_zero():
                             continue
-                        value = su_ops.divide(B, self.dist_power(c, k1), piece, "left")
+                        value = B.divide(self.dist_power(c, k1), piece, "left")
                         add_into(acc, value.terms, weight)
         result = SymElement.of_terms(B.dim, acc).truncate(B.N)
         self._pp[key] = result
@@ -236,7 +236,7 @@ class ReferencePsiBuilder:
             return SymElement.zero(self.B.dim)
         if dy == 1:
             if monomial_degree(x_mono) == 0:
-                return self.B.key_element(y_mono)
+                return SymElement(self.B.dim, {y_mono: ONE})
             return SymElement.zero(self.B.dim)
         key = (x_mono, y_mono)
         hit = self._psi.get(key)
@@ -275,7 +275,7 @@ def reference_similar_product(bialgebra, tables):
         for a, b, coeff in monomial_splits(m1):
             inner = builder.psi(b, m2)
             if not inner.is_zero():
-                add_into(acc, bialgebra.mul(bialgebra.key_element(a), inner).terms, coeff)
+                add_into(acc, bialgebra.product(SymElement(dim, {a: ONE}), inner).terms, coeff)
         return SymElement.of_terms(dim, acc).truncate(N)
 
     return DistBialgebra(dim, N, product_fn)

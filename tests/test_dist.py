@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import permutations, product as iter_product
 from math import factorial
 
@@ -61,6 +61,7 @@ from nonassoc.symalg import (
     monomial_splits,
     monomials,
     monomials_up_to,
+    unit_monomial,
 )
 from nonassoc.words import parse_identity, parse_word
 
@@ -121,12 +122,19 @@ def test_product_matches_prolongation_route_on_wider_support(loop_name, request)
     fast = DistBialgebra.from_loop(loop)
     slow = DistBialgebra.from_loop_prolonged(loop)
     # up to total degree N + 1, where a tail of degree N meets the front F itself:
-    # the recursion builds no term above N, even before `product_mono` truncates
+    # the recursion on ids, which `product_mono` stores as it is, builds no term above N.
+    # A monomial above N has no id, so its product raises instead of reading as zero.
+    index = fast._index
+    above = (loop.N + 1,) + (0,) * (loop.dim - 1)
+    for B in (fast, slow):
+        with pytest.raises(ValueError, match="beyond the truncation"):
+            B.product_mono(unit_monomial(loop.dim), above)
     for m1 in monomials_up_to(loop.dim, loop.N):
-        for m2 in monomials_up_to(loop.dim, loop.N + 1 - sum(m1)):
+        for m2 in monomials_up_to(loop.dim, min(loop.N, loop.N + 1 - sum(m1))):
             expected = slow.product_mono(m1, m2)
             assert fast.product_mono(m1, m2) == expected, (m1, m2)
-            assert fast._product_fn(m1, m2) == expected, (m1, m2)
+            value = fast._product_fn(index.id(m1), index.id(m2))
+            assert index.to_monomials(value) == expected.terms, (m1, m2)
 
 
 # series coefficients of a plane loop at (1, 1), (2, 1), (1, 2) and (2, 2),
@@ -158,7 +166,7 @@ def test_product_matches_prolongation_route_on_random_plane_loops(loop):
     # rational loops reach the Fraction branch of exact_div; every stored
     # coefficient stays in canonical exact form
     for value in fast._prod_memo.values():
-        assert all(is_canonical(c) for c in value.terms.values()), value
+        assert all(is_canonical(c) for c in value.values()), value
 
 
 def test_product_is_coalgebra_morphism(jordan_bialgebra_4):
@@ -258,6 +266,19 @@ def test_divisions_are_the_prolonged_division_maps_on_random_structure_constants
             assert entry(m1, m2) == prolonged.at((m1, m2)).truncate(4), (side, m1, m2)
 
 
+@settings(max_examples=10, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(loop=wide_plane_loops)
+def test_divisions_are_the_prolonged_division_maps_on_random_plane_loops(loop):
+    # the id kernel's divisions, on loops with components above (1, 1), against the
+    # independent tuple route: the prolongation of the loop's own division maps
+    B = DistBialgebra.from_loop(loop)
+    pairs = [(m1, m2) for m1 in monomials_up_to(2, 4) for m2 in monomials_up_to(2, 4 - sum(m1))]
+    for side, entry in (("left", B.ldiv_mono), ("right", B.rdiv_mono)):
+        prolonged = loop.division(side).prolongation()
+        for m1, m2 in pairs:
+            assert entry(m1, m2) == prolonged.at((m1, m2)).truncate(4), (side, m1, m2)
+
+
 def test_division_matches_prolonged_division_map(octonion_loop_4, octonion_bialgebra_4):
     division = octonion_loop_4.division("left")
     pr = division.prolongation()
@@ -335,10 +356,27 @@ def test_kernel_memos_hold_canonical_ints_and_the_api_returns_fractions(monkeypa
         similar = make_similar_product(B, tables)
         assert all(su_bracket_table(similar, a) == su_bracket_table(B, a) for a in range(N - 1))
         memos += [similar._prod_memo, similar._ldiv_memo, similar._p_memo, similar._assoc_memo]
+    # division entries and the values of an explicit product function are stored
+    # canonical too: a rational loop's divisions sum Fractions that may be integral,
+    # and the prolonged product has Fraction coefficients
+    if name == "jordan-k3-loop":
+        series = {((1,), (0,)): (1,), ((0,), (1,)): (1,), ((1,), (1,)): (F(1, 2),),
+                  ((2,), (1,)): (F(1, 3),), ((1,), (2,)): (F(-2, 3),)}
+        rational = DistBialgebra.from_loop(
+            FormalLoop.from_map(FormalMap.from_series((1, 1), 1, 4, series))
+        )
+        prolonged = DistBialgebra.from_loop_prolonged(builtin_loop(name, N))
+        for bialgebra, entries in ((rational, ("ldiv_mono", "rdiv_mono")), (prolonged, ("product_mono", "ldiv_mono"))):
+            for m1 in monomials_up_to(bialgebra.dim, N):
+                for m2 in monomials_up_to(bialgebra.dim, N - sum(m1)):
+                    for entry in entries:
+                        getattr(bialgebra, entry)(m1, m2)
+        memos += [rational._ldiv_memo, rational._rdiv_memo, prolonged._prod_memo, prolonged._ldiv_memo]
+        assert any(type(c) is F for value in rational._ldiv_memo.values() for c in value.values())
     for memo in memos:
         assert memo
         for key, value in memo.items():
-            assert all(is_canonical(c) for c in value.terms.values()), (key, value)
+            assert all(is_canonical(c) for c in value.values()), (key, value)
 
 
 def test_su_ops_hand_the_engine_exact_coefficients(jordan_bialgebra_4):
@@ -350,8 +388,8 @@ def test_su_ops_hand_the_engine_exact_coefficients(jordan_bialgebra_4):
         (basis_vector(3, 0), {(1, 0, 0): 1}),
         (half, {(1, 0, 0): F(1, 2)}),
     ):
-        coerced = ops._coerce(x)
-        assert coerced.terms == terms and [type(c) for c in coerced.terms.values()] == [
+        coerced = B._index.to_monomials(ops._coerce(x).terms)
+        assert coerced == terms and [type(c) for c in coerced.values()] == [
             type(c) for c in terms.values()
         ]
     # the weight 1/(m! n!) of the multioperator is applied once, to the sum
@@ -368,7 +406,13 @@ def test_su_ops_hand_the_engine_exact_coefficients(jordan_bialgebra_4):
 
 
 def _letters(elements):
-    return tuple(monomial_letters(next(iter(e.terms)))[0] for e in elements)
+    """The letter of each kernel basis element."""
+    return tuple(monomial_letters(e.index.monos[next(iter(e.terms))])[0] for e in elements)
+
+
+def kernel_basis(B):
+    """The kernel's basis elements e_0 .. e_{dim-1}, keyed by monomial id."""
+    return [B.key_element(B._index.id(basis_monomial(B.dim, i))) for i in range(B.dim)]
 
 
 @pytest.mark.parametrize(
@@ -395,14 +439,14 @@ def test_multioperator_mono_evaluates_p_once_per_distinct_ordering(
     ops.multioperator_mono(mx, my)
     assert len(calls) == len(orderings) and set(calls) == orderings
     calls.clear()
-    e = [jordan_bialgebra_4.key_element(basis_monomial(3, i)) for i in range(3)]
+    e = kernel_basis(jordan_bialgebra_4)
     su_ops.multioperator_component(jordan_bialgebra_4, e[0], e[1], 1, 3)
     assert calls == [((0,), (1, 1), (1,))]
 
 
 def test_multioperator_tables_are_the_literal_symmetrization(jordan_bialgebra_5):
     B = jordan_bialgebra_5
-    e = [B.key_element(basis_monomial(3, i)) for i in range(3)]
+    e = kernel_basis(B)
     expected = {}
     for mx in monomials_up_to(3, 3):
         for my in monomials_up_to(3, 5 - monomial_degree(mx)):
@@ -411,7 +455,7 @@ def test_multioperator_tables_are_the_literal_symmetrization(jordan_bialgebra_5)
                     B, [e[i] for i in monomial_letters(mx)], [e[i] for i in monomial_letters(my)]
                 )
                 if value.terms:
-                    expected[(mx, my)] = value.primitive_part()
+                    expected[(mx, my)] = B._public(value.terms).primitive_part()
     assert su_multioperator_tables(B) == expected
 
 
@@ -420,7 +464,7 @@ def test_multioperator_tables_are_the_literal_symmetrization(jordan_bialgebra_5)
 def test_multioperator_is_the_literal_symmetrization_on_random_structure_constants(constants, data):
     B = DistBialgebra.from_loop(loop_from_algebra(AlgebraTable(2, constants), 4))
     # few letters, so blocks repeat them; (1, -2) is primitive and distinct from e0 and e1
-    pool = [SymElement.from_vector(v) for v in [(1, 0), (0, 1), (1, -2)]]
+    pool = [B._kernel(SymElement.from_vector(v)) for v in [(1, 0), (0, 1), (1, -2)]]
     m = data.draw(st.integers(1, 2), label="m")
     n = data.draw(st.integers(2, 4 - m), label="n")
     xs = data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m), label="xs")
@@ -448,6 +492,34 @@ def test_su_ops_reject_float_vectors(jordan_bialgebra_4):
         ops.bracket([], (0.1, 0, 0), basis_vector(3, 1))
 
 
+def test_small_bracket_tables_give_ids_only_to_the_monomials_they_read(monkeypatch):
+    # a fresh index, which grows on demand: the arity-0 table of the split octonions at
+    # N = 4 reads the 72 products of two letters, so it names the 45 monomials of
+    # degree <= 2 and not all 495 of degree <= 4
+    monkeypatch.setattr(dist, "_monomial_index", lru_cache(maxsize=None)(dist._MonomialIndex))
+    B = DistBialgebra.from_loop(builtin_loop("split-octonion-loop", 4))
+    su_bracket_table(B, 0)
+    index = B._index
+    assert len(index.monos) <= 45 and max(index.degrees) == 2
+    assert len(B._prod_memo) == 72
+    assert all(index.degrees[k // index.size] + index.degrees[k % index.size] <= 2 for k in B._prod_memo)
+
+
+def test_index_splits_are_the_monomial_splits():
+    for dim, N in ((1, 6), (3, 5), (8, 3)):
+        index = dist._MonomialIndex(dim, N)
+        for mono in monomials_up_to(dim, N):
+            i = index.id(mono)
+            splits = [(index.monos[a], index.monos[b], c) for a, b, c in index.splits(i)]
+            assert sorted(splits) == sorted(monomial_splits(mono)), mono
+            for degree, group in enumerate(index.groups(i)):
+                assert all(index.degrees[a] == degree for a, _, _ in group)
+            shifts = index.shifts(i)
+            assert len(shifts) == (0 if sum(mono) == N else dim)
+            for j, k in enumerate(shifts):
+                assert index.monos[k] == tuple(e + (l == j) for l, e in enumerate(mono))
+
+
 def test_su_bracket_table_rejects_a_negative_arity(jordan_bialgebra_4):
     with pytest.raises(ValueError, match="arity must be >= 0"):
         su_bracket_table(jordan_bialgebra_4, -1)
@@ -458,7 +530,7 @@ def test_bracket_table_and_multioperator_component_refuse_a_bool_degree(jordan_b
     B = DistBialgebra.from_loop(builtin_loop("jordan-k3-loop", 3))
     with pytest.raises(ValueError, match="bracket arity must be >= 0 .an int, not a bool., got True"):
         su_bracket_table(B, True)
-    e = [jordan_bialgebra_4.key_element(basis_monomial(3, i)) for i in range(3)]
+    e = kernel_basis(jordan_bialgebra_4)
     for i, j in [(True, 3), (1, True), (1.0, 3)]:
         with pytest.raises(ValueError, match="multioperator components need i >= 1 and j >= 2"):
             su_ops.multioperator_component(jordan_bialgebra_4, e[0], e[1], i, j)
@@ -764,7 +836,8 @@ def test_evaluator_memoizes_no_leaf_below_the_root(jordan_bialgebra_4):
     # a leaf at the root is memoized
     root = ev._node(parse_word("x2", 2))
     ev.on_monomials(root.word, tuples[-1])
-    assert [key for key in ev._memo if key[0] in leaves] == [(root.id, tuples[-1])]
+    ids = tuple(map(jordan_bialgebra_4._index.id, tuples[-1]))
+    assert [key for key in ev._memo if key[0] in leaves] == [(root.id, ids)]
 
 
 def test_evaluator_shares_nodes_between_equal_words(jordan_bialgebra_4):

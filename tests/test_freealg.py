@@ -23,6 +23,7 @@ from nonassoc.freealg import (
     fa_loop_divide,
     mono_degree,
     mono_encode,
+    mono_from_tree,
     p_operation,
     parse_fa_monomial,
     su_bracket,
@@ -30,6 +31,7 @@ from nonassoc.freealg import (
     su_multioperator_component,
 )
 from nonassoc.su_ops import left_normed_product
+from nonassoc.trees import LEAF, PlaneTree, enumerate_trees
 
 
 @pytest.fixture
@@ -547,3 +549,22 @@ def test_element_json_round_trip(alg):
     elem = (x * y).scale(F(3, 7)) - y + alg.one()
     data = elem.to_json()
     assert FAElement.from_json(alg, data) == elem
+
+
+def test_mono_from_tree_at_any_depth():
+    def recursive(tree):
+        return 0 if tree.is_leaf else (recursive(tree.left), recursive(tree.right))
+
+    for n in range(1, 7):
+        for tree in enumerate_trees(n):
+            assert mono_from_tree(tree) == recursive(tree)
+    # x(x(..)) of 1,501 leaves, read iteratively: the nested pair is walked here,
+    # since comparing it whole would recurse 1,500 deep
+    comb = LEAF
+    for _ in range(1500):
+        comb = PlaneTree(LEAF, comb)
+    mono = mono_from_tree(comb)
+    for _ in range(1500):
+        assert mono[0] == 0
+        mono = mono[1]
+    assert mono == 0

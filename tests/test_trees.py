@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -164,6 +165,37 @@ def test_tree_stats_equals_the_fraction_reference():
             bern, fact = tree_stats(tree)
             assert (bern, fact) == reference_tree_stats(tree)
             assert type(bern) is F and type(fact) is int
+
+
+def right_comb(leaves):
+    """x(x(..(xx)..)), built iteratively."""
+    tree = LEAF
+    for _ in range(leaves - 1):
+        tree = PlaneTree(LEAF, tree)
+    return tree
+
+
+def test_tree_stats_of_a_deep_right_comb():
+    # every node of x(x(..)) has the one comb part to its right, so B_t = B_1^1500 and
+    # t! = 1; found at the default recursion limit, which the recursion once ran into
+    comb = right_comb(1501)
+    assert comb.degree() == 1501
+    assert tree_stats(comb) == (F(-1, 2) ** 1500, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        assert tree_stats(comb) == reference_tree_stats(comb)
+    finally:
+        sys.setrecursionlimit(limit)
+    # and on shallow trees, random ones included, it is the Fraction reference
+    for tree in [right_comb(n) for n in range(1, 8)] + list(enumerate_trees(6)):
+        assert tree_stats(tree) == reference_tree_stats(tree)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(tree=plane_trees)
+def test_tree_stats_equals_the_fraction_reference_on_random_trees(tree):
+    assert tree_stats(tree) == reference_tree_stats(tree)
 
 
 def test_tree_stats_degree_three_sum():
