@@ -399,22 +399,27 @@ class DistBialgebra:
         return self._index.splits(i)
 
     def key_product(self, i: int, j: int) -> Terms:
-        return self._entry(self._prod_memo, self.product_mono, i, j)
+        key = i * self._size + j
+        hit = self._prod_memo.get(key)
+        if hit is None:
+            self.product_mono(self._monos[i], self._monos[j])
+            hit = self._prod_memo[key]
+        return hit
 
     def key_ldiv(self, i: int, j: int) -> Terms:
-        return self._entry(self._ldiv_memo, self.ldiv_mono, i, j)
+        key = i * self._size + j
+        hit = self._ldiv_memo.get(key)
+        if hit is None:
+            self.ldiv_mono(self._monos[i], self._monos[j])
+            hit = self._ldiv_memo[key]
+        return hit
 
     def key_rdiv(self, i: int, j: int) -> Terms:
-        return self._entry(self._rdiv_memo, self.rdiv_mono, i, j)
-
-    def _entry(self, memo: dict[int, Terms], fill: Callable, i: int, j: int) -> Terms:
-        """The memo entry at the ids (i, j), which `fill` (`product_mono`, `ldiv_mono` or
-        `rdiv_mono`) fills on a miss."""
         key = i * self._size + j
-        hit = memo.get(key)
+        hit = self._rdiv_memo.get(key)
         if hit is None:
-            fill(self._monos[i], self._monos[j])
-            hit = memo[key]
+            self.rdiv_mono(self._monos[i], self._monos[j])
+            hit = self._rdiv_memo[key]
         return hit
 
     def triple_key(self, i: int, j: int, k: int) -> int:
@@ -551,6 +556,9 @@ class _Node:
     left: "_Node | None" = None
     right: "_Node | None" = None
     route: tuple[int, ...] = ()
+    # for two leaf children and no split slot, the slot each child's variable reads, None
+    # for the unit; the node's value is then one memo entry
+    direct: tuple[int | None, int | None] | None = None
 
 
 class LinearizedEvaluator:
@@ -612,7 +620,12 @@ class LinearizedEvaluator:
                     for var in range(1, self.nvars + 1)
                 )
                 method, memo = _METHODS[type(word)]
-                node = _Node(len(self._nodes), word, None, method, getattr(self.B, memo), left, right, route)
+                direct = None
+                if left.method is None and right.method is None and _SPLIT not in route:
+                    direct = tuple(n.slot if isinstance(n.word, Var) else None for n in (left, right))
+                node = _Node(
+                    len(self._nodes), word, None, method, getattr(self.B, memo), left, right, route, direct
+                )
             case _:
                 raise TypeError(f"not a loop word: {word!r}")
         self._nodes[word] = node
@@ -651,6 +664,19 @@ class LinearizedEvaluator:
     def _binary(self, node: _Node, ids: tuple[int, ...]) -> Terms:
         index = self._index
         unit = self._unit
+        if node.direct is not None:
+            # two leaves and no split slot: the value is one memo entry, read without the
+            # split loop below
+            lsrc, rsrc = node.direct
+            degrees = index.degrees
+            if any(degrees[k] for s, k in enumerate(ids) if s != lsrc and s != rsrc):
+                return self._zero
+            k1 = unit if lsrc is None else ids[lsrc]
+            k2 = unit if rsrc is None else ids[rsrc]
+            entry = node.memo.get(k1 * index.size + k2)
+            if entry is None:
+                entry = self._fill(node, k1, k2)
+            return entry or self._zero
         options: list[Sequence[tuple[int, int, int]]] = []
         for how, k in zip(node.route, ids):
             if how == _SPLIT:
@@ -663,9 +689,9 @@ class LinearizedEvaluator:
                 options.append(((unit, unit, 1),))
             else:
                 return self._zero
-        memo, size, monos = node.memo, index.size, index.monos
+        memo, size, values = node.memo, index.size, self._memo
         lnode, rnode = node.left, node.right
-        lslot, rslot = lnode.slot, rnode.slot
+        lslot, rslot, lid, rid = lnode.slot, rnode.slot, lnode.id, rnode.id
         # (entry, coefficient) of every coeff * c1 * c2 * entry(k1, k2); a factor 1 is not multiplied
         parts: list[tuple[Terms, int | Fraction]] = []
         append = parts.append
@@ -674,14 +700,18 @@ class LinearizedEvaluator:
             # routing hands a leaf the unit in every slot but its own,
             # so its value is its own slot's monomial at coefficient 1
             if lslot is None:
-                lv = self._eval(lnode, left)
+                lv = values.get((lid, left))
+                if lv is None:
+                    lv = self._eval(lnode, left)
                 if not lv:
                     continue
                 litems = lv.items()
             else:
                 litems = ((left[lslot], 1),)
             if rslot is None:
-                rv = self._eval(rnode, right)
+                rv = values.get((rid, right))
+                if rv is None:
+                    rv = self._eval(rnode, right)
                 if not rv:
                     continue
                 ritems = rv.items()
@@ -695,36 +725,31 @@ class LinearizedEvaluator:
                 for k2, c2 in ritems:
                     entry = memo.get(base + k2)
                     if entry is None:
-                        # looked up on B at call time, so a wrapper on the class sees every fill
-                        getattr(self.B, node.method)(monos[k1], monos[k2])
-                        entry = memo[base + k2]
+                        entry = self._fill(node, k1, k2)
                     append((entry, c1 if c2 == 1 else c1 * c2))
         if len(parts) == 1 and parts[0][1] == 1:
             # one memoized entry at coefficient 1: the value is that entry, shared
             return entry or self._zero
         return sum_into({}, parts) or self._zero
 
+    def _fill(self, node: _Node, k1: int, k2: int) -> Terms:
+        """The entry at the ids (k1, k2) that `node`'s method, looked up on the bialgebra at call
+        time so a wrapper on the class sees every fill, stores in the node's memo."""
+        monos = self._index.monos
+        getattr(self.B, node.method)(monos[k1], monos[k2])
+        return node.memo[k1 * self._index.size + k2]
+
     def on_elements(self, word: LoopWord, args: Sequence[SymElement]) -> SymElement:
         if len(args) != self.nvars:
             raise ValueError(f"{self.nvars} arguments expected, got {len(args)}")
         node = self._node(word)
-        N, ident = self.B.N, self._index.id
-        # per argument: (id, degree, coefficient) of each term; no id above N, where every
-        # tuple holding the term is skipped
-        terms = []
-        for a in args:
-            degrees = [monomial_degree(m) for m in a.terms]
-            terms.append([
-                (ident(m) if d <= N else None, d, c) for (m, c), d in zip(a.terms.items(), degrees)
-            ])
+        N, degrees = self.B.N, self._index.degrees
+        # a term above N lies only in tuples above N, which are skipped
+        terms = [self.B._kernel(a.truncate(N)).terms.items() for a in args]
         acc: Terms = {}
         for combo in iter_product(*terms):
-            if sum(d for _, d, _ in combo) > N:
-                continue
-            coeff = 1
-            for _, _, c in combo:
-                coeff *= c
-            add_into(acc, self._eval(node, tuple(k for k, _, _ in combo)), coeff)
+            if sum(degrees[k] for k, _ in combo) <= N:
+                add_into(acc, self._eval(node, tuple(k for k, _ in combo)), prod(c for _, c in combo))
         return self.B._public(acc)
 
 

@@ -366,7 +366,8 @@ def test_kernel_memos_hold_canonical_ints_and_the_api_returns_fractions(monkeypa
             FormalLoop.from_map(FormalMap.from_series((1, 1), 1, 4, series))
         )
         prolonged = DistBialgebra.from_loop_prolonged(builtin_loop(name, N))
-        for bialgebra, entries in ((rational, ("ldiv_mono", "rdiv_mono")), (prolonged, ("product_mono", "ldiv_mono"))):
+        fills = ((rational, ("ldiv_mono", "rdiv_mono")), (prolonged, ("product_mono", "ldiv_mono")))
+        for bialgebra, entries in fills:
             for m1 in monomials_up_to(bialgebra.dim, N):
                 for m2 in monomials_up_to(bialgebra.dim, N - sum(m1)):
                     for entry in entries:
