@@ -156,27 +156,21 @@ def tree_stats(tree: PlaneTree) -> tuple[Fraction, int]:
     trees whose comb parts are not all known yet, and a tree is done once they are.
     """
     stats = _TREE_STATS.get(tree)
-    if stats is not None:
-        return stats
-    stack = [tree]
-    while stack:
-        node = stack[-1]
-        if node in _TREE_STATS:  # a part pushed twice
-            stack.pop()
-            continue
-        comb = node.left_comb()
-        missing = [part for part in comb if part not in _TREE_STATS]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        num, den = bernoulli_number(len(comb)).as_integer_ratio()
-        fact = factorial(len(comb))
-        for part in comb:
-            b, f = _TREE_STATS[part]
-            num, den, fact = num * b.numerator, den * b.denominator, fact * f
-        _TREE_STATS[node] = (Fraction(num, den), fact)
-    return _TREE_STATS[tree]
+    if stats is None:
+        stack = [tree]
+        while stack:
+            comb = stack[-1].left_comb()
+            parts = [_TREE_STATS.get(part) for part in comb]
+            if None in parts:
+                stack.extend(part for part, known in zip(comb, parts) if known is None)
+                continue
+            num, den = bernoulli_number(len(comb)).as_integer_ratio()
+            fact = factorial(len(comb))
+            for b, f in parts:
+                num, den, fact = num * b.numerator, den * b.denominator, fact * f
+            _TREE_STATS[stack.pop()] = (Fraction(num, den), fact)
+        stats = _TREE_STATS[tree]
+    return stats
 
 
 def bernoulli_tree_sum(n: int) -> Fraction:
