@@ -3,7 +3,7 @@
 The coalgebra k[V] acquires a product by prolonging a loop F: on monomial
 pairs the product is F'(mu (x) nu), extended bilinearly and truncated at
 the loop's degree.  `DistBialgebra` implements the `su_ops` contract on
-monomials and owns every memo the engine fills: left and right divisions
+monomial ids and owns every memo the engine fills: left and right divisions
 are the counit recursions of `su_ops`, the primitive operations and
 brackets are evaluated with these, and a prescribed multioperator can be
 installed through a similarity, solved one degree at a time, without
@@ -809,12 +809,11 @@ def check_linearized_identity(
         raise ValueError(f"seed must be an int, got {seed!r}")
     ev = LinearizedEvaluator(bialgebra, identity.nvars)
     dim, N = bialgebra.dim, bialgebra.N
-    index = bialgebra._index
-    degrees = index.degrees
+    monos, degrees = bialgebra._index.monos, bialgebra._index.degrees
 
     # the ids of the monomials of degree <= N in `monomials_up_to` order; those of
     # degree <= budget are a prefix of it
-    order = [index.id(mono) for mono in _monomial_pool(dim, N)]
+    order = [bialgebra._index.id(mono) for mono in _monomial_pool(dim, N)]
     pools = [order[: comb(dim + budget, budget)] for budget in range(N + 1)]
 
     def tuples_of_total(slots: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -835,7 +834,7 @@ def check_linearized_identity(
         if lhs != rhs:
             witness = {
                 "kind": "monomials",
-                "monomials": [list(index.monos[k]) for k in ids],
+                "monomials": [list(monos[k]) for k in ids],
                 "lhs": bialgebra._public(lhs).to_json(),
                 "rhs": bialgebra._public(rhs).to_json(),
             }

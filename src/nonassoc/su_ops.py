@@ -16,7 +16,7 @@ contract
         fills with `ldiv_on_keys` and `rdiv_on_keys` here
     triple_key(k1, k2, k3) -> the memo key of a triple of basis keys
 
-and owns the two memo dicts this module reads and fills, one pair per
+and own the two memo dicts this module reads and fills, one pair per
 algebra instance: `_p_memo` and `_assoc_memo`, keyed by `triple_key` and
 holding terms dicts.
 
