@@ -98,11 +98,18 @@ class _MonomialIndex:
         self.shift_rows: list[tuple[int, ...] | None] = []
 
     def id(self, mono: Monomial) -> int:
-        """The id of a monomial of k[V] of degree <= N; anything else raises ValueError."""
+        """The id of a monomial of k[V] of degree <= N; anything else raises ValueError.
+
+        A key that is the index's own monomial object is answered from the
+        dict alone; any other key is checked with `is_monomial` first, since
+        a tuple such as (True, 0) hashes and compares equal to (1, 0).
+        """
         i = self.ids.get(mono)
+        if i is not None and self.monos[i] is mono:
+            return i
+        if not is_monomial(mono, self.dim):
+            raise ValueError(f"{mono} is not a monomial of dimension {self.dim}")
         if i is None:
-            if not is_monomial(mono, self.dim):
-                raise ValueError(f"{mono} is not a monomial of dimension {self.dim}")
             degree = monomial_degree(mono)
             if degree > self.N:
                 raise ValueError(f"monomial {mono} beyond the truncation {self.N}")
@@ -193,7 +200,8 @@ class DistBialgebra:
     the primitive operation and associator per triple; the caches live on
     the instance, so distinct bialgebras never share entries.  Each memo
     entry is filled by `product_mono`, `ldiv_mono` or `rdiv_mono`; the
-    kernel reads the memos directly and calls those methods on a miss.
+    kernel reads the memos through `_entry`, which calls those methods on a
+    miss.
     """
 
     def __init__(self, dim: int, max_degree: int, product_fn: ProductFn, loop: FormalLoop | None = None):
@@ -276,8 +284,7 @@ class DistBialgebra:
                         weight = c1 * c2
                         tail = memo.get(b1 * size + b2)
                         if tail is None:
-                            self.product_mono(monos[b1], monos[b2])
-                            tail = memo[b1 * size + b2]
+                            tail = self._entry(memo, "product_mono", b1, b2)
                         for mono, c in tail.items():
                             row = shift_rows[mono]
                             if row is None:
@@ -316,28 +323,44 @@ class DistBialgebra:
 
     # -- product and divisions on monomials: the one place memo entries are filled ----
     def product_mono(self, m1: Monomial, m2: Monomial) -> SymElement:
-        i, j = self._index.id(m1), self._index.id(m2)
-        key = i * self._size + j
-        terms = self._prod_memo.get(key)
-        if terms is None:
-            terms = self._prod_memo[key] = self._product_fn(i, j)
-        return SymElement.of_terms(self.dim, self._index.to_monomials(terms))
+        return self._mono_entry(self._prod_memo, self._product_fn, m1, m2)
 
     def ldiv_mono(self, m1: Monomial, m2: Monomial) -> SymElement:
         r"""mu \ nu on monomials (`su_ops.ldiv_on_keys`)."""
-        return self._division(self._ldiv_memo, su_ops.ldiv_on_keys, m1, m2)
+        return self._mono_entry(
+            self._ldiv_memo, lambda i, j: exact_terms(su_ops.ldiv_on_keys(self, i, j)), m1, m2
+        )
 
     def rdiv_mono(self, m1: Monomial, m2: Monomial) -> SymElement:
         """mu / nu on monomials (`su_ops.rdiv_on_keys`)."""
-        return self._division(self._rdiv_memo, su_ops.rdiv_on_keys, m1, m2)
+        return self._mono_entry(
+            self._rdiv_memo, lambda i, j: exact_terms(su_ops.rdiv_on_keys(self, i, j)), m1, m2
+        )
 
-    def _division(self, memo: dict[int, Terms], recursion, m1: Monomial, m2: Monomial) -> SymElement:
+    def _mono_entry(
+        self, memo: dict[int, Terms], fill: Callable[[int, int], Terms], m1: Monomial, m2: Monomial
+    ) -> SymElement:
+        """The memo entry at the monomials (m1, m2), stored as `fill` computes it on ids."""
         i, j = self._index.id(m1), self._index.id(m2)
         key = i * self._size + j
         terms = memo.get(key)
         if terms is None:
-            terms = memo[key] = exact_terms(recursion(self, i, j))
+            terms = memo[key] = fill(i, j)
         return SymElement.of_terms(self.dim, self._index.to_monomials(terms))
+
+    def _entry(self, memo: dict[int, Terms], method: str, i: int, j: int) -> Terms:
+        """The entry at the ids (i, j) of a product or division memo, filled on a miss by the
+        named method (`product_mono`, `ldiv_mono` or `rdiv_mono`).
+
+        The method is looked up at call time, so a wrapper installed on its
+        name (perfbench/tracer.py) sees every fill; a class-level alias
+        would not.
+        """
+        terms = memo.get(i * self._size + j)
+        if terms is None:
+            getattr(self, method)(self._monos[i], self._monos[j])
+            terms = memo[i * self._size + j]
+        return terms
 
     # -- bilinear extensions ------------------------------------------------------
     def _check_pair(self, operation: str, a: SymElement, b: SymElement) -> None:
@@ -374,18 +397,12 @@ class DistBialgebra:
         return SymElement.of_terms(self.dim, as_fractions(self._index.to_monomials(terms)))
 
     # -- the su_ops contract, on monomial ids ---------------------------------------
-    # The key methods read the memos directly and call product_mono, ldiv_mono
-    # and rdiv_mono on a miss, looked up at call time, so a wrapper installed
-    # on those names (perfbench/tracer.py) sees every fill; a class-level
-    # alias would not.  `mul` is the kernel's product: unlike `product` it
-    # keeps the memos' int coefficients instead of converting to Fractions.
+    # `mul` is the kernel's product: unlike `product` it keeps the memos' int
+    # coefficients instead of converting to Fractions.
     def mul(self, a: _KernelElement, b: _KernelElement) -> _KernelElement:
         return bilinear(self.key_product, a, b)
 
-    def is_primitive(self, a: _KernelElement | SymElement) -> bool:
-        """Whether every term of a, a kernel or a public element, has degree 1."""
-        if isinstance(a, SymElement):
-            return all(monomial_degree(m) == 1 for m in a.terms)
+    def is_primitive(self, a: _KernelElement) -> bool:
         degrees = self._degrees
         return all(degrees[k] == 1 for k in a.terms)
 
@@ -399,28 +416,13 @@ class DistBialgebra:
         return self._index.splits(i)
 
     def key_product(self, i: int, j: int) -> Terms:
-        key = i * self._size + j
-        hit = self._prod_memo.get(key)
-        if hit is None:
-            self.product_mono(self._monos[i], self._monos[j])
-            hit = self._prod_memo[key]
-        return hit
+        return self._entry(self._prod_memo, "product_mono", i, j)
 
     def key_ldiv(self, i: int, j: int) -> Terms:
-        key = i * self._size + j
-        hit = self._ldiv_memo.get(key)
-        if hit is None:
-            self.ldiv_mono(self._monos[i], self._monos[j])
-            hit = self._ldiv_memo[key]
-        return hit
+        return self._entry(self._ldiv_memo, "ldiv_mono", i, j)
 
     def key_rdiv(self, i: int, j: int) -> Terms:
-        key = i * self._size + j
-        hit = self._rdiv_memo.get(key)
-        if hit is None:
-            self.rdiv_mono(self._monos[i], self._monos[j])
-            hit = self._rdiv_memo[key]
-        return hit
+        return self._entry(self._rdiv_memo, "rdiv_mono", i, j)
 
     def triple_key(self, i: int, j: int, k: int) -> int:
         return (i * self._size + j) * self._size + k
@@ -556,9 +558,6 @@ class _Node:
     left: "_Node | None" = None
     right: "_Node | None" = None
     route: tuple[int, ...] = ()
-    # for two leaf children and no split slot, the slot each child's variable reads, None
-    # for the unit; the node's value is then one memo entry
-    direct: tuple[int | None, int | None] | None = None
 
 
 class LinearizedEvaluator:
@@ -568,7 +567,7 @@ class LinearizedEvaluator:
     argument slots by the coproduct, routes the halves to its children and
     combines with the bialgebra product or division on monomials, reading
     the entries of `product_mono`, `ldiv_mono` and `rdiv_mono` straight from
-    their memos and summing each weighted entry once, straight into the
+    their memos (a miss goes through `DistBialgebra._entry`) and summing each weighted entry once, straight into the
     node's value.  A subword kills any content in slots whose variable it
     does not use (its formal map does not depend on them), so only slots
     shared by both children are split in earnest; the rest are routed whole
@@ -620,12 +619,7 @@ class LinearizedEvaluator:
                     for var in range(1, self.nvars + 1)
                 )
                 method, memo = _METHODS[type(word)]
-                direct = None
-                if left.method is None and right.method is None and _SPLIT not in route:
-                    direct = tuple(n.slot if isinstance(n.word, Var) else None for n in (left, right))
-                node = _Node(
-                    len(self._nodes), word, None, method, getattr(self.B, memo), left, right, route, direct
-                )
+                node = _Node(len(self._nodes), word, None, method, getattr(self.B, memo), left, right, route)
             case _:
                 raise TypeError(f"not a loop word: {word!r}")
         self._nodes[word] = node
@@ -664,19 +658,6 @@ class LinearizedEvaluator:
     def _binary(self, node: _Node, ids: tuple[int, ...]) -> Terms:
         index = self._index
         unit = self._unit
-        if node.direct is not None:
-            # two leaves and no split slot: the value is one memo entry, read without the
-            # split loop below
-            lsrc, rsrc = node.direct
-            degrees = index.degrees
-            if any(degrees[k] for s, k in enumerate(ids) if s != lsrc and s != rsrc):
-                return self._zero
-            k1 = unit if lsrc is None else ids[lsrc]
-            k2 = unit if rsrc is None else ids[rsrc]
-            entry = node.memo.get(k1 * index.size + k2)
-            if entry is None:
-                entry = self._fill(node, k1, k2)
-            return entry or self._zero
         options: list[Sequence[tuple[int, int, int]]] = []
         for how, k in zip(node.route, ids):
             if how == _SPLIT:
@@ -725,19 +706,12 @@ class LinearizedEvaluator:
                 for k2, c2 in ritems:
                     entry = memo.get(base + k2)
                     if entry is None:
-                        entry = self._fill(node, k1, k2)
+                        entry = self.B._entry(memo, node.method, k1, k2)
                     append((entry, c1 if c2 == 1 else c1 * c2))
         if len(parts) == 1 and parts[0][1] == 1:
             # one memoized entry at coefficient 1: the value is that entry, shared
             return entry or self._zero
         return sum_into({}, parts) or self._zero
-
-    def _fill(self, node: _Node, k1: int, k2: int) -> Terms:
-        """The entry at the ids (k1, k2) that `node`'s method, looked up on the bialgebra at call
-        time so a wrapper on the class sees every fill, stores in the node's memo."""
-        monos = self._index.monos
-        getattr(self.B, node.method)(monos[k1], monos[k2])
-        return node.memo[k1 * self._index.size + k2]
 
     def on_elements(self, word: LoopWord, args: Sequence[SymElement]) -> SymElement:
         if len(args) != self.nvars:

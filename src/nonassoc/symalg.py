@@ -167,6 +167,10 @@ class SymElement(LinComb):
     def counit(self) -> Fraction:
         return self.terms.get(unit_monomial(self.dim), ZERO)
 
+    def is_primitive(self) -> bool:
+        """Whether every term has degree 1, the primitive elements of k[V]."""
+        return all(monomial_degree(m) == 1 for m in self.terms)
+
     def primitive_part(self) -> Vector:
         out = [ZERO] * self.dim
         for mono, coeff in self.terms.items():

@@ -305,7 +305,7 @@ def test_criterion_10_structural_suites(
         ([e[0], e[1]], [e[2]], e[0]),
         ([e[0]], [e[1], e[2]], e[1]),
     ]:
-        assert B.is_primitive(ops.p(xs, ys, z))
+        assert ops.p(xs, ys, z).is_primitive()
     for i, j in iter_product(range(3), repeat=2):
         assert ops.bracket([e[0]], e[i], e[j]) == -ops.bracket([e[0]], e[j], e[i])
     assert (

@@ -133,8 +133,8 @@ def test_brackets_su_only_on_associative_loop(capsys):
 
 
 def test_invariant_failure_has_its_own_exit_code(capsys, monkeypatch):
-    # a bracket whose value is the unit, which is not primitive
-    monkeypatch.setattr(dist.su_ops, "bracket", lambda alg, xs, y, z: alg.one())
+    # a bracket whose value is the product y z, which has a degree-2 term and is not primitive
+    monkeypatch.setattr(dist.su_ops, "bracket", lambda alg, xs, y, z: alg.mul(y, z))
     code, out, err = run(
         capsys,
         "brackets",

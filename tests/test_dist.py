@@ -521,6 +521,29 @@ def test_index_splits_are_the_monomial_splits():
                 assert index.monos[k] == tuple(e + (l == j) for l, e in enumerate(mono))
 
 
+@pytest.mark.parametrize("bad", [(1, True, 0), (1.0, 1, 0), (F(1), 1, 0)])
+def test_a_key_equal_to_a_monomial_is_refused_before_and_after_it_has_an_id(monkeypatch, bad):
+    # each of these hashes and compares equal to (1, 1, 0); the answer must not depend on
+    # whether the index has already met (1, 1, 0)
+    monkeypatch.setattr(dist, "_monomial_index", lru_cache(maxsize=None)(dist._MonomialIndex))
+    B = DistBialgebra.from_loop(builtin_loop("jordan-k3-loop", 3))
+    ev = LinearizedEvaluator(B, 2)
+    word = parse_word("(x1*x2)", 2)
+    unit = (0, 0, 0)
+    calls = [
+        lambda: B.product_mono(bad, unit),
+        lambda: B.ldiv_mono(unit, bad),
+        lambda: B.rdiv_mono(bad, unit),
+        lambda: ev.on_monomials(word, (bad, unit)),
+    ]
+    for known in (False, True):
+        assert ((1, 1, 0) in B._index.ids) is known
+        for call in calls:
+            with pytest.raises(ValueError, match="is not a monomial of dimension 3"):
+                call()
+        assert B.product_mono((1, 1, 0), unit) == mono_elem(3, (1, 1, 0))
+
+
 def test_su_bracket_table_rejects_a_negative_arity(jordan_bialgebra_4):
     with pytest.raises(ValueError, match="arity must be >= 0"):
         su_bracket_table(jordan_bialgebra_4, -1)
@@ -605,10 +628,10 @@ def test_p_values_are_primitive(jordan_bialgebra_4):
         ([vecs[0], vecs[1]], [vecs[2]], vecs[0]),
         ([vecs[0]], [vecs[1], vecs[2]], vecs[1]),
     ]:
-        assert jordan_bialgebra_4.is_primitive(ops.p(xs, ys, z))
+        assert ops.p(xs, ys, z).is_primitive()
     mu = jordan_bialgebra_4.basis(0)
-    assert jordan_bialgebra_4.is_primitive(mu)
-    assert not jordan_bialgebra_4.is_primitive(jordan_bialgebra_4.product(mu, mu))
+    assert mu.is_primitive()
+    assert not jordan_bialgebra_4.product(mu, mu).is_primitive()
 
 
 def p_reference(B, xs, ys, z):
@@ -1144,7 +1167,7 @@ def test_jordan_bracket_relations(spin_bialgebra_6):
         rhs = SymElement.zero(3)
         for inside, outside in _subset_parts(factors):
             inner = ops.bracket(list(outside), a, b)
-            if not B.is_primitive(inner):
+            if not inner.is_primitive():
                 raise AssertionError("inner bracket not primitive")
             value = ops.bracket(list(inside), c, inner.primitive_part())
             rhs = rhs + value
