@@ -282,10 +282,7 @@ class DistBialgebra:
                         if not front:
                             continue
                         weight = c1 * c2
-                        tail = memo.get(b1 * size + b2)
-                        if tail is None:
-                            tail = self._entry(memo, "product_mono", b1, b2)
-                        for mono, c in tail.items():
+                        for mono, c in self._entry(memo, "product_mono", b1, b2).items():
                             row = shift_rows[mono]
                             if row is None:
                                 row = index.shifts(mono)
@@ -566,9 +563,9 @@ class LinearizedEvaluator:
     The recursion mirrors the word structure: each binary node splits the
     argument slots by the coproduct, routes the halves to its children and
     combines with the bialgebra product or division on monomials, reading
-    the entries of `product_mono`, `ldiv_mono` and `rdiv_mono` straight from
-    their memos (a miss goes through `DistBialgebra._entry`) and summing each weighted entry once, straight into the
-    node's value.  A subword kills any content in slots whose variable it
+    the entries of `product_mono`, `ldiv_mono` and `rdiv_mono` from their
+    memos through `DistBialgebra._entry` and summing each weighted entry
+    once, straight into the node's value.  A subword kills any content in slots whose variable it
     does not use (its formal map does not depend on them), so only slots
     shared by both children are split in earnest; the rest are routed whole
     or force the term to vanish.
@@ -670,7 +667,7 @@ class LinearizedEvaluator:
                 options.append(((unit, unit, 1),))
             else:
                 return self._zero
-        memo, size, values = node.memo, index.size, self._memo
+        memo, method, entry_at, values = node.memo, node.method, self.B._entry, self._memo
         lnode, rnode = node.left, node.right
         lslot, rslot, lid, rid = lnode.slot, rnode.slot, lnode.id, rnode.id
         # (entry, coefficient) of every coeff * c1 * c2 * entry(k1, k2); a factor 1 is not multiplied
@@ -702,11 +699,8 @@ class LinearizedEvaluator:
             for k1, c1 in litems:
                 if coeff != 1:
                     c1 = coeff * c1
-                base = k1 * size
                 for k2, c2 in ritems:
-                    entry = memo.get(base + k2)
-                    if entry is None:
-                        entry = self.B._entry(memo, node.method, k1, k2)
+                    entry = entry_at(memo, method, k1, k2)
                     append((entry, c1 if c2 == 1 else c1 * c2))
         if len(parts) == 1 and parts[0][1] == 1:
             # one memoized entry at coefficient 1: the value is that entry, shared
