@@ -94,10 +94,7 @@ from .words import (
     Unit,
     Var,
     WordSyntaxError,
-    format_identity,
-    format_word,
     parse_identity,
-    parse_word,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -203,16 +203,18 @@ class FlatConnection:
 def connection_from_loop(loop: FormalLoop) -> FlatConnection:
     """The canonical connection: the loop restricted to k[V] (x) V.
 
-    Cached in the loop's `_canonical_connection`, so repeated bracket
-    evaluations share the transport tables.
+    Cached in the loop's `_canonical_connection`, which this function
+    creates on first use, so repeated bracket evaluations share the
+    transport tables.
     """
-    if loop._canonical_connection is None:
+    conn = vars(loop).get("_canonical_connection")
+    if conn is None:
 
         def star_fn(mono: Monomial, j: int) -> SparseVector:
             return loop._value((mono, basis_monomial(loop.dim, j)))
 
-        loop._canonical_connection = FlatConnection(loop.dim, loop.N - 1, star_fn)
-    return loop._canonical_connection
+        conn = loop._canonical_connection = FlatConnection(loop.dim, loop.N - 1, star_fn)
+    return conn
 
 
 def adapted_field(conn: FlatConnection, v: Vector) -> FormalVectorField:
@@ -302,21 +304,21 @@ def ms_brackets(
     reaches `adapted_field`, which raises ValueError.
 
     Torsion and derivative fields are cached in the loop's
-    `_ms_field_cache`, which the loop creates empty, keyed by their argument
-    chain (y, z, x_n, ..., x_1) as dense tuples of exact coefficients
-    (`scalars.exact`), so sweeping over
-    basis tuples shares all intermediate tables.  The benchmark tracer
-    (`perfbench/tracer.py`) counts its entries under that name.  The
-    adapted fields have their own cache, `_adapted_field_cache`, one field
-    per vector, so every torsion and derivative that reads the field of a
-    vector shares its value and pulled-back caches.
+    `_ms_field_cache`, which this function creates on first use, keyed by
+    their argument chain (y, z, x_n, ..., x_1) as dense tuples of exact
+    coefficients (`scalars.exact`), so sweeping over basis tuples shares all
+    intermediate tables.  The benchmark tracer (`perfbench/tracer.py`)
+    counts its entries under that name.  The adapted fields have their own
+    cache, `_adapted_field_cache` (`_adapted`), one field per vector, so
+    every torsion and derivative that reads the field of a vector shares its
+    value and pulled-back caches.
     """
     if len(xs) + 2 > loop.N:
         raise ValueError(
             f"bracket of arity {len(xs)} needs degree {len(xs) + 2} <= {loop.N}"
         )
     conn = connection_from_loop(loop)
-    cache = loop._ms_field_cache
+    cache = vars(loop).setdefault("_ms_field_cache", {})
     y, z = _exact_vector(y), _exact_vector(z)
     key: tuple = (y, z)
     field = cache.get(key)
@@ -339,12 +341,13 @@ def _exact_vector(v: Vector) -> tuple:
 
 
 def _adapted(loop: FormalLoop, conn: FlatConnection, v: tuple) -> FormalVectorField:
-    """The adapted field of a dense exact vector, built once per loop (`adapted_field`
-    raises on a wrong length, and only built fields are cached)."""
-    field = loop._adapted_field_cache.get(v)
+    """The adapted field of a dense exact vector, built once per loop in its
+    `_adapted_field_cache`, created on first use (`adapted_field` raises on a
+    wrong length, and only built fields are cached)."""
+    cache = vars(loop).setdefault("_adapted_field_cache", {})
+    field = cache.get(v)
     if field is None:
-        field = adapted_field(conn, v)
-        loop._adapted_field_cache[v] = field
+        field = cache[v] = adapted_field(conn, v)
     return field
 
 

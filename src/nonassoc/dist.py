@@ -238,33 +238,35 @@ class DistBialgebra:
         with the prolongation of F, which the test suite pins.
 
         The recursion runs on monomial ids and is driven by the loop's
-        support: only the splits whose front (mu_(1), nu_(1)) has a
-        multidegree where F has a component are visited, and F's value at a
-        front is looked up once per pair of ids.  Each weighted tail term,
-        times each letter e_j of the front, is summed straight into the
-        shifted result, unscaled, and each output term is divided by its
+        support: F is read once, at construction, into a table keyed by
+        bidegree and then by the pair id i * M + j, with exact
+        coefficients, so only the monomials of F's support get ids there.
+        Both F's own value at (mu, nu) and its value at each front
+        (mu_(1), nu_(1)) are read from that table, and only the fronts of a
+        bidegree where F has a component are visited.  Each weighted tail
+        term, times each letter e_j of the front, is summed straight into
+        the shifted result, unscaled, and each output term is divided by its
         degree once, not once per split or letter.  A tail term of degree N
         has no shifts (`_MonomialIndex.shifts`), since mono e_j would lie
         above the truncation.
         """
         self = cls(loop.dim, loop.N, None, loop)  # type: ignore[arg-type]
-        dim, N, size = loop.dim, loop.N, self._size
-        index, monos, degrees, shift_rows = self._index, self._monos, self._degrees, self._index.shift_rows
+        index, size, degrees, shift_rows = self._index, self._size, self._degrees, self._index.shift_rows
+        ident = index.id
+        # bidegree -> i * size + j -> F's component at the monomials (i, j)
         components = {
-            md: {pair: exact_terms(vec) for pair, vec in comp.items()}
+            md: {ident(m1) * size + ident(m2): exact_terms(vec) for (m1, m2), vec in comp.items()}
             for md, comp in loop.components.items()
         }
-        unit = index.id(unit_monomial(dim))
-        letters = [index.id(basis_monomial(dim, j)) for j in range(dim)]
-        # i * size + j -> F's component at the monomials (i, j), () where F has none
-        fronts: dict[int, dict[int, int | Fraction] | tuple] = {}
+        unit = ident(unit_monomial(loop.dim))
+        letters = [ident(basis_monomial(loop.dim, j)) for j in range(loop.dim)]
         memo = self._prod_memo
 
         def product_fn(i: int, j: int) -> Terms:
             d1, d2 = degrees[i], degrees[j]
             if d1 + d2 == 0:
                 return {unit: 1}
-            top = components.get((d1, d2), {}).get((monos[i], monos[j]), {})
+            top = components.get((d1, d2), {}).get(i * size + j, {})
             acc = {letters[l]: c for l, c in top.items()}
             groups1, groups2 = index.groups(i), index.groups(j)
             # id of mono e_l -> sum of F_l(mu_(1), nu_(1)) times the tail mu_(2) . nu_(2) at mono
@@ -276,10 +278,8 @@ class DistBialgebra:
                 for a1, b1, c1 in groups1[e1]:
                     base = a1 * size
                     for a2, b2, c2 in groups2[e2]:
-                        front = fronts.get(base + a2)
+                        front = comp.get(base + a2)
                         if front is None:
-                            front = fronts[base + a2] = comp.get((monos[a1], monos[a2])) or ()
-                        if not front:
                             continue
                         weight = c1 * c2
                         for mono, c in self._entry(memo, "product_mono", b1, b2).items():
@@ -565,20 +565,22 @@ class LinearizedEvaluator:
     combines with the bialgebra product or division on monomials, reading
     the entries of `product_mono`, `ldiv_mono` and `rdiv_mono` from their
     memos through `DistBialgebra._entry` and summing each weighted entry
-    once, straight into the node's value.  A subword kills any content in slots whose variable it
-    does not use (its formal map does not depend on them), so only slots
-    shared by both children are split in earnest; the rest are routed whole
-    or force the term to vanish.
+    once, straight into the node's value.  A subword kills any content in
+    slots whose variable it does not use (its formal map does not depend on
+    them), so only slots shared by both children are split in earnest; the
+    rest are routed whole or force the term to vanish.
 
     The evaluator runs on monomial ids (`_MonomialIndex`).  Each distinct
     subword is compiled once into a `_Node`, which fixes its method and slot
     routing; equal subwords share one node.  Values are terms dicts
     {id: coefficient}, memoized per evaluator in `_memo`, keyed by (node id,
-    tuple of slot ids).  A leaf below the root is read straight from its
-    slot, with no memo entry; a leaf at the root is memoized.  A binary
-    node's value is a sum of memo entries, which never hold a term above N,
-    so it is stored without a copy, and a value that is one entry at
-    coefficient 1 is that entry itself.  Every vanishing value is the
+    tuple of slot ids).  A binary node reads each child that is itself a
+    binary node through `_eval`, the one reader of that memo.  A leaf below
+    the root is read straight from its slot, with no memo entry; a leaf at
+    the root is memoized.  A binary node's value is a sum of memo entries,
+    which never hold a term above N, so it is stored without a copy, and a
+    value that is one entry at coefficient 1 is that entry itself, shared
+    with the bialgebra's memo.  Every vanishing value is the
     evaluator's one empty dict.  The memo holds kernel coefficients
     (`int | Fraction`); the public methods take and return `SymElement`s,
     with Fractions.
@@ -667,9 +669,9 @@ class LinearizedEvaluator:
                 options.append(((unit, unit, 1),))
             else:
                 return self._zero
-        memo, method, entry_at, values = node.memo, node.method, self.B._entry, self._memo
+        memo, method, entry_at = node.memo, node.method, self.B._entry
         lnode, rnode = node.left, node.right
-        lslot, rslot, lid, rid = lnode.slot, rnode.slot, lnode.id, rnode.id
+        lslot, rslot = lnode.slot, rnode.slot
         # (entry, coefficient) of every coeff * c1 * c2 * entry(k1, k2); a factor 1 is not multiplied
         parts: list[tuple[Terms, int | Fraction]] = []
         append = parts.append
@@ -678,18 +680,14 @@ class LinearizedEvaluator:
             # routing hands a leaf the unit in every slot but its own,
             # so its value is its own slot's monomial at coefficient 1
             if lslot is None:
-                lv = values.get((lid, left))
-                if lv is None:
-                    lv = self._eval(lnode, left)
+                lv = self._eval(lnode, left)
                 if not lv:
                     continue
                 litems = lv.items()
             else:
                 litems = ((left[lslot], 1),)
             if rslot is None:
-                rv = values.get((rid, right))
-                if rv is None:
-                    rv = self._eval(rnode, right)
+                rv = self._eval(rnode, right)
                 if not rv:
                     continue
                 ritems = rv.items()
@@ -1033,8 +1031,11 @@ def pbw_span_check(bialgebra: DistBialgebra, max_degree: int) -> PbwVerdict:
 
     For every m <= max_degree the products ((e_{i_1} e_{i_2}) ...) e_{i_k}
     with i_1 <= ... <= i_k and k <= m must have full rank in the span of
-    all monomials of degree <= m.
+    all monomials of degree <= m.  `max_degree` must be an int from 0 to N;
+    otherwise ValueError.
     """
+    if type(max_degree) is not int or max_degree < 0:
+        raise ValueError(f"degree must be an int >= 0, got {max_degree!r}")
     if max_degree > bialgebra.N:
         raise ValueError(f"degree {max_degree} beyond the truncation {bialgebra.N}")
     dim = bialgebra.dim

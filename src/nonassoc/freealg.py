@@ -114,8 +114,8 @@ class FreeAlgebra:
     """Computation context: generator names plus the truncation degree."""
 
     def __init__(self, names: Sequence[str], max_degree: int):
-        if max_degree < 1:
-            raise ValueError(f"truncation degree must be >= 1, got {max_degree}")
+        if type(max_degree) is not int or max_degree < 1:
+            raise ValueError(f"truncation degree must be an int >= 1, got {max_degree!r}")
         if len(set(names)) != len(names) or not names:
             raise ValueError(f"generator names must be distinct and non-empty: {names!r}")
         self.names = tuple(names)
@@ -556,22 +556,16 @@ def fa_exp_inverse(g: FAElement) -> FAElement:
     return FAElement.of_terms(alg, terms)
 
 
-def fa_log(max_degree: int, method: str = "trees") -> FAElement:
-    """log(1 + x) in one generator, to the requested degree.
-
-    method 'trees' sums B_t / t! over all monomials t (tree shapes);
-    method 'inversion' solves exp(L) = 1 + x degree by degree.  The two
-    must agree, which the test suite pins.
+def fa_log(max_degree: int) -> FAElement:
+    """log(1 + x) in one generator, to the requested degree: the sum of B_t / t!
+    over all monomials t (tree shapes).  `fa_exp_inverse(1 + x)`, which solves
+    exp(L) = 1 + x degree by degree, is the second route; the two must agree,
+    which the test suite and `explog --check` pin.
     """
     alg = FreeAlgebra(("x",), max_degree)
-    if method == "trees":
-        terms: dict[FAMonomial, Fraction] = {}
-        for degree in range(1, max_degree + 1):
-            for tree in enumerate_trees(degree):
-                bern, fact = tree_stats(tree)
-                terms[mono_from_tree(tree)] = bern / fact
-        return FAElement(alg, terms)
-    if method == "inversion":
-        return fa_exp_inverse(alg.one() + alg.gen(0))
-    raise ValueError(f"unknown method {method!r}")
-
+    terms: dict[FAMonomial, Fraction] = {}
+    for degree in range(1, max_degree + 1):
+        for tree in enumerate_trees(degree):
+            bern, fact = tree_stats(tree)
+            terms[mono_from_tree(tree)] = bern / fact
+    return FAElement(alg, terms)

@@ -190,6 +190,8 @@ class FormalMap:
         self._setup(dims, target_dim, max_degree, clean)
 
     def _setup(self, dims: tuple[int, ...], target_dim: int, max_degree: int, components: Tables):
+        if type(max_degree) is not int or max_degree < 0:
+            raise ValueError(f"truncation degree must be an int >= 0, got {max_degree!r}")
         self.dims = dims
         self.target_dim = target_dim
         self.N = max_degree
@@ -621,15 +623,11 @@ class FormalLoop(FormalMap):
 
     def _setup(self, dims, target_dim, max_degree, components):
         super()._setup(dims, target_dim, max_degree, components)
+        if max_degree < 1:
+            raise ValueError(f"a formal loop needs truncation degree >= 1, got {max_degree}")
         self.dim = target_dim
         self._validate_unital()
         self._divisions: dict[str, FormalMap] = {}
-        # the canonical connection, its torsion and derivative fields and its
-        # adapted fields, filled by `connection.connection_from_loop` and
-        # `connection.ms_brackets`
-        self._canonical_connection = None
-        self._ms_field_cache: dict = {}
-        self._adapted_field_cache: dict = {}
 
     def _validate_unital(self) -> None:
         for slot, md1 in enumerate(((1, 0), (0, 1))):

@@ -8,8 +8,7 @@ no agreed precedence, so the syntax refuses the ambiguity):
     identity := expr '=' expr
 
 Identifiers are x1, x2, ... with 1-based indices bounded by the declared
-variable count; 'e' is the loop unit.  Formatting an AST yields a string
-that parses back to an equal AST.
+variable count; 'e' is the loop unit.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ class RDiv:
 
 LoopWord = Var | Unit | Mul | LDiv | RDiv
 
-_BINARY = {Mul: "*", LDiv: "\\", RDiv: "/"}
 _OPS = {"*": Mul, "\\": LDiv, "/": RDiv}
 
 
@@ -135,13 +133,6 @@ class _Parser:
             raise self.fail("trailing input")
 
 
-def parse_word(text: str, nvars: int) -> LoopWord:
-    parser = _Parser(text, nvars)
-    word = parser.expr()
-    parser.expect_end()
-    return word
-
-
 def parse_identity(text: str, nvars: int) -> Identity:
     parser = _Parser(text, nvars)
     lhs = parser.expr()
@@ -151,22 +142,6 @@ def parse_identity(text: str, nvars: int) -> Identity:
     rhs = parser.expr()
     parser.expect_end()
     return Identity(lhs, rhs, nvars)
-
-
-def format_word(word: LoopWord) -> str:
-    match word:
-        case Var(index):
-            return f"x{index}"
-        case Unit():
-            return "e"
-        case Mul(a, b) | LDiv(a, b) | RDiv(a, b):
-            op = _BINARY[type(word)]
-            return f"({format_word(a)} {op} {format_word(b)})"
-    raise TypeError(f"not a loop word: {word!r}")
-
-
-def format_identity(identity: Identity) -> str:
-    return f"{format_word(identity.lhs)} = {format_word(identity.rhs)}"
 
 
 def word_variables(word: LoopWord) -> set[int]:

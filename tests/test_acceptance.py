@@ -33,6 +33,7 @@ from nonassoc.freealg import (
     fa_associator,
     fa_commutator,
     fa_exp,
+    fa_exp_inverse,
     fa_log,
     p_operation,
     su_multioperator_component,
@@ -79,9 +80,8 @@ def test_criterion_01_bernoulli_tree_identity():
 def test_criterion_02_nonassociative_logarithm():
     started = time.monotonic()
     by_trees = fa_log(8)
-    by_inversion = fa_log(8, method="inversion")
-    assert by_trees == by_inversion
     alg = by_trees.alg
+    assert by_trees == fa_exp_inverse(alg.one() + alg.gen(0))
     assert fa_exp(by_trees) == alg.one() + alg.gen(0)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"criterion 2 took {elapsed:.2f}s, budget 30s"

@@ -511,3 +511,17 @@ def test_ms_brackets_build_one_adapted_field_per_vector(monkeypatch):
     # the field cache holds the 3 torsions (y < z) and their 9 derivatives only
     assert len(loop._ms_field_cache) == 12
     assert table == su_bracket_table(DistBialgebra.from_loop(loop), 1)
+
+
+def test_connection_creates_its_loop_caches_on_first_use():
+    loop = builtin_loop("jordan-k3-loop", 3)
+    names = ("_canonical_connection", "_ms_field_cache", "_adapted_field_cache")
+    assert not [name for name in names if hasattr(loop, name)]
+    conn = connection_from_loop(loop)
+    assert loop._canonical_connection is conn and connection_from_loop(loop) is conn
+    assert not hasattr(loop, "_ms_field_cache")
+    basis = [basis_vector(3, i) for i in range(3)]
+    ms_brackets(loop, [], basis[0], basis[1])
+    assert set(loop._adapted_field_cache) == {basis[0], basis[1]}
+    assert list(loop._ms_field_cache) == [(basis[0], basis[1])]
+    assert connection_from_loop(loop) is conn

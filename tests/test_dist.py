@@ -63,7 +63,7 @@ from nonassoc.symalg import (
     monomials_up_to,
     unit_monomial,
 )
-from nonassoc.words import parse_identity, parse_word
+from nonassoc.words import LDiv, Mul, RDiv, Unit, Var, parse_identity
 
 MOUFANG = "(x1 * (x2 * (x1 * x3))) = (((x1 * x2) * x1) * x3)"
 ASSOC = "((x1 * x2) * x3) = (x1 * (x2 * x3))"
@@ -528,7 +528,7 @@ def test_a_key_equal_to_a_monomial_is_refused_before_and_after_it_has_an_id(monk
     monkeypatch.setattr(dist, "_monomial_index", lru_cache(maxsize=None)(dist._MonomialIndex))
     B = DistBialgebra.from_loop(builtin_loop("jordan-k3-loop", 3))
     ev = LinearizedEvaluator(B, 2)
-    word = parse_word("(x1*x2)", 2)
+    word = Mul(Var(1), Var(2))
     unit = (0, 0, 0)
     calls = [
         lambda: B.product_mono(bad, unit),
@@ -823,7 +823,12 @@ def test_loop_mode_agrees_with_bialgebra_mode_on_random_structure_constants(cons
 # a unit leaf under each of *, \ and /; leaves as split children of a shared slot,
 # once beside a slot that neither child uses; leaves at the root
 LEAF_WORDS = (
-    "((e * x1) \\ (x2 / e))", "((x1 \\ e) * (e / x2))", "(x1 * (x1 / x2))", "(x1 * x1)", "x2", "e",
+    LDiv(Mul(Unit(), Var(1)), RDiv(Var(2), Unit())),  # ((e * x1) \ (x2 / e))
+    Mul(LDiv(Var(1), Unit()), RDiv(Unit(), Var(2))),  # ((x1 \ e) * (e / x2))
+    Mul(Var(1), RDiv(Var(1), Var(2))),  # (x1 * (x1 / x2))
+    Mul(Var(1), Var(1)),
+    Var(2),
+    Unit(),
 )
 
 
@@ -836,7 +841,7 @@ def test_linearized_evaluator_matches_the_bilinear_reference(constants):
         identity = parse_identity(text, nvars)
         words = [identity.lhs, identity.rhs]
         if nvars == 2:
-            words += [parse_word(leaf_text, 2) for leaf_text in LEAF_WORDS]
+            words += LEAF_WORDS
         ev, memo = LinearizedEvaluator(B, nvars), {}
         for monos in iter_product(*[list(monomials_up_to(2, 4))] * nvars):
             if sum(map(monomial_degree, monos)) > 4:
@@ -852,21 +857,33 @@ def test_evaluator_memoizes_no_leaf_below_the_root(jordan_bialgebra_4):
     pool = list(monomials_up_to(3, 4))
     tuples = [m for m in iter_product(pool, repeat=2) if sum(map(monomial_degree, m)) <= 4]
     for monos in tuples:
-        for text in LEAF_WORDS[:4]:
-            ev.on_monomials(parse_word(text, 2), monos)
+        for word in LEAF_WORDS[:4]:
+            ev.on_monomials(word, monos)
     leaves = {node.id for node in ev._nodes.values() if node.method is None}
     assert len(leaves) == 3 and ev._memo
     assert not [key for key in ev._memo if key[0] in leaves]
     # a leaf at the root is memoized
-    root = ev._node(parse_word("x2", 2))
+    root = ev._node(Var(2))
     ev.on_monomials(root.word, tuples[-1])
     ids = tuple(map(jordan_bialgebra_4._index.id, tuples[-1]))
     assert [key for key in ev._memo if key[0] in leaves] == [(root.id, ids)]
 
 
+def test_a_value_that_is_one_product_entry_is_that_entry(jordan_bialgebra_4):
+    # (x1 * x2) at a monomial pair is one product entry at coefficient 1: the evaluator
+    # stores the bialgebra's memo entry itself, not a copy
+    B = jordan_bialgebra_4
+    ev = LinearizedEvaluator(B, 2)
+    word = Mul(Var(1), Var(2))
+    for monos in (((1, 0, 0), (0, 1, 0)), ((2, 0, 0), (0, 1, 1)), ((0, 0, 0), (1, 1, 0))):
+        assert ev.on_monomials(word, monos) == B.product_mono(*monos)
+        i, j = map(B._index.id, monos)
+        assert ev._memo[(ev._node(word).id, (i, j))] is B._prod_memo[i * B._index.size + j]
+
+
 def test_evaluator_shares_nodes_between_equal_words(jordan_bialgebra_4):
-    # equal subwords share one node, so an equal word parsed again reads the memo
-    first, second = parse_word("((x1 * x2) * x3)", 3), parse_word("((x1 * x2) * x3)", 3)
+    # equal subwords share one node, so an equal word built again reads the memo
+    first, second = Mul(Mul(Var(1), Var(2)), Var(3)), Mul(Mul(Var(1), Var(2)), Var(3))
     assert first == second and first is not second
     ev = LinearizedEvaluator(jordan_bialgebra_4, 3)
     monos = ((1, 0, 0), (0, 1, 0), (1, 0, 1))
@@ -887,14 +904,14 @@ def test_evaluator_shares_nodes_between_equal_words(jordan_bialgebra_4):
 def test_evaluator_rejects_tuples_it_cannot_evaluate(jordan_bialgebra_4, monos):
     ev = LinearizedEvaluator(jordan_bialgebra_4, 3)
     with pytest.raises(ValueError):
-        ev.on_monomials(parse_word("((x1 * x2) * x3)", 3), monos)
+        ev.on_monomials(Mul(Mul(Var(1), Var(2)), Var(3)), monos)
 
 
 def test_evaluator_rejects_words_outside_its_slots(jordan_bialgebra_4):
     # a variable beyond the slots, and an identity with no slot at all
     ev = LinearizedEvaluator(jordan_bialgebra_4, 3)
     with pytest.raises(ValueError):
-        ev.on_monomials(parse_word("(x1 * x4)", 4), ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
+        ev.on_monomials(Mul(Var(1), Var(4)), ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
     with pytest.raises(ValueError):
         check_linearized_identity(parse_identity("e = e", 0), jordan_bialgebra_4)
 
@@ -1252,4 +1269,12 @@ def test_pbw_jordan_spin_full_rank(spin_bialgebra_6):
 def test_pbw_degree_bound(affine_1d):
     with pytest.raises(ValueError):
         pbw_span_check(affine_1d, 9)
+
+
+@pytest.mark.parametrize("degree", [-1, True, False])
+def test_pbw_refuses_a_degree_that_is_no_int_from_zero(affine_1d, degree):
+    # -1 used to pass vacuously with no rank checked, and True read as 1
+    with pytest.raises(ValueError, match=f"degree must be an int >= 0, got {degree}"):
+        pbw_span_check(affine_1d, degree)
+    assert pbw_span_check(affine_1d, 0).ranks == {0: (1, 1)}
 

@@ -428,6 +428,12 @@ def test_constructors_accept_well_formed_monomials():
     assert FATensor(alg, {(None, (0, 1)): F(1)}) == FATensor.of(alg.one(), x * y)
 
 
+@pytest.mark.parametrize("degree", [True, 0, -1, 2.0])
+def test_free_algebra_truncation_is_an_int_from_one(degree):
+    with pytest.raises(ValueError, match=f"truncation degree must be an int >= 1, got {degree}"):
+        FreeAlgebra(("a",), degree)
+
+
 def test_constructors_refuse_a_monomial_above_the_truncation():
     alg = FreeAlgebra(("x", "y"), 2)
     x, y = alg.gens()
@@ -474,9 +480,8 @@ def test_from_json_names_a_missing_or_mistyped_field(data, message):
 def test_log_inversion_agreement_and_exp_round_trip():
     for degree in range(1, 10):
         tree_version = fa_log(degree)
-        inversion = fa_log(degree, method="inversion")
-        assert tree_version == inversion
         alg = tree_version.alg
+        assert tree_version == fa_exp_inverse(alg.one() + alg.gen(0))
         assert fa_exp(tree_version) == alg.one() + alg.gen(0)
 
 

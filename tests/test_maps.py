@@ -49,7 +49,7 @@ from nonassoc.symalg import (
     SymTensor,
 )
 from nonassoc.su_ops import left_normed_product
-from nonassoc.words import Mul, Var, parse_identity, parse_word
+from nonassoc.words import LDiv, Mul, RDiv, Unit, Var, parse_identity
 
 
 def loop_1d(series, degree):
@@ -129,8 +129,9 @@ def test_compose_diagonal_of_addition():
 
 
 def test_associativity_word_series(fxy):
-    lhs = eval_word(parse_word("((x1 * x2) * x3)", 3), fxy, 3)
-    rhs = eval_word(parse_word("(x1 * (x2 * x3))", 3), fxy, 3)
+    identity = parse_identity("((x1 * x2) * x3) = (x1 * (x2 * x3))", 3)
+    lhs = eval_word(identity.lhs, fxy, 3)
+    rhs = eval_word(identity.rhs, fxy, 3)
     assert lhs == rhs
     # (1+x)(1+y)(1+z) - 1 has all multilinear coefficients 1
     for monos in [((1,), (1,), (0,)), ((1,), (0,), (1,)), ((1,), (1,), (1,))]:
@@ -296,20 +297,20 @@ def test_division_laws_across_the_catalog(
 def test_eval_word_examples(fxy):
     p1 = FormalMap.slot_projection((1, 1), 0, 6)
     p2 = FormalMap.slot_projection((1, 1), 1, 6)
-    assert eval_word(parse_word(r"(x1 \ (x1 * x2))", 2), fxy, 2) == p2
-    assert eval_word(parse_word(r"(x1 * (x1 \ e))", 1), fxy, 1).is_zero()
-    assert eval_word(parse_word(r"(e / (x1 \ e))", 1), fxy, 1) == FormalMap.slot_projection((1,), 0, 6)
+    assert eval_word(LDiv(Var(1), Mul(Var(1), Var(2))), fxy, 2) == p2
+    assert eval_word(Mul(Var(1), LDiv(Var(1), Unit())), fxy, 1).is_zero()
+    assert eval_word(RDiv(Unit(), LDiv(Var(1), Unit())), fxy, 1) == FormalMap.slot_projection((1,), 0, 6)
 
 
 def test_eval_word_variable_range(fxy):
     with pytest.raises(ValueError):
-        eval_word(parse_word("(x1 * x2)", 2), fxy, 1)
+        eval_word(Mul(Var(1), Var(2)), fxy, 1)
 
 
 def test_eval_word_commutes_with_prolongation(jordan_loop_4):
     # prolong-after-evaluate against the linearized evaluator, degree <= 3
     loop = jordan_loop_4
-    word = parse_word("((x1 * x2) * x1)", 2)
+    word = Mul(Mul(Var(1), Var(2)), Var(1))
     fmap = eval_word(word, loop, 2)
     pr = fmap.prolongation()
     ev = LinearizedEvaluator(DistBialgebra.from_loop(loop), 2)
@@ -712,6 +713,29 @@ def test_components_above_the_truncation_are_checked_before_they_are_dropped(com
     with pytest.raises(ValueError):
         FormalMap((3,), 2, 1, components)
     assert FormalMap((3,), 2, 1, {(2,): {((2, 0, 0),): (1, 0)}}).is_zero()
+
+
+@pytest.mark.parametrize("degree", [True, False, -1])
+def test_a_truncation_degree_that_is_no_int_from_zero_is_refused(degree):
+    # every constructor reaches FormalMap._setup, the trusted one included
+    message = f"truncation degree must be an int >= 0, got {degree}"
+    with pytest.raises(ValueError, match=message):
+        FormalMap((1,), 1, degree, {})
+    with pytest.raises(ValueError, match=message):
+        FormalMap._of_sparse((1,), 1, degree, {})
+    with pytest.raises(ValueError, match=message):
+        SimilarityMap.identity(2, degree)
+    with pytest.raises(ValueError, match=message):
+        builtin_loop("x-squared-y-loop", degree)
+
+
+def test_a_loop_needs_truncation_degree_one():
+    # at N = 0 there is no room for the unital components; say so, not "not unital"
+    for make in (lambda: builtin_loop("x-squared-y-loop", 0), lambda: loop_from_algebra(AlgebraTable(1, (((F(0),),),)), 0)):
+        with pytest.raises(ValueError, match="a formal loop needs truncation degree >= 1, got 0"):
+            make()
+    assert FormalMap.zero_map((1,), 1, 0).is_zero()
+    assert builtin_loop("x-squared-y-loop", 1).N == 1
 
 
 def test_from_json_checks_components_above_its_truncation():
