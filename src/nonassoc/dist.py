@@ -252,14 +252,16 @@ class DistBialgebra:
         """
         self = cls(loop.dim, loop.N, None, loop)  # type: ignore[arg-type]
         index, size, degrees, shift_rows = self._index, self._size, self._degrees, self._index.shift_rows
-        ident = index.id
+        # each monomial of F's support is checked and given its id once, not once per entry
+        support = {m for comp in loop.components.values() for pair in comp for m in pair}
+        ident = {m: index.id(m) for m in support}.__getitem__
         # bidegree -> i * size + j -> F's component at the monomials (i, j)
         components = {
             md: {ident(m1) * size + ident(m2): exact_terms(vec) for (m1, m2), vec in comp.items()}
             for md, comp in loop.components.items()
         }
-        unit = ident(unit_monomial(loop.dim))
-        letters = [ident(basis_monomial(loop.dim, j)) for j in range(loop.dim)]
+        unit = index.id(unit_monomial(loop.dim))
+        letters = [index.id(basis_monomial(loop.dim, j)) for j in range(loop.dim)]
         memo = self._prod_memo
 
         def product_fn(i: int, j: int) -> Terms:
