@@ -1273,7 +1273,7 @@ def test_pbw_degree_bound(affine_1d):
 
 @pytest.mark.parametrize("degree", [-1, True, False])
 def test_pbw_refuses_a_degree_that_is_no_int_from_zero(affine_1d, degree):
-    # -1 used to pass vacuously with no rank checked, and True read as 1
+    # -1 would check no rank and pass, and True would read as 1
     with pytest.raises(ValueError, match=f"degree must be an int >= 0, got {degree}"):
         pbw_span_check(affine_1d, degree)
     assert pbw_span_check(affine_1d, 0).ranks == {0: (1, 1)}

@@ -730,8 +730,12 @@ def test_a_truncation_degree_that_is_no_int_from_zero_is_refused(degree):
 
 
 def test_a_loop_needs_truncation_degree_one():
-    # at N = 0 there is no room for the unital components; say so, not "not unital"
-    for make in (lambda: builtin_loop("x-squared-y-loop", 0), lambda: loop_from_algebra(AlgebraTable(1, (((F(0),),),)), 0)):
+    # at N = 0 a loop has no room for its unital components, and the error names the degree
+    makers = (
+        lambda: builtin_loop("x-squared-y-loop", 0),
+        lambda: loop_from_algebra(AlgebraTable(1, (((F(0),),),)), 0),
+    )
+    for make in makers:
         with pytest.raises(ValueError, match="a formal loop needs truncation degree >= 1, got 0"):
             make()
     assert FormalMap.zero_map((1,), 1, 0).is_zero()
