@@ -344,16 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
         "bialgebras and the induced bracket operations.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--degree", type=int, default=4, help="truncation degree (default 4)")
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--memory-cap", type=int, default=None, dest="memory_cap",
-                        help="cap on component-table size (rational slots)")
     common.add_argument("--config", type=str, default=None,
                         help="JSON file of option values, checked like flags; flags given here win")
+    degree = argparse.ArgumentParser(add_help=False, parents=[common])
+    degree.add_argument("--degree", type=int, default=4, help="truncation degree (default 4)")
+    capped = argparse.ArgumentParser(add_help=False, parents=[degree])
+    capped.add_argument("--memory-cap", type=int, default=None, dest="memory_cap",
+                        help="cap on component-table size (rational slots)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-identity", parents=[common], help="check a loop identity")
+    p = sub.add_parser("verify-identity", parents=[capped], help="check a loop identity")
     p.add_argument("--loop", required=True, help="builtin:NAME or file:PATH")
     p.add_argument("--identity", required=True, help="fully parenthesized identity")
     p.add_argument("--mode", choices=("loop", "bialgebra"), default="loop")
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=25)
     p.set_defaults(func=cmd_verify_identity)
 
-    p = sub.add_parser("brackets", parents=[common], help="bracket tables of a loop")
+    p = sub.add_parser("brackets", parents=[capped], help="bracket tables of a loop")
     p.add_argument("--loop", required=True)
     p.add_argument("--arity", type=int, default=0, help="number of leading arguments")
     p.add_argument("--method", choices=("su", "ms", "both"), default="both")
@@ -372,15 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=6, dest="max_degree")
     p.set_defaults(func=cmd_bernoulli)
 
-    p = sub.add_parser("explog", parents=[common], help="non-associative logarithm table")
+    p = sub.add_parser("explog", parents=[degree], help="non-associative logarithm table")
     p.add_argument("--check", action="store_true", help="verify exp(log(1+x)) = 1+x")
     p.set_defaults(func=cmd_explog)
 
-    p = sub.add_parser("raltify", parents=[common], help="right alternative modification")
+    p = sub.add_parser("raltify", parents=[capped], help="right alternative modification")
     p.add_argument("--loop", required=True)
     p.set_defaults(func=cmd_raltify)
 
-    p = sub.add_parser("multioperator", parents=[common], help="multioperator components")
+    p = sub.add_parser("multioperator", parents=[degree], help="multioperator components")
     p.add_argument("--bidegree", type=int, nargs=2, metavar=("I", "J"), required=True)
     p.add_argument("--method", choices=("ms", "su", "both"), default="ms")
     p.set_defaults(func=cmd_multioperator)
@@ -392,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_with_config(parser, sys.argv[1:] if argv is None else list(argv)))
-        if args.degree < 1:
+        if "degree" in args and args.degree < 1:
             raise UsageError("the truncation degree must be >= 1")
         return args.func(args)
     except (UsageError, ValueError) as exc:

@@ -66,8 +66,8 @@ class FormalVectorField:
     """
 
     def __init__(self, dim: int, max_degree: int, fn: Callable[[Monomial], SparseVector]):
-        if max_degree < 0:
-            raise ValueError("vector field degree bound must be >= 0")
+        if type(max_degree) is not int or max_degree < 0:
+            raise ValueError(f"vector field degree bound must be an int >= 0, got {max_degree!r}")
         self.dim = dim
         self.max_degree = max_degree
         self._fn = fn
@@ -130,6 +130,8 @@ class FlatConnection:
     """
 
     def __init__(self, dim: int, max_degree: int, star_fn: Callable[[Monomial, int], SparseVector]):
+        if type(max_degree) is not int or max_degree < 0:
+            raise ValueError(f"connection degree bound must be an int >= 0, got {max_degree!r}")
         self.dim = dim
         self.max_degree = max_degree  # bound on the k[V] argument
         self._fn = star_fn

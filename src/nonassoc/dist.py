@@ -589,8 +589,8 @@ class LinearizedEvaluator:
     """
 
     def __init__(self, bialgebra: DistBialgebra, nvars: int):
-        if nvars < 1:
-            raise ValueError(f"a linearized word needs at least one variable slot, got {nvars}")
+        if type(nvars) is not int or nvars < 1:
+            raise ValueError(f"the variable count of a linearized word must be an int >= 1, got {nvars!r}")
         self.B = bialgebra
         self.nvars = nvars
         self._index = bialgebra._index

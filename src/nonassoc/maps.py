@@ -226,41 +226,21 @@ class FormalMap:
         return not self.components
 
     def on_elements(self, elems: Sequence[SymElement]) -> SparseVector:
-        """Apply to a pure tensor of coalgebra elements (linear extension).
+        """Apply to a pure tensor of coalgebra elements by linear extension.
 
-        The value is a fresh sparse vector.
+        The value is a fresh sparse vector: the sum of `_value(monos)`, times
+        the product of the terms' coefficients, over every tuple of terms.
         """
         if len(elems) != len(self.dims):
             raise ValueError("slot count mismatch")
-        graded: list[dict[int, list[tuple[Monomial, Fraction]]]] = []
         for e, d in zip(elems, self.dims):
             if e.dim != d:
                 raise ValueError(f"element of dimension {e.dim} in a slot of dimension {d}")
-            by_deg: dict[int, list[tuple[Monomial, Fraction]]] = {}
-            for mono, coeff in e.terms.items():
-                by_deg.setdefault(monomial_degree(mono), []).append((mono, coeff))
-            graded.append(by_deg)
         out: SparseVector = {}
-        for md, table in self.components.items():
-            slots = []
-            ok = True
-            for k, by_deg in zip(md, graded):
-                lst = by_deg.get(k)
-                if not lst:
-                    ok = False
-                    break
-                slots.append(lst)
-            if not ok:
-                continue
-            for combo in iter_product(*slots):
-                key = tuple(mono for mono, _ in combo)
-                val = table.get(key)
-                if val is None:
-                    continue
-                coeff = ONE
-                for _, c in combo:
-                    coeff *= c
-                add_into(out, val, coeff)
+        for combo in iter_product(*(e.terms.items() for e in elems)):
+            value = self._value(tuple(mono for mono, _ in combo))
+            if value:
+                add_into(out, value, prod(c for _, c in combo))
         return out
 
     # -- linear structure ---------------------------------------------------------

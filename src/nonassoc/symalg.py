@@ -96,19 +96,9 @@ def monomial_splits(mono: Monomial) -> tuple[tuple[Monomial, Monomial, int], ...
     )
 
 
-@lru_cache(maxsize=None)
-def splits_by_degree(mono: Monomial) -> tuple[tuple[tuple[Monomial, Monomial, int], ...], ...]:
-    """`monomial_splits(mono)` grouped by the degree of b: entry k holds the splits with |b| = k."""
-    groups: list[list[tuple[Monomial, Monomial, int]]] = [[] for _ in range(sum(mono) + 1)]
-    for split in monomial_splits(mono):
-        groups[sum(split[0])].append(split)
-    return tuple(map(tuple, groups))
-
-
 def submonomials(mono: Monomial, degree: int) -> tuple[tuple[Monomial, Monomial, int], ...]:
-    """The splits (b, mono - b, weight) of `monomial_splits(mono)` with |b| = degree."""
-    groups = splits_by_degree(mono)
-    return groups[degree] if 0 <= degree < len(groups) else ()
+    """The splits (b, mono - b, weight) of `monomial_splits(mono)` with |b| = degree, in its order."""
+    return tuple(split for split in monomial_splits(mono) if sum(split[0]) == degree)
 
 
 class SymElement(LinComb):

@@ -134,6 +134,8 @@ class _Parser:
 
 
 def parse_identity(text: str, nvars: int) -> Identity:
+    if type(nvars) is not int or nvars < 0:
+        raise ValueError(f"variable count must be an int >= 0, got {nvars!r}")
     parser = _Parser(text, nvars)
     lhs = parser.expr()
     if parser.peek() != "=":

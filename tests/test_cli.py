@@ -4,7 +4,7 @@ import pytest
 
 from nonassoc import dist, maps
 from nonassoc.catalog import builtin_algebra, nonlinear_loop_F, x_squared_y_loop
-from nonassoc.cli import EXIT_FAIL, EXIT_INVARIANT, EXIT_PASS, EXIT_USAGE, main
+from nonassoc.cli import EXIT_FAIL, EXIT_INVARIANT, EXIT_PASS, EXIT_USAGE, build_parser, main
 
 ASSOC = "((x1 * x2) * x3) = (x1 * (x2 * x3))"
 MOUFANG = "(x1*(x2*(x1*x3)))=(((x1*x2)*x1)*x3)"
@@ -240,6 +240,51 @@ def run_exit(capsys, *argv):
     except SystemExit as exc:
         captured = capsys.readouterr()
         return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bernoulli", "--degree", "9"],
+        ["bernoulli", "--memory-cap", "5"],
+        ["explog", "--degree", "3", "--memory-cap", "5"],
+        ["multioperator", "--degree", "4", "--bidegree", "1", "3", "--memory-cap", "5"],
+    ],
+    ids=["bernoulli-degree", "bernoulli-memory-cap", "explog-memory-cap", "multioperator-memory-cap"],
+)
+def test_an_option_the_subcommand_does_not_read_is_refused(capsys, argv):
+    code, out, err = run_exit(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["bernoulli", "--max-degree", "3"], ["explog", "--degree", "3"]])
+def test_a_config_file_serves_subcommands_without_its_options(capsys, tmp_path, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"degree": 3, "memory_cap": 5, "format": "json"}))
+    code, out, _ = run(capsys, argv[0], "--config", str(path), *argv[1:])
+    assert code == EXIT_PASS
+    assert run(capsys, *argv, "--format", "json") == (code, out, "")
+
+
+OPTIONS = {
+    "verify-identity": {"--format", "--config", "--degree", "--memory-cap", "--loop", "--identity", "--mode",
+                        "--nvars", "--seed", "--samples"},
+    "brackets": {"--format", "--config", "--degree", "--memory-cap", "--loop", "--arity", "--method"},
+    "bernoulli": {"--format", "--config", "--max-degree"},
+    "explog": {"--format", "--config", "--degree", "--check"},
+    "raltify": {"--format", "--config", "--degree", "--memory-cap", "--loop"},
+    "multioperator": {"--format", "--config", "--degree", "--bidegree", "--method"},
+}
+
+
+def test_each_subcommand_declares_the_options_it_reads():
+    declared = {
+        name: {flag for action in sub._actions if action.dest != "help" for flag in action.option_strings}
+        for name, sub in build_parser().subcommands.items()
+    }
+    assert declared == OPTIONS
 
 
 CONFIGURED = {

@@ -66,6 +66,20 @@ def test_connection_from_loop_base_cases(jordan_setting):
             assert conn.star(mono, j) == table.basis_product(i, j)
 
 
+@pytest.mark.parametrize(
+    "build, bound",
+    [
+        (lambda: FormalVectorField(2, True, lambda mono: {}), "True"),
+        (lambda: FlatConnection(2, True, lambda mono, j: {j: 1}), "True"),
+        (lambda: FlatConnection(2, -1, lambda mono, j: {j: 1}), "-1"),
+    ],
+    ids=["field-bool", "connection-bool", "connection-negative"],
+)
+def test_a_degree_bound_that_is_not_an_int_at_least_0_is_refused(build, bound):
+    with pytest.raises(ValueError, match=f"degree bound must be an int >= 0, got {bound}$"):
+        build()
+
+
 def test_connection_vanishes_on_high_degrees_for_bilinear_loops(jordan_setting):
     loop, conn, _ = jordan_setting
     for mono in monomials_up_to(3, conn.max_degree):

@@ -916,6 +916,15 @@ def test_evaluator_rejects_words_outside_its_slots(jordan_bialgebra_4):
         check_linearized_identity(parse_identity("e = e", 0), jordan_bialgebra_4)
 
 
+def test_a_variable_count_that_is_a_bool_is_refused(jordan_bialgebra_4):
+    with pytest.raises(ValueError, match="variable count must be an int >= 0, got True"):
+        parse_identity("(x1 * e) = x1", True)
+    with pytest.raises(ValueError, match="variable count must be an int >= 0, got -1"):
+        parse_identity("e = e", -1)
+    with pytest.raises(ValueError, match="variable count of a linearized word must be an int >= 1, got True"):
+        LinearizedEvaluator(jordan_bialgebra_4, True)
+
+
 def test_linearized_moufang_on_associative_loop(dual_loop_4):
     B = DistBialgebra.from_loop(dual_loop_4)
     verdict = check_linearized_identity(parse_identity(MOUFANG, 3), B, samples=5, seed=0)
