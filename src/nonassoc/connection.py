@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 from .lincomb import add_into
 from .maps import FormalLoop
 from .scalars import (
-    SparseVector, Vector, basis_vector, exact, exact_terms, rat, to_dense, to_sparse,
+    SparseVector, Vector, exact, exact_terms, rat, to_dense, to_sparse,
 )
 from .su_ops import basis_bracket_table
 from .symalg import (
@@ -339,7 +339,7 @@ def ms_brackets(
 
 def _exact_vector(v: Vector) -> tuple:
     """A dense vector with its entries in the canonical form of `scalars.exact`."""
-    return tuple(exact(rat(c)) for c in v)
+    return tuple(c if type(c) is int else exact(rat(c)) for c in v)
 
 
 def _adapted(loop: FormalLoop, conn: FlatConnection, v: tuple) -> FormalVectorField:
@@ -356,5 +356,5 @@ def _adapted(loop: FormalLoop, conn: FlatConnection, v: tuple) -> FormalVectorFi
 def ms_bracket_table(loop: FormalLoop, arity: int) -> dict[tuple[int, ...], Vector]:
     """`ms_brackets` on every basis tuple, by `su_ops.basis_bracket_table`; mirroring (y, z)
     is exact, as the torsion is antisymmetric by its formula and nabla_x is linear."""
-    basis = [basis_vector(loop.dim, i) for i in range(loop.dim)]
+    basis = [tuple(int(i == j) for j in range(loop.dim)) for i in range(loop.dim)]
     return basis_bracket_table(basis, loop.N, arity, lambda xs, y, z: ms_brackets(loop, xs, y, z))

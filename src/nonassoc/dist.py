@@ -16,10 +16,11 @@ memos key a pair of ids (i, j) by the int i * M + j, M being the number
 of monomials of degree <= N, and hold terms dicts {id: coefficient};
 the `su_ops` contract and `LinearizedEvaluator` run on ids.  Every stored
 coefficient is in the canonical form of `scalars.exact`: `from_loop`
-divides with `scalars.exact_div`, and division entries, the values of an
-explicit product function and the arguments `DistSUOps` hands the engine
-go through `scalars.exact`, so for integral loops the whole kernel, the
-primitive operations included, runs on ints.  Monomial tuples and
+divides with `scalars.exact_div`; division, p and associator entries go
+through `DistBialgebra.canonical`, and the values of an explicit product
+function and the arguments `DistSUOps` hands the engine through
+`scalars.exact`, so for integral loops the whole kernel, the primitive
+operations included, runs on ints.  Monomial tuples and
 ``Fraction`` coefficients appear only at the public API: `product_mono`,
 `ldiv_mono` and `rdiv_mono` take monomials and return `SymElement`s
 (with the kernel's coefficients), and the `SymElement`s of
@@ -326,15 +327,11 @@ class DistBialgebra:
 
     def ldiv_mono(self, m1: Monomial, m2: Monomial) -> SymElement:
         r"""mu \ nu on monomials (`su_ops.ldiv_on_keys`)."""
-        return self._mono_entry(
-            self._ldiv_memo, lambda i, j: exact_terms(su_ops.ldiv_on_keys(self, i, j)), m1, m2
-        )
+        return self._mono_entry(self._ldiv_memo, lambda i, j: su_ops.ldiv_on_keys(self, i, j), m1, m2)
 
     def rdiv_mono(self, m1: Monomial, m2: Monomial) -> SymElement:
         """mu / nu on monomials (`su_ops.rdiv_on_keys`)."""
-        return self._mono_entry(
-            self._rdiv_memo, lambda i, j: exact_terms(su_ops.rdiv_on_keys(self, i, j)), m1, m2
-        )
+        return self._mono_entry(self._rdiv_memo, lambda i, j: su_ops.rdiv_on_keys(self, i, j), m1, m2)
 
     def _mono_entry(
         self, memo: dict[int, Terms], fill: Callable[[int, int], Terms], m1: Monomial, m2: Monomial
@@ -387,6 +384,10 @@ class DistBialgebra:
     def basis(self, index: int) -> SymElement:
         return SymElement.basis(self.dim, index)
 
+    def _letters(self) -> list[_KernelElement]:
+        """The kernel elements e_0, .., e_{dim-1}, at coefficient 1."""
+        return [self.key_element(self._index.id(basis_monomial(self.dim, i))) for i in range(self.dim)]
+
     def _kernel(self, elem: SymElement) -> _KernelElement:
         """A public element as the kernel's: keyed by id, with exact coefficients."""
         return _KernelElement.of_terms(self._index, self._index.to_ids(elem.terms))
@@ -426,14 +427,18 @@ class DistBialgebra:
     def triple_key(self, i: int, j: int, k: int) -> int:
         return (i * self._size + j) * self._size + k
 
+    # every division, p and associator entry is stored in the canonical form of `scalars.exact`
+    canonical = staticmethod(exact_terms)
+
 
 class DistSUOps:
     """Evaluator for the primitive operations in a distribution bialgebra.
 
     `p`, `bracket` and `multioperator` take `SymElement`s or dense vectors of
-    the bialgebra's dimension and return `SymElement`s with `Fraction`
-    coefficients; the kernel computes on the arguments' exact coefficients,
-    keyed by monomial id.
+    the bialgebra's dimension, or the bialgebra's own kernel elements (those
+    of its `_MonomialIndex`, such as its `_letters`), and return `SymElement`s
+    with `Fraction` coefficients; the kernel computes on the arguments' exact
+    coefficients, keyed by monomial id.
     """
 
     def __init__(self, bialgebra: DistBialgebra):
@@ -442,9 +447,15 @@ class DistSUOps:
     def _coerce(self, x) -> _KernelElement:
         """x, an element or a vector, as a kernel element with exact coefficients.
 
-        An element or a vector must have the bialgebra's dimension; otherwise ValueError.
+        A kernel element of the bialgebra's own index is returned as it is, with
+        no re-indexing; one of another (dim, N) raises ValueError.  An element or a
+        vector must have the bialgebra's dimension; otherwise ValueError.
         """
         B = self.bialgebra
+        if isinstance(x, _KernelElement):
+            if x.index is not B._index:
+                raise ValueError(f"kernel element of (dim, N) = {(x.index.dim, x.index.N)} in {B!r}")
+            return x
         if not isinstance(x, SymElement):
             x = SymElement.from_sparse(B.dim, to_sparse(B.dim, x))
         elif x.dim != B.dim:
@@ -495,7 +506,7 @@ class DistSUOps:
         for mono in (mx, my):
             if not is_monomial(mono, B.dim):
                 raise ValueError(f"{mono} is not a monomial of dimension {B.dim}")
-        letters = [B.key_element(B._index.id(basis_monomial(B.dim, i))) for i in range(B.dim)]
+        letters = B._letters()
         value = self._multioperator(
             [letters[i] for i in monomial_letters(mx)], [letters[i] for i in monomial_letters(my)]
         )
@@ -517,11 +528,9 @@ def dist_su_ops(bialgebra: DistBialgebra) -> DistSUOps:
 
 def su_bracket_table(bialgebra: DistBialgebra, arity: int) -> dict[tuple[int, ...], Vector]:
     """All brackets <e_{i_1} .. e_{i_m}; e_j, e_k> on basis tuples (`su_ops.basis_bracket_table`),
-    evaluated on int-coefficient basis elements."""
+    evaluated on the bialgebra's kernel letters, which `DistSUOps` takes as they are."""
     ops = dist_su_ops(bialgebra)
-    dim = bialgebra.dim
-    basis = [SymElement.of_terms(dim, {basis_monomial(dim, i): 1}) for i in range(dim)]
-    return su_ops.basis_bracket_table(basis, bialgebra.N, arity, ops.bracket_vector)
+    return su_ops.basis_bracket_table(bialgebra._letters(), bialgebra.N, arity, ops.bracket_vector)
 
 
 # -- linearized identities ------------------------------------------------------------
@@ -1043,10 +1052,10 @@ def pbw_span_check(bialgebra: DistBialgebra, max_degree: int) -> PbwVerdict:
     dim = bialgebra.dim
     index = bialgebra._index
     products = {(): bialgebra.key_element(index.id(unit_monomial(dim)))}
+    letters = bialgebra._letters()
     for k in range(1, max_degree + 1):
         for idx in combinations_with_replacement(range(dim), k):
-            letter = bialgebra.key_element(index.id(basis_monomial(dim, idx[-1])))
-            products[idx] = bialgebra.mul(products[idx[:-1]], letter)
+            products[idx] = bialgebra.mul(products[idx[:-1]], letters[idx[-1]])
 
     verdict = PbwVerdict(holds=True)
     for m in range(0, max_degree + 1):

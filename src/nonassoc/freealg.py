@@ -227,6 +227,11 @@ class FreeAlgebra:
     def triple_key(a: FAMonomial, b: FAMonomial, c: FAMonomial) -> tuple:
         return (a, b, c)
 
+    @staticmethod
+    def canonical(terms: dict) -> dict:
+        """A fill as its memo stores it: as computed, with `Fraction` coefficients."""
+        return terms
+
 
 def _require_within(alg: FreeAlgebra, mono: FAMonomial) -> None:
     """Outside input may not hold a term above the truncation, which products drop silently."""

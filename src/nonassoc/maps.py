@@ -96,12 +96,19 @@ def table_cells(dim: int, max_degree: int) -> int:
 
 
 def resolve_memory_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(MEMORY_CAP_ENV)
-    if env is not None:
+    """`cap` when given (the CLI's --memory-cap), else the value of NONASSOC_MEMORY_CAP, else
+    the default.  A cap that is not an int >= 0 (a bool included), or an environment value
+    that is not a decimal int >= 0, raises ValueError naming its source."""
+    if cap is None:
+        env = os.environ.get(MEMORY_CAP_ENV)
+        if env is None:
+            return DEFAULT_MEMORY_CAP
+        if not (env.strip().isascii() and env.strip().isdigit()):
+            raise ValueError(f"{MEMORY_CAP_ENV} must be a decimal int >= 0, got {env!r}")
         return int(env)
-    return DEFAULT_MEMORY_CAP
+    if type(cap) is not int or cap < 0:
+        raise ValueError(f"--memory-cap must be an int >= 0, got {cap!r}")
+    return cap
 
 
 def check_memory_cap(dim: int, max_degree: int, cap: int | None = None) -> None:

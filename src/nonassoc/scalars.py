@@ -3,9 +3,11 @@
 Every coefficient at the public API is a ``fractions.Fraction`` (always
 in lowest terms by construction).  Inside the package a coefficient is in
 the canonical form of `exact`: an ``int`` when integral, else a
-``Fraction`` with denominator > 1.  That holds in the memos of the `dist`
-kernel (`DistBialgebra.from_loop` divides with `exact_div`, so no ``/`` on
-an ``int`` can make a float), in the elements both bracket routes build
+``Fraction`` with denominator > 1.  That holds in every memo of the `dist`
+kernel, the p and associator memos included (`DistBialgebra.from_loop`
+divides with `exact_div`, so no ``/`` on an ``int`` can make a float, and
+`su_ops` stores each division, p and associator fill through
+`DistBialgebra.canonical`), in the elements both bracket routes build
 (`DistSUOps` and `su_ops`), and in the transports and field values of
 `connection`; integral loops therefore run those routes on ints.  Values
 leave the public API through `as_fractions`, the one conversion back to

@@ -15,22 +15,29 @@ contract
         memoized entries for k1 \\ k2 and k1 / k2 on basis keys, which it
         fills with `ldiv_on_keys` and `rdiv_on_keys` here
     triple_key(k1, k2, k3) -> the memo key of a triple of basis keys
+    canonical(terms) -> terms as a memo stores them: every division, p and
+        associator fill here goes through it (`scalars.exact_terms` in
+        `DistBialgebra`, the computed `Fraction`s as they are in `FreeAlgebra`)
 
 and own the two memo dicts this module reads and fills, one pair per
 algebra instance: `_p_memo` and `_assoc_memo`, keyed by `triple_key` and
-holding terms dicts.
+holding terms dicts.  Each division, associator and p fill is one list of
+(memo entry, weight) pairs summed by one `sum_into`: a division entry from
+product and division entries at smaller degree, an associator entry from
+product entries, a p entry from product, associator and left division
+entries, with no element built on the way.
 
 Elements are `lincomb.LinComb` instances: the engine uses their `+`, `-`
 and `scale`, and sums linear combinations of them with `sum_into` and
-`add_into` on their `terms`, the dicts from basis key to coefficient; a
-division entry collects its summands and sums them in one call.  The
-division recursions start from `key_element`, so their entries carry
-the algebra's own coefficients: `int | Fraction` in `DistBialgebra`,
+`add_into` on their `terms`, the dicts from basis key to coefficient.  The
+division recursions start from `key_element`, so their entries carry the
+algebra's own coefficients: `int | Fraction` in `DistBialgebra`,
 `Fraction` in `FreeAlgebra`.  The operations multiply and add the
 coefficients of their arguments and never divide them, so on the
-`int`-coefficient elements that `dist.DistSUOps` passes in they stay ints;
-only `multioperator` scales its sum by 1/(m! n!), once, at the end, and
-`multioperator_component` that value by 1/(i! j!).
+`int`-coefficient elements that `dist.DistSUOps` passes in they stay ints,
+and `canonical` stores them so; only `multioperator` scales its sum by
+1/(m! n!), once, at the end, and `multioperator_component` that value by
+1/(i! j!).
 
 Left and right division are defined by the counit recursions, the
 non-associative stand-in for an antipode:
@@ -58,9 +65,8 @@ evaluating p once per distinct ordering of its arguments.
 
 `basis_bracket_table` builds the basis table of any bracket route from a
 basis the caller supplies: `dist.su_bracket_table` passes the bialgebra's
-own `int`-coefficient basis elements and `connection.ms_bracket_table`
-dense basis vectors, and the route's `entry` runs on those objects as they
-are.
+kernel letters and `connection.ms_bracket_table` dense `int` basis vectors,
+and the route's `entry` runs on those objects as they are.
 """
 
 from __future__ import annotations
@@ -114,7 +120,7 @@ def ldiv_on_keys(alg, u, v) -> dict:
         else:
             for w, cw in prod.items():
                 parts.append((alg.key_ldiv(u1, w), -cw if c == 1 else -c * cw))
-    return sum_into({}, parts)
+    return alg.canonical(sum_into({}, parts))
 
 
 def rdiv_on_keys(alg, u, v) -> dict:
@@ -132,7 +138,7 @@ def rdiv_on_keys(alg, u, v) -> dict:
         else:
             for w, cw in alg.key_rdiv(u, v1).items():
                 parts.append((alg.key_product(w, v2), -cw if c == 1 else -c * cw))
-    return sum_into({}, parts)
+    return alg.canonical(sum_into({}, parts))
 
 
 def divide(alg, a, b, side: str):
@@ -145,27 +151,32 @@ def divide(alg, a, b, side: str):
 
 
 def _assoc_on_keys(alg, a, b, c) -> dict:
+    """(ab)c - a(bc) on basis keys, summed from the product entries."""
     key = alg.triple_key(a, b, c)
     hit = alg._assoc_memo.get(key)
     if hit is None:
-        hit = associator(alg, alg.key_element(a), alg.key_element(b), alg.key_element(c)).terms
-        alg._assoc_memo[key] = hit
+        product = alg.key_product
+        parts = [(product(w, c), cw) for w, cw in product(a, b).items()]
+        parts += [(product(a, w), -cw) for w, cw in product(b, c).items()]
+        hit = alg._assoc_memo[key] = alg.canonical(sum_into({}, parts))
     return hit
 
 
 def _p_on_keys(alg, mu, nu, zeta) -> dict:
-    """The defining Sweedler sum with u, v and z the basis elements mu, nu and zeta."""
+    """The defining Sweedler sum with u, v and z the basis elements mu, nu and zeta, summed
+    from the product, associator and left division entries."""
     key = alg.triple_key(mu, nu, zeta)
     hit = alg._p_memo.get(key)
     if hit is None:
-        hit = {}
+        parts = []
         for mu1, mu2, cu in alg.key_coproduct(mu):
             for nu1, nu2, cv in alg.key_coproduct(nu):
                 assoc = _assoc_on_keys(alg, mu2, nu2, zeta)
                 if assoc:
-                    head = alg.mul(alg.key_element(mu1), alg.key_element(nu1))
-                    add_into(hit, divide(alg, head, head._like(assoc), "left").terms, cu * cv)
-        alg._p_memo[key] = hit
+                    for w, cw in alg.key_product(mu1, nu1).items():
+                        weight = cu * cv * cw
+                        parts += [(alg.key_ldiv(w, k), weight * ck) for k, ck in assoc.items()]
+        hit = alg._p_memo[key] = alg.canonical(sum_into({}, parts))
     return hit
 
 

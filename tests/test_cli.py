@@ -93,6 +93,25 @@ def test_memory_cap_exceeded_is_usage_error(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "flag, env, named",
+    [
+        (["--memory-cap", "-5"], None, "--memory-cap"),
+        ([], "abc", "NONASSOC_MEMORY_CAP"),
+        ([], "-3", "NONASSOC_MEMORY_CAP"),
+    ],
+    ids=["negative-flag", "env-not-an-int", "env-negative"],
+)
+def test_a_memory_cap_that_is_not_a_count_is_refused_by_its_source(capsys, monkeypatch, flag, env, named):
+    if env is not None:
+        monkeypatch.setenv(maps.MEMORY_CAP_ENV, env)
+    code, out, err = run(capsys, "brackets", "--loop", "builtin:jordan-k3-loop", *flag)
+    assert code == EXIT_USAGE
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0] and "over the cap" not in errors[0], err
+
+
 def test_brackets_both_methods(capsys):
     code, out, _ = run(
         capsys,

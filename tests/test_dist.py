@@ -40,6 +40,8 @@ from nonassoc.dist import (
     su_bracket_table,
     su_multioperator_tables,
 )
+from nonassoc.freealg import FreeAlgebra
+from nonassoc.lincomb import add_into
 from nonassoc.maps import (
     MEMORY_CAP_ENV,
     FormalLoop,
@@ -308,6 +310,19 @@ def test_abelian_divisions_are_translations():
 # -- primitive operations ---------------------------------------------------------------
 
 
+def _rational_plane_loop():
+    """x + y plus six rational plane components up to degree 4 (series view)."""
+    components = {
+        ((1, 0), (1, 0)): (F(1, 3), 0),
+        ((1, 0), (0, 1)): (F(1, 2), F(1, 3)),
+        ((0, 1), (1, 0)): (F(-2, 3), F(1, 2)),
+        ((0, 1), (0, 1)): (0, F(3, 2)),
+        ((1, 0), (0, 2)): (F(1, 6), F(1, 2)),
+        ((1, 1), (0, 1)): (F(1, 2), F(-1, 3)),
+    }
+    return FormalLoop.from_map(FormalMap.from_series((2, 2), 2, 4, {**_PLANE_UNIT, **components}))
+
+
 @pytest.mark.parametrize(
     "name, N, text, nvars",
     [("jordan-k3-loop", 4, LEFT_DIVISION, 2), ("split-octonion-loop", 3, MOUFANG, 3)],
@@ -374,6 +389,16 @@ def test_kernel_memos_hold_canonical_ints_and_the_api_returns_fractions(monkeypa
                         getattr(bialgebra, entry)(m1, m2)
         memos += [rational._ldiv_memo, rational._rdiv_memo, prolonged._prod_memo, prolonged._ldiv_memo]
         assert any(type(c) is F for value in rational._ldiv_memo.values() for c in value.values())
+        # so are the p and associator entries of a rational plane loop, whose sums of
+        # Fractions come out integral at some coefficients
+        plane_loop = DistBialgebra.from_loop(_rational_plane_loop())
+        for arity in range(3):
+            su_bracket_table(plane_loop, arity)
+        su_multioperator_tables(plane_loop)
+        memos += [plane_loop._p_memo, plane_loop._assoc_memo]
+        for memo, size in ((plane_loop._p_memo, 45), (plane_loop._assoc_memo, 64)):
+            coefficients = [c for value in memo.values() for c in value.values()]
+            assert len(coefficients) == size and any(type(c) is F for c in coefficients)
     for memo in memos:
         assert memo
         for key, value in memo.items():
@@ -404,6 +429,98 @@ def test_su_ops_hand_the_engine_exact_coefficients(jordan_bialgebra_4):
     value = ops.multioperator(xs, ys)
     assert value == total.scale(F(1, factorial(len(xs)) * factorial(len(ys))))
     assert value.primitive_part() == entry and all(type(c) is F for c in value.terms.values())
+
+
+# -- the p and associator fills on memo entries ------------------------------------------
+
+
+def assert_fills_are_the_element_formulas(alg, keys_by_degree, N):
+    """On every triple of basis keys of total degree <= N, the associator fill is
+    (ab)c - a(bc) on `key_element`s and the p fill is the defining Sweedler sum
+    sum cu cv (mu_(1) nu_(1)) \\ assoc(mu_(2), nu_(2), zeta) on elements."""
+    element = alg.key_element
+
+    def assoc(a, b, c):
+        return su_ops.associator(alg, element(a), element(b), element(c))
+
+    for da, db, dc in iter_product(range(N + 1), repeat=3):
+        if da + db + dc > N:
+            continue
+        for a, b, c in iter_product(keys_by_degree[da], keys_by_degree[db], keys_by_degree[dc]):
+            assert su_ops._assoc_on_keys(alg, a, b, c) == assoc(a, b, c).terms, (a, b, c)
+            expected = {}
+            for mu1, mu2, cu in alg.key_coproduct(a):
+                for nu1, nu2, cv in alg.key_coproduct(b):
+                    head = alg.mul(element(mu1), element(nu1))
+                    add_into(expected, su_ops.divide(alg, head, assoc(mu2, nu2, c), "left").terms, cu * cv)
+            assert su_ops._p_on_keys(alg, a, b, c) == expected, (a, b, c)
+
+
+def _bialgebra_keys(B):
+    return [[B._index.id(m) for m in monomials(B.dim, d)] for d in range(B.N + 1)]
+
+
+def test_fills_are_the_element_formulas_on_jordan(jordan_loop_4):
+    B = DistBialgebra.from_loop(jordan_loop_4)
+    assert_fills_are_the_element_formulas(B, _bialgebra_keys(B), 4)
+    assert any(B._p_memo.values()) and any(B._assoc_memo.values())
+
+
+# at N = 5 a p fill first divides by a product of two letters, mu_(1) nu_(1) = a b or b a
+@pytest.mark.parametrize("N, counts", [(4, [1, 2, 4, 16, 80]), (5, [1, 2, 4, 16, 80, 448])])
+def test_fills_are_the_element_formulas_in_the_free_algebra(N, counts):
+    alg = FreeAlgebra(("a", "b"), N)
+    words = [[None], [0, 1]]
+    for d in range(2, N + 1):
+        words.append([(u, v) for k in range(1, d) for u in words[k] for v in words[d - k]])
+    assert [len(w) for w in words] == counts
+    assert_fills_are_the_element_formulas(alg, words, N)
+    assert any(alg._p_memo.values()) and any(alg._assoc_memo.values())
+
+
+@settings(max_examples=8, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(loop=wide_plane_loops)
+def test_fills_are_the_element_formulas_on_random_plane_loops(loop):
+    B = DistBialgebra.from_loop(loop)
+    assert_fills_are_the_element_formulas(B, _bialgebra_keys(B), 4)
+
+
+# the memo entries the `brackets` tables fill; a change that fills more entries does more work
+@pytest.mark.parametrize(
+    "name, N, arity, sizes",
+    [("split-octonion-loop", 4, 1, (649, 7, 448, 576)), ("jordan-k3-loop", 5, 3, (205, 52, 114, 180))],
+)
+def test_bracket_tables_fill_the_pinned_memo_entries(name, N, arity, sizes):
+    B = DistBialgebra.from_loop(builtin_loop(name, N))
+    su_bracket_table(B, arity)
+    assert tuple(map(len, (B._prod_memo, B._ldiv_memo, B._p_memo, B._assoc_memo))) == sizes
+
+
+@pytest.mark.parametrize("name", ["jordan-k3-loop", "nonlinear-f-loop"])
+def test_su_bracket_table_on_kernel_letters_is_bracket_vector_on_public_elements(name):
+    loop = builtin_loop(name, 5)
+    B = DistBialgebra.from_loop(loop)
+    ops = dist_su_ops(DistBialgebra.from_loop(loop))
+    basis = [SymElement.basis(loop.dim, i) for i in range(loop.dim)]
+    for arity in range(4):
+        table = su_bracket_table(B, arity)
+        assert table == {
+            idx: ops.bracket_vector([basis[i] for i in idx[:arity]], basis[idx[-2]], basis[idx[-1]])
+            for idx in iter_product(range(loop.dim), repeat=arity + 2)
+        }, arity
+
+
+def test_coerce_takes_its_own_kernel_elements_and_refuses_others(jordan_loop_4, jordan_loop_5, nonlinear_loop_5):
+    B = DistBialgebra.from_loop(jordan_loop_5)
+    ops = dist_su_ops(B)
+    for letter in B._letters() + DistBialgebra.from_loop(jordan_loop_5)._letters():
+        assert ops._coerce(letter) is letter
+    for other in (jordan_loop_4, nonlinear_loop_5):
+        letters = DistBialgebra.from_loop(other)._letters()
+        with pytest.raises(ValueError, match="kernel element of"):
+            ops._coerce(letters[0])
+        with pytest.raises(ValueError, match="kernel element of"):
+            ops.bracket_vector([], letters[0], letters[1])
 
 
 def _letters(elements):

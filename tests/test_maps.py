@@ -25,6 +25,7 @@ from nonassoc.freealg import (
     su_multioperator_component,
 )
 from nonassoc.maps import (
+    DEFAULT_MEMORY_CAP,
     RIGHT_ALTERNATIVE,
     FormalLoop,
     FormalMap,
@@ -38,6 +39,7 @@ from nonassoc.maps import (
     loop_division,
     multioperator_ms,
     prolong,
+    resolve_memory_cap,
     right_alt_modify,
     similarity_between,
     table_cells,
@@ -542,6 +544,26 @@ def test_similarity_shape_validation():
     bad = dict(FormalLoop.unital_components(1))
     with pytest.raises(ValueError):
         SimilarityMap(1, 4, bad)  # has a (1, 0) component
+
+
+@pytest.mark.parametrize("cap", [True, False, -1, 1.5])
+def test_a_memory_cap_that_is_not_an_int_at_least_0_is_refused(cap):
+    with pytest.raises(ValueError, match="--memory-cap must be an int >= 0"):
+        resolve_memory_cap(cap)
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5", "", "1_000"])
+def test_a_memory_cap_variable_that_is_not_a_decimal_count_is_refused(monkeypatch, value):
+    monkeypatch.setenv("NONASSOC_MEMORY_CAP", value)
+    with pytest.raises(ValueError, match="NONASSOC_MEMORY_CAP must be a decimal int >= 0"):
+        resolve_memory_cap()
+
+
+def test_memory_cap_sources_in_order(monkeypatch):
+    monkeypatch.delenv("NONASSOC_MEMORY_CAP", raising=False)
+    assert resolve_memory_cap() == DEFAULT_MEMORY_CAP
+    monkeypatch.setenv("NONASSOC_MEMORY_CAP", " 0 ")
+    assert resolve_memory_cap() == 0 and resolve_memory_cap(7) == 7
 
 
 def test_memory_cap():
