@@ -29,7 +29,8 @@ operations included, runs on ints.  Monomial tuples and
 and `on_elements` have ``Fraction`` coefficients (`scalars.as_fractions`).
 
 Those public operations are exact within the truncation and raise
-ValueError beyond it: `product` and `divide` when the degrees of their
+ValueError beyond it: `product`, `divide` and the `LinearizedEvaluator`
+methods `on_monomials` and `on_elements` when the degrees of their
 arguments sum past N, and the `DistSUOps` operations when their degree
 does (m + n + 1 for p, m + 2 for a bracket, m + n for a multioperator, on
 m and n primitive arguments).  A monomial of degree above N, which has no
@@ -44,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product as iter_product
 from math import comb, lcm, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import su_ops
 from .lincomb import LinComb, add_into, bilinear, sum_into
@@ -584,17 +585,20 @@ class LinearizedEvaluator:
     The evaluator runs on monomial ids (`_MonomialIndex`).  Each distinct
     subword is compiled once into a `_Node`, which fixes its method and slot
     routing; equal subwords share one node.  Values are terms dicts
-    {id: coefficient}, memoized per evaluator in `_memo`, keyed by (node id,
-    tuple of slot ids).  A binary node reads each child that is itself a
-    binary node through `_eval`, the one reader of that memo.  A leaf below
-    the root is read straight from its slot, with no memo entry; a leaf at
-    the root is memoized.  A binary node's value is a sum of memo entries,
-    which never hold a term above N, so it is stored without a copy, and a
-    value that is one entry at coefficient 1 is that entry itself, shared
-    with the bialgebra's memo.  Every vanishing value is the
-    evaluator's one empty dict.  The memo holds kernel coefficients
-    (`int | Fraction`); the public methods take and return `SymElement`s,
-    with Fractions.
+    {id: coefficient}.  `_value` computes a node's value; `_eval` memoizes
+    it per evaluator in `_memo`, keyed by the flat tuple (node id, *slot
+    ids), and only a binary node's children that are themselves binary
+    nodes are read through it.  A leaf child is read straight from its
+    slot, and a root, leaf or not, is evaluated through `_value` and never
+    stored: `on_monomials`, `on_elements` and the sweep and samples of
+    `check_linearized_identity` compare or sum each root value once and
+    drop it.  A binary node's value is a sum of memo entries, which never
+    hold a term above N, so it is stored without a copy, and a value that
+    is one entry at coefficient 1 is that entry itself, shared with the
+    bialgebra's memo.  Every vanishing value is the evaluator's one empty
+    dict.  The memo holds kernel coefficients (`int | Fraction`); the
+    public methods take and return `SymElement`s, with Fractions, and
+    raise ValueError when their arguments' degrees sum past N.
     """
 
     def __init__(self, bialgebra: DistBialgebra, nvars: int):
@@ -606,7 +610,7 @@ class LinearizedEvaluator:
         self._unit = self._index.id(unit_monomial(bialgebra.dim))
         self._one: Terms = {self._unit: 1}
         self._zero: Terms = {}
-        self._memo: dict[tuple[int, tuple[int, ...]], Terms] = {}
+        self._memo: dict[tuple[int, ...], Terms] = {}
         self._nodes: dict[LoopWord, _Node] = {}
 
     def _node(self, word: LoopWord) -> _Node:
@@ -642,28 +646,31 @@ class LinearizedEvaluator:
         total = sum(map(monomial_degree, monos))
         if total > self.B.N:
             raise ValueError(f"total degree {total} exceeds the truncation degree {self.B.N}")
-        return self.B._public(self._eval(self._node(word), tuple(map(self._index.id, monos))))
+        return self.B._public(self._value(self._node(word), tuple(map(self._index.id, monos))))
 
     def _eval(self, node: _Node, ids: tuple[int, ...]) -> Terms:
-        key = (node.id, ids)
+        """The value of a binary node's child that is itself a binary node, memoized under the
+        flat key (node id, *slot ids)."""
+        key = (node.id, *ids)
         hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        degrees = self._index.degrees
+        if hit is None:
+            hit = self._memo[key] = self._value(node, ids)
+        return hit
+
+    def _value(self, node: _Node, ids: tuple[int, ...]) -> Terms:
+        """The value of `node` at the slot ids, computed and not stored: a root's value is
+        compared or summed once and dropped."""
         if node.method is not None:
-            out = self._binary(node, ids)
-        elif isinstance(node.word, Var):
+            return self._binary(node, ids)
+        degrees = self._index.degrees
+        if isinstance(node.word, Var):
             slot = node.slot
             if all(degrees[k] == 0 for s, k in enumerate(ids) if s != slot):
-                out = {ids[slot]: 1}
-            else:
-                out = self._zero
-        elif all(degrees[k] == 0 for k in ids):
-            out = self._one
-        else:
-            out = self._zero
-        self._memo[key] = out
-        return out
+                return {ids[slot]: 1}
+            return self._zero
+        if all(degrees[k] == 0 for k in ids):
+            return self._one
+        return self._zero
 
     def _binary(self, node: _Node, ids: tuple[int, ...]) -> Terms:
         index = self._index
@@ -717,17 +724,23 @@ class LinearizedEvaluator:
         return sum_into({}, parts) or self._zero
 
     def on_elements(self, word: LoopWord, args: Sequence[SymElement]) -> SymElement:
+        """The linearization of `word` at one element per variable slot, whose top degrees sum
+        to at most N; beyond N, ValueError, as for `DistBialgebra.product`."""
         if len(args) != self.nvars:
             raise ValueError(f"{self.nvars} arguments expected, got {len(args)}")
+        _check_degree("linearization", sum(a.max_degree() for a in args), self.B.N)
         node = self._node(word)
+        return self.B._public(self._sum(node, [self.B._kernel(a).terms.items() for a in args]))
+
+    def _sum(self, node: _Node, terms: Sequence[Iterable[tuple[int, int | Fraction]]]) -> Terms:
+        """The root value of `node` summed over the tuples of the slots' kernel terms of total
+        degree <= N, each tuple's value weighted by its coefficients and dropped."""
         N, degrees = self.B.N, self._index.degrees
-        # a term above N lies only in tuples above N, which are skipped
-        terms = [self.B._kernel(a.truncate(N)).terms.items() for a in args]
         acc: Terms = {}
         for combo in iter_product(*terms):
             if sum(degrees[k] for k, _ in combo) <= N:
-                add_into(acc, self._eval(node, tuple(k for k, _ in combo)), prod(c for _, c in combo))
-        return self.B._public(acc)
+                add_into(acc, self._value(node, tuple(k for k, _ in combo)), prod(c for _, c in combo))
+        return acc
 
 
 @lru_cache(maxsize=None)
@@ -776,7 +789,10 @@ def check_linearized_identity(
     <= N only: above N the truncated product has lost the loop components
     it would need.  Both sides are linear in each argument, so a sweep up
     to N decides the identity within the truncation and no sample can then
-    fail.  Comparisons are exact and the first mismatch is reported with
+    fail.  Neither phase stores a root value: both evaluate the roots
+    through `_value`, a sample summing its tuples within N through `_sum`,
+    the routine under `on_elements`.  Comparisons are exact, on kernel
+    terms, and the first mismatch is reported with
     enough data to replay it.  `samples` must be an int >= 0 and `seed` an int,
     which the report replays through; otherwise ValueError.
     """
@@ -803,11 +819,11 @@ def check_linearized_identity(
                 yield (head,) + rest
 
     # every swept tuple has nvars slots and total degree <= N, so the sweep
-    # compares the evaluator's memoized kernel values directly
+    # compares the two root values in the kernel directly and stores neither
     lhs_node, rhs_node = ev._node(identity.lhs), ev._node(identity.rhs)
     for ids in tuples_of_total(identity.nvars, N):
-        lhs = ev._eval(lhs_node, ids)
-        rhs = ev._eval(rhs_node, ids)
+        lhs = ev._value(lhs_node, ids)
+        rhs = ev._value(rhs_node, ids)
         if lhs != rhs:
             witness = {
                 "kind": "monomials",
@@ -820,15 +836,17 @@ def check_linearized_identity(
     sample_degree = min(3, N - 1)
     for index in range(samples):
         args = [random_distribution(rng, dim, sample_degree) for _ in range(identity.nvars)]
-        lhs = ev.on_elements(identity.lhs, args)
-        rhs = ev.on_elements(identity.rhs, args)
+        # the arguments' degrees may sum past N, so only their tuples within N are summed
+        terms = [bialgebra._kernel(a).terms.items() for a in args]
+        lhs = ev._sum(lhs_node, terms)
+        rhs = ev._sum(rhs_node, terms)
         if lhs != rhs:
             witness = {
                 "kind": "random",
                 "sample_index": index,
                 "arguments": [a.to_json() for a in args],
-                "lhs": lhs.to_json(),
-                "rhs": rhs.to_json(),
+                "lhs": bialgebra._public(lhs).to_json(),
+                "rhs": bialgebra._public(rhs).to_json(),
             }
             return LinearizedVerdict(False, seed, samples, N, witness)
     return LinearizedVerdict(True, seed, samples, N)

@@ -458,11 +458,11 @@ def fa_divide(u: FAElement, v: FAElement, side: str) -> FAElement:
 
 
 def fa_associator(x: FAElement, y: FAElement, z: FAElement) -> FAElement:
-    return (x * y) * z - x * (y * z)
+    return su_ops.associator(x.alg, x, y, z)
 
 
 def fa_commutator(x: FAElement, y: FAElement) -> FAElement:
-    return x * y - y * x
+    return su_ops.commutator(x.alg, x, y)
 
 
 def p_operation(xs: Sequence[FAElement], ys: Sequence[FAElement], z: FAElement) -> FAElement:

@@ -198,7 +198,7 @@ def bracket(alg, xs: Sequence, y, z) -> object:
     """The bracket <x1..xm; y, z>; with an empty block it is minus the commutator."""
     _require_primitive(alg, list(xs) + [y, z])
     if not xs:
-        return alg.mul(z, y) - alg.mul(y, z)
+        return commutator(alg, z, y)
     return p_operation(alg, xs, [z], y) - p_operation(alg, xs, [y], z)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase
 from hypothesis import strategies as st
 
-from nonassoc import su_ops
+from nonassoc import dist, su_ops
 from nonassoc.catalog import builtin_loop
 from nonassoc.connection import FormalVectorField
 from nonassoc.dist import DistBialgebra
@@ -580,6 +580,20 @@ REFERENCE_FLAG_CHECKS = {
     "alternative": reference_is_alternative,
     "jordan": reference_is_jordan,
 }
+
+
+@pytest.fixture
+def evaluators(monkeypatch) -> list:
+    """The `LinearizedEvaluator`s that `dist` builds during the test, in order."""
+    made = []
+
+    class Recorded(dist.LinearizedEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(dist, "LinearizedEvaluator", Recorded)
+    return made
 
 
 @pytest.fixture(scope="session")

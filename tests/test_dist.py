@@ -327,15 +327,7 @@ def _rational_plane_loop():
     "name, N, text, nvars",
     [("jordan-k3-loop", 4, LEFT_DIVISION, 2), ("split-octonion-loop", 3, MOUFANG, 3)],
 )
-def test_kernel_memos_hold_canonical_ints_and_the_api_returns_fractions(monkeypatch, name, N, text, nvars):
-    evaluators = []
-
-    class Recorded(LinearizedEvaluator):
-        def __init__(self, *args):
-            super().__init__(*args)
-            evaluators.append(self)
-
-    monkeypatch.setattr(dist, "LinearizedEvaluator", Recorded)
+def test_kernel_memos_hold_canonical_ints_and_the_api_returns_fractions(evaluators, name, N, text, nvars):
     B = DistBialgebra.from_loop(builtin_loop(name, N))
     identity = parse_identity(text, nvars)
     assert check_linearized_identity(identity, B, samples=3, seed=0).holds
@@ -969,33 +961,53 @@ def test_linearized_evaluator_matches_the_bilinear_reference(constants):
                 )
 
 
-def test_evaluator_memoizes_no_leaf_below_the_root(jordan_bialgebra_4):
-    ev = LinearizedEvaluator(jordan_bialgebra_4, 2)
+def test_evaluator_memoizes_no_root_and_no_leaf(evaluators, jordan_bialgebra_4):
+    B = jordan_bialgebra_4
     pool = list(monomials_up_to(3, 4))
     tuples = [m for m in iter_product(pool, repeat=2) if sum(map(monomial_degree, m)) <= 4]
-    for monos in tuples:
-        for word in LEAF_WORDS[:4]:
+    elements = [SymElement.of_terms(3, {(1, 0, 0): F(1), (0, 1, 1): F(-2)}), SymElement.basis(3, 2)]
+
+    def stored_nodes(ev):
+        return {key[0] for key in ev._memo}
+
+    # on_monomials and on_elements at every word of LEAF_WORDS, leaves at the root included
+    for word in LEAF_WORDS:
+        ev = LinearizedEvaluator(B, 2)
+        for monos in tuples:
             ev.on_monomials(word, monos)
-    leaves = {node.id for node in ev._nodes.values() if node.method is None}
-    assert len(leaves) == 3 and ev._memo
-    assert not [key for key in ev._memo if key[0] in leaves]
-    # a leaf at the root is memoized
-    root = ev._node(Var(2))
-    ev.on_monomials(root.word, tuples[-1])
-    ids = tuple(map(jordan_bialgebra_4._index.id, tuples[-1]))
-    assert [key for key in ev._memo if key[0] in leaves] == [(root.id, ids)]
+        ev.on_elements(word, elements)
+        root = ev._node(word)
+        leaves = {node.id for node in ev._nodes.values() if node.method is None}
+        assert root.id not in stored_nodes(ev) and not stored_nodes(ev) & leaves, word
+        # the subwords between the root and the leaves are stored, under flat keys
+        inner = {node.id for node in ev._nodes.values() if node.method is not None} - {root.id}
+        assert stored_nodes(ev) == inner, word
+        assert all(len(key) == 3 for key in ev._memo)
+    # a sweep and its samples store neither side's root, nor any leaf
+    for text, nvars, holds in ((RIGHT_DIVISION, 2, True), (LEFT_DIVISION, 2, True), (ASSOC, 3, False)):
+        identity = parse_identity(text, nvars)
+        assert check_linearized_identity(identity, B, samples=5).holds is holds
+        ev = evaluators[-1]
+        roots = {ev._node(identity.lhs).id, ev._node(identity.rhs).id}
+        leaves = {node.id for node in ev._nodes.values() if node.method is None}
+        assert ev._memo and not stored_nodes(ev) & (roots | leaves), text
 
 
 def test_a_value_that_is_one_product_entry_is_that_entry(jordan_bialgebra_4):
-    # (x1 * x2) at a monomial pair is one product entry at coefficient 1: the evaluator
-    # stores the bialgebra's memo entry itself, not a copy
+    # the child (x1 * x2) of ((x1 * x2) * x3), at a monomial pair and the unit in
+    # slot 3, is one product entry at coefficient 1: the evaluator stores the
+    # bialgebra's memo entry itself, not a copy
     B = jordan_bialgebra_4
-    ev = LinearizedEvaluator(B, 2)
-    word = Mul(Var(1), Var(2))
+    ev = LinearizedEvaluator(B, 3)
+    child = Mul(Var(1), Var(2))
+    word = Mul(child, Var(3))
+    unit = B._index.id((0, 0, 0))
     for monos in (((1, 0, 0), (0, 1, 0)), ((2, 0, 0), (0, 1, 1)), ((0, 0, 0), (1, 1, 0))):
-        assert ev.on_monomials(word, monos) == B.product_mono(*monos)
+        ev.on_monomials(word, monos + ((0, 0, 0),))
         i, j = map(B._index.id, monos)
-        assert ev._memo[(ev._node(word).id, (i, j))] is B._prod_memo[i * B._index.size + j]
+        entry = ev._memo[(ev._node(child).id, i, j, unit)]
+        assert entry is B._prod_memo[i * B._index.size + j]
+        assert B._public(entry) == B.product_mono(*monos)
 
 
 def test_evaluator_shares_nodes_between_equal_words(jordan_bialgebra_4):
@@ -1022,6 +1034,29 @@ def test_evaluator_rejects_tuples_it_cannot_evaluate(jordan_bialgebra_4, monos):
     ev = LinearizedEvaluator(jordan_bialgebra_4, 3)
     with pytest.raises(ValueError):
         ev.on_monomials(Mul(Mul(Var(1), Var(2)), Var(3)), monos)
+
+
+def test_on_elements_refuses_arguments_whose_degrees_sum_past_n(jordan_loop_4):
+    # x = e1^2 and y = e2^2 at N = 3: x * y has degree 4, and its part of degree <= 3,
+    # read from the N = 4 bialgebra, is not zero, so no answer within N = 3 is right
+    x, y = (SymElement.of_terms(3, {mono: F(1)}) for mono in ((2, 0, 0), (0, 2, 0)))
+    word = Mul(Var(1), Var(2))
+    truth = DistBialgebra.from_loop(jordan_loop_4).product(x, y).truncate(3)
+    assert truth == SymElement.of_terms(3, {(0, 2, 0): F(2), (1, 2, 0): F(4)})
+    B = DistBialgebra.from_loop(builtin_loop("jordan-k3-loop", 3))
+    ev = LinearizedEvaluator(B, 2)
+    with pytest.raises(ValueError, match="degree 4 beyond the truncation 3"):
+        ev.on_elements(word, [x, y])
+    with pytest.raises(ValueError):
+        B.product(x, y)
+    with pytest.raises(ValueError):
+        ev.on_monomials(word, ((2, 0, 0), (0, 2, 0)))
+    # the top degrees decide, whatever the other terms
+    with pytest.raises(ValueError):
+        ev.on_elements(word, [x, y + SymElement.basis(3, 2) - SymElement.one(3)])
+    # within N the call answers, as `product` does
+    z = SymElement.basis(3, 1) - SymElement.one(3)
+    assert ev.on_elements(word, [x, z]) == B.product(x, z) != SymElement.of_terms(3, {})
 
 
 def test_evaluator_rejects_words_outside_its_slots(jordan_bialgebra_4):
