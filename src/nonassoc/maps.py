@@ -12,15 +12,20 @@ the product of the exponent factorials; `from_json` reads either view.
 Stored values are sparse vectors (`scalars`), shared between maps and never
 mutated; a table holds no zero vector and no table is empty.  Constructor
 inputs, `value`, `series_value`, `sorted_entries`, `to_json` and verdict
-witnesses are dense.  `_of_sparse` is the trusted constructor.
+witnesses are dense.  `_of_sparse` is the trusted constructor.  `value`,
+`series_value` and `on_elements` refuse to read above N.
 
 Maps prolong to coalgebra morphisms between symmetric coalgebras and
 compose by substituting the inner maps' series into the outer map's
 (shared variables are shared by the series).  The substitution works in
 divided-power coordinates x^(e) = x^e / e!, in which the distribution view
 is the coefficient list, so no factorial is divided out or multiplied back
-and an integral map composes on int coefficients.  A unital two-slot map is
-a formal loop with two-sided divisions obtained as degree-graded fixed points.
+and an integral map composes on int coefficients.  A series term is keyed by
+its exponent vector packed into one int in radix N + 1 (`_pack`): no kept
+term has a digit above N, so multiplying two terms adds their keys, and
+`compose` unpacks each distinct key of its result once.  A unital two-slot
+map is a formal loop with two-sided divisions obtained as degree-graded
+fixed points.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from functools import cache
 from fractions import Fraction
 from itertools import accumulate, product as iter_product
 from math import factorial, prod
-from operator import add
 from typing import Callable, Iterator, Sequence
 
 from .scalars import (
@@ -68,9 +72,9 @@ MonoTuple = tuple[Monomial, ...]
 Multidegree = tuple[int, ...]
 Tables = dict[Multidegree, dict[MonoTuple, SparseVector]]
 # a scalar series in the arguments of a map, in divided-power coordinates: total degree ->
-# {exponents e: the coefficient of x^(e) = x^e / e!}, in `scalars.exact` form, the exponent
-# vector being the concatenation of the slots' monomials
-Series = dict[int, dict[tuple[int, ...], int | Fraction]]
+# {packed e: the coefficient of x^(e) = x^e / e!}, in `scalars.exact` form, e being the
+# concatenation of the slots' monomials packed by `_pack` in radix N + 1
+Series = dict[int, dict[int, int | Fraction]]
 
 DEFAULT_MEMORY_CAP = 100_000
 MEMORY_CAP_ENV = "NONASSOC_MEMORY_CAP"
@@ -125,15 +129,68 @@ def multidegree_of(monos: MonoTuple) -> Multidegree:
     return tuple(monomial_degree(m) for m in monos)
 
 
-@cache
-def _exps_factorial(exps: tuple[int, ...]) -> int:
-    """prod_i exps_i!, the factor between x^exps and the divided power x^(exps)."""
-    return prod(map(factorial, exps))
-
-
 def _series_weight(monos: MonoTuple) -> int:
     """The factor between the distribution and the series view at a monomial tuple."""
-    return _exps_factorial(sum(monos, ()))
+    return prod(map(factorial, sum(monos, ())))
+
+
+def _pack(exps: Sequence[int], radix: int) -> int:
+    """The exponent vector as one int, exps[0] its most significant digit in `radix`.
+
+    Each digit must be below the radix.  A series truncated at total degree
+    N packs in radix N + 1: then every digit of a kept product term is at
+    most N, so the packed sum of two terms is the sum of their packed keys.
+    """
+    key = 0
+    for e in exps:
+        key = key * radix + e
+    return key
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with `fill(key)`."""
+
+    def __init__(self, fill: Callable):
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = value = self.fill(key)
+        return value
+
+
+@cache
+def _packed_factorials(radix: int) -> _Memo:
+    """packed e -> prod_i e_i!, the factor between x^e and x^(e), for keys packed in `radix`."""
+
+    def fill(key: int) -> int:
+        weight = 1
+        while key:
+            key, e = divmod(key, radix)
+            weight *= factorial(e)
+        return weight
+
+    return _Memo(fill)
+
+
+@cache
+def _unpacked(dims: tuple[int, ...], radix: int) -> _Memo:
+    """packed key -> (multidegree, slot monomials), `_pack` inverted for the slots `dims`."""
+    bounds = list(accumulate(dims, initial=0))
+
+    def fill(key: int) -> tuple[Multidegree, MonoTuple]:
+        exps = [0] * bounds[-1]
+        for i in reversed(range(bounds[-1])):
+            key, exps[i] = divmod(key, radix)
+        monos = tuple(tuple(exps[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        return tuple(map(sum, monos)), monos
+
+    return _Memo(fill)
+
+
+def _check_monomials(monos: MonoTuple, dims: Sequence[int]) -> None:
+    for mono, dim in zip(monos, dims):
+        if not is_monomial(mono, dim):
+            raise ValueError(f"{mono} is not a monomial of a {dim}-dimensional slot")
 
 
 def _identity_block(dims: Sequence[int], slot: int) -> dict[MonoTuple, SparseVector]:
@@ -184,9 +241,7 @@ class FormalMap:
             entries: dict[MonoTuple, SparseVector] = {}
             for monos, value in table.items():
                 monos = tuple(monos)
-                for mono, dim in zip(monos, dims):
-                    if not is_monomial(mono, dim):
-                        raise ValueError(f"{mono} is not a monomial of a {dim}-dimensional slot")
+                _check_monomials(monos, dims)
                 if multidegree_of(monos) != md:
                     raise ValueError(f"monomials {monos} do not have multidegree {md}")
                 value = to_sparse(target_dim, value)
@@ -217,14 +272,27 @@ class FormalMap:
 
     # -- basic access -----------------------------------------------------------
     def value(self, monos: MonoTuple) -> Vector:
-        return to_dense(self.target_dim, self._value(tuple(monos)))
+        """The value at a tuple of slot monomials of total degree <= N; an absent entry reads 0.
+
+        A wrong number of slots, a malformed monomial or a total degree above N
+        raises ValueError: the map knows nothing there.
+        """
+        monos = tuple(monos)
+        if len(monos) != len(self.dims):
+            raise ValueError(f"{len(monos)} monomials for a map of {len(self.dims)} slots")
+        _check_monomials(monos, self.dims)
+        total = sum(map(sum, monos))
+        if total > self.N:
+            raise ValueError(f"monomials {monos} of total degree {total} beyond the truncation {self.N}")
+        return to_dense(self.target_dim, self._value(monos))
 
     def _value(self, monos: MonoTuple) -> SparseVector:
         return self.components.get(multidegree_of(monos), {}).get(monos) or {}
 
     def series_value(self, monos: MonoTuple) -> Vector:
-        weight = _series_weight(monos)
-        return tuple(c / weight for c in self.value(monos))
+        """`value` in the series view, with the same refusals."""
+        value = self.value(monos)
+        return tuple(c / _series_weight(tuple(monos)) for c in value)
 
     def support(self) -> set[Multidegree]:
         return set(self.components.keys())
@@ -237,12 +305,17 @@ class FormalMap:
 
         The value is a fresh sparse vector: the sum of `_value(monos)`, times
         the product of the terms' coefficients, over every tuple of terms.
+        Elements whose top degrees sum past N raise ValueError, since some
+        tuples of their terms would be read above the truncation.
         """
         if len(elems) != len(self.dims):
             raise ValueError("slot count mismatch")
         for e, d in zip(elems, self.dims):
             if e.dim != d:
                 raise ValueError(f"element of dimension {e.dim} in a slot of dimension {d}")
+        top = sum(e.max_degree() for e in elems)
+        if top > self.N:
+            raise ValueError(f"elements of top degrees summing to {top} beyond the truncation {self.N}")
         out: SparseVector = {}
         for combo in iter_product(*(e.terms.items() for e in elems)):
             value = self._value(tuple(mono for mono, _ in combo))
@@ -365,7 +438,7 @@ class FormalMap:
                 entries.append(
                     {
                         "monomials": [list(m) for m in monos],
-                        "value": [format_rational(v) for v in self.value(monos)],
+                        "value": [format_rational(v) for v in to_dense(self.target_dim, table[monos])],
                     }
                 )
             components.append({"multidegree": list(md), "entries": entries})
@@ -416,7 +489,8 @@ class Prolongation:
     theta.  The other route works in divided-power coordinates: a series is
     sum_e c_e x^(e) with x^(e) = x^e / e!, so `_coords[k]`, theta's k-th
     coordinate series, holds the stored distribution-view values as they
-    are.  `_power(b, cap)` is the divided power
+    are, each under its exponent vector packed in `radix` = N + 1 (the
+    concatenated slot monomials, `_pack`).  `_power(b, cap)` is the divided power
     gamma_b(theta) = prod_k theta_k^b_k / b_k!, without the terms above total
     degree `cap`, which is what `compose` substitutes; `_cache` holds each
     one by (b, cap), built as gamma_(b - e_k)(theta) times theta_k, divided
@@ -430,12 +504,13 @@ class Prolongation:
         self.support = sorted(fmap.components.keys())
         self._cache: dict[tuple[Monomial, int], Series] = {}
         self._parts_cache: dict[tuple[MonoTuple, int], SymElement] = {}
+        self.radix = fmap.N + 1
         self._coords: list[Series] = [{} for _ in range(fmap.target_dim)]
         for md, table in fmap.components.items():
             for monos, vec in table.items():
-                exps = sum(monos, ())
+                key = _pack(sum(monos, ()), self.radix)
                 for k, c in vec.items():
-                    self._coords[k].setdefault(sum(md), {})[exps] = exact(c)
+                    self._coords[k].setdefault(sum(md), {})[key] = exact(c)
 
     def at(self, monos: MonoTuple) -> SymElement:
         monos = tuple(monos)
@@ -485,11 +560,11 @@ class Prolongation:
         hit = self._cache.get(key)
         if hit is None:
             if not any(b):
-                hit = {0: {(0,) * sum(self.fmap.dims): 1}}
+                hit = {0: {0: 1}}
             else:
                 k = next(i for i, e in enumerate(b) if e)
                 lower = b[:k] + (b[k] - 1,) + b[k + 1 :]
-                product = _truncated_product(self._power(lower, cap), self._coords[k], cap)
+                product = _truncated_product(self._power(lower, cap), self._coords[k], cap, self.radix)
                 hit = {d: {e: exact_div(c, b[k]) for e, c in terms.items()} for d, terms in product.items()}
             self._cache[key] = hit
         return hit
@@ -503,26 +578,28 @@ class Prolongation:
         return out
 
 
-def _truncated_product(a: Series, b: Series, cap: int) -> Series:
+def _truncated_product(a: Series, b: Series, cap: int, radix: int) -> Series:
     """The product of two divided-power series without the terms above total degree `cap`.
 
     x^(e) x^(f) = C(e + f, e) x^(e + f), C(e + f, e) = prod_i C(e_i + f_i, e_i)
-    being (e + f)! / (e! f!) with the factorials of `_exps_factorial`.
+    being (e + f)! / (e! f!).  The keys are packed in `radix` > cap, so the
+    key of e + f is the sum of the keys, and the factorials are read from
+    `_packed_factorials` by key.
     """
-    fact = _exps_factorial
+    fact = _packed_factorials(radix)
     out: Series = {}
     for da, ta in a.items():
         for db, tb in b.items():
             if da + db > cap:
                 continue
             acc = out.setdefault(da + db, {})
-            weighted = [(kb, cb, fact(kb)) for kb, cb in tb.items()]
+            weighted = [(kb, cb, fact[kb]) for kb, cb in tb.items()]
             for ka, ca in ta.items():
-                wa = fact(ka)
+                wa = fact[ka]
                 add_into(acc, {
-                    k: cb * (fact(k) // (wa * wb))
+                    k: cb * (fact[k] // (wa * wb))
                     for kb, cb, wb in weighted
-                    for k in (tuple(map(add, ka, kb)),)
+                    for k in (ka + kb,)
                 }, ca)
     return {d: terms for d, terms in out.items() if terms}
 
@@ -544,7 +621,9 @@ def compose(G: FormalMap, thetas: Sequence[FormalMap], *, _degree: int | None = 
     M_i being the monomial of slot i and gamma_M_i(theta_i) a divided power
     cached on theta_i's `Prolongation`; a variable shared between the thetas
     is simply shared by their series.  Every product drops the terms above
-    the cap N, and the sums, in `scalars.exact` form, become Fractions once.
+    the cap N.  The sums, keyed by exponent vectors packed in radix N + 1 and
+    in `scalars.exact` form, become Fractions once, and each distinct key is
+    unpacked into slot monomials and a multidegree once (`_unpacked`).
     `_degree` sets the cap to one total degree and keeps only that degree of
     the result; it is for the graded solve in `loop_division`.
     """
@@ -567,8 +646,9 @@ def compose(G: FormalMap, thetas: Sequence[FormalMap], *, _degree: int | None = 
             )
     cap = N if _degree is None else _degree
     prols = [theta.prolongation() for theta in thetas]
+    radix = prols[0].radix  # N + 1 for every theta
     # output coordinate -> the composite's divided-power series in that coordinate
-    sums: list[dict[tuple[int, ...], int | Fraction]] = [{} for _ in range(G.target_dim)]
+    sums: list[dict[int, int | Fraction]] = [{} for _ in range(G.target_dim)]
     for J, table in G.components.items():
         if sum(J) > cap:
             continue
@@ -576,19 +656,18 @@ def compose(G: FormalMap, thetas: Sequence[FormalMap], *, _degree: int | None = 
             powers = [prol._power(mono, cap) for prol, mono in zip(prols, outer) if any(mono)]
             series = powers[0]
             for power in powers[1:]:
-                series = _truncated_product(series, power, cap)
+                series = _truncated_product(series, power, cap, radix)
             coeffs = exact_terms(value)
             for degree, terms in series.items():
                 if _degree is None or degree == _degree:
                     for j, g in coeffs.items():
                         add_into(sums[j], terms, g)
-    bounds = list(accumulate(dims, initial=0))
+    unpacked = _unpacked(dims, radix)
     comps: Tables = {}
     for j, terms in enumerate(sums):
-        for exps, c in terms.items():
-            monos = tuple(exps[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-            entries = comps.setdefault(tuple(map(sum, monos)), {})
-            entries.setdefault(monos, {})[j] = Fraction(c) if type(c) is int else c
+        for key, c in terms.items():
+            md, monos = unpacked[key]
+            comps.setdefault(md, {}).setdefault(monos, {})[j] = Fraction(c) if type(c) is int else c
     return FormalMap._of_sparse(dims, G.target_dim, N, comps)
 
 
@@ -867,6 +946,10 @@ class MsMultioperator:
     components: dict[tuple[int, int], FAElement]
 
     def component(self, i: int, j: int) -> FAElement:
+        """The component of bidegree (i, j); each an int >= 0 (not a bool), i + j <= N."""
+        for d in (i, j):
+            if type(d) is not int or d < 0:
+                raise ValueError(f"a bidegree entry must be an int >= 0, got {d!r}")
         if i + j > self.algebra.max_degree:
             raise ValueError(
                 f"bidegree ({i}, {j}) beyond the truncation {self.algebra.max_degree}"

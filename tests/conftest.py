@@ -69,13 +69,23 @@ def _ordered_splits(monos, parts):
             yield (head,) + tail, prod(split[2] for split in combo) * weight
 
 
+def _tuples_up_to(dims, N):
+    """Every tuple of monomials of the slots `dims` of total degree <= N."""
+    if not dims:
+        yield ()
+        return
+    for mono in monomials_up_to(dims[0], N):
+        for rest in _tuples_up_to(dims[1:], N - monomial_degree(mono)):
+            yield (mono, *rest)
+
+
 def reference_compose(G, thetas):
     """G(theta_1, ..., theta_m), to compare with `maps.compose`."""
     dims, N = thetas[0].dims, G.N
     prols = [theta.prolongation() for theta in thetas]
     comps = {}
-    for monos in iter_product(*(list(monomials_up_to(d, N)) for d in dims)):
-        if not 1 <= sum(multidegree_of(monos)) <= N:
+    for monos in _tuples_up_to(dims, N):
+        if not any(map(any, monos)):
             continue
         value = {}
         for parts, weight in _ordered_splits(monos, len(thetas)):

@@ -172,6 +172,44 @@ def test_compose_matches_the_full_image_reference_on_random_structure_constants(
         assert eval_word(side, loop, 3) == _reference_eval(side, loop, 3)
 
 
+# `compose` keys each term by its exponent vector packed in radix N + 1; these
+# composites carry exponents equal to N, the largest digit the radix holds
+
+
+def test_compose_packs_exponents_up_to_n_in_one_dimensional_slots():
+    N = 6
+    G = FormalMap.from_series((1, 1), 1, N, {
+        ((1,), (0,)): (1,), ((0,), (1,)): (1,), ((1,), (1,)): (1,), ((6,), (0,)): (1,), ((0,), (6,)): (2,),
+    })
+    thetas = [
+        FormalMap.from_series((1, 1), 1, N, {((1,), (0,)): (1,), ((0,), (6,)): (-1,), ((3,), (2,)): (1,)}),
+        FormalMap.from_series((1, 1), 1, N, {((0,), (1,)): (1,), ((6,), (0,)): (3,), ((1,), (1,)): (1,)}),
+    ]
+    composite = compose(G, thetas)
+    assert composite == reference_compose(G, thetas)
+    assert composite.value(((6,), (0,))) != (0,) and composite.value(((0,), (6,))) != (0,)
+
+
+def test_compose_packs_a_three_slot_word_on_split_octonions():
+    loop = builtin_loop("split-octonion-loop", 3)
+    x1, x2, x3 = Var(1), Var(2), Var(3)
+    word = Mul(Mul(Mul(x1, x2), x1), Mul(x1, x3))  # x1 * x1 is 2 x1 + x1^2, so x1 appears cubed
+    composite = eval_word(word, loop, 3)
+    assert composite == _reference_eval(word, loop, 3)
+    assert composite.value(((3, 0, 0, 0, 0, 0, 0, 0), (0,) * 8, (0,) * 8)) != (0,) * 8
+
+
+def test_compose_packs_the_x_squared_y_loop_at_degree_6():
+    loop = x_squared_y_loop(6)
+    P1 = FormalMap.slot_projection(loop.dims, 0, 6)
+    # the loop is odd, so an even inner map is what puts x^6 into a composite
+    even = FormalMap.from_series((1, 1), 1, 6, {((2,), (0,)): (1,), ((0,), (2,)): (-1,), ((1,), (1,)): (1,)})
+    for outer, inner in ((loop, [P1, loop]), (loop, [even, even]), (loop.division("left"), [P1, even])):
+        composite = compose(outer, inner)
+        assert composite == reference_compose(outer, inner)
+    assert composite.value(((6,), (0,))) != (0,)
+
+
 def _divided_powers_of(monkeypatch, run):
     """`run()`'s output, and each prolongation it builds with that prolongation's cached coefficients."""
     made = []
@@ -475,6 +513,10 @@ def test_multioperator_bidegree_bounds():
     ms = multioperator_ms(4)
     with pytest.raises(ValueError):
         ms.component(2, 3)
+    for i, j in ((-1, 3), (3, -1), (True, 2), (2, False), (1.0, 2)):
+        with pytest.raises(ValueError, match="bidegree entry must be an int >= 0"):
+            ms.component(i, j)
+    assert ms.component(1, 2) == ms.components[(1, 2)]
 
 
 @pytest.mark.parametrize(
@@ -634,6 +676,32 @@ def test_on_elements_rejects_elements_of_the_wrong_dimension():
     with pytest.raises(ValueError):
         two.on_elements([SymElement.basis(3, 0), SymElement.basis(3, 1)])
     assert two.on_elements([SymElement.one(3), SymElement.basis(2, 1)]) == {1: F(1)}
+
+
+def test_on_elements_refuses_elements_whose_degrees_sum_past_n():
+    loop = builtin_loop("jordan-k3-loop", 3)
+    x, y = SymElement.of_terms(3, {(2, 0, 0): 1}), SymElement.of_terms(3, {(0, 2, 0): 1})
+    with pytest.raises(ValueError, match="top degrees summing to 4 beyond the truncation 3"):
+        loop.on_elements([x, y])
+    assert loop.on_elements([x, SymElement.basis(3, 1)]) == builtin_loop("jordan-k3-loop", 4).on_elements(
+        [x, SymElement.basis(3, 1)]
+    )
+
+
+@pytest.mark.parametrize("monos, message", [
+    (((1, 0, 0),), "1 monomials for a map of 2 slots"),
+    (((1, 0, 0, 0), (0, 1, 0)), r"\(1, 0, 0, 0\) is not a monomial of a 3-dimensional slot"),
+    (((True, 0, 0), (0, 1, 0)), r"\(True, 0, 0\) is not a monomial of a 3-dimensional slot"),
+    (((5, 0, 0), (0, 1, 0)), "total degree 6 beyond the truncation 3"),
+    (((2, 0, 0), (0, 2, 0)), "total degree 4 beyond the truncation 3"),
+], ids=["one-slot", "long-monomial", "bool-exponent", "degree-6", "degree-4"])
+def test_value_refuses_what_the_map_does_not_hold(monos, message):
+    loop = builtin_loop("jordan-k3-loop", 3)
+    for read in (loop.value, loop.series_value):
+        with pytest.raises(ValueError, match=message):
+            read(monos)
+    within = ((0, 0, 0), (3, 0, 0))
+    assert loop.value(within) == (F(0),) * 3 and loop.series_value(within) == (F(0),) * 3
 
 
 def _assert_sparse_tables(fmap):
